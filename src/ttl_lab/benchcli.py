@@ -91,7 +91,7 @@ def run_single(
     )
     est = make_estimator(
         estimator_kind,
-        naf_cfg=cfg.naf_config(),
+        naf_cfg=cfg.naf,
         reward_cfg=cfg.reward_config(write_fraction),
         rng=sim.agent_rng,
         fixed_ttl=cfg.fixed_ttl,
@@ -336,17 +336,17 @@ def _check_poisson() -> tuple[bool, str]:
 
 
 def _check_naf_identities() -> tuple[bool, str]:
-    from .nafagent import head_width, naf_mu, naf_q, naf_v, q_curve_1d
+    from .nafagent import HEAD_WIDTH, naf_mu, naf_q, naf_v, q_curve_1d
     from .neural import init_mlp
 
     worst_gap = 0.0
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        net = init_mlp((11, 30, 30, head_width(1)), rng)
+        net = init_mlp((11, 30, 30, HEAD_WIDTH), rng)
         s = rng.uniform(0.0, 1.0, size=11)
-        mu = float(naf_mu(net, s, 1)[0])
-        v = naf_v(net, s, 1)
-        gap = abs(naf_q(net, s, mu, 1) - v)
+        mu = naf_mu(net, s)
+        v = naf_v(net, s)
+        gap = abs(naf_q(net, s, mu) - v)
         worst_gap = max(worst_gap, gap)
         grid = mu + np.arange(-5000, 5001) * 0.01
         q = q_curve_1d(net, s, grid)
@@ -358,16 +358,16 @@ def _check_naf_identities() -> tuple[bool, str]:
 
 
 def _check_gradients() -> tuple[bool, str]:
-    from .nafagent import head_width, naf_loss_and_grads
+    from .nafagent import HEAD_WIDTH, naf_loss_and_grads
     from .neural import init_mlp
 
     rng = np.random.default_rng(7)
-    net = init_mlp((4, 8, head_width(1)), rng)
+    net = init_mlp((4, 8, HEAD_WIDTH), rng)
     s = rng.normal(size=(6, 4))
-    a = rng.uniform(1.0, 30.0, size=(6, 1))
+    a = rng.uniform(1.0, 30.0, size=6)
     y = rng.normal(size=6)
 
-    _, grads = naf_loss_and_grads(net, s, a, y, 1)
+    _, grads = naf_loss_and_grads(net, s, a, y)
     flat_g = np.concatenate([np.r_[dw.ravel(), db.ravel()] for dw, db in grads])
     base = net.flat()
     eps = 1e-6
@@ -376,10 +376,10 @@ def _check_gradients() -> tuple[bool, str]:
     for i in range(len(base)):
         vec[i] = base[i] + eps
         net.load_flat(vec)
-        f_plus = naf_loss_and_grads(net, s, a, y, 1)[0]
+        f_plus = naf_loss_and_grads(net, s, a, y)[0]
         vec[i] = base[i] - eps
         net.load_flat(vec)
-        f_minus = naf_loss_and_grads(net, s, a, y, 1)[0]
+        f_minus = naf_loss_and_grads(net, s, a, y)[0]
         vec[i] = base[i]
         num[i] = (f_plus - f_minus) / (2 * eps)
     net.load_flat(base)

@@ -12,6 +12,7 @@ applies after a propagation delay; lookups in that window are stale reads.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -205,8 +206,8 @@ class CacheSystem:
 
     def insert(self, unit: int, serve_id: int, lo: float, hi: float, ttl: float, now: float) -> CacheEntry:
         """Cache a fresh serve. Pre: the unit has no live entry (lookup missed)."""
-        if ttl <= 0.0:
-            raise ValueError(f"non-positive ttl {ttl}")
+        if not (0.0 < ttl < math.inf):
+            raise ValueError(f"ttl {ttl} is not a positive finite number")
         if serve_id in self._by_serve:
             raise ValueError(f"serve id {serve_id} reused")
         self.sweep(now)

@@ -7,7 +7,7 @@ key and line instead of silently running the wrong experiment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .dei import RewardConfig
@@ -48,7 +48,19 @@ def _parse_names(s: str) -> tuple[str, ...]:
     return vals
 
 
-# key -> (attribute on ExperimentConfig, parser)
+# annotation of a NafConfig / RewardConfig field -> parser for its key
+_PARSERS = {"int": int, "float": float, "str": str, "tuple[int, ...]": _parse_ints}
+
+
+def _section_keys(section: str, cls) -> dict[str, tuple[str, object]]:
+    """One key per dataclass field, parsed by the field's annotated type."""
+    return {
+        f"{section}.{f.name}": (f"{section}.{f.name}", _PARSERS[f.type]) for f in fields(cls)
+    }
+
+
+# key -> (attribute on ExperimentConfig, parser); a "naf." or "reward." attribute
+# names a field of ExperimentConfig.naf (NafConfig) or .reward (RewardConfig)
 SCHEMA: dict[str, tuple[str, object]] = {
     "workload.record_count": ("record_count", int),
     "workload.query_count": ("query_count", int),
@@ -67,27 +79,10 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "latency.origin_rtt_ms": ("origin_rtt_ms", float),
     "latency.invalidation_delay_ms": ("invalidation_delay_ms", float),
     "telemetry.window": ("telemetry_window", float),
-    "naf.rate_inputs": ("naf_rate_inputs", int),
-    "naf.hidden": ("naf_hidden", _parse_ints),
-    "naf.lr": ("naf_lr", float),
-    "naf.gamma": ("naf_gamma", float),
-    "naf.batch_size": ("naf_batch_size", int),
-    "naf.replay_capacity": ("naf_replay_capacity", int),
-    "naf.target_sync_interval": ("naf_target_sync_interval", int),
-    "naf.target_tau": ("naf_target_tau", float),
-    "naf.clip": ("naf_clip", float),
-    "naf.clip_mode": ("naf_clip_mode", str),
-    "naf.ttl_min": ("naf_ttl_min", float),
-    "naf.ttl_max": ("naf_ttl_max", float),
-    "naf.explore_steps": ("naf_explore_steps", int),
-    "naf.noise_sigma_start": ("naf_noise_sigma_start", float),
-    "naf.noise_sigma_end": ("naf_noise_sigma_end", float),
-    "naf.noise_decay_steps": ("naf_noise_decay_steps", int),
-    "reward.r0": ("reward_r0", float),
-    "reward.load_threshold": ("reward_load_threshold", float),
+    **_section_keys("naf", NafConfig),
+    **_section_keys("reward", RewardConfig),
+    # not a RewardConfig field: when on, reward_config(w) sets load_threshold to 1 - w
     "reward.adjust_threshold_to_workload": ("reward_adjust_to_workload", _parse_bool),
-    "reward.above_threshold_form": ("reward_above_threshold_form", str),
-    "reward.form": ("reward_form", str),
     "estimator.kind": ("estimators", _parse_names),
     "estimator.fixed_ttl": ("fixed_ttl", float),
     "estimator.max_ttl": ("poisson_max_ttl", float),
@@ -152,29 +147,10 @@ class ExperimentConfig:
     origin_rtt_ms: float = 150.0
     invalidation_delay_ms: float = 2.0
     telemetry_window: float = 60.0
-    # agent
-    naf_rate_inputs: int = 10
-    naf_hidden: tuple[int, ...] = (30, 30)
-    naf_lr: float = 0.0005
-    naf_gamma: float = 0.9
-    naf_batch_size: int = 10
-    naf_replay_capacity: int = 50_000
-    naf_target_sync_interval: int = 100
-    naf_target_tau: float = 0.0
-    naf_clip: float = 30.0
-    naf_clip_mode: str = "element"
-    naf_ttl_min: float = 1.0
-    naf_ttl_max: float = 600.0
-    naf_explore_steps: int = 1500
-    naf_noise_sigma_start: float = 20.0
-    naf_noise_sigma_end: float = 1.0
-    naf_noise_decay_steps: int = 6000
-    # reward
-    reward_r0: float = 1.0
-    reward_load_threshold: float = 0.8
+    # agent and reward
+    naf: NafConfig = NafConfig()
+    reward: RewardConfig = RewardConfig()
     reward_adjust_to_workload: bool = True
-    reward_above_threshold_form: str = "penalty"
-    reward_form: str = "flat"
     # bench
     estimators: tuple[str, ...] = ("poisson", "naf-dei")
     fixed_ttl: float = 60.0
@@ -205,7 +181,7 @@ class ExperimentConfig:
                 raise ValueError(f"bench.trace_query {qid} outside [0, {self.query_count})")
         self.workload_spec(self.write_fractions[0]).validate()
         self.latency_model().validate()
-        self.naf_config().validate()
+        self.naf.validate()
         self.reward_config(self.write_fractions[0]).validate()
 
     def workload_spec(self, write_fraction: float) -> WorkloadSpec:
@@ -235,36 +211,10 @@ class ExperimentConfig:
             self.invalidation_delay_ms / 1000.0,
         )
 
-    def naf_config(self) -> NafConfig:
-        return NafConfig(
-            rate_inputs=self.naf_rate_inputs,
-            hidden=tuple(self.naf_hidden),
-            lr=self.naf_lr,
-            gamma=self.naf_gamma,
-            batch_size=self.naf_batch_size,
-            replay_capacity=self.naf_replay_capacity,
-            target_sync_interval=self.naf_target_sync_interval,
-            target_tau=self.naf_target_tau,
-            clip=self.naf_clip,
-            clip_mode=self.naf_clip_mode,
-            ttl_min=self.naf_ttl_min,
-            ttl_max=self.naf_ttl_max,
-            explore_steps=self.naf_explore_steps,
-            noise_sigma_start=self.naf_noise_sigma_start,
-            noise_sigma_end=self.naf_noise_sigma_end,
-            noise_decay_steps=self.naf_noise_decay_steps,
-        )
-
     def reward_config(self, write_fraction: float) -> RewardConfig:
-        threshold = self.reward_load_threshold
         if self.reward_adjust_to_workload:
-            threshold = 1.0 - write_fraction
-        return RewardConfig(
-            r0=self.reward_r0,
-            load_threshold=threshold,
-            above_threshold_form=self.reward_above_threshold_form,
-            form=self.reward_form,
-        )
+            return replace(self.reward, load_threshold=1.0 - write_fraction)
+        return self.reward
 
 
 def parse_kv_file(path: str | Path) -> dict[str, str]:
@@ -302,8 +252,13 @@ def build_config(
             raise ValueError(f"unknown config key {key!r}")
         attr, cast = SCHEMA[key]
         try:
-            setattr(cfg, attr, cast(raw))
+            value = cast(raw)
         except ValueError as e:
             raise ValueError(f"bad value for {key}: {e}") from None
+        section, _, name = attr.rpartition(".")
+        if section:
+            setattr(cfg, section, replace(getattr(cfg, section), **{name: value}))
+        else:
+            setattr(cfg, attr, value)
     cfg.validate()
     return cfg

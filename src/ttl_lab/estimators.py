@@ -130,13 +130,12 @@ class _NafEstimator(TtlEstimator):
         self.agent = NafAgent(naf_cfg, rng)
         self.reward_cfg = reward_cfg
         self.injection_log: list[InjectionRow] | None = [] if log_transitions else None
-        self.train_log: list[tuple[float, list[int], float]] | None = None
 
     def _state(self, result_keys, unit: int, now: float) -> np.ndarray:
         return build_state(result_keys, self.sim.telemetry, unit, now, self.agent.cfg.rate_inputs)
 
     def _inject(self, it: IncompleteTransition, reward: float, s_next: np.ndarray, now: float) -> None:
-        self.agent.remember(Transition(it.s, it.a, reward, s_next, it.serve_id, it.unit))
+        self.agent.remember(Transition(it.s, it.a, reward, s_next))
         if self.injection_log is not None:
             self.injection_log.append(
                 InjectionRow(it.serve_id, it.unit, it.decided_at, now, it.a, reward)
@@ -144,10 +143,7 @@ class _NafEstimator(TtlEstimator):
         self.sim.engine.schedule(now, "train", ())
 
     def on_train(self, now: float) -> None:
-        res = self.agent.train_step()
-        if res is not None and self.train_log is not None:
-            loss, batch = res
-            self.train_log.append((now, [t.serve_id for t in batch], loss))
+        self.agent.train_step()
 
 
 class NafDeiEstimator(_NafEstimator):

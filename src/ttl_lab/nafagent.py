@@ -1,10 +1,10 @@
-"""Normalized advantage function agent over continuous TTL actions.
+"""Normalized advantage function agent over a continuous TTL action.
 
-One network trunk produces mu(s), V(s) and the packed lower-triangular entries
-of L(s); the advantage is A(s,a) = -0.5 (a-mu)' P (a-mu) with P = L L' and the
-diagonal of L exponentiated, so Q(s,a) = V(s) + A(s,a) is globally maximized at
-a = mu(s) by construction. Gradients of the head are derived by hand and flow
-into the shared trunk backprop.
+One network trunk produces mu(s), V(s) and l(s). With a scalar action the NAF
+advantage matrix is the single number e^{2l(s)}, so
+A(s,a) = -0.5 e^{2l(s)} (a - mu(s))^2 and Q(s,a) = V(s) + A(s,a) is globally
+maximized at a = mu(s) by construction. Gradients of the head are derived by
+hand and flow into the shared trunk backprop.
 """
 
 from __future__ import annotations
@@ -17,48 +17,26 @@ import numpy as np
 from . import neural
 from .neural import AdamState, Mlp, adam_step, backward, forward, init_mlp
 
-
-def head_width(action_dim: int) -> int:
-    """Network output width: mu (d), V (1), packed tril of L (d(d+1)/2)."""
-    return action_dim + 1 + action_dim * (action_dim + 1) // 2
+HEAD_WIDTH = 3  # network output row: mu, V, l
 
 
-def head_split(out: np.ndarray, d: int) -> tuple[np.ndarray, float, np.ndarray]:
-    """Split one output row into (mu, V, L) with the exp-diagonal applied."""
-    mu = out[:d]
-    v = float(out[d])
-    l_packed = out[d + 1 :]
-    rows, cols = np.tril_indices(d)
-    L = np.zeros((d, d))
-    L[rows, cols] = l_packed
-    L[np.diag_indices(d)] = np.exp(np.diag(L))
-    return mu, v, L
-
-
-def q_from_head(mu: np.ndarray, v: float, L: np.ndarray, a: np.ndarray) -> float:
-    u = L.T @ (np.asarray(a, dtype=np.float64) - mu)
-    return v - 0.5 * float(u @ u)
-
-
-def naf_q(net: Mlp, s: np.ndarray, a, action_dim: int) -> float:
+def naf_q(net: Mlp, s: np.ndarray, a: float) -> float:
     """Q(s, a) for one state-action pair."""
-    out, _ = forward(net, s)
-    mu, v, L = head_split(out, action_dim)
-    return q_from_head(mu, v, L, np.atleast_1d(np.asarray(a, dtype=np.float64)))
+    mu, v, l = forward(net, s)[0]
+    delta = a - mu
+    return float(v - 0.5 * np.exp(2.0 * l) * delta * delta)
 
 
-def naf_v(net: Mlp, s: np.ndarray, action_dim: int) -> float:
-    out, _ = forward(net, s)
-    return float(out[action_dim])
+def naf_v(net: Mlp, s: np.ndarray) -> float:
+    return float(forward(net, s)[0][1])
 
 
-def naf_mu(net: Mlp, s: np.ndarray, action_dim: int) -> np.ndarray:
-    out, _ = forward(net, s)
-    return out[:action_dim].copy()
+def naf_mu(net: Mlp, s: np.ndarray) -> float:
+    return float(forward(net, s)[0][0])
 
 
 def q_curve_1d(net: Mlp, s: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    """Vectorized Q(s, a) over an action grid, scalar-action networks only."""
+    """Vectorized Q(s, a) over an action grid."""
     out, _ = forward(net, s)
     mu, v, l = float(out[0]), float(out[1]), float(out[2])
     p = np.exp(2.0 * l)
@@ -67,48 +45,32 @@ def q_curve_1d(net: Mlp, s: np.ndarray, actions: np.ndarray) -> np.ndarray:
 
 
 def naf_loss_and_grads(
-    net: Mlp, states: np.ndarray, actions: np.ndarray, targets: np.ndarray, action_dim: int
+    net: Mlp, states: np.ndarray, actions: np.ndarray, targets: np.ndarray
 ) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
     """Mean squared TD loss over a batch and its exact parameter gradients.
 
-    states (N, state_dim), actions (N, d), targets (N,). The head Jacobian is
+    states (N, state_dim), actions (N,), targets (N,). The head Jacobian is
     folded into dOut, then the trunk runs standard backprop.
     """
     states = np.asarray(states, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     n = states.shape[0]
-    d = action_dim
+    if actions.shape != (n,):
+        raise ValueError(f"actions must have shape ({n},), got {actions.shape}")
     out, cache = forward(net, states)
     dout = np.zeros_like(out)
 
-    if d == 1:
-        mu = out[:, 0]
-        v = out[:, 1]
-        ld = np.exp(out[:, 2])
-        p = ld * ld
-        delta = actions[:, 0] - mu
-        q = v - 0.5 * p * delta * delta
-        dq = 2.0 * (q - targets) / n
-        dout[:, 0] = dq * p * delta
-        dout[:, 1] = dq
-        dout[:, 2] = dq * (-p * delta * delta)
-    else:
-        rows, cols = np.tril_indices(d)
-        diag = rows == cols
-        q = np.empty(n)
-        for i in range(n):
-            mu_i, v_i, L = head_split(out[i], d)
-            delta = actions[i] - mu_i
-            u = L.T @ delta
-            q[i] = v_i - 0.5 * float(u @ u)
-            dq = 2.0 * (q[i] - targets[i]) / n
-            dl = -np.outer(delta, u)[rows, cols]
-            dl[diag] *= L[rows[diag], cols[diag]]  # chain rule through exp diagonal
-            dout[i, :d] = dq * (L @ u)
-            dout[i, d] = dq
-            dout[i, d + 1 :] = dq * dl
-        dq = 2.0 * (q - targets) / n  # for the loss below
+    mu = out[:, 0]
+    v = out[:, 1]
+    ld = np.exp(out[:, 2])
+    p = ld * ld
+    delta = actions - mu
+    q = v - 0.5 * p * delta * delta
+    dq = 2.0 * (q - targets) / n
+    dout[:, 0] = dq * p * delta
+    dout[:, 1] = dq
+    dout[:, 2] = dq * (-p * delta * delta)
 
     loss = float(np.mean((q - targets) ** 2))
     return loss, backward(net, cache, dout)
@@ -133,7 +95,6 @@ def build_state(result_keys, telemetry, unit: int, now: float, rate_inputs: int)
 @dataclass(frozen=True)
 class NafConfig:
     rate_inputs: int = 10
-    action_dim: int = 1
     hidden: tuple[int, ...] = (30, 30)
     lr: float = 0.0005
     gamma: float = 0.9
@@ -145,18 +106,16 @@ class NafConfig:
     clip_mode: str = "element"
     ttl_min: float = 1.0
     ttl_max: float = 600.0
-    explore_steps: int = 2000
+    explore_steps: int = 1500
     noise_sigma_start: float = 20.0
     noise_sigma_end: float = 1.0
-    noise_decay_steps: int = 20_000
+    noise_decay_steps: int = 6000
 
     @property
     def state_dim(self) -> int:
         return self.rate_inputs + 1
 
     def validate(self) -> None:
-        if self.action_dim != 1:
-            raise ValueError("the TTL agent is scalar-action; head math alone supports d>1")
         if self.ttl_min <= 0 or self.ttl_max <= self.ttl_min:
             raise ValueError("need 0 < ttl_min < ttl_max")
         if self.batch_size < 1 or self.replay_capacity < self.batch_size:
@@ -174,8 +133,6 @@ class Transition(NamedTuple):
     a: float
     r: float
     s_next: np.ndarray
-    serve_id: int = -1
-    unit: int = -1
 
 
 class ReplayMemory:
@@ -213,7 +170,7 @@ class NafAgent:
         cfg.validate()
         self.cfg = cfg
         self.rng = rng
-        dims = (cfg.state_dim, *cfg.hidden, head_width(cfg.action_dim))
+        dims = (cfg.state_dim, *cfg.hidden, HEAD_WIDTH)
         self.net = init_mlp(dims, rng)
         self.target = self.net.copy()
         self.adam = AdamState()
@@ -235,7 +192,7 @@ class NafAgent:
         if self.act_count < cfg.explore_steps:
             a = self.rng.uniform(cfg.ttl_min, cfg.ttl_max)
         else:
-            mu = float(forward(self.net, s)[0][0])
+            mu = naf_mu(self.net, s)
             a = mu + self.sigma() * self.rng.standard_normal()
         self.act_count += 1
         return float(min(max(a, cfg.ttl_min), cfg.ttl_max))
@@ -254,12 +211,12 @@ class NafAgent:
         idx = self.replay.sample_indices(cfg.batch_size, self.rng)
         batch = [self.replay[int(i)] for i in idx]
         s = np.stack([t.s for t in batch])
-        a = np.array([[t.a] for t in batch])
+        a = np.array([t.a for t in batch])
         r = np.array([t.r for t in batch])
         s_next = np.stack([t.s_next for t in batch])
-        v_next = forward(self.target, s_next)[0][:, cfg.action_dim]
+        v_next = forward(self.target, s_next)[0][:, 1]
         y = r + cfg.gamma * v_next
-        loss, grads = naf_loss_and_grads(self.net, s, a, y, cfg.action_dim)
+        loss, grads = naf_loss_and_grads(self.net, s, a, y)
         adam_step(self.net, grads, self.adam, cfg.lr, cfg.clip, cfg.clip_mode)
         self.train_count += 1
         if cfg.target_tau > 0.0:

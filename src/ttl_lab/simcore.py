@@ -8,6 +8,7 @@ order and a run is a pure function of (config, seed).
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -39,8 +40,10 @@ class Engine:
         return len(self._heap)
 
     def schedule(self, time: float, kind: str, args: tuple = ()) -> None:
-        if time < self.now:
-            raise ValueError(f"cannot schedule {kind!r} at {time} before now={self.now}")
+        if not (self.now <= time < math.inf):
+            raise ValueError(
+                f"cannot schedule {kind!r} at {time}: not finite or before now={self.now}"
+            )
         heapq.heappush(self._heap, SimEvent(time, self._seq, kind, args))
         self._seq += 1
 

@@ -97,11 +97,6 @@ class ZipfSampler:
         return int(np.searchsorted(self._cdf, u, side="right")) + 1
 
 
-def zipf_sample(n: int, s: float, rng: np.random.Generator) -> int:
-    """One-shot Zipf draw. Builds the table each call; streams should hold a ZipfSampler."""
-    return ZipfSampler(n, s).sample(rng)
-
-
 class QueryDef(NamedTuple):
     id: int
     lo: float

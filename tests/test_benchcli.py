@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +24,9 @@ from ttl_lab.config import (
     build_config,
     parse_kv_file,
 )
+from ttl_lab.dei import RewardConfig
+from ttl_lab.estimators import make_estimator
+from ttl_lab.nafagent import NafConfig
 
 # ---------------------------------------------------------------------------
 # metrics
@@ -95,6 +99,17 @@ def test_build_config_defaults():
     assert cfg.estimators == ("poisson", "naf-dei")
 
 
+def test_naf_and_reward_defaults_have_one_source():
+    cfg = build_config()
+    assert cfg.naf == NafConfig()
+    assert cfg.reward == RewardConfig()
+    est = make_estimator("naf-dei", rng=np.random.default_rng(0))
+    assert est.agent.cfg == cfg.naf  # the factory and the CLI train the same agent
+    for section, cls in (("naf", NafConfig), ("reward", RewardConfig)):
+        for f in dataclasses.fields(cls):
+            assert f"{section}.{f.name}" in SCHEMA
+
+
 def test_reward_form_by_preset():
     assert build_config().reward_config(0.1).form == "flat"
     assert build_config(preset="desk").reward_config(0.1).form == "flat"
@@ -149,7 +164,7 @@ def test_config_list_valued_keys():
     })
     assert cfg.write_fractions == (0.1, 0.3)
     assert cfg.estimators == ("poisson", "fixed")
-    assert cfg.naf_hidden == (16, 16)
+    assert cfg.naf.hidden == (16, 16)
 
 
 def test_config_validation_errors():
@@ -187,7 +202,7 @@ def test_config_derived_objects():
     qf = build_config(overrides={"workload.query_fraction": "0.5"})
     assert qf.workload_spec(0.25).query_fraction == 0.5
 
-    naf = build_config(overrides={"naf.lr": "0.001", "naf.ttl_max": "90"}).naf_config()
+    naf = build_config(overrides={"naf.lr": "0.001", "naf.ttl_max": "90"}).naf
     assert naf.lr == 0.001 and naf.ttl_max == 90.0
 
 

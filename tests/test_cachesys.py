@@ -116,6 +116,16 @@ def test_insert_validations():
         cache.insert(1, 1, 0.0, 1.0, 5.0, now=0.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_insert_rejects_non_finite_ttl(bad):
+    cache = CacheSystem(4)
+    with pytest.raises(ValueError, match=f"ttl {bad} is not a positive finite"):
+        cache.insert(1, 0, 0.0, 1.0, bad, now=0.0)
+    assert cache.stats.inserts == 0 and list(cache.live_entries()) == []
+    cache.insert(1, 0, 0.0, 1.0, 5.0, now=0.0)  # serve id 0 was not consumed
+    assert cache.lookup(1, 1.0) is Lookup.HIT
+
+
 def test_capacity_evicts_earliest_expiring_live_entry():
     cache = CacheSystem(3)
     cache.insert(1, 0, 0.0, 1.0, ttl=30.0, now=0.0)

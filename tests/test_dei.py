@@ -110,13 +110,13 @@ def test_survival_reward_peaks_at_closed_form_quantile():
     cfg = paper.reward_config(0.1)
     assert cfg.form == "survival"
     step = 0.25
-    grid = np.arange(paper.naf_ttl_min, 60.0 + 1e-9, step)
+    grid = np.arange(paper.naf.ttl_min, 60.0 + 1e-9, step)
     for lam in (0.05, 0.1, 0.3):
         curve = _expected_reward_curve(cfg, lam, grid)
         best = float(grid[int(np.argmax(curve))])
         quantile = -np.log(1.0 / (1.0 + cfg.r0)) / lam
         assert abs(best - quantile) <= step, (lam, best, quantile)
-        assert best > paper.naf_ttl_min
+        assert best > paper.naf.ttl_min
 
 
 # ---------------------------------------------------------------------------
@@ -175,12 +175,8 @@ def _scripted_sim(tiny_cfg, estimator):
     return sim
 
 
-def _naf_cfg(tiny_cfg):
-    return tiny_cfg.naf_config()
-
-
 def test_dei_completes_exactly_at_due_time(tiny_cfg):
-    est = NafDeiEstimator(_naf_cfg(tiny_cfg), RewardConfig(),
+    est = NafDeiEstimator(tiny_cfg.naf, RewardConfig(),
                           np.random.default_rng(0), log_transitions=True)
     sim = _scripted_sim(tiny_cfg, est)
     keys = np.array([0, 1])
@@ -197,13 +193,13 @@ def test_dei_completes_exactly_at_due_time(tiny_cfg):
     assert row.serve_id == 0
     assert row.due_at == row.decided_at + row.action  # bit-exact due timestamp
     t = est.agent.replay[0]
-    assert t.serve_id == 0
+    assert t.a == a
     # no invalidation: survival reward with an empty cache (load 0)
     assert t.r == pytest.approx(RewardConfig().r0)
 
 
 def test_dei_invalidation_stamp_flows_into_reward(tiny_cfg):
-    est = NafDeiEstimator(_naf_cfg(tiny_cfg), RewardConfig(),
+    est = NafDeiEstimator(tiny_cfg.naf, RewardConfig(),
                           np.random.default_rng(1), log_transitions=True)
     sim = _scripted_sim(tiny_cfg, est)
 
@@ -219,7 +215,7 @@ def test_dei_invalidation_stamp_flows_into_reward(tiny_cfg):
 
 
 def test_naive_first_decision_injects_nothing(tiny_cfg):
-    est = NafNaiveEstimator(_naf_cfg(tiny_cfg), RewardConfig(),
+    est = NafNaiveEstimator(tiny_cfg.naf, RewardConfig(),
                             np.random.default_rng(2))
     _scripted_sim(tiny_cfg, est)
     est.decide(serve_id=0, unit=7, result_keys=np.array([0]), now=1.0)
@@ -227,18 +223,18 @@ def test_naive_first_decision_injects_nothing(tiny_cfg):
 
 
 def test_naive_injects_instantly_with_previous_episode_reward(tiny_cfg):
-    est = NafNaiveEstimator(_naf_cfg(tiny_cfg), RewardConfig(r0=2.0),
+    est = NafNaiveEstimator(tiny_cfg.naf, RewardConfig(r0=2.0),
                             np.random.default_rng(3))
     sim = _scripted_sim(tiny_cfg, est)
 
     a0 = est.decide(serve_id=0, unit=7, result_keys=np.array([0]), now=1.0)
     est.on_invalidation_issued(0, 7, 2.5)  # first episode gets invalidated
-    est.decide(serve_id=1, unit=7, result_keys=np.array([0]), now=9.0)
+    a1 = est.decide(serve_id=1, unit=7, result_keys=np.array([0]), now=9.0)
 
     # the new pair is in replay immediately, scored by the old episode
     assert len(est.agent.replay) == 1
     t = est.agent.replay[0]
-    assert t.serve_id == 1
+    assert t.a == a1
     assert t.r == pytest.approx(2.5 - (1.0 + a0))
     # successor state is the current state: a self-loop
     assert np.array_equal(t.s, t.s_next)
@@ -246,7 +242,7 @@ def test_naive_injects_instantly_with_previous_episode_reward(tiny_cfg):
 
 
 def test_naive_survival_reward_uses_current_load(tiny_cfg):
-    est = NafNaiveEstimator(_naf_cfg(tiny_cfg), RewardConfig(r0=2.0),
+    est = NafNaiveEstimator(tiny_cfg.naf, RewardConfig(r0=2.0),
                             np.random.default_rng(4))
     sim = _scripted_sim(tiny_cfg, est)
 
@@ -260,7 +256,7 @@ def test_naive_survival_reward_uses_current_load(tiny_cfg):
 
 
 def test_naive_tracks_units_independently(tiny_cfg):
-    est = NafNaiveEstimator(_naf_cfg(tiny_cfg), RewardConfig(),
+    est = NafNaiveEstimator(tiny_cfg.naf, RewardConfig(),
                             np.random.default_rng(5))
     _scripted_sim(tiny_cfg, est)
     est.decide(serve_id=0, unit=1, result_keys=np.array([0]), now=1.0)

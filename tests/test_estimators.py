@@ -16,6 +16,7 @@ from ttl_lab.estimators import (
     make_estimator,
     poisson_ttl,
 )
+from ttl_lab.simcore import Simulation
 class _Rates:
     def __init__(self, rates):
         self.rates = rates
@@ -168,6 +169,20 @@ def test_injection_log_opt_in():
     assert make_estimator("naf-dei", rng=rng, log_transitions=True).injection_log == []
 
 
+@pytest.mark.parametrize("kind", ["naf-dei", "naf-naive"])
+def test_nan_agent_output_fails_the_run(tiny_cfg, kind):
+    # A diverged learner must stop the run where its TTL enters the event heap
+    # (naf-dei's due event) or the cache (naf-naive), not return a truncated run.
+    sim = Simulation(tiny_cfg.workload_spec(0.1), tiny_cfg.latency_model(), tiny_cfg.capacity,
+                     seed=6, telemetry_window=tiny_cfg.telemetry_window)
+    est = make_estimator(kind, naf_cfg=tiny_cfg.naf, reward_cfg=tiny_cfg.reward_config(0.1),
+                         rng=sim.agent_rng)
+    est.agent.net.biases[-1][:] = np.nan
+    sim.attach(est)
+    with pytest.raises(ValueError, match="nan.*finite"):
+        sim.run()
+
+
 @pytest.mark.parametrize("kind", ["fixed", "poisson", "naf-dei", "naf-naive"])
 def test_every_strategy_emits_valid_ttls(tiny_cfg, kind):
     # Whole-run property: every decided TTL is positive, finite, and within
@@ -182,5 +197,5 @@ def test_every_strategy_emits_valid_ttls(tiny_cfg, kind):
     elif kind == "poisson":
         assert np.all(arr <= tiny_cfg.poisson_max_ttl)
     else:
-        naf = tiny_cfg.naf_config()
+        naf = tiny_cfg.naf
         assert np.all((arr >= naf.ttl_min) & (arr <= naf.ttl_max))

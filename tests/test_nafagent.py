@@ -6,88 +6,69 @@ import numpy as np
 import pytest
 
 from ttl_lab.nafagent import (
+    HEAD_WIDTH,
     NafAgent,
     NafConfig,
     ReplayMemory,
     Transition,
     build_state,
-    head_split,
-    head_width,
     naf_loss_and_grads,
     naf_mu,
     naf_q,
     naf_v,
     q_curve_1d,
-    q_from_head,
 )
 from ttl_lab.neural import forward, init_mlp
 
 
-def test_head_width():
-    assert head_width(1) == 3
-    assert head_width(2) == 6
-    assert head_width(3) == 10
-
-
-def test_head_split_applies_exp_diagonal():
-    out = np.array([2.0, -1.0, 0.5])  # mu, V, l00 for d=1
-    mu, v, L = head_split(out, 1)
-    assert mu.tolist() == [2.0]
-    assert v == -1.0
-    assert L[0, 0] == pytest.approx(np.exp(0.5))
-
-    out2 = np.array([1.0, 2.0, 3.0, 0.1, 0.7, -0.2])  # d=2
-    mu2, v2, L2 = head_split(out2, 2)
-    assert mu2.tolist() == [1.0, 2.0]
-    assert v2 == 3.0
-    assert L2[0, 0] == pytest.approx(np.exp(0.1))
-    assert L2[1, 0] == 0.7
-    assert L2[1, 1] == pytest.approx(np.exp(-0.2))
-    assert L2[0, 1] == 0.0
-
-
 def test_q_from_head_hand_computed():
-    # Q = V - 0.5 ||L^T (a - mu)||^2 with L = [[2]]: V - 0.5 * 4 * delta^2
-    mu, v, L = np.array([10.0]), 5.0, np.array([[2.0]])
-    assert q_from_head(mu, v, L, np.array([10.0])) == pytest.approx(5.0)
-    assert q_from_head(mu, v, L, np.array([13.0])) == pytest.approx(5.0 - 0.5 * 4 * 9)
+    # An all-bias output layer fixes the head at mu = 10, V = 5, l = ln 2 for
+    # every state, so Q = V - 0.5 e^{2l} (a - mu)^2 = 5 - 2 (a - 10)^2.
+    net = init_mlp((3, 4, HEAD_WIDTH), np.random.default_rng(0))
+    net.weights[-1][:] = 0.0
+    net.biases[-1][:] = [10.0, 5.0, np.log(2.0)]
+    s = np.array([0.3, -1.0, 2.0])
+    assert naf_mu(net, s) == 10.0
+    assert naf_v(net, s) == 5.0
+    assert naf_q(net, s, 10.0) == pytest.approx(5.0)
+    assert naf_q(net, s, 13.0) == pytest.approx(5.0 - 0.5 * 4 * 9)
 
 
 def test_q_identities_on_random_nets():
     for seed in range(4):
         rng = np.random.default_rng(seed)
-        net = init_mlp((6, 12, head_width(1)), rng)
+        net = init_mlp((6, 12, HEAD_WIDTH), rng)
         s = rng.uniform(0.0, 1.0, size=6)
-        mu = float(naf_mu(net, s, 1)[0])
-        v = naf_v(net, s, 1)
-        assert abs(naf_q(net, s, mu, 1) - v) < 1e-12
+        mu = naf_mu(net, s)
+        v = naf_v(net, s)
+        assert abs(naf_q(net, s, mu) - v) < 1e-12
         for a in rng.uniform(-50.0, 50.0, size=32):
-            assert naf_q(net, s, a, 1) <= v + 1e-12
+            assert naf_q(net, s, a) <= v + 1e-12
 
 
 def test_q_curve_matches_pointwise_q():
     rng = np.random.default_rng(5)
-    net = init_mlp((4, 10, head_width(1)), rng)
+    net = init_mlp((4, 10, HEAD_WIDTH), rng)
     s = rng.normal(size=4)
     grid = np.linspace(-20.0, 20.0, 101)
     curve = q_curve_1d(net, s, grid)
-    pointwise = np.array([naf_q(net, s, a, 1) for a in grid])
+    pointwise = np.array([naf_q(net, s, a) for a in grid])
     assert np.allclose(curve, pointwise, atol=1e-12, rtol=0.0)
 
 
 def test_loss_matches_manual_td_error():
     rng = np.random.default_rng(6)
-    net = init_mlp((3, 8, head_width(1)), rng)
+    net = init_mlp((3, 8, HEAD_WIDTH), rng)
     s = rng.normal(size=(7, 3))
-    a = rng.uniform(1.0, 30.0, size=(7, 1))
+    a = rng.uniform(1.0, 30.0, size=7)
     y = rng.normal(size=7)
-    loss, _ = naf_loss_and_grads(net, s, a, y, 1)
-    q = np.array([naf_q(net, s[i], a[i], 1) for i in range(7)])
+    loss, _ = naf_loss_and_grads(net, s, a, y)
+    q = np.array([naf_q(net, s[i], a[i]) for i in range(7)])
     assert loss == pytest.approx(float(np.mean((q - y) ** 2)), rel=1e-12)
 
 
-def _fd_check(net, s, a, y, d, tol):
-    _, grads = naf_loss_and_grads(net, s, a, y, d)
+def _fd_check(net, s, a, y, tol):
+    _, grads = naf_loss_and_grads(net, s, a, y)
     flat_g = np.concatenate([np.r_[dw.ravel(), db.ravel()] for dw, db in grads])
     base = net.flat()
     eps = 1e-6
@@ -96,10 +77,10 @@ def _fd_check(net, s, a, y, d, tol):
     for i in range(base.size):
         vec[i] = base[i] + eps
         net.load_flat(vec)
-        f_plus = naf_loss_and_grads(net, s, a, y, d)[0]
+        f_plus = naf_loss_and_grads(net, s, a, y)[0]
         vec[i] = base[i] - eps
         net.load_flat(vec)
-        f_minus = naf_loss_and_grads(net, s, a, y, d)[0]
+        f_minus = naf_loss_and_grads(net, s, a, y)[0]
         vec[i] = base[i]
         num[i] = (f_plus - f_minus) / (2 * eps)
     net.load_flat(base)
@@ -109,21 +90,11 @@ def _fd_check(net, s, a, y, d, tol):
 
 def test_gradients_scalar_action_vs_finite_differences():
     rng = np.random.default_rng(7)
-    net = init_mlp((4, 6, head_width(1)), rng)
+    net = init_mlp((4, 6, HEAD_WIDTH), rng)
     s = rng.normal(size=(5, 4))
-    a = rng.uniform(1.0, 30.0, size=(5, 1))
+    a = rng.uniform(1.0, 30.0, size=5)
     y = rng.normal(size=5)
-    _fd_check(net, s, a, y, 1, 1e-5)
-
-
-def test_gradients_generic_head_vs_finite_differences():
-    # d=2 exercises the packed-triangular branch the scalar path skips.
-    rng = np.random.default_rng(8)
-    net = init_mlp((3, 6, head_width(2)), rng)
-    s = rng.normal(size=(4, 3))
-    a = rng.uniform(-2.0, 2.0, size=(4, 2))
-    y = rng.normal(size=4)
-    _fd_check(net, s, a, y, 2, 1e-5)
+    _fd_check(net, s, a, y, 1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +139,6 @@ def test_build_state_empty_keys_is_zero_vector():
 @pytest.mark.parametrize(
     ("kwargs", "match"),
     [
-        ({"action_dim": 2}, "scalar-action"),
         ({"ttl_min": 0.0}, "ttl_min"),
         ({"ttl_min": 10.0, "ttl_max": 5.0}, "ttl_min"),
         ({"batch_size": 0}, "replay"),
@@ -177,6 +147,8 @@ def test_build_state_empty_keys_is_zero_vector():
         ({"target_tau": 1.5}, "target_tau"),
         ({"gamma": 1.0}, "gamma"),
     ],
+    ids=["kwargs1-ttl_min", "kwargs2-ttl_min", "kwargs3-replay", "kwargs4-replay",
+         "kwargs5-clip_mode", "kwargs6-target_tau", "kwargs7-gamma"],
 )
 def test_naf_config_validation(kwargs, match):
     with pytest.raises(ValueError, match=match):
@@ -189,7 +161,7 @@ def test_naf_config_state_dim():
 
 def _t(i):
     # state width 3 matches the _agent factory below (rate_inputs=2 plus delta)
-    return Transition(np.zeros(3), float(i), 0.0, np.zeros(3), serve_id=i)
+    return Transition(np.zeros(3), float(i), 0.0, np.zeros(3))
 
 
 def test_replay_ring_overwrites_oldest():
@@ -197,9 +169,9 @@ def test_replay_ring_overwrites_oldest():
     for i in range(5):
         mem.push(_t(i))
     assert len(mem) == 3
-    assert sorted(t.serve_id for t in mem.buf) == [2, 3, 4]
+    assert sorted(t.a for t in mem.buf) == [2.0, 3.0, 4.0]
     mem.push(_t(5))
-    assert sorted(t.serve_id for t in mem.buf) == [3, 4, 5]
+    assert sorted(t.a for t in mem.buf) == [3.0, 4.0, 5.0]
 
 
 def test_replay_sampling_bounds_and_capacity_check():
@@ -324,7 +296,7 @@ def test_train_targets_use_target_network_value():
     t1 = Transition(np.array([0.4, 0.5, 0.6]), 7.0, -0.5, np.zeros(3))
     agent.remember(t0)
     agent.remember(t1)
-    qs = {id(t): naf_q(agent.net, t.s, t.a, 1) for t in (t0, t1)}
+    qs = {id(t): naf_q(agent.net, t.s, t.a) for t in (t0, t1)}
     loss, batch = agent.train_step()
     expected = float(np.mean([(qs[id(t)] - t.r) ** 2 for t in batch]))
     assert loss == pytest.approx(expected, rel=1e-12)

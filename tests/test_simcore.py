@@ -45,6 +45,18 @@ def test_engine_rejects_scheduling_in_the_past():
         eng.run_until(1.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_engine_rejects_non_finite_times(bad):
+    # A NaN at the heap head would compare false against every t_end and
+    # silently stop all later dispatch.
+    eng = Engine(lambda ev: None)
+    eng.schedule(1.0, "x")
+    with pytest.raises(ValueError, match=f"at {bad}: not finite"):
+        eng.schedule(bad, "y")
+    assert len(eng) == 1 and eng.peek_time() == 1.0
+    assert eng.run_until(10.0) == 1
+
+
 def test_engine_run_until_is_inclusive():
     seen = []
     eng = Engine(lambda ev: seen.append(ev.time))

@@ -13,7 +13,6 @@ from ttl_lab.workload import (
     evaluate_query,
     generate_world,
     read_range,
-    zipf_sample,
 )
 
 
@@ -61,14 +60,6 @@ def test_zipf_sampler_chi_square():
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
     # upper 1% critical value for chi-square with 49 degrees of freedom
     assert chi2 < 74.919, f"chi2 {chi2:.1f} exceeds the 1% critical value"
-
-
-def test_zipf_sample_oneshot_matches_sampler():
-    r1 = np.random.default_rng(3)
-    r2 = np.random.default_rng(3)
-    zs = ZipfSampler(80, 0.7)
-    for _ in range(20):
-        assert zipf_sample(80, 0.7, r1) == zs.sample(r2)
 
 
 def test_zipf_validation():
