@@ -27,29 +27,20 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"expected a boolean, got {s!r}")
 
 
-def _parse_floats(s: str) -> tuple[float, ...]:
-    vals = tuple(float(p) for p in s.split(",") if p.strip())
-    if not vals:
-        raise ValueError("expected at least one number")
-    return vals
+def _parse_list(item, what: str):
+    """A parser for a non-empty comma-separated list of `item` values."""
 
+    def parse(s: str) -> tuple:
+        vals = tuple(item(p.strip()) for p in s.split(",") if p.strip())
+        if not vals:
+            raise ValueError(f"expected at least one {what}")
+        return vals
 
-def _parse_ints(s: str) -> tuple[int, ...]:
-    vals = tuple(int(p) for p in s.split(",") if p.strip())
-    if not vals:
-        raise ValueError("expected at least one integer")
-    return vals
-
-
-def _parse_names(s: str) -> tuple[str, ...]:
-    vals = tuple(p.strip() for p in s.split(",") if p.strip())
-    if not vals:
-        raise ValueError("expected at least one name")
-    return vals
+    return parse
 
 
 # annotation of a NafConfig / RewardConfig field -> parser for its key
-_PARSERS = {"int": int, "float": float, "str": str, "tuple[int, ...]": _parse_ints}
+_PARSERS = {"int": int, "float": float, "str": str, "tuple[int, ...]": _parse_list(int, "integer")}
 
 
 def _section_keys(section: str, cls) -> dict[str, tuple[str, object]]:
@@ -64,7 +55,7 @@ def _section_keys(section: str, cls) -> dict[str, tuple[str, object]]:
 SCHEMA: dict[str, tuple[str, object]] = {
     "workload.record_count": ("record_count", int),
     "workload.query_count": ("query_count", int),
-    "workload.write_fraction": ("write_fractions", _parse_floats),
+    "workload.write_fraction": ("write_fractions", _parse_list(float, "number")),
     "workload.query_fraction": ("query_fraction", float),
     "workload.zipf_s": ("zipf_s", float),
     "workload.scan_mean": ("scan_mean", float),
@@ -83,7 +74,7 @@ SCHEMA: dict[str, tuple[str, object]] = {
     **_section_keys("reward", RewardConfig),
     # not a RewardConfig field: when on, reward_config(w) sets load_threshold to 1 - w
     "reward.adjust_threshold_to_workload": ("reward_adjust_to_workload", _parse_bool),
-    "estimator.kind": ("estimators", _parse_names),
+    "estimator.kind": ("estimators", _parse_list(str, "name")),
     "estimator.fixed_ttl": ("fixed_ttl", float),
     "estimator.max_ttl": ("poisson_max_ttl", float),
     "bench.runs": ("runs", int),

@@ -1,7 +1,7 @@
 """TTL estimators: the policies a simulation can attach.
 
 An estimator answers decide() on every cache miss and may react to
-invalidation issues, DEI due events and train ticks. The Poisson baseline
+invalidation issues and DEI due events. The Poisson baseline
 treats result-key writes as independent Poisson processes and bets on the
 minimum expected gap; the NAF estimators learn the TTL online, differing only
 in when unfinished transitions are completed.
@@ -73,12 +73,6 @@ class TtlEstimator:
     def on_invalidation_issued(self, serve_id: int, unit: int, now: float) -> None:
         pass
 
-    def on_due(self, serve_id: int, now: float) -> None:
-        pass
-
-    def on_train(self, now: float) -> None:
-        pass
-
 
 class FixedEstimator(TtlEstimator):
     kind = "fixed"
@@ -140,9 +134,6 @@ class _NafEstimator(TtlEstimator):
             self.injection_log.append(
                 InjectionRow(it.serve_id, it.unit, it.decided_at, now, it.a, reward)
             )
-        self.sim.engine.schedule(now, "train", ())
-
-    def on_train(self, now: float) -> None:
         self.agent.train_step()
 
 

@@ -157,15 +157,10 @@ class Simulation:
         kind = ev.kind
         if kind == "op":
             self._handle_arrival(ev.args[0], ev.time)
-        elif kind == "cache_resp" or kind == "origin_resp":
-            self.completed += 1
-            self.latency_sum += ev.args[0]
         elif kind == "inval":
             self.cache.apply_invalidation(ev.args[0], ev.time)
         elif kind == "dei":
             self.estimator.on_due(ev.args[0], ev.time)
-        elif kind == "train":
-            self.estimator.on_train(ev.time)
         else:
             raise RuntimeError(f"unknown event kind {kind!r}")
 
@@ -176,18 +171,21 @@ class Simulation:
         op = self.ops.next_op()
         self.op_counts[op.kind] += 1
         if op.kind == "update":
-            self._handle_update(op.target, op.new_value, now)
+            lat = self._handle_update(op.target, op.new_value, now)
         else:
-            self._handle_request(op.kind, op.target, now)
+            lat = self._handle_request(op.kind, op.target, now)
+        # The response lands at now + lat; it completes if that is inside the run.
+        if now + lat <= self.spec.duration:
+            self.completed += 1
+            self.latency_sum += lat
 
-    def _handle_request(self, op_kind: str, target: int, now: float) -> None:
+    def _handle_request(self, op_kind: str, target: int, now: float) -> float:
         values = self.world.values
+        unit = self.unit_for(op_kind, target)
         if op_kind == "query":
-            unit = target
             q = self.world.queries[target]
             lo, hi = q.lo, q.hi
         else:
-            unit = self.spec.query_count + target
             lo, hi = read_range(values, target)
 
         outcome = self.cache.lookup(unit, now)
@@ -201,15 +199,15 @@ class Simulation:
             ttl = self.estimator.decide(serve_id, unit, result_keys, now)
             self.cache.insert(unit, serve_id, lo, hi, ttl, now)
             self.telemetry.oracle.on_serve(serve_id, unit, lo, hi, now, ttl)
-            lat, resp = self.latency.miss_latency, "origin_resp"
+            lat = self.latency.miss_latency
         else:
-            lat, resp = self.latency.hit_latency, "cache_resp"
+            lat = self.latency.hit_latency
 
-        self.engine.schedule(now + lat, resp, (lat,))
         if self.trace_writer is not None:
             self.trace_writer((now, op_kind, unit, outcome.value, lat))
+        return lat
 
-    def _handle_update(self, key: int, new_value: float, now: float) -> None:
+    def _handle_update(self, key: int, new_value: float, now: float) -> float:
         values = self.world.values
         old = float(values[key])
         values[key] = new_value
@@ -218,9 +216,9 @@ class Simulation:
         for entry in self.cache.origin_update(old, new_value, now):
             self.engine.schedule(now + self.latency.invalidation_delay, "inval", (entry.serve_id,))
             self.estimator.on_invalidation_issued(entry.serve_id, entry.unit, now)
-        self.engine.schedule(now + self.latency.miss_latency, "origin_resp", (self.latency.miss_latency,))
         if self.trace_writer is not None:
-            self.trace_writer((now, "update", self.spec.query_count + key, "write", self.latency.miss_latency))
+            self.trace_writer((now, "update", self.unit_for("update", key), "write", self.latency.miss_latency))
+        return self.latency.miss_latency
 
     # -- results -----------------------------------------------------------
 

@@ -4,19 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from ttl_lab.benchcli import CHECK_OVERRIDES
 from ttl_lab.config import ExperimentConfig, build_config
 
-TINY_OVERRIDES = {
-    "workload.record_count": "300",
-    "workload.query_count": "60",
-    "workload.duration": "30",
-    "workload.target_throughput": "120",
-    "cache.capacity": "48",
-    "bench.runs": "1",
-    "naf.explore_steps": "50",
-    "naf.noise_decay_steps": "500",
-    "naf.ttl_max": "60",
-}
+TINY_OVERRIDES = {**CHECK_OVERRIDES, "bench.runs": "1"}
 
 
 @pytest.fixture

@@ -3,37 +3,32 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see every verdict line.
 Each test prints its line before asserting, and the line is repeated in the
 assertion message, so failures are self-describing in captured mode too.
+
+Criteria 01, 02, 03 and 07 call the benchcli functions `ttl-lab check` runs.
 """
 
 from __future__ import annotations
 
 import csv
-import time
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from ttl_lab.benchcli import run_experiment, run_single
+from ttl_lab.benchcli import (
+    check_determinism,
+    check_gradients,
+    check_naf_identities,
+    check_poisson_exact,
+    run_experiment,
+    run_single,
+)
 from ttl_lab.cachesys import CacheSystem
 from ttl_lab.config import build_config
-from ttl_lab.estimators import make_estimator, poisson_ttl
-from ttl_lab.nafagent import HEAD_WIDTH, naf_loss_and_grads, naf_mu, naf_q, naf_v, q_curve_1d
-from ttl_lab.neural import init_mlp
+from ttl_lab.estimators import make_estimator
 from ttl_lab.simcore import Simulation
 from ttl_lab.telemetry import TrueTtlOracle
 from ttl_lab.workload import WorkloadSpec, ZipfSampler, generate_world, read_range
-
-TINY = {
-    "workload.record_count": "300",
-    "workload.query_count": "60",
-    "workload.duration": "30",
-    "workload.target_throughput": "120",
-    "cache.capacity": "48",
-    "naf.explore_steps": "50",
-    "naf.noise_decay_steps": "500",
-    "naf.ttl_max": "60",
-}
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -44,24 +39,12 @@ def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
-class _FixedRates:
-    def __init__(self, rates):
-        self.rates = rates
-
-    def write_rate(self, key, now):
-        return self.rates.get(key)
-
-
 # ---------------------------------------------------------------------------
 # 1. closed-form TTLs are exact
 
 
 def test_criterion_01_poisson_exact():
-    a = poisson_ttl([0, 1], _FixedRates({0: 0.02, 1: 0.03}), 0.0, 300.0)
-    b = poisson_ttl([5, 6, 7], _FixedRates({}), 0.0, 300.0)
-    c = poisson_ttl([9], _FixedRates({}), 0.0, 300.0)
-    ok = a == 20.0 and b == 100.0 and c == 300.0
-    _verdict(1, "poisson closed form exact", ok, f"got {a}, {b}, {c}")
+    _verdict(1, "poisson closed form exact", *check_poisson_exact())
 
 
 # ---------------------------------------------------------------------------
@@ -69,66 +52,15 @@ def test_criterion_01_poisson_exact():
 
 
 def test_criterion_02_naf_identities():
-    offsets = np.arange(-10000, 10001) * 0.01  # mu +/- 100 at 0.01 resolution
-    worst_gap = 0.0
-    worst_beat = -np.inf
-    checked = 0
-    for net_seed in range(5):
-        rng = np.random.default_rng(200 + net_seed)
-        net = init_mlp((11, 30, 30, HEAD_WIDTH), rng)
-        for _ in range(200):
-            s = rng.normal(0.0, 1.0, size=11)
-            mu = naf_mu(net, s)
-            v = naf_v(net, s)
-            worst_gap = max(worst_gap, abs(naf_q(net, s, mu) - v))
-            q = q_curve_1d(net, s, mu + offsets)
-            worst_beat = max(worst_beat, float(q.max()) - v)
-            checked += 1
-    ok = checked == 1000 and worst_gap < 1e-10 and worst_beat <= 0.0
-    _verdict(2, "naf identities", ok,
-             f"{checked} states, max |Q(s,mu)-V| = {worst_gap:.3g}, "
-             f"max grid excess = {worst_beat:.3g}")
+    _verdict(2, "naf identities", *check_naf_identities())
 
 
 # ---------------------------------------------------------------------------
 # 3. analytic gradients match central finite differences
 
 
-def _fd_instance(rng, dims, h=1e-5):
-    net = init_mlp(dims, rng)
-    n = 3
-    states = rng.normal(0.0, 1.0, size=(n, dims[0]))
-    actions = rng.uniform(-2.0, 2.0, size=n)
-    targets = rng.normal(0.0, 2.0, size=n)
-    _, grads = naf_loss_and_grads(net, states, actions, targets)
-
-    worst = 0.0
-    for (W, b), (dW, db) in zip(zip(net.weights, net.biases), grads):
-        for arr, g in ((W, dW), (b, db)):
-            flat, gflat = arr.reshape(-1), g.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + h
-                lp = naf_loss_and_grads(net, states, actions, targets)[0]
-                flat[i] = orig - h
-                lm = naf_loss_and_grads(net, states, actions, targets)[0]
-                flat[i] = orig
-                fd = (lp - lm) / (2.0 * h)
-                rel = abs(gflat[i] - fd) / max(abs(gflat[i]), abs(fd), 1e-4)
-                worst = max(worst, rel)
-    return worst
-
-
 def test_criterion_03_gradient_check():
-    start = time.perf_counter()
-    worst = 0.0
-    for seed in range(80):
-        rng = np.random.default_rng(300 + seed)
-        worst = max(worst, _fd_instance(rng, (4, 8, HEAD_WIDTH)))
-    elapsed = time.perf_counter() - start
-    ok = worst < 1e-4 and elapsed < 10.0
-    _verdict(3, "gradients vs finite differences", ok,
-             f"80 instances, max rel err = {worst:.3g}, {elapsed:.1f}s")
+    _verdict(3, "gradients vs finite differences", *check_gradients())
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +183,12 @@ def test_criterion_05_origin_update_brute_force():
 # 6. delayed injection happens exactly at decided_at + action
 
 
-def test_criterion_06_dei_timing():
-    cfg = build_config(overrides=dict(TINY))
-    spec = cfg.workload_spec(0.1)
-    sim = Simulation(spec, cfg.latency_model(), cfg.capacity, seed=7,
-                     telemetry_window=cfg.telemetry_window)
-    est = make_estimator("naf-dei", naf_cfg=cfg.naf,
-                         reward_cfg=cfg.reward_config(0.1), rng=sim.agent_rng,
+def test_criterion_06_dei_timing(tiny_cfg):
+    spec = tiny_cfg.workload_spec(0.1)
+    sim = Simulation(spec, tiny_cfg.latency_model(), tiny_cfg.capacity, seed=7,
+                     telemetry_window=tiny_cfg.telemetry_window)
+    est = make_estimator("naf-dei", naf_cfg=tiny_cfg.naf,
+                         reward_cfg=tiny_cfg.reward_config(0.1), rng=sim.agent_rng,
                          log_transitions=True)
     sim.attach(est)
 
@@ -308,19 +239,8 @@ def test_criterion_06_dei_timing():
 # 7. one config, one seed, one byte stream
 
 
-def test_criterion_07_determinism(tmp_path):
-    outs = []
-    for sub in ("first", "second"):
-        cfg = build_config(overrides={**TINY, "bench.runs": "2"})
-        out = tmp_path / sub
-        run_experiment(cfg, out_dir=out, echo=lambda *a: None)
-        outs.append(out)
-    summaries = [(o / "summary.csv").read_bytes() for o in outs]
-    per_runs = [(o / "per_run.csv").read_bytes() for o in outs]
-    ok = summaries[0] == summaries[1] and per_runs[0] == per_runs[1]
-    _verdict(7, "byte-identical rerun", ok,
-             f"summary.csv {len(summaries[0])} bytes, "
-             f"per_run.csv {len(per_runs[0])} bytes")
+def test_criterion_07_determinism():
+    _verdict(7, "byte-identical rerun", *check_determinism())
 
 
 # ---------------------------------------------------------------------------

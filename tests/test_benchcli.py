@@ -349,6 +349,43 @@ def test_cli_learned_run_extras(tmp_path):
         float(r[7])  # reward parses
 
 
+def test_single_run_artifacts_come_from_the_chosen_runs(tiny_cfg, tmp_path):
+    cfg = dataclasses.replace(
+        tiny_cfg, runs=2, estimators=("fixed", "naf-naive", "poisson"),
+        write_fractions=(0.3, 0.1), replay_log=True,
+    )
+    run_experiment(cfg, out_dir=tmp_path, echo=lambda *a: None)
+    with open(tmp_path / "per_run.csv") as fh:
+        per_run = {(r["write_fraction"], r["estimator"], r["run"]): r
+                   for r in csv.DictReader(fh)}
+
+    # trace.csv: run 0 of the first cell
+    _, trace = _read_csv(tmp_path / "trace.csv")
+    first = per_run[("0.3", "fixed", "0")]
+    assert len(trace) == round(float(first["achieved_throughput"]) * cfg.duration)
+    assert sum(r[3] in ("hit", "stale_hit") for r in trace) == int(first["hits"])
+    assert sum(r[3] == "miss" for r in trace) == int(first["misses"])
+
+    # cdf.csv: run 0 of the first write fraction, learned from naf-naive
+    _, cdf = _read_csv(tmp_path / "cdf.csv")
+    series = {name: [r[1] for r in cdf if r[0] == name]
+              for name in ("learned", "poisson", "optimal")}
+    learned = per_run[("0.3", "naf-naive", "0")]
+    assert len(series["learned"]) == int(learned["misses"])
+    assert len(series["poisson"]) == int(per_run[("0.3", "poisson", "0")]["misses"])
+    assert len(series["optimal"]) == int(learned["resolved"])
+
+    # querytrace.csv: the naf-naive run's actions, not Poisson's
+    _, qt = _read_csv(tmp_path / "querytrace.csv")
+    actions = {r[3] for r in qt}
+    assert actions and actions <= set(series["learned"])
+    assert not actions <= set(series["poisson"])
+
+    # replay_log.csv: run 0 of every learned cell
+    _, replay = _read_csv(tmp_path / "replay_log.csv")
+    assert {(r[0], r[1]) for r in replay} == {("0.3", "naf-naive"), ("0.1", "naf-naive")}
+
+
 def test_cli_trace_query_none(tmp_path):
     cfg = build_config(overrides={
         "workload.record_count": "300",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,21 @@ def test_dei_invalidation_stamp_flows_into_reward(tiny_cfg):
     assert t.r < 0.0
 
 
+def test_injection_trains_before_the_call_returns(tiny_cfg):
+    naf = dataclasses.replace(tiny_cfg.naf, batch_size=1)
+    dei = NafDeiEstimator(naf, RewardConfig(), np.random.default_rng(6))
+    _scripted_sim(tiny_cfg, dei)
+    a = dei.decide(serve_id=0, unit=4, result_keys=np.array([0]), now=1.0)
+    dei.on_due(0, 1.0 + a)
+    assert dei.agent.train_count == 1
+
+    naive = NafNaiveEstimator(naf, RewardConfig(), np.random.default_rng(7))
+    _scripted_sim(tiny_cfg, naive)
+    naive.decide(serve_id=0, unit=7, result_keys=np.array([0]), now=1.0)
+    naive.decide(serve_id=1, unit=7, result_keys=np.array([0]), now=2.0)
+    assert naive.agent.train_count == 1
+
+
 def test_naive_first_decision_injects_nothing(tiny_cfg):
     est = NafNaiveEstimator(tiny_cfg.naf, RewardConfig(),
                             np.random.default_rng(2))
@@ -238,7 +255,7 @@ def test_naive_injects_instantly_with_previous_episode_reward(tiny_cfg):
     assert t.r == pytest.approx(2.5 - (1.0 + a0))
     # successor state is the current state: a self-loop
     assert np.array_equal(t.s, t.s_next)
-    assert sim.engine.peek_time() == 9.0  # train tick, no dei event scheduled
+    assert sim.engine.peek_time() is None  # no dei event scheduled
 
 
 def test_naive_survival_reward_uses_current_load(tiny_cfg):

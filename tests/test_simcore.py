@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -204,9 +206,14 @@ def test_hottest_missed_query_tiebreak(tiny_cfg):
 
 
 def test_stale_reads_happen_under_writes(tiny_cfg):
-    # With a fixed 5 s TTL and 10% writes some lookups must land in the
-    # 2 ms pending window over a 30 s run; if not, invalidation is broken.
-    res, sim, _ = run_single(tiny_cfg, 0.1, "fixed", seed=2)
-    assert res.invalidations > 0
-    assert res.stale_reads >= 0  # tiny runs may legitimately see none
-    assert res.invalidations <= res.inserts
+    # A lookup that lands between a write and its purge, 2 ms later by
+    # default, serves the doomed entry as a stale read; with no delay there
+    # is no such window.
+    instant = dataclasses.replace(tiny_cfg, invalidation_delay_ms=0.0)
+    for seed in (2, 3):
+        trace = []
+        res, _, _ = run_single(tiny_cfg, 0.1, "fixed", seed, trace_writer=trace.append)
+        assert 0 < res.invalidations <= res.inserts
+        assert res.stale_reads > 0
+        assert res.stale_reads == sum(row[3] == "stale_hit" for row in trace)
+        assert run_single(instant, 0.1, "fixed", seed)[0].stale_reads == 0
