@@ -6,16 +6,15 @@ reinforcement learner whose transitions complete via delayed experience
 injection. A true-TTL oracle scores every decision after the fact.
 """
 
+from .benchcli import DEFAULT_TTL_GRID, best_default_ttl
 from .cachesys import CacheStats, CacheSystem, Lookup, RangeSet
 from .config import ExperimentConfig, build_config, parse_kv_file
 from .dei import DeiQueue, IncompleteTransition, RewardConfig, transition_reward
 from .estimators import (
-    DEFAULT_TTL_GRID,
     FixedEstimator,
     NafDeiEstimator,
     NafNaiveEstimator,
     PoissonEstimator,
-    best_default_ttl,
     make_estimator,
     poisson_ttl,
 )
@@ -28,11 +27,12 @@ from .workload import OpStream, WorkloadSpec, ZipfSampler, evaluate_query, gener
 __version__ = "0.1.0"
 
 __all__ = [
+    "DEFAULT_TTL_GRID", "best_default_ttl",
     "CacheStats", "CacheSystem", "Lookup", "RangeSet",
     "ExperimentConfig", "build_config", "parse_kv_file",
     "DeiQueue", "IncompleteTransition", "RewardConfig", "transition_reward",
-    "DEFAULT_TTL_GRID", "FixedEstimator", "NafDeiEstimator", "NafNaiveEstimator",
-    "PoissonEstimator", "best_default_ttl", "make_estimator", "poisson_ttl",
+    "FixedEstimator", "NafDeiEstimator", "NafNaiveEstimator",
+    "PoissonEstimator", "make_estimator", "poisson_ttl",
     "NafAgent", "NafConfig", "Transition", "build_state",
     "Mlp", "adam_step", "backward", "forward", "init_mlp", "load_weights", "save_weights",
     "Engine", "LatencyModel", "SimEvent", "Simulation",
@@ -40,3 +40,4 @@ __all__ = [
     "OpStream", "WorkloadSpec", "ZipfSampler", "evaluate_query", "generate_world",
     "__version__",
 ]
+

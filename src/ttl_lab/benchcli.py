@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .config import PRESETS, ExperimentConfig, build_config, parse_kv_file
-from .estimators import best_default_ttl, make_estimator, poisson_ttl
+from .estimators import make_estimator, poisson_ttl
 from .nafagent import HEAD_WIDTH, naf_loss_and_grads, naf_mu, naf_q, naf_v, q_curve_1d
 from .neural import init_mlp, load_weights, save_weights
 from .simcore import Simulation
@@ -42,6 +42,21 @@ def truncated_rmse(errors, keep: float = 0.99) -> float:
     if drop:
         errs = np.sort(errs)[: errs.size - drop]
     return float(np.sqrt(np.mean(errs * errs)))
+
+
+DEFAULT_TTL_GRID = (1.0, 2.0, 5.0, 10.0, 20.0, 30.0, 60.0, 120.0, 300.0, 600.0)
+
+
+def best_default_ttl(true_ttls, candidates=DEFAULT_TTL_GRID) -> tuple[float, float]:
+    """Hindsight-best constant TTL over a grid, scored by truncated RMSE."""
+    if len(true_ttls) == 0:
+        raise ValueError("no resolved true TTLs to score against")
+    best_c, best_err = None, np.inf
+    for c in candidates:
+        err = truncated_rmse([c - t for t in true_ttls])
+        if err < best_err:
+            best_c, best_err = c, err
+    return float(best_c), float(best_err)
 
 
 def emit_cdf(values) -> list[tuple[float, float]]:

@@ -11,6 +11,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .dei import RewardConfig
+from .estimators import make_estimator
 from .nafagent import NafConfig
 from .simcore import LatencyModel
 from .workload import WorkloadSpec
@@ -39,7 +40,7 @@ def _parse_list(item, what: str):
     return parse
 
 
-# annotation of a NafConfig / RewardConfig field -> parser for its key
+# annotation of a section's field -> parser for its key
 _PARSERS = {"int": int, "float": float, "str": str, "tuple[int, ...]": _parse_list(int, "integer")}
 
 
@@ -50,25 +51,16 @@ def _section_keys(section: str, cls) -> dict[str, tuple[str, object]]:
     }
 
 
-# key -> (attribute on ExperimentConfig, parser); a "naf." or "reward." attribute
-# names a field of ExperimentConfig.naf (NafConfig) or .reward (RewardConfig)
+# key -> (attribute on ExperimentConfig, parser). A dotted attribute names a field
+# of a section, ExperimentConfig.workload (WorkloadSpec), .latency (LatencyModel),
+# .naf (NafConfig) or .reward (RewardConfig), whose fields are the keys and defaults;
+# workload.write_fraction (a list) and .query_fraction are set per cell by workload_spec
 SCHEMA: dict[str, tuple[str, object]] = {
-    "workload.record_count": ("record_count", int),
-    "workload.query_count": ("query_count", int),
+    **_section_keys("workload", WorkloadSpec),
     "workload.write_fraction": ("write_fractions", _parse_list(float, "number")),
     "workload.query_fraction": ("query_fraction", float),
-    "workload.zipf_s": ("zipf_s", float),
-    "workload.scan_mean": ("scan_mean", float),
-    "workload.scan_std": ("scan_std", float),
-    "workload.result_cap": ("result_cap", int),
-    "workload.target_throughput": ("target_throughput", float),
-    "workload.client_count": ("client_count", int),
-    "workload.connections_per_client": ("connections_per_client", int),
-    "workload.duration": ("duration", float),
     "cache.capacity": ("capacity", int),
-    "latency.edge_rtt_ms": ("edge_rtt_ms", float),
-    "latency.origin_rtt_ms": ("origin_rtt_ms", float),
-    "latency.invalidation_delay_ms": ("invalidation_delay_ms", float),
+    **_section_keys("latency", LatencyModel),
     "telemetry.window": ("telemetry_window", float),
     **_section_keys("naf", NafConfig),
     **_section_keys("reward", RewardConfig),
@@ -120,23 +112,12 @@ PRESETS: dict[str, dict[str, str]] = {
 @dataclass
 class ExperimentConfig:
     # workload (write_fractions sweeps cells; query share defaults to 1 - w)
-    record_count: int = 2000
-    query_count: int = 200
+    workload: WorkloadSpec = WorkloadSpec()
     write_fractions: tuple[float, ...] = (0.1,)
     query_fraction: float | None = None
-    zipf_s: float = 0.6
-    scan_mean: float = 10.0
-    scan_std: float = 5.0
-    result_cap: int = 20
-    target_throughput: float = 200.0
-    client_count: int = 10
-    connections_per_client: int = 6
-    duration: float = 300.0
     # cache and network
     capacity: int = 160
-    edge_rtt_ms: float = 4.0
-    origin_rtt_ms: float = 150.0
-    invalidation_delay_ms: float = 2.0
+    latency: LatencyModel = LatencyModel()
     telemetry_window: float = 60.0
     # agent and reward
     naf: NafConfig = NafConfig()
@@ -156,9 +137,8 @@ class ExperimentConfig:
         for est in self.estimators:
             if est not in ESTIMATOR_KINDS:
                 raise ValueError(f"unknown estimator {est!r}; choose from {ESTIMATOR_KINDS}")
-        for w in self.write_fractions:
-            if not (0.0 <= w <= 1.0):
-                raise ValueError(f"write fraction {w} out of [0, 1]")
+            if est in ("fixed", "poisson"):  # their constructors check their options
+                make_estimator(est, fixed_ttl=self.fixed_ttl, poisson_max_ttl=self.poisson_max_ttl)
         if self.runs < 1:
             raise ValueError("bench.runs must be >= 1")
         if self.trace_query not in ("auto", "none"):
@@ -168,39 +148,27 @@ class ExperimentConfig:
                 raise ValueError(
                     "bench.trace_query must be 'auto', 'none' or a query id"
                 ) from None
-            if not (0 <= qid < self.query_count):
-                raise ValueError(f"bench.trace_query {qid} outside [0, {self.query_count})")
-        self.workload_spec(self.write_fractions[0]).validate()
-        self.latency_model().validate()
+            if not (0 <= qid < self.workload.query_count):
+                raise ValueError(f"bench.trace_query {qid} outside [0, {self.workload.query_count})")
+        for w in self.write_fractions:
+            try:
+                self.workload_spec(w).validate()
+                self.reward_config(w).validate()
+            except ValueError as e:
+                raise ValueError(f"write fraction {w}: {e}") from None
+        self.latency.validate()
         self.naf.validate()
-        self.reward_config(self.write_fractions[0]).validate()
 
     def workload_spec(self, write_fraction: float) -> WorkloadSpec:
-        if self.query_fraction is None:
-            qf = 1.0 - write_fraction
-        else:
-            qf = self.query_fraction
-        return WorkloadSpec(
-            record_count=self.record_count,
-            query_count=self.query_count,
-            write_fraction=write_fraction,
-            query_fraction=qf,
-            zipf_s=self.zipf_s,
-            scan_mean=self.scan_mean,
-            scan_std=self.scan_std,
-            result_cap=self.result_cap,
-            target_throughput=self.target_throughput,
-            client_count=self.client_count,
-            connections_per_client=self.connections_per_client,
-            duration=self.duration,
-        )
+        qf = 1.0 - write_fraction if self.query_fraction is None else self.query_fraction
+        return replace(self.workload, write_fraction=write_fraction, query_fraction=qf)
 
     def latency_model(self) -> LatencyModel:
-        return LatencyModel(
-            self.edge_rtt_ms / 1000.0,
-            self.origin_rtt_ms / 1000.0,
-            self.invalidation_delay_ms / 1000.0,
-        )
+        return self.latency
+
+    @property
+    def duration(self) -> float:
+        return self.workload.duration
 
     def reward_config(self, write_fraction: float) -> RewardConfig:
         if self.reward_adjust_to_workload:

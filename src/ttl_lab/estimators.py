@@ -16,8 +16,6 @@ import numpy as np
 from .dei import DeiQueue, IncompleteTransition, RewardConfig, transition_reward
 from .nafagent import NafAgent, NafConfig, Transition, build_state
 
-DEFAULT_TTL_GRID = (1.0, 2.0, 5.0, 10.0, 20.0, 30.0, 60.0, 120.0, 300.0, 600.0)
-
 
 def poisson_ttl(result_keys, telemetry, now: float, max_ttl: float = 300.0) -> float:
     """TTL = 1 / sum of result-key write rates, capped at max_ttl.
@@ -43,20 +41,6 @@ def poisson_ttl(result_keys, telemetry, now: float, max_ttl: float = 300.0) -> f
         return max_ttl / unknown
     lam = known + unknown / max_ttl
     return min(max_ttl, 1.0 / lam)
-
-
-def best_default_ttl(true_ttls, candidates=DEFAULT_TTL_GRID) -> tuple[float, float]:
-    """Hindsight-best constant TTL over a grid, scored by truncated RMSE."""
-    from .benchcli import truncated_rmse  # local import, benchcli owns the metric
-
-    if len(true_ttls) == 0:
-        raise ValueError("no resolved true TTLs to score against")
-    best_c, best_err = None, np.inf
-    for c in candidates:
-        err = truncated_rmse([c - t for t in true_ttls])
-        if err < best_err:
-            best_c, best_err = c, err
-    return float(best_c), float(best_err)
 
 
 class TtlEstimator:

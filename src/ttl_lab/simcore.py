@@ -68,23 +68,28 @@ class Engine:
 
 @dataclass(frozen=True)
 class LatencyModel:
-    """Fixed service times. A hit pays one edge round trip; a miss adds the
-    origin round trip; invalidations propagate origin-to-edge asynchronously."""
+    """Fixed service times, set in ms and read in s: a hit pays the edge round
+    trip, a miss adds the origin's, and invalidations reach the edge later."""
 
-    edge_rtt: float = 0.004
-    origin_rtt: float = 0.15
-    invalidation_delay: float = 0.002
+    edge_rtt_ms: float = 4.0
+    origin_rtt_ms: float = 150.0
+    invalidation_delay_ms: float = 2.0
 
     @property
     def hit_latency(self) -> float:
-        return self.edge_rtt
+        return self.edge_rtt_ms / 1000.0
 
     @property
     def miss_latency(self) -> float:
-        return self.edge_rtt + self.origin_rtt
+        # the round trips summed in seconds; (edge + origin) / 1000 can differ in the last bit
+        return self.edge_rtt_ms / 1000.0 + self.origin_rtt_ms / 1000.0
+
+    @property
+    def invalidation_delay(self) -> float:
+        return self.invalidation_delay_ms / 1000.0
 
     def validate(self) -> None:
-        if min(self.edge_rtt, self.origin_rtt, self.invalidation_delay) < 0.0:
+        if min(self.edge_rtt_ms, self.origin_rtt_ms, self.invalidation_delay_ms) < 0.0:
             raise ValueError("latencies must be non-negative")
 
 

@@ -307,8 +307,8 @@ def test_criterion_09_hit_rate_vs_poisson(tmp_path):
     ceiling_cfg = build_config(preset="paper", overrides={
         **overrides,
         "estimator.kind": "fixed",
-        "estimator.fixed_ttl": str(cfg.duration),
-        "cache.capacity": str(cfg.query_count + cfg.record_count),
+        "estimator.fixed_ttl": str(cfg.workload.duration),
+        "cache.capacity": str(cfg.workload.query_count + cfg.workload.record_count),
         "bench.trace_query": "none",
     })
     run_experiment(ceiling_cfg, out_dir=tmp_path / "ceiling", echo=lambda *a: None)
@@ -352,7 +352,7 @@ def desk_run(tmp_path_factory):
 
 def test_criterion_10_throughput_and_latency(desk_run):
     cfg, results, rows = desk_run
-    target = cfg.target_throughput
+    target = cfg.workload.target_throughput
     achieved = results[0].achieved_throughput
     rate_ok = abs(achieved - target) / target <= 0.05
     lats = {r["latency_s"] for r in rows}
@@ -366,14 +366,14 @@ def test_criterion_11_workload_statistics(desk_run):
     cfg, _, rows = desk_run
 
     units = [int(r["unit"]) for r in rows if r["kind"] == "query"]
-    counts = np.bincount(units, minlength=cfg.query_count)
-    expected = len(units) * ZipfSampler(cfg.query_count, cfg.zipf_s).pmf()
+    counts = np.bincount(units, minlength=cfg.workload.query_count)
+    expected = len(units) * ZipfSampler(cfg.workload.query_count, cfg.workload.zipf_s).pmf()
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
-    zipf_p = float(scipy.stats.chi2.sf(chi2, cfg.query_count - 1))
+    zipf_p = float(scipy.stats.chi2.sf(chi2, cfg.workload.query_count - 1))
 
     times = np.array([float(r["time"]) for r in rows])
     gaps = np.diff(times)
-    scale = 1.0 / cfg.target_throughput  # superposed per-connection streams
+    scale = 1.0 / cfg.workload.target_throughput  # superposed per-connection streams
     ks_p = float(scipy.stats.kstest(gaps, "expon", args=(0.0, scale)).pvalue)
 
     ok = zipf_p > 0.01 and ks_p > 0.01

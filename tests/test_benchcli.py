@@ -27,6 +27,8 @@ from ttl_lab.config import (
 from ttl_lab.dei import RewardConfig
 from ttl_lab.estimators import make_estimator
 from ttl_lab.nafagent import NafConfig
+from ttl_lab.simcore import LatencyModel
+from ttl_lab.workload import WorkloadSpec
 
 # ---------------------------------------------------------------------------
 # metrics
@@ -94,7 +96,7 @@ def test_schema_covers_presets():
 
 def test_build_config_defaults():
     cfg = build_config()
-    assert cfg.record_count == 2000
+    assert cfg.workload.record_count == 2000
     assert cfg.write_fractions == (0.1,)
     assert cfg.estimators == ("poisson", "naf-dei")
 
@@ -105,7 +107,11 @@ def test_naf_and_reward_defaults_have_one_source():
     assert cfg.reward == RewardConfig()
     est = make_estimator("naf-dei", rng=np.random.default_rng(0))
     assert est.agent.cfg == cfg.naf  # the factory and the CLI train the same agent
-    for section, cls in (("naf", NafConfig), ("reward", RewardConfig)):
+    # the workload and latency sections too: a default cell is WorkloadSpec()
+    assert cfg.workload_spec(WorkloadSpec.write_fraction) == WorkloadSpec()
+    assert cfg.latency_model() == LatencyModel()
+    for section, cls in (("naf", NafConfig), ("reward", RewardConfig),
+                         ("workload", WorkloadSpec), ("latency", LatencyModel)):
         for f in dataclasses.fields(cls):
             assert f"{section}.{f.name}" in SCHEMA
 
@@ -127,8 +133,8 @@ def test_build_config_precedence(tmp_path):
         overrides={"cache.capacity": "300"},
     )
     assert cfg.capacity == 300  # CLI beats file beats preset
-    assert cfg.duration == 42.0  # file beats preset
-    assert cfg.record_count == 2000  # preset beats defaults
+    assert cfg.workload.duration == 42.0  # file beats preset
+    assert cfg.workload.record_count == 2000  # preset beats defaults
 
 
 def test_build_config_rejects_unknown_key_and_bad_value():
@@ -172,6 +178,12 @@ def test_config_validation_errors():
         build_config(overrides={"estimator.kind": "lru"})
     with pytest.raises(ValueError, match="write fraction"):
         build_config(overrides={"workload.write_fraction": "1.5"})
+    # every cell is checked before the first run, not only the first one
+    with pytest.raises(ValueError, match="write fraction 0.6: write_fraction \\+ query_fraction"):
+        build_config(overrides={"workload.write_fraction": "0.1,0.6",
+                                "workload.query_fraction": "0.5"})
+    with pytest.raises(ValueError, match="write fraction 1.0: load_threshold"):
+        build_config(overrides={"workload.write_fraction": "0.1,1.0"})
     with pytest.raises(ValueError, match="runs"):
         build_config(overrides={"bench.runs": "0"})
     with pytest.raises(ValueError, match="trace_query"):
@@ -179,6 +191,16 @@ def test_config_validation_errors():
     with pytest.raises(ValueError, match="trace_query"):
         build_config(overrides={"bench.trace_query": "100000"})
     build_config(overrides={"bench.trace_query": "5"})  # a real query id is fine
+
+
+def test_estimator_options_checked_at_build_time():
+    with pytest.raises(ValueError, match="fixed ttl must be positive"):
+        build_config(overrides={"estimator.kind": "poisson,fixed", "estimator.fixed_ttl": "0"})
+    with pytest.raises(ValueError, match="max_ttl must be positive"):
+        build_config(overrides={"estimator.kind": "poisson", "estimator.max_ttl": "-1"})
+    # an option of an estimator outside the grid is never used
+    build_config(overrides={"estimator.kind": "naf-dei", "estimator.fixed_ttl": "0",
+                            "estimator.max_ttl": "0"})
 
 
 def test_config_derived_objects():
@@ -189,7 +211,7 @@ def test_config_derived_objects():
         "reward.load_threshold": "0.6",
     })
     lat = cfg.latency_model()
-    assert lat.edge_rtt == pytest.approx(0.008)
+    assert lat.hit_latency == pytest.approx(0.008)
     assert lat.miss_latency == pytest.approx(0.108)
     assert cfg.reward_config(0.1).load_threshold == 0.6
 
@@ -362,7 +384,7 @@ def test_single_run_artifacts_come_from_the_chosen_runs(tiny_cfg, tmp_path):
     # trace.csv: run 0 of the first cell
     _, trace = _read_csv(tmp_path / "trace.csv")
     first = per_run[("0.3", "fixed", "0")]
-    assert len(trace) == round(float(first["achieved_throughput"]) * cfg.duration)
+    assert len(trace) == round(float(first["achieved_throughput"]) * cfg.workload.duration)
     assert sum(r[3] in ("hit", "stale_hit") for r in trace) == int(first["hits"])
     assert sum(r[3] == "miss" for r in trace) == int(first["misses"])
 

@@ -5,14 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ttl_lab.benchcli import run_single, truncated_rmse
+from ttl_lab.benchcli import DEFAULT_TTL_GRID, best_default_ttl, run_single, truncated_rmse
 from ttl_lab.estimators import (
-    DEFAULT_TTL_GRID,
     FixedEstimator,
     NafDeiEstimator,
     NafNaiveEstimator,
     PoissonEstimator,
-    best_default_ttl,
     make_estimator,
     poisson_ttl,
 )

@@ -98,7 +98,7 @@ def test_latency_model_defaults():
 
 def test_latency_model_rejects_negative():
     with pytest.raises(ValueError, match="non-negative"):
-        LatencyModel(edge_rtt=-0.001).validate()
+        LatencyModel(edge_rtt_ms=-1.0).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +122,8 @@ def test_simulation_requires_estimator(tiny_cfg):
 def test_unit_namespace_mapping(tiny_cfg):
     sim = _build_sim(tiny_cfg)
     assert sim.unit_for("query", 7) == 7
-    assert sim.unit_for("read", 7) == tiny_cfg.query_count + 7
-    assert sim.unit_for("update", 0) == tiny_cfg.query_count
+    assert sim.unit_for("read", 7) == tiny_cfg.workload.query_count + 7
+    assert sim.unit_for("update", 0) == tiny_cfg.workload.query_count
 
 
 def test_simulation_trace_and_latencies(tiny_cfg):
@@ -137,7 +137,7 @@ def test_simulation_trace_and_latencies(tiny_cfg):
         assert 0.0 < now <= 30.0
         if kind == "update":
             assert outcome == "write" and lat == 0.154
-            assert unit >= tiny_cfg.query_count
+            assert unit >= tiny_cfg.workload.query_count
         elif outcome == "miss":
             assert lat == 0.154
         else:
@@ -198,7 +198,7 @@ def test_unknown_event_kind_raises(tiny_cfg):
 
 def test_hottest_missed_query_tiebreak(tiny_cfg):
     sim = _build_sim(tiny_cfg)
-    qc = tiny_cfg.query_count
+    qc = tiny_cfg.workload.query_count
     sim.miss_counts = {3: 5, 1: 5, 2: 4, qc + 9: 99}  # reads never win
     assert sim.hottest_missed_query() == 1
     sim.miss_counts = {qc + 9: 99}
@@ -209,7 +209,8 @@ def test_stale_reads_happen_under_writes(tiny_cfg):
     # A lookup that lands between a write and its purge, 2 ms later by
     # default, serves the doomed entry as a stale read; with no delay there
     # is no such window.
-    instant = dataclasses.replace(tiny_cfg, invalidation_delay_ms=0.0)
+    instant = dataclasses.replace(
+        tiny_cfg, latency=dataclasses.replace(tiny_cfg.latency, invalidation_delay_ms=0.0))
     for seed in (2, 3):
         trace = []
         res, _, _ = run_single(tiny_cfg, 0.1, "fixed", seed, trace_writer=trace.append)
