@@ -354,19 +354,18 @@ def _fd_worst_error(rng: np.random.Generator, dims=(4, 8, HEAD_WIDTH), h: float 
     states = rng.normal(0.0, 1.0, size=(n, dims[0]))
     actions = rng.uniform(-2.0, 2.0, size=n)
     targets = rng.normal(0.0, 2.0, size=n)
-    _, grads = naf_loss_and_grads(net, states, actions, targets)
-    analytic = np.concatenate([np.r_[dW.ravel(), db.ravel()] for dW, db in grads])
-    base = net.flat()  # the same weight-then-bias order, layer by layer
+    _, grad = naf_loss_and_grads(net, states, actions, targets)
+    params = net.params
 
     def loss_with(i, x):
-        vec = base.copy()
-        vec[i] = x
-        net.load_flat(vec)
+        params[i] = x
         return naf_loss_and_grads(net, states, actions, targets)[0]
 
     worst = 0.0
-    for i, g in enumerate(analytic):
-        fd = (loss_with(i, base[i] + h) - loss_with(i, base[i] - h)) / (2.0 * h)
+    for i, g in enumerate(grad):
+        x = params[i]
+        fd = (loss_with(i, x + h) - loss_with(i, x - h)) / (2.0 * h)
+        params[i] = x
         worst = max(worst, abs(g - fd) / max(abs(g), abs(fd), 1e-4))
     return worst
 
@@ -417,8 +416,8 @@ def _check_snapshot() -> tuple[bool, str]:
     with tempfile.NamedTemporaryFile(suffix=".w") as fh:
         save_weights(net, fh.name)
         back = load_weights(fh.name)
-    ok = net.dims == back.dims and np.array_equal(net.flat(), back.flat())
-    return ok, f"dims {net.dims}, {net.flat().size} params round-tripped"
+    ok = net.dims == back.dims and np.array_equal(net.params, back.params)
+    return ok, f"dims {net.dims}, {net.params.size} params round-tripped"
 
 
 def _check_zipf() -> tuple[bool, str]:

@@ -7,6 +7,7 @@ key and line instead of silently running the wrong experiment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -28,6 +29,15 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"expected a boolean, got {s!r}")
 
 
+def _parse_float(s: str) -> float:
+    """A finite float. NaN passes every comparison-based range check and inf
+    passes the lower bounds, so both are rejected here, where they enter."""
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError(f"expected a finite number, got {s.strip()!r}")
+    return v
+
+
 def _parse_list(item, what: str):
     """A parser for a non-empty comma-separated list of `item` values."""
 
@@ -41,7 +51,7 @@ def _parse_list(item, what: str):
 
 
 # annotation of a section's field -> parser for its key
-_PARSERS = {"int": int, "float": float, "str": str, "tuple[int, ...]": _parse_list(int, "integer")}
+_PARSERS = {"int": int, "float": _parse_float, "str": str, "tuple[int, ...]": _parse_list(int, "integer")}
 
 
 def _section_keys(section: str, cls) -> dict[str, tuple[str, object]]:
@@ -57,18 +67,18 @@ def _section_keys(section: str, cls) -> dict[str, tuple[str, object]]:
 # workload.write_fraction (a list) and .query_fraction are set per cell by workload_spec
 SCHEMA: dict[str, tuple[str, object]] = {
     **_section_keys("workload", WorkloadSpec),
-    "workload.write_fraction": ("write_fractions", _parse_list(float, "number")),
-    "workload.query_fraction": ("query_fraction", float),
+    "workload.write_fraction": ("write_fractions", _parse_list(_parse_float, "number")),
+    "workload.query_fraction": ("query_fraction", _parse_float),
     "cache.capacity": ("capacity", int),
     **_section_keys("latency", LatencyModel),
-    "telemetry.window": ("telemetry_window", float),
+    "telemetry.window": ("telemetry_window", _parse_float),
     **_section_keys("naf", NafConfig),
     **_section_keys("reward", RewardConfig),
     # not a RewardConfig field: when on, reward_config(w) sets load_threshold to 1 - w
     "reward.adjust_threshold_to_workload": ("reward_adjust_to_workload", _parse_bool),
     "estimator.kind": ("estimators", _parse_list(str, "name")),
-    "estimator.fixed_ttl": ("fixed_ttl", float),
-    "estimator.max_ttl": ("poisson_max_ttl", float),
+    "estimator.fixed_ttl": ("fixed_ttl", _parse_float),
+    "estimator.max_ttl": ("poisson_max_ttl", _parse_float),
     "bench.runs": ("runs", int),
     "bench.base_seed": ("base_seed", int),
     "bench.replay_log": ("replay_log", _parse_bool),

@@ -14,7 +14,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import neural
 from .neural import AdamState, Mlp, adam_step, backward, forward, init_mlp
 
 HEAD_WIDTH = 3  # network output row: mu, V, l
@@ -46,8 +45,8 @@ def q_curve_1d(net: Mlp, s: np.ndarray, actions: np.ndarray) -> np.ndarray:
 
 def naf_loss_and_grads(
     net: Mlp, states: np.ndarray, actions: np.ndarray, targets: np.ndarray
-) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
-    """Mean squared TD loss over a batch and its exact parameter gradients.
+) -> tuple[float, np.ndarray]:
+    """Mean squared TD loss over a batch and its exact gradient, flat like net.params.
 
     states (N, state_dim), actions (N,), targets (N,). The head Jacobian is
     folded into dOut, then the trunk runs standard backprop.
@@ -101,9 +100,7 @@ class NafConfig:
     batch_size: int = 10
     replay_capacity: int = 50_000
     target_sync_interval: int = 100
-    target_tau: float = 0.0  # >0 switches to soft target updates
-    clip: float = 30.0
-    clip_mode: str = "element"
+    clip: float = 30.0  # elementwise gradient clip; 0 disables
     ttl_min: float = 1.0
     ttl_max: float = 600.0
     explore_steps: int = 1500
@@ -120,10 +117,6 @@ class NafConfig:
             raise ValueError("need 0 < ttl_min < ttl_max")
         if self.batch_size < 1 or self.replay_capacity < self.batch_size:
             raise ValueError("replay must hold at least one batch")
-        if self.clip_mode not in ("element", "norm"):
-            raise ValueError(f"unknown clip_mode {self.clip_mode!r}")
-        if not (0.0 <= self.target_tau <= 1.0):
-            raise ValueError("target_tau must be in [0, 1]")
         if self.gamma < 0.0 or self.gamma >= 1.0:
             raise ValueError("gamma must be in [0, 1)")
 
@@ -136,30 +129,38 @@ class Transition(NamedTuple):
 
 
 class ReplayMemory:
-    """Ring buffer; sampling is uniform with replacement."""
+    """Ring buffer of transitions held as four preallocated arrays, one row
+    per slot; sampling is uniform with replacement."""
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, state_dim: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.buf: list[Transition] = []
+        self.s = np.zeros((capacity, state_dim))
+        self.a = np.zeros(capacity)
+        self.r = np.zeros(capacity)
+        self.s_next = np.zeros((capacity, state_dim))
+        self._len = 0
         self._next = 0
 
     def push(self, t: Transition) -> None:
-        if len(self.buf) < self.capacity:
-            self.buf.append(t)
-        else:
-            self.buf[self._next] = t
-            self._next = (self._next + 1) % self.capacity
+        i = self._next
+        self.s[i], self.a[i], self.r[i], self.s_next[i] = t
+        self._next = (i + 1) % self.capacity
+        self._len = min(self._len + 1, self.capacity)
 
-    def sample_indices(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.integers(0, len(self.buf), size=n)
+    def sample(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, Transition]:
+        """n slots drawn with replacement, and their transitions as arrays."""
+        idx = rng.integers(0, self._len, size=n)
+        return idx, Transition(self.s[idx], self.a[idx], self.r[idx], self.s_next[idx])
 
     def __len__(self) -> int:
-        return len(self.buf)
+        return self._len
 
     def __getitem__(self, i: int) -> Transition:
-        return self.buf[i]
+        if not 0 <= i < self._len:
+            raise IndexError(f"replay slot {i} outside [0, {self._len})")
+        return Transition(self.s[i], float(self.a[i]), float(self.r[i]), self.s_next[i])
 
 
 class NafAgent:
@@ -174,7 +175,7 @@ class NafAgent:
         self.net = init_mlp(dims, rng)
         self.target = self.net.copy()
         self.adam = AdamState()
-        self.replay = ReplayMemory(cfg.replay_capacity)
+        self.replay = ReplayMemory(cfg.replay_capacity, cfg.state_dim)
         self.act_count = 0
         self.train_count = 0
 
@@ -200,39 +201,20 @@ class NafAgent:
     def remember(self, t: Transition) -> None:
         self.replay.push(t)
 
-    def train_step(self) -> tuple[float, list[Transition]] | None:
+    def train_step(self) -> tuple[float, np.ndarray] | None:
         """One mini-batch update; no-op until the replay holds a full batch.
 
-        Returns (pre-step loss, sampled transitions) for instrumentation.
+        Returns (pre-step loss, sampled replay slots) for instrumentation.
         """
         cfg = self.cfg
         if len(self.replay) < cfg.batch_size:
             return None
-        idx = self.replay.sample_indices(cfg.batch_size, self.rng)
-        batch = [self.replay[int(i)] for i in idx]
-        s = np.stack([t.s for t in batch])
-        a = np.array([t.a for t in batch])
-        r = np.array([t.r for t in batch])
-        s_next = np.stack([t.s_next for t in batch])
+        idx, (s, a, r, s_next) = self.replay.sample(cfg.batch_size, self.rng)
         v_next = forward(self.target, s_next)[0][:, 1]
         y = r + cfg.gamma * v_next
-        loss, grads = naf_loss_and_grads(self.net, s, a, y)
-        adam_step(self.net, grads, self.adam, cfg.lr, cfg.clip, cfg.clip_mode)
+        loss, grad = naf_loss_and_grads(self.net, s, a, y)
+        adam_step(self.net, grad, self.adam, cfg.lr, cfg.clip)
         self.train_count += 1
-        if cfg.target_tau > 0.0:
-            tau = cfg.target_tau
-            for tp, op in zip(
-                self.target.weights + self.target.biases, self.net.weights + self.net.biases
-            ):
-                tp *= 1.0 - tau
-                tp += tau * op
-        elif self.train_count % self.cfg.target_sync_interval == 0:
-            self.target = self.net.copy()
-        return loss, batch
-
-    def save_weights(self, path: str) -> None:
-        neural.save_weights(self.net, path)
-
-    def load_weights(self, path: str) -> None:
-        self.net = neural.load_weights(path)
-        self.target = self.net.copy()
+        if self.train_count % cfg.target_sync_interval == 0:
+            np.copyto(self.target.params, self.net.params)
+        return loss, idx

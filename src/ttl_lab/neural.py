@@ -3,56 +3,57 @@
 Everything is float64. Layers compute x @ W + b with W shaped (fan_in, fan_out);
 hidden layers apply ReLU, the output layer is linear. No framework on purpose:
 the gradient path has to be auditable against finite differences.
+
+A network's parameters are one flat vector: for each layer in order, its
+weight matrix in row-major order, then its bias. Gradients, Adam's moments and
+weight snapshots use the same layout, so each is one array.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass
-class Mlp:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+def _layer_views(dims: tuple[int, ...], vec: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer (weights, biases) views into a flat vector laid out for dims."""
+    weights, biases = [], []
+    pos = 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        weights.append(vec[pos : pos + fan_in * fan_out].reshape(fan_in, fan_out))
+        pos += fan_in * fan_out
+        biases.append(vec[pos : pos + fan_out])
+        pos += fan_out
+    if pos != len(vec):
+        raise ValueError(f"{len(vec)} params, but dims {dims} need {pos}")
+    return weights, biases
 
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple([self.weights[0].shape[0]] + [w.shape[1] for w in self.weights])
+
+class Mlp:
+    """A network over one flat float64 params vector; weights and biases are
+    views into it, so writing either writes params."""
+
+    def __init__(self, dims: tuple[int, ...], params: np.ndarray):
+        self.dims = tuple(dims)
+        self.params = np.asarray(params, dtype=np.float64)
+        self.weights, self.biases = _layer_views(self.dims, self.params)
 
     def copy(self) -> "Mlp":
-        return Mlp([w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
-    def flat(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b.ravel())
-        return np.concatenate(parts)
-
-    def load_flat(self, vec: np.ndarray) -> None:
-        pos = 0
-        for w, b in zip(self.weights, self.biases):
-            w[...] = vec[pos : pos + w.size].reshape(w.shape)
-            pos += w.size
-            b[...] = vec[pos : pos + b.size]
-            pos += b.size
-        if pos != len(vec):
-            raise ValueError("flat vector length does not match network dims")
+        return Mlp(self.dims, self.params.copy())
 
 
 def init_mlp(dims: tuple[int, ...], rng: np.random.Generator) -> Mlp:
     """Glorot-uniform weights, zero biases."""
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise ValueError(f"bad layer dims {dims}")
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return Mlp(weights, biases)
+    n = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+    net = Mlp(dims, np.zeros(n))
+    for w in net.weights:
+        bound = np.sqrt(6.0 / (w.shape[0] + w.shape[1]))
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return net
 
 
 def forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -64,8 +65,8 @@ def forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     squeeze = x.ndim == 1
     if squeeze:
         x = x[None, :]
-    if x.shape[1] != net.weights[0].shape[0]:
-        raise ValueError(f"input width {x.shape[1]} != {net.weights[0].shape[0]}")
+    if x.shape[1] != net.dims[0]:
+        raise ValueError(f"input width {x.shape[1]} != {net.dims[0]}")
     cache = [x]
     h = x
     last = len(net.weights) - 1
@@ -77,26 +78,28 @@ def forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return (h[0] if squeeze else h), cache
 
 
-def backward(net: Mlp, cache: list[np.ndarray], dout: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+def backward(net: Mlp, cache: list[np.ndarray], dout: np.ndarray) -> np.ndarray:
     """Backprop dout (gradient w.r.t. the network output) through the cache.
 
-    Returns [(dW, db), ...] matching net layer order. dout may be 1-D or 2-D;
-    batch gradients are summed, so scale dout by 1/N upstream for a mean loss.
+    Returns the gradient as a flat vector in the layout of net.params. dout may
+    be 1-D or 2-D; batch gradients are summed, so scale dout by 1/N upstream
+    for a mean loss.
     """
     dout = np.asarray(dout, dtype=np.float64)
     if dout.ndim == 1:
         dout = dout[None, :]
     delta = dout
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(net.weights)  # type: ignore[list-item]
+    grad = np.empty_like(net.params)
+    dws, dbs = _layer_views(net.dims, grad)
     for i in range(len(net.weights) - 1, -1, -1):
-        layer_in = cache[i]
         if i < len(net.weights) - 1:
             # cache[i+1] holds the post-ReLU activation of layer i.
             delta = delta * (cache[i + 1] > 0.0)
-        grads[i] = (layer_in.T @ delta, delta.sum(axis=0))
+        dws[i][...] = cache[i].T @ delta
+        dbs[i][...] = delta.sum(axis=0)
         if i > 0:
             delta = delta @ net.weights[i].T
-    return grads
+    return grad
 
 
 @dataclass
@@ -105,51 +108,28 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
-def _clip_grads(grads, clip: float, clip_mode: str):
-    if clip <= 0.0:
-        return grads
-    if clip_mode == "element":
-        return [(np.clip(dw, -clip, clip), np.clip(db, -clip, clip)) for dw, db in grads]
-    if clip_mode == "norm":
-        total = np.sqrt(sum(float((dw * dw).sum() + (db * db).sum()) for dw, db in grads))
-        if total <= clip:
-            return grads
-        scale = clip / total
-        return [(dw * scale, db * scale) for dw, db in grads]
-    raise ValueError(f"unknown clip_mode {clip_mode!r}")
-
-
-def adam_step(
-    net: Mlp,
-    grads: list[tuple[np.ndarray, np.ndarray]],
-    state: AdamState,
-    lr: float,
-    clip: float = 0.0,
-    clip_mode: str = "element",
-) -> None:
-    """One Adam update in place. Clipping is applied before the moment updates."""
-    if len(grads) != len(net.weights):
-        raise ValueError("gradient list does not match network layers")
-    if not state.m:
-        state.m = [np.zeros_like(p) for pair in zip(net.weights, net.biases) for p in pair]
-        state.v = [np.zeros_like(p) for pair in zip(net.weights, net.biases) for p in pair]
-    grads = _clip_grads(grads, clip, clip_mode)
+def adam_step(net: Mlp, grad: np.ndarray, state: AdamState, lr: float, clip: float = 0.0) -> None:
+    """One Adam update in place. With clip > 0 each gradient element is first
+    clipped to [-clip, clip], before the moment updates."""
+    if grad.shape != net.params.shape:
+        raise ValueError(f"gradient has shape {grad.shape}, params {net.params.shape}")
+    if state.m is None:
+        state.m = np.zeros_like(net.params)
+        state.v = np.zeros_like(net.params)
+    if clip > 0.0:
+        grad = np.clip(grad, -clip, clip)
     state.t += 1
     b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1**state.t
-    bc2 = 1.0 - b2**state.t
-    params = [p for pair in zip(net.weights, net.biases) for p in pair]
-    flat_grads = [g for pair in grads for g in pair]
-    for p, g, m, v in zip(params, flat_grads, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    m, v = state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * grad
+    v *= b2
+    v += (1.0 - b2) * grad * grad
+    net.params -= lr * (m / (1.0 - b1**state.t)) / (np.sqrt(v / (1.0 - b2**state.t)) + state.eps)
 
 
 _MAGIC = struct.Struct("<I")
@@ -161,7 +141,7 @@ def save_weights(net: Mlp, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(_MAGIC.pack(len(dims)))
         fh.write(struct.pack(f"<{len(dims)}I", *dims))
-        fh.write(net.flat().astype("<f8").tobytes())
+        fh.write(net.params.astype("<f8").tobytes())
 
 
 def load_weights(path: str) -> Mlp:
@@ -174,12 +154,4 @@ def load_weights(path: str) -> Mlp:
             raise ValueError(f"implausible layer count {ndims}")
         dims = struct.unpack(f"<{ndims}I", fh.read(4 * ndims))
         flat = np.frombuffer(fh.read(), dtype="<f8")
-    net = Mlp(
-        [np.zeros((i, o)) for i, o in zip(dims[:-1], dims[1:])],
-        [np.zeros(o) for o in dims[1:]],
-    )
-    expect = sum(w.size for w in net.weights) + sum(b.size for b in net.biases)
-    if len(flat) != expect:
-        raise ValueError(f"snapshot holds {len(flat)} params, dims say {expect}")
-    net.load_flat(flat.astype(np.float64))
-    return net
+    return Mlp(dims, flat.astype(np.float64))

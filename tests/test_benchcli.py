@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from ttl_lab.config import (
     PRESETS,
     SCHEMA,
     ExperimentConfig,
+    _parse_float,
     build_config,
     parse_kv_file,
 )
@@ -201,6 +203,26 @@ def test_estimator_options_checked_at_build_time():
     # an option of an estimator outside the grid is never used
     build_config(overrides={"estimator.kind": "naf-dei", "estimator.fixed_ttl": "0",
                             "estimator.max_ttl": "0"})
+
+
+FLOAT_KEYS = [k for k, (_, parse) in SCHEMA.items() if parse is _parse_float]
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", [*FLOAT_KEYS, "workload.write_fraction"])
+def test_non_finite_settings_fail_where_they_enter(key, raw):
+    # fixed and poisson in the grid, so their options are used
+    with pytest.raises(ValueError, match=f"bad value for {re.escape(key)}: expected a finite number"):
+        build_config(overrides={"estimator.kind": "fixed,poisson", key: raw})
+
+
+def test_float_keys_cover_every_float_setting():
+    assert len(FLOAT_KEYS) == 21
+    for key in ("workload.duration", "latency.origin_rtt_ms", "estimator.max_ttl",
+                "estimator.fixed_ttl", "workload.query_fraction", "telemetry.window"):
+        assert key in FLOAT_KEYS
+    with pytest.raises(ValueError, match="workload.write_fraction: expected a finite"):
+        build_config(overrides={"workload.write_fraction": "0.1,nan"})
 
 
 def test_config_derived_objects():

@@ -68,22 +68,18 @@ def test_loss_matches_manual_td_error():
 
 
 def _fd_check(net, s, a, y, tol):
-    _, grads = naf_loss_and_grads(net, s, a, y)
-    flat_g = np.concatenate([np.r_[dw.ravel(), db.ravel()] for dw, db in grads])
-    base = net.flat()
+    _, flat_g = naf_loss_and_grads(net, s, a, y)
+    params = net.params
     eps = 1e-6
-    num = np.empty_like(base)
-    vec = base.copy()
-    for i in range(base.size):
-        vec[i] = base[i] + eps
-        net.load_flat(vec)
+    num = np.empty_like(params)
+    for i in range(params.size):
+        base = params[i]
+        params[i] = base + eps
         f_plus = naf_loss_and_grads(net, s, a, y)[0]
-        vec[i] = base[i] - eps
-        net.load_flat(vec)
+        params[i] = base - eps
         f_minus = naf_loss_and_grads(net, s, a, y)[0]
-        vec[i] = base[i]
+        params[i] = base
         num[i] = (f_plus - f_minus) / (2 * eps)
-    net.load_flat(base)
     denom = np.maximum(np.abs(flat_g) + np.abs(num), 1e-8)
     assert float(np.max(np.abs(flat_g - num) / denom)) < tol
 
@@ -143,12 +139,10 @@ def test_build_state_empty_keys_is_zero_vector():
         ({"ttl_min": 10.0, "ttl_max": 5.0}, "ttl_min"),
         ({"batch_size": 0}, "replay"),
         ({"batch_size": 100, "replay_capacity": 10}, "replay"),
-        ({"clip_mode": "global"}, "clip_mode"),
-        ({"target_tau": 1.5}, "target_tau"),
         ({"gamma": 1.0}, "gamma"),
     ],
     ids=["kwargs1-ttl_min", "kwargs2-ttl_min", "kwargs3-replay", "kwargs4-replay",
-         "kwargs5-clip_mode", "kwargs6-target_tau", "kwargs7-gamma"],
+         "kwargs7-gamma"],
 )
 def test_naf_config_validation(kwargs, match):
     with pytest.raises(ValueError, match=match):
@@ -165,23 +159,30 @@ def _t(i):
 
 
 def test_replay_ring_overwrites_oldest():
-    mem = ReplayMemory(3)
+    mem = ReplayMemory(3, 3)
     for i in range(5):
         mem.push(_t(i))
     assert len(mem) == 3
-    assert sorted(t.a for t in mem.buf) == [2.0, 3.0, 4.0]
+    assert mem.a.tolist() == [3.0, 4.0, 2.0]  # slot i % capacity holds push i
     mem.push(_t(5))
-    assert sorted(t.a for t in mem.buf) == [3.0, 4.0, 5.0]
+    assert mem.a.tolist() == [3.0, 4.0, 5.0]
+    t = mem[2]
+    assert (t.a, t.r) == (5.0, 0.0) and t.s.shape == t.s_next.shape == (3,)
+    with pytest.raises(IndexError):
+        ReplayMemory(3, 3)[0]
 
 
 def test_replay_sampling_bounds_and_capacity_check():
-    mem = ReplayMemory(4)
+    mem = ReplayMemory(6, 3)
     for i in range(4):
-        mem.push(_t(i))
-    idx = mem.sample_indices(100, np.random.default_rng(0))
-    assert idx.min() >= 0 and idx.max() < 4
+        mem.push(Transition(np.full(3, i), float(i), -float(i), np.full(3, 10 + i)))
+    idx, (s, a, r, s_next) = mem.sample(100, np.random.default_rng(0))
+    assert idx.min() >= 0 and idx.max() < 4  # only filled slots
+    assert np.array_equal(idx, np.random.default_rng(0).integers(0, 4, size=100))
+    assert a.tolist() == idx.tolist() and r.tolist() == (-idx).tolist()
+    assert np.array_equal(s[:, 0], idx) and np.array_equal(s_next[:, 2], 10 + idx)
     with pytest.raises(ValueError, match="capacity"):
-        ReplayMemory(0)
+        ReplayMemory(0, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +246,11 @@ def test_train_step_waits_for_full_batch():
         agent.remember(_t(i))
     assert agent.train_step() is None
     agent.remember(_t(3))
-    before = agent.net.flat().copy()
-    loss, batch = agent.train_step()
-    assert len(batch) == 4
+    before = agent.net.params.copy()
+    loss, idx = agent.train_step()
+    assert len(idx) == 4 and idx.max() < 4
     assert loss >= 0.0
-    assert not np.array_equal(agent.net.flat(), before)
+    assert not np.array_equal(agent.net.params, before)
     assert agent.train_count == 1
 
 
@@ -262,7 +263,7 @@ def test_train_step_deterministic_across_agents():
             agent.remember(Transition(s, float(rng.uniform(1, 50)), float(rng.normal()), s))
         for _ in range(10):
             agent.train_step()
-        return agent.net.flat()
+        return agent.net.params
 
     assert np.array_equal(run(1), run(1))
     assert not np.array_equal(run(1), run(2))
@@ -274,18 +275,8 @@ def test_hard_target_sync_interval():
         agent.remember(_t(i))
     for step in range(1, 7):
         agent.train_step()
-        same = np.array_equal(agent.target.flat(), agent.net.flat())
+        same = np.array_equal(agent.target.params, agent.net.params)
         assert same == (step % 3 == 0)
-
-
-def test_soft_target_update():
-    agent = _agent(target_tau=0.1)
-    for i in range(8):
-        agent.remember(_t(i))
-    old_target = agent.target.flat().copy()
-    agent.train_step()
-    expected = 0.9 * old_target + 0.1 * agent.net.flat()
-    assert np.allclose(agent.target.flat(), expected, atol=1e-12)
 
 
 def test_train_targets_use_target_network_value():
@@ -296,20 +287,8 @@ def test_train_targets_use_target_network_value():
     t1 = Transition(np.array([0.4, 0.5, 0.6]), 7.0, -0.5, np.zeros(3))
     agent.remember(t0)
     agent.remember(t1)
-    qs = {id(t): naf_q(agent.net, t.s, t.a) for t in (t0, t1)}
-    loss, batch = agent.train_step()
-    expected = float(np.mean([(qs[id(t)] - t.r) ** 2 for t in batch]))
+    slots = (t0, t1)  # the replay fills slot 0, then slot 1
+    qs = [naf_q(agent.net, t.s, t.a) for t in slots]
+    loss, idx = agent.train_step()
+    expected = float(np.mean([(qs[i] - slots[i].r) ** 2 for i in idx]))
     assert loss == pytest.approx(expected, rel=1e-12)
-
-
-def test_agent_weight_snapshot_roundtrip(tmp_path):
-    agent = _agent(seed=3)
-    for i in range(8):
-        agent.remember(_t(i))
-    agent.train_step()
-    path = tmp_path / "agent.w"
-    agent.save_weights(str(path))
-    other = _agent(seed=4)
-    other.load_weights(str(path))
-    assert np.array_equal(other.net.flat(), agent.net.flat())
-    assert np.array_equal(other.target.flat(), other.net.flat())

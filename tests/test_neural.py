@@ -1,4 +1,4 @@
-"""MLP forward/backward, Adam, gradient clipping, and weight snapshots."""
+"""MLP parameter layout, forward/backward, Adam, gradient clipping, and weight snapshots."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import pytest
 from ttl_lab.neural import (
     AdamState,
     Mlp,
-    _clip_grads,
     adam_step,
     backward,
     forward,
@@ -44,13 +43,36 @@ def test_dims_and_copy_independence():
 
 def test_flat_load_flat_roundtrip():
     net = init_mlp((4, 6, 3), np.random.default_rng(1))
-    vec = net.flat()
+    vec = net.params
     assert vec.size == 4 * 6 + 6 + 6 * 3 + 3
+    # each layer's row-major weight, then its bias
+    expect = np.concatenate([np.r_[w.ravel(), b] for w, b in zip(net.weights, net.biases)])
+    assert np.array_equal(vec, expect)
     other = init_mlp((4, 6, 3), np.random.default_rng(2))
-    other.load_flat(vec)
-    assert np.array_equal(other.flat(), vec)
-    with pytest.raises(ValueError, match="length"):
-        other.load_flat(np.zeros(vec.size + 1))
+    np.copyto(other.params, vec)
+    assert np.array_equal(other.params, vec)
+    x = np.random.default_rng(3).normal(size=(2, 4))
+    assert np.array_equal(forward(other, x)[0], forward(net, x)[0])
+
+
+def test_weights_and_biases_are_views_of_params():
+    net = Mlp((2, 3, 1), np.arange(13, dtype=np.float64))
+    assert net.weights[0].tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+    assert net.biases[0].tolist() == [6.0, 7.0, 8.0]
+    assert net.weights[1].tolist() == [[9.0], [10.0], [11.0]]
+    assert net.biases[1].tolist() == [12.0]
+    net.weights[1][2, 0] = -1.0
+    net.biases[0][1] = -2.0
+    assert net.params[11] == -1.0 and net.params[7] == -2.0
+    net.params[0] = 100.0
+    assert net.weights[0][0, 0] == 100.0
+    twin = net.copy()
+    twin.params[:] = 0.0
+    assert net.params[0] == 100.0 and net.biases[1][0] == 12.0
+    assert twin.weights[0][0, 0] == 0.0  # the copy's views follow its own params
+    for n in (12, 14):
+        with pytest.raises(ValueError, match="params"):
+            Mlp((2, 3, 1), np.zeros(n))
 
 
 def test_init_mlp_glorot_bounds_and_zero_biases():
@@ -95,10 +117,8 @@ def test_forward_single_sample_matches_batch_row():
 
 def test_forward_hand_computed_example():
     # One hidden unit, all weights explicit; ReLU kills the negative path.
-    net = Mlp(
-        weights=[np.array([[1.0], [-2.0]]), np.array([[3.0]])],
-        biases=[np.array([0.5]), np.array([-1.0])],
-    )
+    # layout: W0 (2x1) = [1, -2], b0 = 0.5, W1 (1x1) = 3, b1 = -1
+    net = Mlp((2, 1, 1), np.array([1.0, -2.0, 0.5, 3.0, -1.0]))
     out, cache = forward(net, np.array([1.0, 1.0]))  # pre-act -0.5 -> ReLU 0
     assert out[0] == pytest.approx(-1.0)
     out, _ = forward(net, np.array([2.0, 0.0]))  # pre-act 2.5 -> 3*2.5 - 1
@@ -124,23 +144,19 @@ def test_backward_matches_finite_differences():
     y = rng.normal(size=(5, 2))
 
     out, cache = forward(net, x)
-    grads = backward(net, cache, out - y)
-    flat_g = np.concatenate([np.r_[dw.ravel(), db.ravel()] for dw, db in grads])
+    flat_g = backward(net, cache, out - y)
 
-    base = net.flat()
+    params = net.params
     eps = 1e-6
-    num = np.empty_like(base)
-    vec = base.copy()
-    for i in range(base.size):
-        vec[i] = base[i] + eps
-        net.load_flat(vec)
+    num = np.empty_like(params)
+    for i in range(params.size):
+        base = params[i]
+        params[i] = base + eps
         f_plus = 0.5 * float(((forward(net, x)[0] - y) ** 2).sum())
-        vec[i] = base[i] - eps
-        net.load_flat(vec)
+        params[i] = base - eps
         f_minus = 0.5 * float(((forward(net, x)[0] - y) ** 2).sum())
-        vec[i] = base[i]
+        params[i] = base
         num[i] = (f_plus - f_minus) / (2 * eps)
-    net.load_flat(base)
 
     denom = np.maximum(np.abs(flat_g) + np.abs(num), 1e-8)
     assert float(np.max(np.abs(flat_g - num) / denom)) < 1e-6
@@ -148,16 +164,14 @@ def test_backward_matches_finite_differences():
 
 def test_backward_dead_relu_gets_zero_gradient():
     # Drive the single hidden unit negative: its incoming weights get no signal.
-    net = Mlp(
-        weights=[np.array([[1.0]]), np.array([[2.0]])],
-        biases=[np.array([-5.0]), np.array([0.0])],
-    )
+    # layout: W0 = 1, b0 = -5, W1 = 2, b1 = 0
+    net = Mlp((1, 1, 1), np.array([1.0, -5.0, 2.0, 0.0]))
     _, cache = forward(net, np.array([1.0]))
-    grads = backward(net, cache, np.array([1.0]))
-    assert grads[0][0][0, 0] == 0.0
-    assert grads[0][1][0] == 0.0
-    assert grads[1][0][0, 0] == 0.0  # layer input (post-ReLU) is 0
-    assert grads[1][1][0] == 1.0  # output bias still sees dout
+    grad = backward(net, cache, np.array([1.0]))
+    assert grad[0] == 0.0  # W0
+    assert grad[1] == 0.0  # b0
+    assert grad[2] == 0.0  # W1: its layer input (post-ReLU) is 0
+    assert grad[3] == 1.0  # b1: the output bias still sees dout
 
 
 def test_backward_sums_over_batch():
@@ -167,87 +181,84 @@ def test_backward_sums_over_batch():
     dout = rng.normal(size=(6, 2))
     _, cache = forward(net, x)
     full = backward(net, cache, dout)
-    acc = [(np.zeros_like(dw), np.zeros_like(db)) for dw, db in full]
+    acc = np.zeros_like(full)
     for i in range(6):
         _, ci = forward(net, x[i])
-        gi = backward(net, ci, dout[i])
-        for (aw, ab), (dw, db) in zip(acc, gi):
-            aw += dw
-            ab += db
-    for (fw, fb), (aw, ab) in zip(full, acc):
-        assert np.allclose(fw, aw, atol=1e-12)
-        assert np.allclose(fb, ab, atol=1e-12)
+        acc += backward(net, ci, dout[i])
+    assert np.allclose(full, acc, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # clipping and Adam
 
 
+def _moment_sees(grad, clip):
+    """The gradient Adam's first moment saw in one step from zero: that moment
+    is exactly (1 - beta1) times it."""
+    net = Mlp((1, 2), np.zeros(4))
+    state = AdamState()
+    adam_step(net, np.array(grad), state, lr=0.1, clip=clip)
+    return state.m
+
+
 def test_clip_element_mode():
-    grads = [(np.array([[5.0, -0.2]]), np.array([40.0]))]
-    (dw, db), = _clip_grads(grads, 1.0, "element")
-    assert dw.tolist() == [[1.0, -0.2]]
-    assert db.tolist() == [1.0]
-
-
-def test_clip_norm_mode():
-    grads = [(np.array([[3.0]]), np.array([4.0]))]  # total norm 5
-    (dw, db), = _clip_grads(grads, 1.0, "norm")
-    assert dw[0, 0] == pytest.approx(0.6)
-    assert db[0] == pytest.approx(0.8)
-    # under the bound the gradients pass through untouched
-    same = _clip_grads(grads, 10.0, "norm")
-    assert same is grads
+    expect = (1.0 - AdamState.beta1) * np.array([1.0, -0.2, 1.0, -1.0])
+    assert np.array_equal(_moment_sees([5.0, -0.2, 40.0, -1e9], clip=1.0), expect)
 
 
 def test_clip_disabled_and_unknown_mode():
-    grads = [(np.array([[9.0]]), np.array([9.0]))]
-    assert _clip_grads(grads, 0.0, "element") is grads
-    with pytest.raises(ValueError, match="clip_mode"):
-        _clip_grads(grads, 1.0, "diagonal")
+    grad = [9.0, -9.0, 1e9, 0.5]
+    assert np.array_equal(_moment_sees(grad, clip=0.0), (1.0 - AdamState.beta1) * np.array(grad))
+
+
+def _reference_adam(params, m, v, g, t, lr, clip, b1=0.9, b2=0.999, eps=1e-8):
+    """Adam one parameter array at a time, as a per-layer implementation would."""
+    g = np.clip(g, -clip, clip)
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    params -= lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
 
 
 def test_adam_step_matches_reference_update():
     rng = np.random.default_rng(9)
     net = init_mlp((2, 3, 1), rng)
-    ref = net.flat().copy()
+    ref = [p.copy() for pair in zip(net.weights, net.biases) for p in pair]
+    ms = [np.zeros_like(p) for p in ref]
+    vs = [np.zeros_like(p) for p in ref]
     state = AdamState()
-    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-    m = np.zeros_like(ref)
-    v = np.zeros_like(ref)
+    lr, clip = 0.01, 1.5
+    clipped = 0
 
-    for t in range(1, 4):
-        grads = []
-        flat_parts = []
-        for w, b in zip(net.weights, net.biases):
-            dw = rng.normal(size=w.shape)
-            db = rng.normal(size=b.shape)
-            grads.append((dw, db))
-            flat_parts.extend([dw.ravel(), db.ravel()])
-        g = np.concatenate(flat_parts)
-        adam_step(net, grads, state, lr)
-
-        m = b1 * m + (1 - b1) * g
-        v = b2 * v + (1 - b2) * g * g
-        ref = ref - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
-        assert np.allclose(net.flat(), ref, atol=1e-12, rtol=0.0)
-    assert state.t == 3
+    for t in range(1, 251):
+        grad = rng.normal(size=net.params.size)
+        clipped += int((np.abs(grad) > clip).sum())
+        adam_step(net, grad, state, lr, clip)
+        pos = 0
+        for p, m, v in zip(ref, ms, vs):
+            g = grad[pos : pos + p.size].reshape(p.shape)
+            pos += p.size
+            _reference_adam(p, m, v, g, t, lr, clip)
+        flat_ref = np.concatenate([p.ravel() for p in ref])
+        assert np.array_equal(net.params, flat_ref), f"step {t}"
+    assert state.t == 250
+    assert clipped > 100  # the clip was exercised
 
 
 def test_adam_step_applies_clip_before_moments():
-    net = Mlp([np.array([[0.0]])], [np.array([0.0])])
+    net = Mlp((1, 1), np.zeros(2))
     state = AdamState()
-    huge = [(np.array([[1000.0]]), np.array([1000.0]))]
-    adam_step(net, huge, state, lr=0.1, clip=1.0, clip_mode="element")
+    adam_step(net, np.array([1000.0, 1000.0]), state, lr=0.1, clip=1.0)
     # with g clipped to 1: m/bc1 = 1, v/bc2 = 1 -> step = lr * 1/(1+eps)
     assert net.weights[0][0, 0] == pytest.approx(-0.1, rel=1e-6)
-    assert state.m[0][0, 0] == pytest.approx(0.1)  # moments saw the clipped value
+    assert state.m[0] == pytest.approx(0.1)  # moments saw the clipped value
 
 
 def test_adam_step_rejects_layer_mismatch():
     net = init_mlp((2, 2), np.random.default_rng(10))
-    with pytest.raises(ValueError, match="layers"):
-        adam_step(net, [], AdamState(), 0.01)
+    with pytest.raises(ValueError, match="gradient"):
+        adam_step(net, np.zeros(net.params.size + 1), AdamState(), 0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +271,7 @@ def test_snapshot_roundtrip_exact(tmp_path):
     save_weights(net, str(path))
     back = load_weights(str(path))
     assert back.dims == net.dims
-    assert np.array_equal(back.flat(), net.flat())
+    assert np.array_equal(back.params, net.params)
 
 
 def test_snapshot_byte_layout(tmp_path):
@@ -272,7 +283,7 @@ def test_snapshot_byte_layout(tmp_path):
     assert ndims == 2
     assert struct.unpack_from("<2I", raw, 4) == (3, 2)
     params = np.frombuffer(raw[4 + 8 :], dtype="<f8")
-    assert np.array_equal(params, net.flat())
+    assert np.array_equal(params, net.params)
 
 
 def test_snapshot_error_cases(tmp_path):
