@@ -14,7 +14,6 @@ import tempfile
 import time
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from .estimators import make_estimator, poisson_ttl
 from .nafagent import HEAD_WIDTH, naf_loss_and_grads, naf_mu, naf_q, naf_v, q_curve_1d
 from .neural import init_mlp, load_weights, save_weights
 from .simcore import Simulation
+from .telemetry import Telemetry
 from .workload import ZipfSampler
 
 # ---------------------------------------------------------------------------
@@ -166,6 +166,11 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 PER_RUN_HEADER = [f.name for f in fields(RunResult)]
 
+# A trace.csv row (time, kind, unit, outcome, latency_s) in one format: the
+# bytes csv.writer writes for [_fmt(c) for c in row], as no cell needs quoting.
+TRACE_HEADER = "time,kind,unit,outcome,latency_s\r\n"
+TRACE_ROW = "%.10g,%s,%s,%s,%.10g\r\n"
+
 SUMMARY_HEADER = [
     "write_fraction", "estimator", "runs", "truncated_rmse_mean",
     "truncated_rmse_std", "hit_rate_mean", "hit_rate_std",
@@ -225,8 +230,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None, ech
     replay_rows: list[list] = []
     querytrace_rows: list[list] = []
     with open(out / "trace.csv", "w", newline="") as trace_fh:
-        trace_csv = csv.writer(trace_fh)
-        trace_csv.writerow(["time", "kind", "unit", "outcome", "latency_s"])
+        trace_fh.write(TRACE_HEADER)
         for wi, w in enumerate(cfg.write_fractions):
             cell_best: tuple[float, float] | None = None
             for ei, est_kind in enumerate(cfg.estimators):
@@ -235,7 +239,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None, ech
                     seed = cfg.base_seed + rep
                     trace_writer = None
                     if wi == ei == rep == 0:
-                        trace_writer = lambda row: trace_csv.writerow([_fmt(c) for c in row])  # noqa: E731
+                        trace_writer = lambda row: trace_fh.write(TRACE_ROW % row)  # noqa: E731
                     log_tr = cfg.replay_log and rep == 0 and est_kind in LEARNED_KINDS
                     res, sim, est = run_single(cfg, w, est_kind, seed, trace_writer, log_tr)
                     results.append(res)
@@ -313,12 +317,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None, ech
 def check_poisson_exact() -> tuple[bool, str]:
     """The closed-form TTL on three cases with exact answers."""
 
-    def rates(table):  # a telemetry stand-in with fixed per-key write rates
-        return SimpleNamespace(write_rate=lambda key, now: table.get(key))
-
-    a = poisson_ttl([0, 1], rates({0: 0.02, 1: 0.03}), 0.0, 300.0)
-    b = poisson_ttl([5, 6, 7], rates({}), 0.0, 300.0)
-    c = poisson_ttl([9], rates({}), 0.0, 300.0)
+    tel = Telemetry(window=100.0)
+    for key in (0, 0, 1, 1, 1):  # 2 and 3 writes in the window: 0.02 and 0.03 per second
+        tel.record_write(key, 0.0)
+    a = poisson_ttl([0, 1], tel, 0.0, 300.0)
+    b = poisson_ttl([5, 6, 7], tel, 0.0, 300.0)
+    c = poisson_ttl([9], tel, 0.0, 300.0)
     ok = a == 20.0 and b == 100.0 and c == 300.0
     return ok, f"got {a}, {b}, {c}"
 

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .workload import require_finite
+
 
 @dataclass(frozen=True)
 class RewardConfig:
@@ -29,6 +31,7 @@ class RewardConfig:
     form: str = "flat"  # "flat" or "survival"
 
     def validate(self) -> None:
+        require_finite(self)
         if self.r0 <= 0.0:
             raise ValueError("r0 must be positive")
         if not (0.0 < self.load_threshold <= 1.0):

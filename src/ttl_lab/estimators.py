@@ -29,14 +29,16 @@ def poisson_ttl(result_keys, telemetry, now: float, max_ttl: float = 300.0) -> f
         raise ValueError("max_ttl must be positive")
     if len(result_keys) == 0:
         raise ValueError("poisson_ttl needs a non-empty result key set")
+    window = telemetry.window
     known = 0.0
     unknown = 0
-    for k in result_keys:
-        r = telemetry.write_rate(int(k), now)
-        if r is None:
-            unknown += 1
+    # One rate at a time in key order: np.sum sums pairwise and sum() compensates,
+    # and either can move the last bit of the TTL.
+    for n in telemetry.write_counts(result_keys, now).tolist():
+        if n:
+            known += n / window
         else:
-            known += r
+            unknown += 1
     if known == 0.0:
         return max_ttl / unknown
     lam = known + unknown / max_ttl

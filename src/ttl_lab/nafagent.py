@@ -15,6 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .neural import AdamState, Mlp, adam_step, backward, forward, init_mlp
+from .workload import require_finite
 
 HEAD_WIDTH = 3  # network output row: mu, V, l
 
@@ -77,12 +78,10 @@ def naf_loss_and_grads(
 
 def build_state(result_keys, telemetry, unit: int, now: float, rate_inputs: int) -> np.ndarray:
     """Feature vector: top-n available write rates (desc, clipped to [0,1],
-    zero-padded) plus the unit's miss-rate delta."""
-    rates = []
-    for k in result_keys:
-        r = telemetry.write_rate(int(k), now)
-        if r is not None:
-            rates.append(min(max(r, 0.0), 1.0))
+    zero-padded) plus the unit's miss-rate delta. A key with no write in the
+    telemetry window has no rate and takes no slot."""
+    window = telemetry.window
+    rates = [min(n / window, 1.0) for n in telemetry.write_counts(result_keys, now).tolist() if n]
     rates.sort(reverse=True)
     s = np.zeros(rate_inputs + 1)
     top = rates[:rate_inputs]
@@ -113,6 +112,7 @@ class NafConfig:
         return self.rate_inputs + 1
 
     def validate(self) -> None:
+        require_finite(self)
         if self.ttl_min <= 0 or self.ttl_max <= self.ttl_min:
             raise ValueError("need 0 < ttl_min < ttl_max")
         if self.batch_size < 1 or self.replay_capacity < self.batch_size:

@@ -2,7 +2,9 @@
 
 Virtual time is a float starting at 0. Events are totally ordered by
 (time, insertion sequence), so simultaneous events dispatch in scheduling
-order and a run is a pure function of (config, seed).
+order and a run is a pure function of (config, seed). Each client connection
+draws its exponential arrival gaps a block at a time, inside the event loop;
+the gaps are those of one `exponential` call per arrival.
 """
 
 from __future__ import annotations
@@ -10,13 +12,26 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .cachesys import CacheSystem, Lookup
 from .telemetry import Telemetry
-from .workload import OpStream, WorkloadSpec, evaluate_query, generate_world, read_range
+from .workload import (
+    OpStream,
+    WorkloadSpec,
+    block_draws,
+    evaluate_query,
+    generate_world,
+    read_range,
+    require_finite,
+)
+
+# Arrival gaps each connection fetches per numpy call; one block per
+# connection is held at a time.
+_GAP_BLOCK = 64
 
 
 class SimEvent(NamedTuple):
@@ -89,6 +104,7 @@ class LatencyModel:
         return self.invalidation_delay_ms / 1000.0
 
     def validate(self) -> None:
+        require_finite(self)
         if min(self.edge_rtt_ms, self.origin_rtt_ms, self.invalidation_delay_ms) < 0.0:
             raise ValueError("latencies must be non-negative")
 
@@ -133,6 +149,10 @@ class Simulation:
         self.estimator = None
 
         self.mean_gap = spec.connections / spec.target_throughput
+        self._next_gap = [
+            block_draws(partial(rng.exponential, self.mean_gap), _GAP_BLOCK).__next__
+            for rng in self.arrival_rngs
+        ]
         self.op_arrivals = 0
         self.completed = 0
         self.latency_sum = 0.0
@@ -151,8 +171,7 @@ class Simulation:
         if self.estimator is None:
             raise RuntimeError("no estimator attached")
         for conn in range(self.spec.connections):
-            gap = float(self.arrival_rngs[conn].exponential(self.mean_gap))
-            self.engine.schedule(gap, "op", (conn,))
+            self.engine.schedule(self._next_gap[conn](), "op", (conn,))
         self.engine.run_until(self.spec.duration)
         return self
 
@@ -170,8 +189,7 @@ class Simulation:
             raise RuntimeError(f"unknown event kind {kind!r}")
 
     def _handle_arrival(self, conn: int, now: float) -> None:
-        gap = float(self.arrival_rngs[conn].exponential(self.mean_gap))
-        self.engine.schedule(now + gap, "op", (conn,))
+        self.engine.schedule(now + self._next_gap[conn](), "op", (conn,))
         self.op_arrivals += 1
         op = self.ops.next_op()
         self.op_counts[op.kind] += 1

@@ -2,7 +2,11 @@
 
 Rates are computed over a sliding window (now - W, now]; a key or unit with no
 events in the window has no rate ("unavailable"), which is distinct from a
-rate of zero. The oracle tracks every serve and resolves its true TTL at the
+rate of zero. Write counts come from one FIFO of (time, key) over the window
+and one integer count per key, so the counts of a whole result set are one
+array lookup; recording and querying share the tracker's clock, and a `now`
+earlier than the last one raises ValueError instead of silently under-counting.
+The oracle tracks every serve and resolves its true TTL at the
 moment the first invalidating write is issued, including "shadow" resolutions
 that land after the entry's nominal expiry; serves never hit by a write stay
 censored and are excluded from error metrics.
@@ -10,36 +14,71 @@ censored and are excluded from error metrics.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from .cachesys import RangeSet
 
 
+def _check_window(window: float) -> None:
+    if not 0.0 < window < math.inf:
+        raise ValueError(f"window must be a positive finite number, got {window}")
+
+
 class WriteRateTracker:
-    """Per-key write timestamps in a sliding window."""
+    """Write counts per key over a sliding window.
+
+    The writes still in the window wait in one FIFO of (time, key) in time
+    order, and `_counts[key]` is how many of them are key's. Moving the clock
+    to `now` pops every write at or before now - window off the front.
+    """
 
     def __init__(self, window: float):
-        if window <= 0.0:
-            raise ValueError("window must be positive")
+        _check_window(window)
         self.window = window
-        self._events: dict[int, deque[float]] = {}
+        self._fifo: deque[tuple[float, int]] = deque()
+        self._counts = np.zeros(0, dtype=np.int64)
+        self._now = -math.inf
+
+    def _advance(self, now: float) -> None:
+        if not now >= self._now:
+            raise ValueError(f"write tracker clock cannot go back from {self._now} to {now}")
+        self._now = now
+        cutoff = now - self.window
+        fifo, counts = self._fifo, self._counts
+        while fifo and fifo[0][0] <= cutoff:
+            counts[fifo.popleft()[1]] -= 1
+
+    def _grow(self, size: int) -> None:
+        grown = np.zeros(max(size, 2 * len(self._counts)), dtype=np.int64)
+        grown[: len(self._counts)] = self._counts
+        self._counts = grown
 
     def record(self, key: int, now: float) -> None:
-        self._events.setdefault(key, deque()).append(now)
+        self._advance(now)
+        if key >= len(self._counts):
+            self._grow(key + 1)
+        self._fifo.append((now, key))
+        self._counts[key] += 1
+
+    def counts(self, keys, now: float) -> np.ndarray:
+        """Writes in (now - window, now] of each key in `keys`, as int64."""
+        self._advance(now)
+        keys = np.asarray(keys, dtype=np.intp)
+        try:
+            return self._counts[keys]
+        except IndexError:  # a key above every key written so far: it counts 0
+            self._grow(int(keys.max()) + 1)
+            return self._counts[keys]
 
     def rate(self, key: int, now: float) -> float | None:
         """Writes per second over (now - window, now]; None if none observed."""
-        dq = self._events.get(key)
-        if dq is None:
-            return None
-        cutoff = now - self.window
-        while dq and dq[0] <= cutoff:
-            dq.popleft()
-        if not dq:
-            del self._events[key]
-            return None
-        return len(dq) / self.window
+        self._advance(now)
+        n = int(self._counts[key]) if key < len(self._counts) else 0
+        return n / self.window if n else None
 
 
 class MissRateTracker:
@@ -52,8 +91,7 @@ class MissRateTracker:
     """
 
     def __init__(self, window: float):
-        if window <= 0.0:
-            raise ValueError("window must be positive")
+        _check_window(window)
         self.window = window
         self._events: dict[int, deque[tuple[float, int]]] = {}
         self._miss_in_window: dict[int, int] = {}
@@ -181,6 +219,10 @@ class Telemetry:
 
     def write_rate(self, key: int, now: float) -> float | None:
         return self.writes.rate(key, now)
+
+    def write_counts(self, keys, now: float) -> np.ndarray:
+        """Each key's writes in the window; its rate is count / window, none if 0."""
+        return self.writes.counts(keys, now)
 
     def miss_rate(self, unit: int, now: float) -> float | None:
         return self.requests.miss_rate(unit, now)

@@ -5,14 +5,47 @@ value drawn uniformly from [0, record_count). Range queries are half-open
 intervals [lo, hi) over that value, constructed so that each query initially
 matches an exact target cardinality. Updates resample a record's value, which
 is what moves records in and out of query results over time.
+
+The op stream takes its uniforms from its generator a block at a time
+(`rng.random(n)`) and uses them in draw order, so every op is the one that
+per-op `rng.random()` calls would give; only the generator's final state
+differs, because the last block is drawn past the run's end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+import math
+from bisect import bisect_right
+from dataclasses import dataclass, field, fields
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
+
+# Uniforms the op stream fetches per numpy call; an op uses two or three.
+_OP_BLOCK = 1024
+
+
+def require_finite(section) -> None:
+    """Reject a NaN or infinite float field of a config dataclass.
+
+    NaN passes every comparison-based range check and inf passes the lower
+    bounds, so each section's validate() starts here.
+    """
+    for f in fields(section):
+        v = getattr(section, f.name)
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValueError(f"{f.name} must be a finite number, got {v}")
+
+
+def block_draws(draw: Callable[[int], np.ndarray], size: int) -> Iterator[float]:
+    """The values of draw(size), draw(size), ... one at a time, as Python floats.
+
+    numpy's generators fill an array with the values that as many single-value
+    calls would return, so the stream is the per-call sequence at a fraction of
+    the per-value cost. Each block is drawn when the previous one runs out.
+    """
+    while True:
+        yield from draw(size).tolist()
 
 
 @dataclass(frozen=True)
@@ -41,6 +74,7 @@ class WorkloadSpec:
         return 1.0 - self.write_fraction - self.query_fraction
 
     def validate(self) -> None:
+        require_finite(self)
         if self.record_count < 1:
             raise ValueError("record_count must be >= 1")
         if self.query_count < 1:
@@ -69,7 +103,8 @@ class ZipfSampler:
     """Zipf(s) ranks over {1..n} via a precomputed cumulative table.
 
     P(rank = k) is proportional to k**-s; s = 0 degenerates to uniform.
-    Sampling is one uniform draw plus a binary search.
+    Sampling is one uniform draw plus a binary search (`bisect_right` over the
+    table as a Python list, the rank `np.searchsorted(side="right")` gives).
     """
 
     def __init__(self, n: int, s: float):
@@ -82,19 +117,15 @@ class ZipfSampler:
         weights = np.arange(1, n + 1, dtype=np.float64) ** -s
         cdf = np.cumsum(weights)
         cdf /= cdf[-1]
-        self._cdf = cdf
+        self.cdf: list[float] = cdf.tolist()
 
     def pmf(self) -> np.ndarray:
         """Exact probabilities, index k-1 holds P(rank = k)."""
-        p = np.empty(self.n)
-        p[0] = self._cdf[0]
-        p[1:] = np.diff(self._cdf)
-        return p
+        return np.diff(self.cdf, prepend=0.0)
 
     def sample(self, rng: np.random.Generator) -> int:
         """Draw one rank in [1, n]."""
-        u = rng.random()
-        return int(np.searchsorted(self._cdf, u, side="right")) + 1
+        return bisect_right(self.cdf, rng.random()) + 1
 
 
 class QueryDef(NamedTuple):
@@ -123,7 +154,7 @@ def evaluate_query(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
 def read_range(values: np.ndarray, key: int) -> tuple[float, float]:
     """The singleton range a point read of `key` maps to."""
     v = float(values[key])
-    return v, float(np.nextafter(v, np.inf))
+    return v, math.nextafter(v, math.inf)
 
 
 def generate_world(spec: WorkloadSpec, rng: np.random.Generator) -> World:
@@ -171,7 +202,9 @@ class Op(NamedTuple):
 class OpStream:
     """Draws the operation mixture; key and query popularity are Zipfian.
 
-    Rank r maps to id r-1, so id 0 is the hottest key/query.
+    Rank r maps to id r-1, so id 0 is the hottest key/query. Each op takes one
+    uniform for its kind, one for its Zipf rank and, for an update, one for the
+    new value, in that order from a stream of `_OP_BLOCK`-sized blocks.
     """
 
     spec: WorkloadSpec
@@ -183,13 +216,15 @@ class OpStream:
         self.spec.validate()
         self._keys = ZipfSampler(self.spec.record_count, self.spec.zipf_s)
         self._queries = ZipfSampler(self.spec.query_count, self.spec.zipf_s)
+        self._uniform = block_draws(self.rng.random, _OP_BLOCK).__next__
 
     def next_op(self) -> Op:
-        u = self.rng.random()
-        if u < self.spec.write_fraction:
-            key = self._keys.sample(self.rng) - 1
-            new_value = float(self.rng.uniform(0.0, float(self.spec.record_count)))
-            return Op("update", key, new_value)
-        if u < self.spec.write_fraction + self.spec.query_fraction:
-            return Op("query", self._queries.sample(self.rng) - 1)
-        return Op("read", self._keys.sample(self.rng) - 1)
+        spec, draw = self.spec, self._uniform
+        u = draw()
+        if u < spec.write_fraction:
+            key = bisect_right(self._keys.cdf, draw())
+            # rng.uniform(0.0, n) computes 0.0 + n * rng.random(): the same float
+            return Op("update", key, spec.record_count * draw())
+        if u < spec.write_fraction + spec.query_fraction:
+            return Op("query", bisect_right(self._queries.cdf, draw()))
+        return Op("read", bisect_right(self._keys.cdf, draw()))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import math
 import re
 
@@ -13,9 +14,13 @@ import pytest
 from ttl_lab.benchcli import (
     PER_RUN_HEADER,
     SUMMARY_HEADER,
+    TRACE_HEADER,
+    TRACE_ROW,
+    _fmt,
     emit_cdf,
     main,
     run_experiment,
+    run_single,
     truncated_rmse,
 )
 from ttl_lab.config import (
@@ -225,6 +230,28 @@ def test_float_keys_cover_every_float_setting():
         build_config(overrides={"workload.write_fraction": "0.1,nan"})
 
 
+SECTION_FLOATS = [
+    (cls, f.name)
+    for cls in (WorkloadSpec, LatencyModel, NafConfig, RewardConfig)
+    for f in dataclasses.fields(cls)
+    if f.type == "float"
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(("cls", "name"), SECTION_FLOATS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in SECTION_FLOATS])
+def test_section_validators_reject_non_finite_floats(cls, name, value):
+    # A section built in Python, not parsed from keys, must fail the same way.
+    with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+        dataclasses.replace(cls(), **{name: value}).validate()
+
+
+def test_section_float_fields_are_all_parametrized():
+    assert len(SECTION_FLOATS) == 19
+    assert (NafConfig, "lr") in SECTION_FLOATS and (WorkloadSpec, "duration") in SECTION_FLOATS
+
+
 def test_config_derived_objects():
     cfg = build_config(overrides={
         "latency.edge_rtt_ms": "8",
@@ -337,6 +364,30 @@ def test_cli_trace_schema(cli_run):
     assert outcomes <= {"hit", "stale_hit", "miss", "write"}
     lats = {r[4] for r in rows}
     assert lats <= {"0.004", "0.154"}
+
+
+def _csv_writer_bytes(rows):
+    """A trace.csv body as csv.writer writes each row after _fmt on its cells."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    for row in rows:
+        w.writerow([_fmt(c) for c in row])
+    return buf.getvalue()
+
+
+def test_trace_row_format_equals_csv_writer(tiny_cfg):
+    assert TRACE_HEADER == _csv_writer_bytes([["time", "kind", "unit", "outcome", "latency_s"]])
+    rows = [
+        (0.0, "read", 0, "miss", 0.154),
+        (1e-05, "query", 17, "hit", 0.004),
+        (1e+20, "update", 2199, "write", 1e-05),
+        (123456.78901234568, "read", 12, "stale_hit", 0.15400000000000003),
+        (299.99999999999994, "query", 3, "miss", 5e-324),
+        (2.5e-07, "read", 10**6, "hit", 1e+16),
+    ]
+    run_single(tiny_cfg, 0.3, "poisson", 2, trace_writer=rows.append)
+    assert len(rows) > 1000
+    assert "".join(TRACE_ROW % row for row in rows) == _csv_writer_bytes(rows)
 
 
 def test_cli_cdf_series(cli_run):

@@ -15,12 +15,17 @@ from ttl_lab.estimators import (
     poisson_ttl,
 )
 from ttl_lab.simcore import Simulation
-class _Rates:
-    def __init__(self, rates):
-        self.rates = rates
+from ttl_lab.telemetry import Telemetry
 
-    def write_rate(self, key, now):
-        return self.rates.get(key)
+
+def _telemetry(counts, window=100.0):
+    """A Telemetry holding counts[key] writes of each key at t = 0; key k's
+    rate at t = 0 is counts[k] / window."""
+    tel = Telemetry(window)
+    for key, n in counts.items():
+        for _ in range(n):
+            tel.record_write(key, 0.0)
+    return tel
 
 
 # ---------------------------------------------------------------------------
@@ -28,54 +33,54 @@ class _Rates:
 
 
 def test_poisson_ttl_known_rates_exact():
-    tel = _Rates({0: 0.02, 1: 0.03})
+    tel = _telemetry({0: 2, 1: 3})  # 0.02 and 0.03 writes per second
     assert poisson_ttl([0, 1], tel, 0.0, 300.0) == 20.0
 
 
 def test_poisson_ttl_all_unknown_exact():
-    assert poisson_ttl([5, 6, 7], _Rates({}), 0.0, 300.0) == 100.0
-    assert poisson_ttl([5], _Rates({}), 0.0, 300.0) == 300.0
+    assert poisson_ttl([5, 6, 7], _telemetry({}), 0.0, 300.0) == 100.0
+    assert poisson_ttl([5], _telemetry({}), 0.0, 300.0) == 300.0
 
 
 def test_poisson_ttl_mixed_known_unknown():
     # lam = 0.02 + 2/300; ttl = 1/lam = 37.5
-    tel = _Rates({0: 0.02})
+    tel = _telemetry({0: 2})
     assert poisson_ttl([0, 1, 2], tel, 0.0, 300.0) == pytest.approx(37.5, rel=1e-12)
 
 
 def test_poisson_ttl_cap_binds():
-    tel = _Rates({0: 1.0 / 400.0})
+    tel = _telemetry({0: 1}, window=400.0)
     assert poisson_ttl([0], tel, 0.0, 300.0) == 300.0
 
 
 def test_poisson_ttl_known_rates_are_exact_inverse():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        rates = {k: float(rng.uniform(0.01, 2.0)) for k in range(int(rng.integers(1, 6)))}
-        got = poisson_ttl(list(rates), _Rates(rates), 0.0, 1e9)
-        assert got == pytest.approx(1.0 / sum(rates.values()), rel=1e-12)
+        counts = {k: int(rng.integers(1, 200)) for k in range(int(rng.integers(1, 6)))}
+        got = poisson_ttl(list(counts), _telemetry(counts), 0.0, 1e9)
+        assert got == pytest.approx(1.0 / sum(n / 100.0 for n in counts.values()), rel=1e-12)
 
 
 def test_poisson_ttl_monotone_in_rates_and_cardinality():
     rng = np.random.default_rng(4)
     for _ in range(50):
         n = int(rng.integers(1, 6))
-        rates = {k: float(rng.uniform(0.001, 1.0)) for k in range(n)}
-        base = poisson_ttl(list(range(n)), _Rates(rates), 0.0, 300.0)
+        counts = {k: int(rng.integers(1, 100)) for k in range(n)}
+        base = poisson_ttl(list(range(n)), _telemetry(counts), 0.0, 300.0)
         # raising any one rate never raises the ttl
         k = int(rng.integers(0, n))
-        bumped = dict(rates)
-        bumped[k] += float(rng.uniform(0.1, 1.0))
-        assert poisson_ttl(list(range(n)), _Rates(bumped), 0.0, 300.0) <= base
+        bumped = dict(counts)
+        bumped[k] += int(rng.integers(10, 100))
+        assert poisson_ttl(list(range(n)), _telemetry(bumped), 0.0, 300.0) <= base
         # adding a key (even unknown) never raises the ttl
-        assert poisson_ttl(list(range(n + 1)), _Rates(rates), 0.0, 300.0) <= base
+        assert poisson_ttl(list(range(n + 1)), _telemetry(counts), 0.0, 300.0) <= base
 
 
 def test_poisson_ttl_errors():
     with pytest.raises(ValueError, match="non-empty"):
-        poisson_ttl([], _Rates({}), 0.0, 300.0)
+        poisson_ttl([], _telemetry({}), 0.0, 300.0)
     with pytest.raises(ValueError, match="max_ttl"):
-        poisson_ttl([0], _Rates({}), 0.0, 0.0)
+        poisson_ttl([0], _telemetry({}), 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -123,13 +128,13 @@ def test_fixed_estimator():
 
 
 class _StubSim:
-    def __init__(self, rates):
-        self.telemetry = _Rates(rates)
+    def __init__(self, counts):
+        self.telemetry = _telemetry(counts)
 
 
 def test_poisson_estimator_delegates_and_falls_back():
     est = PoissonEstimator(max_ttl=300.0)
-    est.attach(_StubSim({0: 0.02, 1: 0.03}))
+    est.attach(_StubSim({0: 2, 1: 3}))
     assert est.decide(0, 0, [0, 1], now=0.0) == 20.0
     assert est.decide(1, 0, [], now=0.0) == 300.0  # empty result: cap fallback
     with pytest.raises(ValueError, match="max_ttl"):

@@ -98,26 +98,30 @@ def test_gradients_scalar_action_vs_finite_differences():
 
 
 class _StubTelemetry:
-    def __init__(self, rates, delta):
-        self.rates = rates
+    """counts[key] writes per key in a 10 s window, and a fixed miss-rate delta."""
+
+    window = 10.0
+
+    def __init__(self, counts, delta):
+        self.counts = counts
         self.delta = delta
 
-    def write_rate(self, key, now):
-        return self.rates.get(key)
+    def write_counts(self, keys, now):
+        return np.array([self.counts.get(k, 0) for k in keys], dtype=np.int64)
 
     def miss_rate_delta(self, unit, now):
         return self.delta
 
 
 def test_build_state_sorts_clips_and_pads():
-    tel = _StubTelemetry({1: 0.3, 2: None, 3: 5.0, 4: 0.1}, delta=-0.25)
+    tel = _StubTelemetry({1: 3, 2: 0, 3: 50, 4: 1}, delta=-0.25)  # 0.3, none, 5.0, 0.1 per s
     s = build_state([1, 2, 3, 4, 9], tel, unit=7, now=0.0, rate_inputs=3)
     # 5.0 clips to 1.0; key 2 and 9 have no rate; sorted descending
     assert s.tolist() == [1.0, 0.3, 0.1, -0.25]
 
 
 def test_build_state_truncates_to_top_rates():
-    tel = _StubTelemetry({k: k / 10.0 for k in range(1, 6)}, delta=0.0)
+    tel = _StubTelemetry({k: k for k in range(1, 6)}, delta=0.0)  # k / 10 per s
     s = build_state([1, 2, 3, 4, 5], tel, unit=0, now=0.0, rate_inputs=2)
     assert s.tolist() == [0.5, 0.4, 0.0]
 

@@ -9,7 +9,7 @@ import pytest
 
 from ttl_lab.benchcli import run_single
 from ttl_lab.estimators import FixedEstimator
-from ttl_lab.simcore import Engine, LatencyModel, SimEvent, Simulation
+from ttl_lab.simcore import _GAP_BLOCK, Engine, LatencyModel, SimEvent, Simulation
 
 # ---------------------------------------------------------------------------
 # engine
@@ -218,3 +218,16 @@ def test_stale_reads_happen_under_writes(tiny_cfg):
         assert res.stale_reads > 0
         assert res.stale_reads == sum(row[3] == "stale_hit" for row in trace)
         assert run_single(instant, 0.1, "fixed", seed)[0].stale_reads == 0
+
+
+def test_arrival_gaps_equal_per_call_draws(tiny_cfg):
+    # Each connection's gaps come in blocks; across block boundaries they must
+    # be the values of one exponential() call per arrival on its own generator.
+    spec = tiny_cfg.workload_spec(0.1)
+    sim = Simulation(spec, tiny_cfg.latency_model(), tiny_cfg.capacity, seed=4)
+    arrivals = np.random.SeedSequence(4).spawn(4)[2].spawn(spec.connections)
+    n = 3 * _GAP_BLOCK + 7
+    for conn in (0, 1, 17, spec.connections - 1):
+        rng = np.random.default_rng(arrivals[conn])
+        ref = [float(rng.exponential(sim.mean_gap)) for _ in range(n)]
+        assert [sim._next_gap[conn]() for _ in range(n)] == ref

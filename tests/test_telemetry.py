@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import math
+from collections import deque
+
 import numpy as np
 import pytest
 
+from ttl_lab.estimators import poisson_ttl
+from ttl_lab.nafagent import build_state
 from ttl_lab.telemetry import (
     MissRateTracker,
     ServeRecord,
@@ -43,6 +48,93 @@ def test_write_rate_none_is_not_zero():
 def test_write_rate_rejects_bad_window():
     with pytest.raises(ValueError, match="window"):
         WriteRateTracker(0.0)
+
+
+@pytest.mark.parametrize("window", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("make", [Telemetry, WriteRateTracker, MissRateTracker])
+def test_windows_reject_non_finite(make, window):
+    with pytest.raises(ValueError, match="window must be a positive finite number"):
+        make(window)
+
+
+class _DequeWriteRates:
+    """Per-key deques of write times, pruned when the key is asked for: the
+    tracker write rates were first computed with, kept as the reference."""
+
+    def __init__(self, window):
+        self.window = window
+        self._events = {}
+
+    def record(self, key, now):
+        self._events.setdefault(key, deque()).append(now)
+
+    def count(self, key, now):
+        dq = self._events.get(key, deque())
+        while dq and dq[0] <= now - self.window:
+            dq.popleft()
+        return len(dq)
+
+    def rate(self, key, now):
+        n = self.count(key, now)
+        return n / self.window if n else None
+
+
+def _reference_poisson_ttl(keys, ref, now, max_ttl):
+    known, unknown = 0.0, 0
+    for k in keys:
+        r = ref.rate(int(k), now)
+        if r is None:
+            unknown += 1
+        else:
+            known += r
+    if known == 0.0:
+        return max_ttl / unknown
+    return min(max_ttl, 1.0 / (known + unknown / max_ttl))
+
+
+def _reference_state(keys, ref, now, rate_inputs):
+    rates = [min(max(r, 0.0), 1.0) for k in keys if (r := ref.rate(int(k), now)) is not None]
+    rates.sort(reverse=True)
+    top = rates[:rate_inputs]
+    return top + [0.0] * (rate_inputs - len(top)) + [0.0]  # no requests: delta 0
+
+
+def test_write_counts_match_per_key_deque_reference():
+    # Times are multiples of 0.25 and the window is 10 s, so many queries fall
+    # exactly on the window edge of some write (which must have left it).
+    window = 10.0
+    rng = np.random.default_rng(12)
+    tel, ref = Telemetry(window), _DequeWriteRates(window)
+    write_times = set()
+    edge_queries = 0
+    now = 0.0
+    for _ in range(6000):
+        now += float(rng.choice([0.0, 0.25, 0.5, 1.0]))
+        if rng.random() < 0.6:
+            key = int(rng.integers(0, 40))
+            tel.record_write(key, now)
+            ref.record(key, now)
+            write_times.add(now)
+            continue
+        keys = rng.choice(60, size=int(rng.integers(1, 25)), replace=False)  # 40-59 never written
+        edge_queries += (now - window) in write_times
+        assert tel.write_counts(keys, now).tolist() == [ref.count(int(k), now) for k in keys]
+        assert poisson_ttl(keys, tel, now, 300.0) == _reference_poisson_ttl(keys, ref, now, 300.0)
+        assert build_state(keys, tel, 0, now, 6).tolist() == _reference_state(keys, ref, now, 6)
+    assert edge_queries > 100
+    with pytest.raises(ValueError, match="cannot go back"):
+        tel.write_counts([0], now - 0.25)
+
+
+def test_write_tracker_clock_cannot_go_back():
+    tr = WriteRateTracker(10.0)
+    tr.record(1, 5.0)
+    assert tr.counts([1, 2], 5.0).tolist() == [1, 0]  # the same time again is fine
+    for go_back in (lambda: tr.counts([1], 4.0), lambda: tr.rate(1, 4.0),
+                    lambda: tr.record(1, 4.0), lambda: tr.counts([1], math.nan)):
+        with pytest.raises(ValueError, match="cannot go back"):
+            go_back()
+    assert tr.counts([1], 14.0).tolist() == [1]
 
 
 # ---------------------------------------------------------------------------

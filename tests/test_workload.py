@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,26 @@ def test_zipf_sampler_chi_square():
     assert chi2 < 74.919, f"chi2 {chi2:.1f} exceeds the 1% critical value"
 
 
+class _FixedUniform:
+    """An rng stand-in whose random() returns a set value."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_zipf_rank_equals_searchsorted_at_table_boundaries():
+    zs = ZipfSampler(500, 0.8)
+    cdf = np.cumsum(np.arange(1, 501, dtype=np.float64) ** -0.8)
+    cdf /= cdf[-1]
+    assert zs.cdf == cdf.tolist()
+    us = [0.0] + [x for c in zs.cdf[:-1] for x in (math.nextafter(c, 0.0), c, math.nextafter(c, 1.0))]
+    for u in us:
+        assert zs.sample(_FixedUniform(u)) == int(np.searchsorted(cdf, u, side="right")) + 1
+
+
 def test_zipf_validation():
     with pytest.raises(ValueError, match="n must be"):
         ZipfSampler(0, 0.6)
@@ -96,6 +118,12 @@ def test_read_range_matches_exactly_one_record():
     for key in rng.integers(0, 500, size=40):
         lo, hi = read_range(world.values, int(key))
         assert evaluate_query(world.values, lo, hi).tolist() == [int(key)]
+
+
+def test_read_range_equals_numpy_nextafter():
+    world = generate_world(WorkloadSpec(record_count=3000, query_count=10), np.random.default_rng(31))
+    for key, v in enumerate(world.values.tolist()):
+        assert read_range(world.values, key) == (v, float(np.nextafter(v, np.inf)))
 
 
 def test_generate_world_shapes_and_determinism():
@@ -173,6 +201,41 @@ def test_op_stream_determinism():
     b = OpStream(spec, np.random.default_rng(5))
     for _ in range(200):
         assert a.next_op() == b.next_op()
+
+
+def _per_call_ops(spec: WorkloadSpec, rng: np.random.Generator, n: int) -> list[Op]:
+    """The op stream drawn with one numpy call per value: the reference the
+    block-drawn stream must equal op for op."""
+
+    def cdf(count):
+        c = np.cumsum(np.arange(1, count + 1, dtype=np.float64) ** -spec.zipf_s)
+        c /= c[-1]
+        return c
+
+    keys, queries = cdf(spec.record_count), cdf(spec.query_count)
+    ops = []
+    for _ in range(n):
+        u = rng.random()
+        if u < spec.write_fraction:
+            key = int(np.searchsorted(keys, rng.random(), side="right"))
+            ops.append(Op("update", key, float(rng.uniform(0.0, float(spec.record_count)))))
+        elif u < spec.write_fraction + spec.query_fraction:
+            ops.append(Op("query", int(np.searchsorted(queries, rng.random(), side="right"))))
+        else:
+            ops.append(Op("read", int(np.searchsorted(keys, rng.random(), side="right"))))
+    return ops
+
+
+@pytest.mark.parametrize("w", [0.0, 0.1, 0.3, 1.0])
+def test_op_stream_equals_per_call_reference(w):
+    spec = WorkloadSpec(record_count=900, query_count=70, write_fraction=w,
+                        query_fraction=min(0.5, 1.0 - w))
+    stream = OpStream(spec, np.random.default_rng(61))
+    n = 20_000
+    got = [stream.next_op() for _ in range(n)]
+    assert got == _per_call_ops(spec, np.random.default_rng(61), n)
+    kinds = {op.kind for op in got}
+    assert kinds == ({"update"} if w == 1.0 else {"query", "read"} | ({"update"} if w else set()))
 
 
 def test_op_namedtuple_defaults():
