@@ -8,7 +8,6 @@ check` runs gate criteria 01, 02, 03 and 07 plus three quick diagnostics.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import tempfile
 import time
@@ -156,20 +155,34 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], row_format: str, rows) -> None:
+    """One header line, then `row_format % row` for each row (a tuple)."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(c) for c in row])
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(row_format % row for row in rows)
 
 
+# Each CSV's rows in one %-format: the bytes csv.writer writes for
+# [_fmt(c) for c in row], as no cell needs quoting. A float cell is %.10g, any
+# other %s; a cell that may be blank is passed through _fmt first and is %s.
 PER_RUN_HEADER = [f.name for f in fields(RunResult)]
+PER_RUN_ROW = ",".join("%.10g" if f.type == "float" else "%s" for f in fields(RunResult)) + "\r\n"
 
-# A trace.csv row (time, kind, unit, outcome, latency_s) in one format: the
-# bytes csv.writer writes for [_fmt(c) for c in row], as no cell needs quoting.
 TRACE_HEADER = "time,kind,unit,outcome,latency_s\r\n"
 TRACE_ROW = "%.10g,%s,%s,%s,%.10g\r\n"
+
+CDF_HEADER = ["series", "value", "cum_fraction"]
+CDF_ROW = "%s,%.10g,%.10g\r\n"
+
+# true_ttl is blank for a censored serve
+QUERYTRACE_HEADER = ["unit", "observation", "time", "action", "true_ttl"]
+QUERYTRACE_ROW = "%s,%s,%.10g,%.10g,%s\r\n"
+
+REPLAY_HEADER = [
+    "write_fraction", "estimator", "serve_id", "unit", "decided_at",
+    "due_at", "action", "reward",
+]
+REPLAY_ROW = "%.10g,%s,%s,%s,%.10g,%.10g,%.10g,%.10g\r\n"
 
 SUMMARY_HEADER = [
     "write_fraction", "estimator", "runs", "truncated_rmse_mean",
@@ -179,6 +192,8 @@ SUMMARY_HEADER = [
     "best_default_ttl", "best_default_rmse",
     "paper_hit_rate", "paper_invalidation_rate",
 ]
+# the two paper_* cells are blank where the paper gives no reference point
+SUMMARY_ROW = "%.10g,%s,%s," + "%.10g," * 12 + "%s,%s\r\n"
 
 # Published full-scale reference points, reported alongside measured numbers.
 PAPER_REFERENCE = {
@@ -191,13 +206,13 @@ PAPER_REFERENCE = {
 LEARNED_KINDS = ("naf-dei", "naf-naive")
 
 
-def _query_trace_rows(sim: Simulation, trace_query: str) -> list[list]:
+def _query_trace_rows(sim: Simulation, trace_query: str) -> list[tuple]:
     """querytrace.csv rows: every serve of one query unit, in order."""
     unit = sim.hottest_missed_query() if trace_query == "auto" else int(trace_query)
     if unit is None:
         return []
     return [
-        [unit, i, r.served_at, r.action, r.true_ttl if r.resolved else ""]
+        (unit, i, r.served_at, r.action, _fmt(r.true_ttl if r.resolved else ""))
         for i, r in enumerate(sim.telemetry.oracle.records_for_unit(unit))
     ]
 
@@ -225,10 +240,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None, ech
     query_kind = learned or cfg.estimators[0]
 
     results: list[RunResult] = []
-    summary_rows: list[list] = []
+    summary_rows: list[tuple] = []
     cdf_rows: list[tuple[str, float, float]] = []
-    replay_rows: list[list] = []
-    querytrace_rows: list[list] = []
+    replay_rows: list[tuple] = []
+    querytrace_rows: list[tuple] = []
     with open(out / "trace.csv", "w", newline="") as trace_fh:
         trace_fh.write(TRACE_HEADER)
         for wi, w in enumerate(cfg.write_fractions):
@@ -255,7 +270,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None, ech
                     if cell_best is None and oracle.true_ttls():
                         cell_best = best_default_ttl(oracle.true_ttls())
                     if log_tr:
-                        replay_rows += [[w, est_kind, *row] for row in est.injection_log]
+                        replay_rows += [(w, est_kind, *row) for row in est.injection_log]
                     if wi != 0 or cfg.estimators.index(est_kind) != ei:
                         continue  # a repeated write fraction or estimator feeds nothing more
                     for label in cdf_series.get(est_kind, ()):
@@ -272,7 +287,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None, ech
                 ir = np.array([r.invalidation_rate for r in cell])
                 best_ttl, best_rmse = cell_best if cell_best else (float("nan"), float("nan"))
                 ref_hit, ref_inval = PAPER_REFERENCE.get((w, est_kind), ("", ""))
-                summary_rows.append([
+                summary_rows.append((
                     w, est_kind, cfg.runs,
                     float(np.nanmean(rs)), float(np.nanstd(rs)),
                     float(hr.mean()), float(hr.std()),
@@ -281,30 +296,21 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None, ech
                     float(np.mean([r.achieved_throughput for r in cell])),
                     float(np.mean([r.resolved for r in cell])),
                     float(np.mean([r.censored for r in cell])),
-                    best_ttl, best_rmse, ref_hit, ref_inval,
-                ])
+                    best_ttl, best_rmse, _fmt(ref_hit), _fmt(ref_inval),
+                ))
                 echo(
                     f"w={w:g} {est_kind}: rmse {np.nanmean(rs):.3f}+-{np.nanstd(rs):.3f}  "
                     f"hit {hr.mean():.3f}+-{hr.std():.3f}  inval {ir.mean():.3f}+-{ir.std():.3f}  "
                     f"(best default ttl {best_ttl:g} at rmse {best_rmse:.3f})"
                 )
 
-    _write_csv(out / "per_run.csv", PER_RUN_HEADER, map(astuple, results))
-    _write_csv(out / "summary.csv", SUMMARY_HEADER, summary_rows)
-    _write_csv(out / "cdf.csv", ["series", "value", "cum_fraction"], cdf_rows)
+    _write_csv(out / "per_run.csv", PER_RUN_HEADER, PER_RUN_ROW, map(astuple, results))
+    _write_csv(out / "summary.csv", SUMMARY_HEADER, SUMMARY_ROW, summary_rows)
+    _write_csv(out / "cdf.csv", CDF_HEADER, CDF_ROW, cdf_rows)
     if cfg.trace_query != "none":
-        _write_csv(
-            out / "querytrace.csv",
-            ["unit", "observation", "time", "action", "true_ttl"],
-            querytrace_rows,
-        )
+        _write_csv(out / "querytrace.csv", QUERYTRACE_HEADER, QUERYTRACE_ROW, querytrace_rows)
     if cfg.replay_log:
-        _write_csv(
-            out / "replay_log.csv",
-            ["write_fraction", "estimator", "serve_id", "unit", "decided_at",
-             "due_at", "action", "reward"],
-            replay_rows,
-        )
+        _write_csv(out / "replay_log.csv", REPLAY_HEADER, REPLAY_ROW, replay_rows)
     echo(f"wrote {out / 'summary.csv'}")
     return results
 

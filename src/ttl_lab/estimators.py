@@ -9,6 +9,7 @@ in when unfinished transitions are completed.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -25,8 +26,8 @@ def poisson_ttl(result_keys, telemetry, now: float, max_ttl: float = 300.0) -> f
     writes contribute the default rate 1/max_ttl, aggregated as one division
     so an all-unknown result stays exact (k unknowns -> max_ttl / k).
     """
-    if max_ttl <= 0.0:
-        raise ValueError("max_ttl must be positive")
+    if not 0.0 < max_ttl < math.inf:
+        raise ValueError(f"max_ttl must be positive and finite, got {max_ttl}")
     if len(result_keys) == 0:
         raise ValueError("poisson_ttl needs a non-empty result key set")
     window = telemetry.window
@@ -64,8 +65,8 @@ class FixedEstimator(TtlEstimator):
     kind = "fixed"
 
     def __init__(self, ttl: float):
-        if ttl <= 0.0:
-            raise ValueError("fixed ttl must be positive")
+        if not 0.0 < ttl < math.inf:
+            raise ValueError(f"fixed ttl must be positive and finite, got {ttl}")
         self.ttl = float(ttl)
 
     def decide(self, serve_id, unit, result_keys, now):
@@ -76,8 +77,8 @@ class PoissonEstimator(TtlEstimator):
     kind = "poisson"
 
     def __init__(self, max_ttl: float = 300.0):
-        if max_ttl <= 0.0:
-            raise ValueError("max_ttl must be positive")
+        if not 0.0 < max_ttl < math.inf:
+            raise ValueError(f"max_ttl must be positive and finite, got {max_ttl}")
         self.max_ttl = max_ttl
 
     def decide(self, serve_id, unit, result_keys, now):

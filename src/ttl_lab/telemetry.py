@@ -98,15 +98,15 @@ class MissRateTracker:
         self._last_reported: dict[int, float] = {}
 
     def record(self, unit: int, now: float, miss: bool) -> None:
-        self._events.setdefault(unit, deque()).append((now, 1 if miss else 0))
-        if miss:
-            self._miss_in_window[unit] = self._miss_in_window.get(unit, 0) + 1
-        self._prune(unit, now)
-
-    def _prune(self, unit: int, now: float) -> None:
         dq = self._events.get(unit)
         if dq is None:
-            return
+            dq = self._events[unit] = deque()
+        dq.append((now, 1 if miss else 0))
+        if miss:
+            self._miss_in_window[unit] = self._miss_in_window.get(unit, 0) + 1
+        self._prune(unit, dq, now)
+
+    def _prune(self, unit: int, dq: deque[tuple[float, int]], now: float) -> None:
         cutoff = now - self.window
         dropped_miss = 0
         while dq and dq[0][0] <= cutoff:
@@ -115,8 +115,10 @@ class MissRateTracker:
             self._miss_in_window[unit] -= dropped_miss
 
     def miss_rate(self, unit: int, now: float) -> float | None:
-        self._prune(unit, now)
         dq = self._events.get(unit)
+        if dq is None:
+            return None
+        self._prune(unit, dq, now)
         if not dq:
             return None
         return self._miss_in_window.get(unit, 0) / len(dq)
@@ -168,10 +170,10 @@ class TrueTtlOracle:
         self._by_id: dict[int, ServeRecord] = {}
 
     def on_serve(self, serve_id: int, unit: int, lo: float, hi: float, now: float, action: float) -> None:
+        self._pending.add(serve_id, lo, hi)  # first: it rejects bad bounds
         rec = ServeRecord(serve_id, unit, served_at=now, action=action, lo=lo, hi=hi)
         self.records.append(rec)
         self._by_id[serve_id] = rec
-        self._pending.add(serve_id, lo, hi)
 
     def on_write(self, old_value: float, new_value: float, now: float) -> list[ServeRecord]:
         """Resolve every pending serve the write invalidates; each at most once."""

@@ -12,10 +12,19 @@ import numpy as np
 import pytest
 
 from ttl_lab.benchcli import (
+    CDF_HEADER,
+    CDF_ROW,
     PER_RUN_HEADER,
+    PER_RUN_ROW,
+    QUERYTRACE_HEADER,
+    QUERYTRACE_ROW,
+    REPLAY_HEADER,
+    REPLAY_ROW,
     SUMMARY_HEADER,
+    SUMMARY_ROW,
     TRACE_HEADER,
     TRACE_ROW,
+    RunResult,
     _fmt,
     emit_cdf,
     main,
@@ -388,6 +397,34 @@ def test_trace_row_format_equals_csv_writer(tiny_cfg):
     run_single(tiny_cfg, 0.3, "poisson", 2, trace_writer=rows.append)
     assert len(rows) > 1000
     assert "".join(TRACE_ROW % row for row in rows) == _csv_writer_bytes(rows)
+
+
+SPECIAL_FLOATS = [0.0, float("nan"), 1e-05, 1e+20, 5e-324, -2.5e-07, 123456.78901234568, float("inf")]
+
+
+def _as_run_result(x: float, i: int) -> RunResult:
+    cells = [x if f.type == "float" else i + 10**k for k, f in enumerate(dataclasses.fields(RunResult))]
+    cells[1] = "naf-dei"
+    return RunResult(*cells)
+
+
+def test_csv_row_formats_equal_csv_writer():
+    """Each artifact's one-format rows against csv.writer with _fmt on every cell."""
+    for i, x in enumerate(SPECIAL_FLOATS):
+        row = dataclasses.astuple(_as_run_result(x, i))
+        assert PER_RUN_ROW % row == _csv_writer_bytes([row])
+        assert CDF_ROW % ("optimal", x, x) == _csv_writer_bytes([("optimal", x, x)])
+        replay = (x, "naf-naive", 7 + i, 10**6 + i, x, x, x, x)
+        assert REPLAY_ROW % replay == _csv_writer_bytes([replay])
+        # summary.csv and querytrace.csv: blank cells go through _fmt first
+        for ref in (x, ""):
+            summary = (x, "poisson", 3, *[x] * 12, ref, ref)
+            built = (*summary[:-2], _fmt(ref), _fmt(ref))
+            assert SUMMARY_ROW % built == _csv_writer_bytes([summary])
+            trace = (i, 10**12 + i, x, x, ref)
+            assert QUERYTRACE_ROW % (*trace[:-1], _fmt(ref)) == _csv_writer_bytes([trace])
+    for header in (PER_RUN_HEADER, SUMMARY_HEADER, CDF_HEADER, QUERYTRACE_HEADER, REPLAY_HEADER):
+        assert ",".join(header) + "\r\n" == _csv_writer_bytes([header])
 
 
 def test_cli_cdf_series(cli_run):

@@ -34,6 +34,36 @@ def test_rangeset_rejects_bad_adds():
         rs.add(1, 2.0, 3.0)
 
 
+NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+@pytest.mark.parametrize("side", ["lo", "hi"])
+def test_rangeset_rejects_non_finite_bounds(side, bad):
+    rs = RangeSet()
+    bounds = {"lo": 1.0, "hi": 3.0, side: bad}
+    with pytest.raises(ValueError, match=f"range bound {side} .* is not finite"):
+        rs.add(1, bounds["lo"], bounds["hi"])
+    assert len(rs) == 0 and 1 not in rs
+    assert rs.stab(2.0) == [] and rs.stab(bad) == []
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+@pytest.mark.parametrize("side", ["lo", "hi"])
+def test_insert_rejects_non_finite_bounds_and_changes_nothing(side, bad):
+    cache = CacheSystem(1)
+    cache.insert(unit=0, serve_id=0, lo=5.0, hi=6.0, ttl=10.0, now=0.0)
+    bounds = {"lo": 1.0, "hi": 3.0, side: bad}
+    with pytest.raises(ValueError, match=f"range bound {side} .* is not finite"):
+        cache.insert(unit=1, serve_id=1, lo=bounds["lo"], hi=bounds["hi"], ttl=10.0, now=1.0)
+    cache.check_invariants()
+    assert cache.live_count == 1 and cache.stats.evictions == 0
+    assert cache.lookup(0, 2.0) is Lookup.HIT
+    # the serve id and the unit were never taken
+    cache.insert(unit=1, serve_id=1, lo=1.0, hi=3.0, ttl=10.0, now=2.0)
+    assert [e.serve_id for e in cache.origin_update(2.0, 2.5, now=3.0)] == [1]
+
+
 def test_rangeset_stab_is_half_open():
     rs = RangeSet()
     rs.add(7, 1.0, 2.0)
@@ -49,6 +79,15 @@ def test_rangeset_stab_insertion_order():
     assert rs.stab(4.0) == [5, 3, 9, 1]
     rs.discard(3)
     assert rs.stab(4.0) == [5, 9, 1]
+
+
+def test_rangeset_stab_either_orders_hits_across_buckets():
+    rs = RangeSet()
+    rs.add(4, 1000.0, 1001.0)
+    rs.add(2, 0.0, 1.0)
+    rs.add(8, -5.0, 2000.0)
+    assert rs.stab_either(0.5, 1000.5) == [4, 2, 8]
+    assert rs.stab_either(1000.5, 0.5) == [4, 2, 8]
 
 
 def test_rangeset_matches_dict_oracle_under_churn():

@@ -83,6 +83,20 @@ def test_poisson_ttl_errors():
         poisson_ttl([0], _telemetry({}), 0.0, 0.0)
 
 
+BAD_OPTIONS = [float("nan"), float("inf"), -float("inf"), 0.0, -1.0]
+
+
+@pytest.mark.parametrize("value", BAD_OPTIONS, ids=repr)
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda x: FixedEstimator(x), id="fixed-ttl"),
+    pytest.param(lambda x: PoissonEstimator(max_ttl=x), id="poisson-max-ttl"),
+    pytest.param(lambda x: poisson_ttl([0], _telemetry({}), 0.0, max_ttl=x), id="poisson_ttl-max-ttl"),
+])
+def test_estimator_options_must_be_positive_and_finite(build, value):
+    with pytest.raises(ValueError, match="positive and finite"):
+        build(value)
+
+
 # ---------------------------------------------------------------------------
 # best-default oracle
 
