@@ -22,7 +22,7 @@ from .nafagent import HEAD_WIDTH, naf_loss_and_grads, naf_mu, naf_q, naf_v, q_cu
 from .neural import init_mlp, load_weights, save_weights
 from .simcore import Simulation
 from .telemetry import Telemetry
-from .workload import ZipfSampler
+from .workload import OpStream, WorkloadSpec, ZipfSampler
 
 # ---------------------------------------------------------------------------
 # metrics
@@ -431,13 +431,12 @@ def _check_snapshot() -> tuple[bool, str]:
 
 
 def _check_zipf() -> tuple[bool, str]:
-    rng = np.random.default_rng(11)
-    zs = ZipfSampler(100, 0.6)
+    """Chi-square of the key ranks a run draws: OpStream.next_op, all reads."""
+    spec = WorkloadSpec(record_count=100, write_fraction=0.0, query_fraction=0.0, zipf_s=0.6)
+    ops = OpStream(spec, np.random.default_rng(11))
     n = 20000
-    counts = np.zeros(100)
-    for _ in range(n):
-        counts[zs.sample(rng) - 1] += 1
-    expected = zs.pmf() * n
+    counts = np.bincount([ops.next_op().target for _ in range(n)], minlength=100)
+    expected = ZipfSampler(100, 0.6).pmf() * n
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
     # upper 1% critical value for chi-square with 99 degrees of freedom
     return chi2 < 134.642, f"chi2 = {chi2:.1f} (df=99, crit 134.6)"
@@ -469,7 +468,7 @@ CHECKS = [
     ("naf gradients vs finite differences", check_gradients),
     ("seeded run determinism", check_determinism),
     ("weight snapshot round-trip", _check_snapshot),
-    ("zipf sampler distribution", _check_zipf),
+    ("zipf key ranks of the op stream", _check_zipf),
     ("poisson arrival gaps", _check_arrivals),
 ]
 

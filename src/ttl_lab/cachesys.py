@@ -1,17 +1,19 @@
-"""Edge cache with TTL expiry plus the origin's index of cached query ranges.
+"""Edge cache with TTL expiry, and the range index that finds what a write touches.
 
 The cache maps cacheable units (query ids, or singleton ranges for point
 reads) to served result entries. Expiry is half-open: an entry whose
 expires_at <= now is already dead at now. Expired entries are reaped lazily at
 lookup and via a lazy-deletion heap that also drives capacity eviction (the
 live entry with the earliest expiry goes first). Invalidation is asynchronous:
-an origin update marks overlapping entries pending immediately and the purge
+an origin update marks the touched entries pending immediately and the purge
 applies after a propagation delay; lookups in that window are stale reads.
 
-The origin finds the entries a write touches through a RangeSet, a grid of
-fixed-width value buckets: a write's probe visits the bucket of each of its
-two values, and caching or dropping an entry visits the buckets its range
-spans (1-3 at every preset).
+The cache keeps no range index: the true-TTL oracle (telemetry.py) resolves a
+serve at the first write touching its range, the write that marks its entry,
+so a write marks the live entries of the serves it resolves. The oracle's
+RangeSet is a grid of fixed-width value buckets: a write's probe visits the
+bucket of each of its two values, and adding or dropping a range visits the
+buckets it spans (1-3 at every preset).
 """
 
 from __future__ import annotations
@@ -110,12 +112,8 @@ class Lookup(Enum):
 class CacheEntry:
     unit: int
     serve_id: int
-    lo: float
-    hi: float
-    cached_at: float
     expires_at: float
     pending_since: float | None = None
-    alive: bool = True
 
 
 @dataclass
@@ -142,7 +140,7 @@ class CacheStats:
 
 
 class CacheSystem:
-    """Edge cache plus the origin-side index of currently cached ranges."""
+    """Edge cache: the live entries by unit and by serve id, and a lazy expiry heap."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
@@ -151,28 +149,22 @@ class CacheSystem:
         self.stats = CacheStats()
         self._by_unit: dict[int, CacheEntry] = {}
         self._by_serve: dict[int, CacheEntry] = {}
-        self._index = RangeSet()
         self._expiry: list[tuple[float, int]] = []
-        self._live = 0
 
     @property
     def live_count(self) -> int:
-        return self._live
+        return len(self._by_serve)
 
     def current_load(self, now: float) -> float:
         self.sweep(now)
-        return self._live / self.capacity
+        return len(self._by_serve) / self.capacity
 
     def live_entries(self) -> list[CacheEntry]:
-        return [e for e in self._by_unit.values() if e.alive]
+        return list(self._by_unit.values())
 
     def _remove(self, entry: CacheEntry) -> None:
-        entry.alive = False
-        if self._by_unit.get(entry.unit) is entry:
-            del self._by_unit[entry.unit]
+        del self._by_unit[entry.unit]
         del self._by_serve[entry.serve_id]
-        self._index.discard(entry.serve_id)
-        self._live -= 1
 
     def sweep(self, now: float) -> int:
         """Reap entries whose expiry has passed; returns how many died."""
@@ -180,7 +172,7 @@ class CacheSystem:
         while self._expiry and self._expiry[0][0] <= now:
             expires_at, serve_id = heapq.heappop(self._expiry)
             entry = self._by_serve.get(serve_id)
-            if entry is not None and entry.alive:
+            if entry is not None:
                 self._remove(entry)
                 self.stats.expirations += 1
                 reaped += 1
@@ -201,7 +193,7 @@ class CacheSystem:
             return Lookup.STALE_HIT
         return Lookup.HIT
 
-    def insert(self, unit: int, serve_id: int, lo: float, hi: float, ttl: float, now: float) -> CacheEntry:
+    def insert(self, unit: int, serve_id: int, ttl: float, now: float) -> CacheEntry:
         """Cache a fresh serve. Pre: the unit has no live entry (lookup missed)."""
         if not (0.0 < ttl < math.inf):
             raise ValueError(f"ttl {ttl} is not a positive finite number")
@@ -210,14 +202,12 @@ class CacheSystem:
         self.sweep(now)
         if unit in self._by_unit:
             raise ValueError(f"unit {unit} already has a live entry")
-        self._index.add(serve_id, lo, hi)  # first: it rejects non-finite or empty bounds
-        if self._live >= self.capacity:
+        if len(self._by_serve) >= self.capacity:
             self._evict_earliest()
-        entry = CacheEntry(unit, serve_id, lo, hi, cached_at=now, expires_at=now + ttl)
+        entry = CacheEntry(unit, serve_id, expires_at=now + ttl)
         self._by_unit[unit] = entry
         self._by_serve[serve_id] = entry
         heapq.heappush(self._expiry, (entry.expires_at, serve_id))
-        self._live += 1
         self.stats.inserts += 1
         return entry
 
@@ -225,41 +215,37 @@ class CacheSystem:
         while self._expiry:
             expires_at, serve_id = heapq.heappop(self._expiry)
             entry = self._by_serve.get(serve_id)
-            if entry is not None and entry.alive:
+            if entry is not None:
                 self._remove(entry)
                 self.stats.evictions += 1
                 return
         raise RuntimeError("cache full but expiry heap empty")
 
-    def origin_update(self, old_value: float, new_value: float, now: float) -> list[CacheEntry]:
-        """Mark every cached range touching the old or new value as pending
-        invalidation; the caller schedules the delayed purge. Entries already
-        pending are not re-marked."""
+    def origin_update(self, serve_ids: list[int], now: float) -> list[CacheEntry]:
+        """Mark pending, in the order given, the live entries of the serves a
+        write resolves (TrueTtlOracle.on_write, which resolves a serve once);
+        serves whose entry expired or was evicted are skipped. The caller
+        schedules the delayed purges."""
         self.sweep(now)
         touched = []
-        for serve_id in self._index.stab_either(old_value, new_value):
-            entry = self._by_serve[serve_id]
-            if entry.pending_since is None:
+        for serve_id in serve_ids:
+            entry = self._by_serve.get(serve_id)
+            if entry is not None:
                 entry.pending_since = now
                 touched.append(entry)
-        # A pending entry stays in the index until it expires or the purge
-        # lands, so later writes in the window still see it (and skip it).
         return touched
 
     def apply_invalidation(self, serve_id: int, now: float) -> bool:
         """The delayed purge. No-op if the entry already expired or was evicted."""
         self.sweep(now)
         entry = self._by_serve.get(serve_id)
-        if entry is None or not entry.alive:
+        if entry is None:
             return False
         self._remove(entry)
         self.stats.invalidations += 1
         return True
 
     def check_invariants(self) -> None:
-        live = [e for e in self._by_serve.values() if e.alive]
-        assert len(live) == self._live <= self.capacity
-        assert sorted(e.serve_id for e in live) == sorted(
-            e.serve_id for e in self._by_unit.values()
-        )
-        assert len(self._index) == self._live
+        assert len(self._by_serve) == len(self._by_unit) <= self.capacity
+        for serve_id, entry in self._by_serve.items():
+            assert entry.serve_id == serve_id and self._by_unit[entry.unit] is entry

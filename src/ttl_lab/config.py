@@ -11,10 +11,12 @@ import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+from .cachesys import CacheSystem
 from .dei import RewardConfig
 from .estimators import make_estimator
 from .nafagent import NafConfig
 from .simcore import LatencyModel
+from .telemetry import _check_window
 from .workload import WorkloadSpec
 
 ESTIMATOR_KINDS = ("poisson", "naf-dei", "naf-naive", "fixed")
@@ -168,6 +170,8 @@ class ExperimentConfig:
                 raise ValueError(f"write fraction {w}: {e}") from None
         self.latency.validate()
         self.naf.validate()
+        CacheSystem(self.capacity)  # the bounds a run would enforce
+        _check_window(self.telemetry_window)
 
     def workload_spec(self, write_fraction: float) -> WorkloadSpec:
         qf = 1.0 - write_fraction if self.query_fraction is None else self.query_fraction

@@ -119,6 +119,12 @@ class NafConfig:
             raise ValueError("replay must hold at least one batch")
         if self.gamma < 0.0 or self.gamma >= 1.0:
             raise ValueError("gamma must be in [0, 1)")
+        if self.rate_inputs < 0:
+            raise ValueError("rate_inputs must be >= 0")
+        if any(width < 1 for width in self.hidden):
+            raise ValueError(f"every hidden width must be >= 1, got {self.hidden}")
+        if self.target_sync_interval < 1:
+            raise ValueError("target_sync_interval must be >= 1")
 
 
 class Transition(NamedTuple):

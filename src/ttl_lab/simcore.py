@@ -220,8 +220,9 @@ class Simulation:
             serve_id = self._serve_seq
             self._serve_seq += 1
             ttl = self.estimator.decide(serve_id, unit, result_keys, now)
-            self.cache.insert(unit, serve_id, lo, hi, ttl, now)
+            # first: the oracle rejects a bad bound before the cache changes
             self.telemetry.oracle.on_serve(serve_id, unit, lo, hi, now, ttl)
+            self.cache.insert(unit, serve_id, ttl, now)
             lat = self.latency.miss_latency
         else:
             lat = self.latency.hit_latency
@@ -235,8 +236,8 @@ class Simulation:
         old = float(values[key])
         values[key] = new_value
         self.telemetry.record_write(key, now)
-        self.telemetry.oracle.on_write(old, new_value, now)
-        for entry in self.cache.origin_update(old, new_value, now):
+        resolved = self.telemetry.oracle.on_write(old, new_value, now)
+        for entry in self.cache.origin_update([r.serve_id for r in resolved], now):
             self.engine.schedule(now + self.latency.invalidation_delay, "inval", (entry.serve_id,))
             self.estimator.on_invalidation_issued(entry.serve_id, entry.unit, now)
         if self.trace_writer is not None:

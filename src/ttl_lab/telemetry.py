@@ -9,7 +9,8 @@ earlier than the last one raises ValueError instead of silently under-counting.
 The oracle tracks every serve and resolves its true TTL at the
 moment the first invalidating write is issued, including "shadow" resolutions
 that land after the entry's nominal expiry; serves never hit by a write stay
-censored and are excluded from error metrics.
+censored and are excluded from error metrics. Its RangeSet of unresolved
+serves is the run's only range index (see cachesys).
 """
 
 from __future__ import annotations

@@ -103,8 +103,9 @@ class ZipfSampler:
     """Zipf(s) ranks over {1..n} via a precomputed cumulative table.
 
     P(rank = k) is proportional to k**-s; s = 0 degenerates to uniform.
-    Sampling is one uniform draw plus a binary search (`bisect_right` over the
-    table as a Python list, the rank `np.searchsorted(side="right")` gives).
+    OpStream draws a rank as one uniform plus a binary search (`bisect_right`
+    over the table as a Python list, the rank `np.searchsorted(side="right")`
+    gives).
     """
 
     def __init__(self, n: int, s: float):
@@ -122,10 +123,6 @@ class ZipfSampler:
     def pmf(self) -> np.ndarray:
         """Exact probabilities, index k-1 holds P(rank = k)."""
         return np.diff(self.cdf, prepend=0.0)
-
-    def sample(self, rng: np.random.Generator) -> int:
-        """Draw one rank in [1, n]."""
-        return bisect_right(self.cdf, rng.random()) + 1
 
 
 class QueryDef(NamedTuple):

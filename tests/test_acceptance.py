@@ -128,55 +128,81 @@ def test_criterion_04_oracle_equivalence():
 
 
 # ---------------------------------------------------------------------------
-# 5. index stabs match a brute-force scan over live entries
+# 5. the oracle and cache pair marks what a brute-force scan of the cache marks
 
 
 def test_criterion_05_origin_update_brute_force():
     rng = np.random.default_rng(55)
-    cache = CacheSystem(capacity=100_000)
-    mirror: dict[int, tuple[float, float, bool]] = {}  # sid -> (lo, hi, pending)
+    capacity = 250
+    oracle, cache = TrueTtlOracle(), CacheSystem(capacity)
+    # the cache's live entries, in serve order: sid -> [lo, hi, expires_at, pending]
+    mirror: dict[int, list] = {}
     next_id = 0
     now = 0.0
-    mismatches = 0
-    marked_total = 0
+    mismatches = marked_total = filtered = 0
+
+    def reap():
+        for sid in [s for s, e in mirror.items() if e[2] <= now]:
+            del mirror[sid]
+
+    def serve():
+        nonlocal next_id
+        lo = float(rng.uniform(0.0, 2000.0))
+        hi = lo + float(rng.uniform(0.01, 50.0))
+        ttl = float(rng.uniform(0.005, 1.0))
+        oracle.on_serve(next_id, next_id, lo, hi, now, ttl)
+        cache.insert(next_id, next_id, ttl, now)
+        if len(mirror) >= capacity:  # evict the earliest expiry, ties by serve id
+            del mirror[min(mirror, key=lambda s: (mirror[s][2], s))]
+        mirror[next_id] = [lo, hi, now + ttl, False]
+        next_id += 1
 
     def fill():
-        nonlocal next_id
-        while len(mirror) < 300:
-            lo = float(rng.uniform(0.0, 2000.0))
-            hi = lo + float(rng.uniform(0.01, 50.0))
-            cache.insert(next_id, next_id, lo, hi, 1e9, now)
-            mirror[next_id] = (lo, hi, False)
-            next_id += 1
+        # one round in five serves past the capacity and evicts a live entry;
+        # evictions take the earliest expiry, so more would leave none to expire
+        reap()
+        while len(mirror) < capacity:
+            serve()
+        if rng.random() < 0.2:
+            serve()
 
     fill()
     for _ in range(10_000):
         now += 0.001
         old = float(rng.uniform(0.0, 2000.0))
         new = float(rng.uniform(0.0, 2000.0))
-        expected = [sid for sid, (lo, hi, p) in mirror.items()
+        reap()
+        expected = [sid for sid, (lo, hi, _, p) in mirror.items()
                     if not p and (lo <= old < hi or lo <= new < hi)]
-        got = [e.serve_id for e in cache.origin_update(old, new, now)]
+        resolved = [r.serve_id for r in oracle.on_write(old, new, now)]
+        got = [e.serve_id for e in cache.origin_update(resolved, now)]
         if got != expected:
             mismatches += 1
         marked_total += len(expected)
+        filtered += len(resolved) - len(got)  # expired or evicted before this write
         for sid in expected:
-            lo, hi, _ = mirror[sid]
             if rng.random() < 0.8:  # purge arrives; 20% linger pending
                 assert cache.apply_invalidation(sid, now)
                 del mirror[sid]
             else:
-                mirror[sid] = (lo, hi, True)
+                mirror[sid][3] = True
         # drain lingerers so pendings never crowd out the live population
-        for sid in [s for s, (_, _, p) in mirror.items() if p]:
+        for sid in [s for s, e in mirror.items() if e[3]]:
             if rng.random() < 0.3:
                 assert cache.apply_invalidation(sid, now)
                 del mirror[sid]
         fill()
+    cache.check_invariants()
+    if sorted(e.serve_id for e in cache.live_entries()) != sorted(mirror):
+        mismatches += 1
 
-    ok = mismatches == 0 and marked_total > 10_000
+    stats = cache.stats
+    ok = (mismatches == 0 and marked_total > 10_000 and filtered > 0
+          and stats.evictions > 0 and stats.expirations > 0)
     _verdict(5, "origin_update vs brute force", ok,
-             f"10000 updates, {marked_total} entries marked, {mismatches} mismatches")
+             f"10000 updates, {marked_total} entries marked, {filtered} dead serves "
+             f"skipped, {stats.evictions} evictions, {stats.expirations} expirations, "
+             f"{mismatches} mismatches")
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,24 @@ def test_config_validation_errors():
     build_config(overrides={"bench.trace_query": "5"})  # a real query id is fine
 
 
+RUN_FAILING_SETTINGS = [
+    ("cache.capacity", "0", "capacity must be >= 1"),
+    ("telemetry.window", "-1", "window must be a positive finite number"),
+    ("naf.target_sync_interval", "0", "target_sync_interval must be >= 1"),
+    ("naf.hidden", "0", "every hidden width must be >= 1"),
+    ("naf.hidden", "30,0", "every hidden width must be >= 1"),
+    ("naf.rate_inputs", "-1", "rate_inputs must be >= 0"),
+]
+
+
+@pytest.mark.parametrize(("key", "raw", "match"), RUN_FAILING_SETTINGS,
+                         ids=[f"{key}={raw}" for key, raw, _ in RUN_FAILING_SETTINGS])
+def test_settings_that_fail_a_run_fail_at_build_time(key, raw, match):
+    # each of these used to pass build_config and fail inside run_experiment
+    with pytest.raises(ValueError, match=match):
+        build_config(overrides={key: raw})
+
+
 def test_estimator_options_checked_at_build_time():
     with pytest.raises(ValueError, match="fixed ttl must be positive"):
         build_config(overrides={"estimator.kind": "poisson,fixed", "estimator.fixed_ttl": "0"})

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ttl_lab.cachesys import CacheEntry, CacheStats, CacheSystem, Lookup, RangeSet
+from ttl_lab.telemetry import TrueTtlOracle
 
 # ---------------------------------------------------------------------------
 # RangeSet
@@ -46,22 +47,6 @@ def test_rangeset_rejects_non_finite_bounds(side, bad):
         rs.add(1, bounds["lo"], bounds["hi"])
     assert len(rs) == 0 and 1 not in rs
     assert rs.stab(2.0) == [] and rs.stab(bad) == []
-
-
-@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
-@pytest.mark.parametrize("side", ["lo", "hi"])
-def test_insert_rejects_non_finite_bounds_and_changes_nothing(side, bad):
-    cache = CacheSystem(1)
-    cache.insert(unit=0, serve_id=0, lo=5.0, hi=6.0, ttl=10.0, now=0.0)
-    bounds = {"lo": 1.0, "hi": 3.0, side: bad}
-    with pytest.raises(ValueError, match=f"range bound {side} .* is not finite"):
-        cache.insert(unit=1, serve_id=1, lo=bounds["lo"], hi=bounds["hi"], ttl=10.0, now=1.0)
-    cache.check_invariants()
-    assert cache.live_count == 1 and cache.stats.evictions == 0
-    assert cache.lookup(0, 2.0) is Lookup.HIT
-    # the serve id and the unit were never taken
-    cache.insert(unit=1, serve_id=1, lo=1.0, hi=3.0, ttl=10.0, now=2.0)
-    assert [e.serve_id for e in cache.origin_update(2.0, 2.5, now=3.0)] == [1]
 
 
 def test_rangeset_stab_is_half_open():
@@ -131,7 +116,7 @@ def test_rangeset_matches_dict_oracle_under_churn():
 
 def test_lookup_expiry_is_half_open():
     cache = CacheSystem(4)
-    cache.insert(unit=1, serve_id=0, lo=0.0, hi=1.0, ttl=10.0, now=0.0)
+    cache.insert(unit=1, serve_id=0, ttl=10.0, now=0.0)
     assert cache.lookup(1, 9.999) is Lookup.HIT
     assert cache.lookup(1, 10.0) is Lookup.MISS  # expires_at <= now is dead
     assert cache.stats.expirations == 1
@@ -147,30 +132,30 @@ def test_lookup_unknown_unit_misses():
 def test_insert_validations():
     cache = CacheSystem(4)
     with pytest.raises(ValueError, match="ttl"):
-        cache.insert(1, 0, 0.0, 1.0, 0.0, now=0.0)
-    cache.insert(1, 0, 0.0, 1.0, 5.0, now=0.0)
+        cache.insert(1, 0, 0.0, now=0.0)
+    cache.insert(1, 0, 5.0, now=0.0)
     with pytest.raises(ValueError, match="reused"):
-        cache.insert(2, 0, 0.0, 1.0, 5.0, now=0.0)
+        cache.insert(2, 0, 5.0, now=0.0)
     with pytest.raises(ValueError, match="live entry"):
-        cache.insert(1, 1, 0.0, 1.0, 5.0, now=0.0)
+        cache.insert(1, 1, 5.0, now=0.0)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_insert_rejects_non_finite_ttl(bad):
     cache = CacheSystem(4)
     with pytest.raises(ValueError, match=f"ttl {bad} is not a positive finite"):
-        cache.insert(1, 0, 0.0, 1.0, bad, now=0.0)
+        cache.insert(1, 0, bad, now=0.0)
     assert cache.stats.inserts == 0 and list(cache.live_entries()) == []
-    cache.insert(1, 0, 0.0, 1.0, 5.0, now=0.0)  # serve id 0 was not consumed
+    cache.insert(1, 0, 5.0, now=0.0)  # serve id 0 was not consumed
     assert cache.lookup(1, 1.0) is Lookup.HIT
 
 
 def test_capacity_evicts_earliest_expiring_live_entry():
     cache = CacheSystem(3)
-    cache.insert(1, 0, 0.0, 1.0, ttl=30.0, now=0.0)
-    cache.insert(2, 1, 1.0, 2.0, ttl=10.0, now=0.0)  # earliest expiry
-    cache.insert(3, 2, 2.0, 3.0, ttl=20.0, now=0.0)
-    cache.insert(4, 3, 3.0, 4.0, ttl=40.0, now=0.0)
+    cache.insert(1, 0, ttl=30.0, now=0.0)
+    cache.insert(2, 1, ttl=10.0, now=0.0)  # earliest expiry
+    cache.insert(3, 2, ttl=20.0, now=0.0)
+    cache.insert(4, 3, ttl=40.0, now=0.0)
     assert cache.stats.evictions == 1
     assert cache.lookup(2, 1.0) is Lookup.MISS  # the ttl=10 entry went first
     assert cache.lookup(1, 1.0) is Lookup.HIT
@@ -180,12 +165,12 @@ def test_capacity_evicts_earliest_expiring_live_entry():
 
 def test_eviction_skips_already_dead_heap_records():
     cache = CacheSystem(2)
-    cache.insert(1, 0, 0.0, 1.0, ttl=1.0, now=0.0)
-    cache.insert(2, 1, 1.0, 2.0, ttl=50.0, now=0.0)
+    cache.insert(1, 0, ttl=1.0, now=0.0)
+    cache.insert(2, 1, ttl=50.0, now=0.0)
     assert cache.lookup(1, 5.0) is Lookup.MISS  # expires lazily
-    cache.insert(3, 2, 2.0, 3.0, ttl=60.0, now=5.0)
+    cache.insert(3, 2, ttl=60.0, now=5.0)
     # capacity reached again; the stale heap record for serve 0 must be skipped
-    cache.insert(4, 3, 3.0, 4.0, ttl=70.0, now=5.0)
+    cache.insert(4, 3, ttl=70.0, now=5.0)
     assert cache.stats.evictions == 1
     assert cache.lookup(2, 5.0) is Lookup.MISS  # serve 1 was the true earliest
     assert cache.lookup(3, 5.0) is Lookup.HIT
@@ -193,9 +178,9 @@ def test_eviction_skips_already_dead_heap_records():
 
 def test_sweep_reaps_expired_and_counts():
     cache = CacheSystem(8)
-    cache.insert(1, 0, 0.0, 1.0, ttl=1.0, now=0.0)
-    cache.insert(2, 1, 1.0, 2.0, ttl=2.0, now=0.0)
-    cache.insert(3, 2, 2.0, 3.0, ttl=9.0, now=0.0)
+    cache.insert(1, 0, ttl=1.0, now=0.0)
+    cache.insert(2, 1, ttl=2.0, now=0.0)
+    cache.insert(3, 2, ttl=9.0, now=0.0)
     assert cache.sweep(2.0) == 2
     assert cache.stats.expirations == 2
     assert cache.live_count == 1
@@ -206,23 +191,49 @@ def test_sweep_reaps_expired_and_counts():
 # invalidation flow
 
 
+def _serve(oracle, cache, unit, serve_id, lo, hi, ttl, now):
+    """A miss's fill, in the simulation's order: the oracle first."""
+    oracle.on_serve(serve_id, unit, lo, hi, now, ttl)
+    return cache.insert(unit, serve_id, ttl, now)
+
+
+def _write(oracle, cache, old, new, now):
+    """An origin write: the serves it resolves, then their live entries."""
+    return cache.origin_update([r.serve_id for r in oracle.on_write(old, new, now)], now)
+
+
 def test_origin_update_marks_pending_once():
-    cache = CacheSystem(4)
-    cache.insert(1, 0, 0.0, 5.0, ttl=60.0, now=0.0)
-    cache.insert(2, 1, 10.0, 15.0, ttl=60.0, now=0.0)
-    touched = cache.origin_update(3.0, 99.0, now=1.0)
+    oracle, cache = TrueTtlOracle(), CacheSystem(4)
+    _serve(oracle, cache, 1, 0, 0.0, 5.0, ttl=60.0, now=0.0)
+    _serve(oracle, cache, 2, 1, 10.0, 15.0, ttl=60.0, now=0.0)
+    touched = _write(oracle, cache, 3.0, 99.0, now=1.0)
     assert [e.serve_id for e in touched] == [0]
     assert touched[0].pending_since == 1.0
-    # same write region again: already pending, nothing newly touched
-    assert cache.origin_update(3.0, 99.0, now=2.0) == []
-    # a write landing in the other range still finds it via the index
-    assert [e.serve_id for e in cache.origin_update(98.0, 12.0, now=3.0)] == [1]
+    # same write region again: the serve is resolved, nothing newly touched
+    assert _write(oracle, cache, 3.0, 99.0, now=2.0) == []
+    assert touched[0].pending_since == 1.0
+    # a write landing in the other range still finds it through the oracle
+    assert [e.serve_id for e in _write(oracle, cache, 98.0, 12.0, now=3.0)] == [1]
+
+
+def test_origin_update_marks_live_entries_in_the_order_given():
+    cache = CacheSystem(3)
+    cache.insert(1, 0, ttl=1.0, now=0.0)  # expires before the write
+    cache.insert(2, 1, ttl=50.0, now=0.0)
+    cache.insert(3, 2, ttl=10.0, now=0.0)
+    cache.insert(4, 3, ttl=60.0, now=0.5)  # evicts serve 0, the earliest expiry
+    cache.insert(5, 4, ttl=70.0, now=0.5)  # evicts serve 2
+    touched = cache.origin_update([4, 2, 0, 1, 99], now=2.0)
+    assert [e.serve_id for e in touched] == [4, 1]
+    assert all(e.pending_since == 2.0 for e in touched)
+    assert cache.live_count == 3 and cache.stats.evictions == 2
+    assert cache.origin_update([], now=2.0) == []
 
 
 def test_pending_window_serves_stale_hits():
-    cache = CacheSystem(4)
-    cache.insert(1, 0, 0.0, 5.0, ttl=60.0, now=0.0)
-    cache.origin_update(2.0, 2.5, now=1.0)
+    oracle, cache = TrueTtlOracle(), CacheSystem(4)
+    _serve(oracle, cache, 1, 0, 0.0, 5.0, ttl=60.0, now=0.0)
+    _write(oracle, cache, 2.0, 2.5, now=1.0)
     assert cache.lookup(1, 1.001) is Lookup.STALE_HIT
     assert cache.stats.stale_reads == 1
     assert cache.apply_invalidation(0, now=1.002) is True
@@ -231,13 +242,31 @@ def test_pending_window_serves_stale_hits():
 
 
 def test_apply_invalidation_noop_when_entry_already_gone():
-    cache = CacheSystem(4)
-    cache.insert(1, 0, 0.0, 5.0, ttl=1.0, now=0.0)
-    cache.origin_update(2.0, 2.5, now=0.5)
+    oracle, cache = TrueTtlOracle(), CacheSystem(4)
+    _serve(oracle, cache, 1, 0, 0.0, 5.0, ttl=1.0, now=0.0)
+    _write(oracle, cache, 2.0, 2.5, now=0.5)
     assert cache.lookup(1, 3.0) is Lookup.MISS  # expired before the purge landed
     assert cache.apply_invalidation(0, now=3.1) is False
     assert cache.stats.invalidations == 0
     assert cache.apply_invalidation(12345, now=3.2) is False
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+@pytest.mark.parametrize("side", ["lo", "hi"])
+def test_insert_rejects_non_finite_bounds_and_changes_nothing(side, bad):
+    # a fill: TrueTtlOracle.on_serve rejects the bound before CacheSystem.insert runs
+    oracle, cache = TrueTtlOracle(), CacheSystem(1)
+    _serve(oracle, cache, 0, 0, 5.0, 6.0, ttl=10.0, now=0.0)
+    bounds = {"lo": 1.0, "hi": 3.0, side: bad}
+    with pytest.raises(ValueError, match=f"range bound {side} .* is not finite"):
+        _serve(oracle, cache, 1, 1, bounds["lo"], bounds["hi"], ttl=10.0, now=1.0)
+    cache.check_invariants()
+    assert cache.live_count == 1 and cache.stats.evictions == 0
+    assert len(oracle.records) == 1 and oracle.pending_count == 1
+    assert cache.lookup(0, 2.0) is Lookup.HIT
+    # the serve id and the unit were never taken
+    _serve(oracle, cache, 1, 1, 1.0, 3.0, ttl=10.0, now=2.0)
+    assert [e.serve_id for e in _write(oracle, cache, 2.0, 2.5, now=3.0)] == [1]
 
 
 def test_stats_rates():
@@ -253,7 +282,8 @@ def test_stats_rates():
 
 
 class _RefCache:
-    """Dict-of-entries mirror of CacheSystem semantics."""
+    """Dict-of-entries mirror of the cache, with each entry's range: a write
+    marks every live, unmarked entry whose range holds its old or new value."""
 
     def __init__(self, capacity):
         self.capacity = capacity
@@ -320,7 +350,7 @@ class _RefCache:
 
 def test_cache_matches_reference_model_under_random_traffic():
     rng = np.random.default_rng(47)
-    cache = CacheSystem(12)
+    oracle, cache = TrueTtlOracle(), CacheSystem(12)
     ref = _RefCache(12)
     now = 0.0
     next_serve = 0
@@ -338,14 +368,14 @@ def test_cache_matches_reference_model_under_random_traffic():
                 lo = float(rng.uniform(0.0, 100.0))
                 hi = lo + float(rng.uniform(0.05, 12.0))
                 ttl = float(rng.uniform(0.3, 6.0))
-                cache.insert(unit, next_serve, lo, hi, ttl, now)
+                _serve(oracle, cache, unit, next_serve, lo, hi, ttl, now)
                 ref.insert(unit, next_serve, lo, hi, ttl, now)
                 next_serve += 1
         elif u < 0.75:
             old = float(rng.uniform(0.0, 100.0))
             new = float(rng.uniform(0.0, 100.0))
-            got = sorted(e.serve_id for e in cache.origin_update(old, new, now))
-            want = sorted(ref.origin_update(old, new, now))
+            got = [e.serve_id for e in _write(oracle, cache, old, new, now)]
+            want = ref.origin_update(old, new, now)
             assert got == want, f"step {step}: pending {got} != {want}"
             purges.extend((now + 0.002, sid) for sid in got)
         else:
@@ -370,10 +400,10 @@ def test_cache_matches_reference_model_under_random_traffic():
 
 def test_check_invariants_after_basic_churn():
     cache = CacheSystem(2)
-    cache.insert(1, 0, 0.0, 1.0, 5.0, now=0.0)
-    cache.insert(2, 1, 1.0, 2.0, 6.0, now=0.0)
-    cache.insert(3, 2, 2.0, 3.0, 7.0, now=0.0)  # evicts
-    cache.origin_update(1.5, 1.6, now=1.0)
+    cache.insert(1, 0, 5.0, now=0.0)
+    cache.insert(2, 1, 6.0, now=0.0)
+    cache.insert(3, 2, 7.0, now=0.0)  # evicts
+    assert [e.serve_id for e in cache.origin_update([0, 1], now=1.0)] == [1]
     cache.apply_invalidation(1, now=1.2)
     cache.check_invariants()
     assert isinstance(cache.live_entries()[0], CacheEntry)

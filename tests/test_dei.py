@@ -265,7 +265,7 @@ def test_naive_survival_reward_uses_current_load(tiny_cfg):
 
     est.decide(serve_id=0, unit=7, result_keys=np.array([0]), now=1.0)
     # park something in the cache so load is nonzero at the second decision
-    sim.cache.insert(unit=99, serve_id=500, lo=0.0, hi=1.0, ttl=60.0, now=1.0)
+    sim.cache.insert(unit=99, serve_id=500, ttl=60.0, now=1.0)
     est.decide(serve_id=1, unit=7, result_keys=np.array([0]), now=2.0)
 
     load = 1.0 / tiny_cfg.capacity

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from ttl_lab.benchcli import _check_zipf
 from ttl_lab.workload import (
     Op,
     OpStream,
@@ -42,36 +43,33 @@ def test_zipf_pmf_is_decreasing_for_positive_s():
     assert np.all(np.diff(p) < 0)
 
 
+def _all_reads(record_count: int, zipf_s: float) -> WorkloadSpec:
+    return WorkloadSpec(record_count=record_count, write_fraction=0.0, query_fraction=0.0,
+                        zipf_s=zipf_s)
+
+
 def test_zipf_sample_range_and_hot_rank():
-    rng = np.random.default_rng(5)
-    zs = ZipfSampler(30, 1.0)
-    draws = np.array([zs.sample(rng) for _ in range(5000)])
-    assert draws.min() >= 1 and draws.max() <= 30
-    counts = np.bincount(draws, minlength=31)[1:]
-    assert counts.argmax() == 0  # rank 1 is the mode
+    stream = OpStream(_all_reads(30, 1.0), np.random.default_rng(5))
+    draws = np.array([stream.next_op().target for _ in range(5000)])
+    assert draws.min() >= 0 and draws.max() <= 29
+    counts = np.bincount(draws, minlength=30)
+    assert counts.argmax() == 0  # key 0, rank 1, is the mode
 
 
 def test_zipf_sampler_chi_square():
-    rng = np.random.default_rng(11)
-    zs = ZipfSampler(50, 0.6)
-    n = 10_000
-    counts = np.zeros(50)
-    for _ in range(n):
-        counts[zs.sample(rng) - 1] += 1
-    expected = zs.pmf() * n
-    chi2 = float(np.sum((counts - expected) ** 2 / expected))
-    # upper 1% critical value for chi-square with 49 degrees of freedom
-    assert chi2 < 74.919, f"chi2 {chi2:.1f} exceeds the 1% critical value"
+    ok, detail = _check_zipf()
+    assert ok, detail
 
 
-class _FixedUniform:
-    """An rng stand-in whose random() returns a set value."""
+class _FixedUniforms:
+    """An rng stand-in whose random(size) returns set values in order, then zeros."""
 
-    def __init__(self, u):
-        self.u = u
+    def __init__(self, us):
+        self.us = list(us)
 
-    def random(self):
-        return self.u
+    def random(self, size):
+        block, self.us = self.us[:size], self.us[size:]
+        return np.array(block + [0.0] * (size - len(block)))
 
 
 def test_zipf_rank_equals_searchsorted_at_table_boundaries():
@@ -80,8 +78,10 @@ def test_zipf_rank_equals_searchsorted_at_table_boundaries():
     cdf /= cdf[-1]
     assert zs.cdf == cdf.tolist()
     us = [0.0] + [x for c in zs.cdf[:-1] for x in (math.nextafter(c, 0.0), c, math.nextafter(c, 1.0))]
+    # an all-reads op takes one uniform for its kind, then one for its rank
+    stream = OpStream(_all_reads(500, 0.8), _FixedUniforms(x for u in us for x in (0.5, u)))
     for u in us:
-        assert zs.sample(_FixedUniform(u)) == int(np.searchsorted(cdf, u, side="right")) + 1
+        assert stream.next_op() == Op("read", int(np.searchsorted(cdf, u, side="right")))
 
 
 def test_zipf_validation():
