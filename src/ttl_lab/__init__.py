@@ -19,7 +19,7 @@ from .estimators import (
     poisson_ttl,
 )
 from .nafagent import NafAgent, NafConfig, Transition, build_state
-from .neural import Mlp, adam_step, backward, forward, init_mlp, load_weights, save_weights
+from .neural import Mlp, adam_step, backward, forward, init_mlp
 from .simcore import Engine, LatencyModel, SimEvent, Simulation
 from .telemetry import Telemetry, TrueTtlOracle
 from .workload import OpStream, WorkloadSpec, ZipfSampler, evaluate_query, generate_world
@@ -34,7 +34,7 @@ __all__ = [
     "FixedEstimator", "NafDeiEstimator", "NafNaiveEstimator",
     "PoissonEstimator", "make_estimator", "poisson_ttl",
     "NafAgent", "NafConfig", "Transition", "build_state",
-    "Mlp", "adam_step", "backward", "forward", "init_mlp", "load_weights", "save_weights",
+    "Mlp", "adam_step", "backward", "forward", "init_mlp",
     "Engine", "LatencyModel", "SimEvent", "Simulation",
     "Telemetry", "TrueTtlOracle",
     "OpStream", "WorkloadSpec", "ZipfSampler", "evaluate_query", "generate_world",

@@ -2,12 +2,13 @@
 
 `ttl-lab run` executes a grid of (write fraction x estimator) cells, R seeded
 repetitions each, and writes CSV artifacts plus a console table. `ttl-lab
-check` runs gate criteria 01, 02, 03 and 07 plus three quick diagnostics.
+check` runs gate criteria 01, 02, 03 and 07 plus two quick diagnostics.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import tempfile
 import time
@@ -19,7 +20,7 @@ import numpy as np
 from .config import PRESETS, ExperimentConfig, build_config, parse_kv_file
 from .estimators import make_estimator, poisson_ttl
 from .nafagent import HEAD_WIDTH, naf_loss_and_grads, naf_mu, naf_q, naf_v, q_curve_1d
-from .neural import init_mlp, load_weights, save_weights
+from .neural import init_mlp
 from .simcore import Simulation
 from .telemetry import Telemetry
 from .workload import OpStream, WorkloadSpec, ZipfSampler
@@ -105,7 +106,7 @@ def run_single(
     spec = cfg.workload_spec(write_fraction)
     sim = Simulation(
         spec,
-        cfg.latency_model(),
+        cfg.latency,
         cfg.capacity,
         seed,
         telemetry_window=cfg.telemetry_window,
@@ -131,9 +132,9 @@ def run_single(
         estimator=estimator_kind,
         run=seed - cfg.base_seed,
         seed=seed,
-        truncated_rmse=truncated_rmse(errors) if errors else float("nan"),
+        truncated_rmse=truncated_rmse(errors) if len(errors) else float("nan"),
         resolved=len(errors),
-        censored=len(oracle.records) - len(errors),
+        censored=len(oracle.actions) - len(errors),
         hits=stats.hits,
         misses=stats.misses,
         hit_rate=stats.hit_rate,
@@ -211,10 +212,13 @@ def _query_trace_rows(sim: Simulation, trace_query: str) -> list[tuple]:
     unit = sim.hottest_missed_query() if trace_query == "auto" else int(trace_query)
     if unit is None:
         return []
-    return [
-        (unit, i, r.served_at, r.action, _fmt(r.true_ttl if r.resolved else ""))
-        for i, r in enumerate(sim.telemetry.oracle.records_for_unit(unit))
-    ]
+    oracle = sim.telemetry.oracle
+    rows = []
+    for i, sid in enumerate(oracle.serves_of_unit(unit)):
+        true_ttl = oracle.true_ttl[sid]
+        rows.append((unit, i, oracle.served_at[sid], oracle.actions[sid],
+                     "" if math.isnan(true_ttl) else _fmt(true_ttl)))
+    return rows
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None, echo=print) -> list[RunResult]:
@@ -267,17 +271,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None, ech
                     if rep != 0:
                         continue
                     oracle = sim.telemetry.oracle
-                    if cell_best is None and oracle.true_ttls():
-                        cell_best = best_default_ttl(oracle.true_ttls())
+                    true_ttls = oracle.true_ttls()
+                    if cell_best is None and len(true_ttls):
+                        cell_best = best_default_ttl(true_ttls)
                     if log_tr:
                         replay_rows += [(w, est_kind, *row) for row in est.injection_log]
                     if wi != 0 or cfg.estimators.index(est_kind) != ei:
                         continue  # a repeated write fraction or estimator feeds nothing more
                     for label in cdf_series.get(est_kind, ()):
-                        if label == "optimal":
-                            values = oracle.true_ttls()
-                        else:
-                            values = [r.action for r in oracle.records]
+                        values = true_ttls if label == "optimal" else oracle.actions
                         cdf_rows += [(label, v, f) for v, f in emit_cdf(values)]
                     if est_kind == query_kind and cfg.trace_query != "none":
                         querytrace_rows = _query_trace_rows(sim, cfg.trace_query)
@@ -420,16 +422,6 @@ def check_determinism() -> tuple[bool, str]:
     return ok, ", ".join(f"{name} {len(data)} bytes" for name, data in outs[0].items())
 
 
-def _check_snapshot() -> tuple[bool, str]:
-    rng = np.random.default_rng(3)
-    net = init_mlp((5, 7, 4), rng)
-    with tempfile.NamedTemporaryFile(suffix=".w") as fh:
-        save_weights(net, fh.name)
-        back = load_weights(fh.name)
-    ok = net.dims == back.dims and np.array_equal(net.params, back.params)
-    return ok, f"dims {net.dims}, {net.params.size} params round-tripped"
-
-
 def _check_zipf() -> tuple[bool, str]:
     """Chi-square of the key ranks a run draws: OpStream.next_op, all reads."""
     spec = WorkloadSpec(record_count=100, write_fraction=0.0, query_fraction=0.0, zipf_s=0.6)
@@ -467,7 +459,6 @@ CHECKS = [
     ("naf argmax and value identities", check_naf_identities),
     ("naf gradients vs finite differences", check_gradients),
     ("seeded run determinism", check_determinism),
-    ("weight snapshot round-trip", _check_snapshot),
     ("zipf key ranks of the op stream", _check_zipf),
     ("poisson arrival gaps", _check_arrivals),
 ]

@@ -50,9 +50,6 @@ class RangeSet:
     def __len__(self) -> int:
         return len(self._ranges)
 
-    def __contains__(self, rid: int) -> bool:
-        return rid in self._ranges
-
     def add(self, rid: int, lo: float, hi: float) -> None:
         if not -math.inf < lo < math.inf:
             raise ValueError(f"range bound lo {lo} is not finite")
@@ -80,18 +77,12 @@ class RangeSet:
             del buckets[first + i][rid]
         return True
 
-    def stab(self, value: float) -> list[int]:
-        """Ids of live ranges containing value, insertion-ordered."""
-        return self._stab((value,))
-
     def stab_either(self, v1: float, v2: float) -> list[int]:
-        """Ids of live ranges containing v1 or v2 (the write-invalidation probe)."""
-        return self._stab((v1, v2))
-
-    def _stab(self, values) -> list[int]:
+        """Ids of live ranges containing v1 or v2 (the write-invalidation
+        probe), insertion-ordered."""
         hits: dict[int, int] = {}  # rid -> seq
         get = self._buckets.get
-        for v in values:
+        for v in (v1, v2):
             bucket = get(v // _WIDTH)  # every range holding v is in it
             if bucket:
                 for rid, (lo, hi, seq) in bucket.items():

@@ -56,17 +56,20 @@ def _parse_list(item, what: str):
 _PARSERS = {"int": int, "float": _parse_float, "str": str, "tuple[int, ...]": _parse_list(int, "integer")}
 
 
-def _section_keys(section: str, cls) -> dict[str, tuple[str, object]]:
-    """One key per dataclass field, parsed by the field's annotated type."""
+def _section_keys(section: str, cls, derived: tuple[str, ...] = ()) -> dict[str, tuple[str, object]]:
+    """One key per dataclass field, parsed by the field's annotated type; a
+    derived field, which the config sets from other settings, has no key."""
     return {
-        f"{section}.{f.name}": (f"{section}.{f.name}", _PARSERS[f.type]) for f in fields(cls)
+        f"{section}.{f.name}": (f"{section}.{f.name}", _PARSERS[f.type])
+        for f in fields(cls) if f.name not in derived
     }
 
 
 # key -> (attribute on ExperimentConfig, parser). A dotted attribute names a field
 # of a section, ExperimentConfig.workload (WorkloadSpec), .latency (LatencyModel),
 # .naf (NafConfig) or .reward (RewardConfig), whose fields are the keys and defaults;
-# workload.write_fraction (a list) and .query_fraction are set per cell by workload_spec
+# workload.write_fraction (a list) and .query_fraction are set per cell by workload_spec,
+# and reward_config sets each cell's load_threshold to 1 - w
 SCHEMA: dict[str, tuple[str, object]] = {
     **_section_keys("workload", WorkloadSpec),
     "workload.write_fraction": ("write_fractions", _parse_list(_parse_float, "number")),
@@ -75,9 +78,7 @@ SCHEMA: dict[str, tuple[str, object]] = {
     **_section_keys("latency", LatencyModel),
     "telemetry.window": ("telemetry_window", _parse_float),
     **_section_keys("naf", NafConfig),
-    **_section_keys("reward", RewardConfig),
-    # not a RewardConfig field: when on, reward_config(w) sets load_threshold to 1 - w
-    "reward.adjust_threshold_to_workload": ("reward_adjust_to_workload", _parse_bool),
+    **_section_keys("reward", RewardConfig, derived=("load_threshold",)),
     "estimator.kind": ("estimators", _parse_list(str, "name")),
     "estimator.fixed_ttl": ("fixed_ttl", _parse_float),
     "estimator.max_ttl": ("poisson_max_ttl", _parse_float),
@@ -134,7 +135,6 @@ class ExperimentConfig:
     # agent and reward
     naf: NafConfig = NafConfig()
     reward: RewardConfig = RewardConfig()
-    reward_adjust_to_workload: bool = True
     # bench
     estimators: tuple[str, ...] = ("poisson", "naf-dei")
     fixed_ttl: float = 60.0
@@ -185,9 +185,7 @@ class ExperimentConfig:
         return self.workload.duration
 
     def reward_config(self, write_fraction: float) -> RewardConfig:
-        if self.reward_adjust_to_workload:
-            return replace(self.reward, load_threshold=1.0 - write_fraction)
-        return self.reward
+        return replace(self.reward, load_threshold=1.0 - write_fraction)
 
 
 def parse_kv_file(path: str | Path) -> dict[str, str]:

@@ -26,8 +26,7 @@ from .workload import require_finite
 @dataclass(frozen=True)
 class RewardConfig:
     r0: float = 1.0
-    load_threshold: float = 0.8
-    above_threshold_form: str = "penalty"  # "penalty" or "literal"
+    load_threshold: float = 0.8  # a run's is 1 - w: ExperimentConfig.reward_config
     form: str = "flat"  # "flat" or "survival"
 
     def validate(self) -> None:
@@ -36,8 +35,6 @@ class RewardConfig:
             raise ValueError("r0 must be positive")
         if not (0.0 < self.load_threshold <= 1.0):
             raise ValueError("load_threshold must be in (0, 1]")
-        if self.above_threshold_form not in ("penalty", "literal"):
-            raise ValueError(f"unknown above_threshold_form {self.above_threshold_form!r}")
         if self.form not in ("flat", "survival"):
             raise ValueError(f"unknown reward form {self.form!r}")
 
@@ -54,8 +51,7 @@ def transition_reward(
     Flat form: invalidated episodes pay the overshoot t_inv - due_at
     (non-positive: the invalidation arrived before the chosen expiry).
     Surviving episodes earn r0 scaled by cache load while load stays under the
-    threshold; above it the default form penalizes proportionally to load, the
-    literal form keeps a shrinking positive payout.
+    threshold; above it they are penalized in proportion to load.
 
     Survival form (needs decided_at; load plays no part): r0 per second the
     entry stayed valid, min(t_inv, due_at) - decided_at, plus the overshoot
@@ -71,9 +67,7 @@ def transition_reward(
         return t_inv - due_at
     if load <= cfg.load_threshold:
         return cfg.r0 * (1.0 + load)
-    if cfg.above_threshold_form == "penalty":
-        return -cfg.r0 * load
-    return cfg.r0 * (1.0 - load)
+    return -cfg.r0 * load
 
 
 @dataclass

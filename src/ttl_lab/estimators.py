@@ -18,7 +18,7 @@ from .dei import DeiQueue, IncompleteTransition, RewardConfig, transition_reward
 from .nafagent import NafAgent, NafConfig, Transition, build_state
 
 
-def poisson_ttl(result_keys, telemetry, now: float, max_ttl: float = 300.0) -> float:
+def poisson_ttl(result_keys, telemetry, now: float, max_ttl: float) -> float:
     """TTL = 1 / sum of result-key write rates, capped at max_ttl.
 
     The first invalidating write is the minimum over per-key exponential
@@ -76,7 +76,7 @@ class FixedEstimator(TtlEstimator):
 class PoissonEstimator(TtlEstimator):
     kind = "poisson"
 
-    def __init__(self, max_ttl: float = 300.0):
+    def __init__(self, max_ttl: float):
         if not 0.0 < max_ttl < math.inf:
             raise ValueError(f"max_ttl must be positive and finite, got {max_ttl}")
         self.max_ttl = max_ttl
@@ -98,7 +98,9 @@ class InjectionRow(NamedTuple):
 
 
 class _NafEstimator(TtlEstimator):
-    """Shared plumbing for the learning estimators."""
+    """Shared plumbing for the learning estimators: the agent, and the queue
+    of decisions waiting for their reward, which an invalidation issued
+    before completion stamps."""
 
     def __init__(
         self,
@@ -111,6 +113,10 @@ class _NafEstimator(TtlEstimator):
         self.agent = NafAgent(naf_cfg, rng)
         self.reward_cfg = reward_cfg
         self.injection_log: list[InjectionRow] | None = [] if log_transitions else None
+        self.queue = DeiQueue()
+
+    def on_invalidation_issued(self, serve_id, unit, now):
+        self.queue.stamp_invalidation(serve_id, now)
 
     def _state(self, result_keys, unit: int, now: float) -> np.ndarray:
         return build_state(result_keys, self.sim.telemetry, unit, now, self.agent.cfg.rate_inputs)
@@ -131,10 +137,6 @@ class NafDeiEstimator(_NafEstimator):
 
     kind = "naf-dei"
 
-    def __init__(self, naf_cfg, reward_cfg, rng, log_transitions=False):
-        super().__init__(naf_cfg, reward_cfg, rng, log_transitions)
-        self.queue = DeiQueue()
-
     def decide(self, serve_id, unit, result_keys, now):
         s = self._state(result_keys, unit, now)
         a = self.agent.act(s)
@@ -144,9 +146,6 @@ class NafDeiEstimator(_NafEstimator):
         )
         self.sim.engine.schedule(now + a, "dei", (serve_id,))
         return a
-
-    def on_invalidation_issued(self, serve_id, unit, now):
-        self.queue.stamp_invalidation(serve_id, now)
 
     def on_due(self, serve_id, now):
         it = self.queue.pop_due(serve_id)
@@ -166,29 +165,23 @@ class NafNaiveEstimator(_NafEstimator):
 
     def __init__(self, naf_cfg, reward_cfg, rng, log_transitions=False):
         super().__init__(naf_cfg, reward_cfg, rng, log_transitions)
-        self._last_episode: dict[int, IncompleteTransition] = {}
-        self._by_serve: dict[int, IncompleteTransition] = {}
+        self._last_serve: dict[int, int] = {}  # unit -> serve id of its queued episode
 
     def decide(self, serve_id, unit, result_keys, now):
         s = self._state(result_keys, unit, now)
         a = self.agent.act(s)
         it = IncompleteTransition(serve_id, unit, s, a, decided_at=now, due_at=now + a,
                                   result_keys=result_keys)
-        prev = self._last_episode.get(unit)
-        if prev is not None:
+        prev_id = self._last_serve.get(unit)
+        if prev_id is not None:
+            prev = self.queue.pop_due(prev_id)
             load = self.sim.cache.current_load(now)
             r = transition_reward(prev.inval_at, prev.due_at, load, self.reward_cfg,
                                   prev.decided_at)
-            del self._by_serve[prev.serve_id]
             self._inject(it, r, s, now)
-        self._last_episode[unit] = it
-        self._by_serve[serve_id] = it
+        self.queue.enqueue(it)
+        self._last_serve[unit] = serve_id
         return a
-
-    def on_invalidation_issued(self, serve_id, unit, now):
-        it = self._by_serve.get(serve_id)
-        if it is not None and it.inval_at is None:
-            it.inval_at = now
 
 
 def make_estimator(

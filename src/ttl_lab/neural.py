@@ -5,13 +5,12 @@ hidden layers apply ReLU, the output layer is linear. No framework on purpose:
 the gradient path has to be auditable against finite differences.
 
 A network's parameters are one flat vector: for each layer in order, its
-weight matrix in row-major order, then its bias. Gradients, Adam's moments and
-weight snapshots use the same layout, so each is one array.
+weight matrix in row-major order, then its bias. Gradients and Adam's moments
+use the same layout, so each is one array.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,28 +129,3 @@ def adam_step(net: Mlp, grad: np.ndarray, state: AdamState, lr: float, clip: flo
     v *= b2
     v += (1.0 - b2) * grad * grad
     net.params -= lr * (m / (1.0 - b1**state.t)) / (np.sqrt(v / (1.0 - b2**state.t)) + state.eps)
-
-
-_MAGIC = struct.Struct("<I")
-
-
-def save_weights(net: Mlp, path: str) -> None:
-    """Snapshot: uint32 layer-dim count, uint32 dims, then the flat float64 LE params."""
-    dims = net.dims
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC.pack(len(dims)))
-        fh.write(struct.pack(f"<{len(dims)}I", *dims))
-        fh.write(net.params.astype("<f8").tobytes())
-
-
-def load_weights(path: str) -> Mlp:
-    with open(path, "rb") as fh:
-        raw = fh.read(_MAGIC.size)
-        if len(raw) != _MAGIC.size:
-            raise ValueError("truncated weight snapshot")
-        (ndims,) = _MAGIC.unpack(raw)
-        if not (2 <= ndims <= 64):
-            raise ValueError(f"implausible layer count {ndims}")
-        dims = struct.unpack(f"<{ndims}I", fh.read(4 * ndims))
-        flat = np.frombuffer(fh.read(), dtype="<f8")
-    return Mlp(dims, flat.astype(np.float64))

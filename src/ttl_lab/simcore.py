@@ -123,7 +123,7 @@ class Simulation:
         latency: LatencyModel,
         capacity: int,
         seed: int,
-        telemetry_window: float = 60.0,
+        telemetry_window: float,
         trace_writer: Callable[[tuple], None] | None = None,
     ):
         spec.validate()
@@ -237,7 +237,7 @@ class Simulation:
         values[key] = new_value
         self.telemetry.record_write(key, now)
         resolved = self.telemetry.oracle.on_write(old, new_value, now)
-        for entry in self.cache.origin_update([r.serve_id for r in resolved], now):
+        for entry in self.cache.origin_update(resolved, now):
             self.engine.schedule(now + self.latency.invalidation_delay, "inval", (entry.serve_id,))
             self.estimator.on_invalidation_issued(entry.serve_id, entry.unit, now)
         if self.trace_writer is not None:

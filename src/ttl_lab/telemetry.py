@@ -1,23 +1,25 @@
-"""Run-time measurement: write rates, miss rates, and the true-TTL oracle.
+"""Run-time measurement: write counts, miss rates, and the true-TTL oracle.
 
-Rates are computed over a sliding window (now - W, now]; a key or unit with no
-events in the window has no rate ("unavailable"), which is distinct from a
-rate of zero. Write counts come from one FIFO of (time, key) over the window
+Both are taken over a sliding window (now - W, now]. A key's write rate is its
+count / W; a key with no writes in the window has no rate ("unavailable"),
+which is distinct from a rate of zero, and a unit with no requests in it has
+no miss rate. Write counts come from one FIFO of (time, key) over the window
 and one integer count per key, so the counts of a whole result set are one
 array lookup; recording and querying share the tracker's clock, and a `now`
 earlier than the last one raises ValueError instead of silently under-counting.
-The oracle tracks every serve and resolves its true TTL at the
-moment the first invalidating write is issued, including "shadow" resolutions
-that land after the entry's nominal expiry; serves never hit by a write stay
-censored and are excluded from error metrics. Its RangeSet of unresolved
-serves is the run's only range index (see cachesys).
+The oracle keeps four columns indexed by serve id (unit, serve time, action,
+true TTL) and resolves a serve's true TTL at the moment the first
+invalidating write is issued, including "shadow" resolutions that land after
+the entry's nominal expiry; serves never hit by a write stay censored (NaN)
+and are excluded from error metrics. Its RangeSet of unresolved serves is the
+run's only range index (see cachesys).
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,12 +77,6 @@ class WriteRateTracker:
             self._grow(int(keys.max()) + 1)
             return self._counts[keys]
 
-    def rate(self, key: int, now: float) -> float | None:
-        """Writes per second over (now - window, now]; None if none observed."""
-        self._advance(now)
-        n = int(self._counts[key]) if key < len(self._counts) else 0
-        return n / self.window if n else None
-
 
 class MissRateTracker:
     """Per-unit request outcomes in a sliding window, plus the stateful delta.
@@ -135,80 +131,71 @@ class MissRateTracker:
         return cur - prev
 
 
-@dataclass
-class ServeRecord:
-    """One cache fill as the oracle sees it."""
-
-    serve_id: int
-    unit: int
-    served_at: float
-    action: float
-    lo: float
-    hi: float
-    resolved_at: float | None = None
-    true_ttl: float | None = None
-    shadow: bool = False  # resolved after the entry's nominal expiry
-
-    @property
-    def resolved(self) -> bool:
-        return self.true_ttl is not None
-
-    @property
-    def error(self) -> float:
-        if self.true_ttl is None:
-            raise ValueError("censored serve has no error")
-        return self.action - self.true_ttl
-
-
 class TrueTtlOracle:
     """Ground truth: a serve's true TTL ends at the first write whose old or
     new value lands in the served range. Resolution happens at write issue
-    time; propagation delay is a cache artifact, not part of the interval."""
+    time; propagation delay is a cache artifact, not part of the interval.
+
+    Serves are columns indexed by serve id, which must be dense and in serve
+    order: `units`, `served_at`, `actions`, and `true_ttl`, NaN while the
+    serve is censored. A resolved serve is a shadow when true_ttl > action.
+    The pending ranges live only in the RangeSet.
+    """
 
     def __init__(self):
-        self.records: list[ServeRecord] = []
+        self.units = array("q")
+        self.served_at = array("d")
+        self.actions = array("d")
+        self.true_ttl = array("d")
         self._pending = RangeSet()
-        self._by_id: dict[int, ServeRecord] = {}
 
     def on_serve(self, serve_id: int, unit: int, lo: float, hi: float, now: float, action: float) -> None:
-        self._pending.add(serve_id, lo, hi)  # first: it rejects bad bounds
-        rec = ServeRecord(serve_id, unit, served_at=now, action=action, lo=lo, hi=hi)
-        self.records.append(rec)
-        self._by_id[serve_id] = rec
+        if serve_id != len(self.units):
+            raise ValueError(f"serve id {serve_id} is not the next one, {len(self.units)}")
+        self._pending.add(serve_id, lo, hi)  # before the columns: it rejects bad bounds
+        self.units.append(unit)
+        self.served_at.append(now)
+        self.actions.append(action)
+        self.true_ttl.append(math.nan)
 
-    def on_write(self, old_value: float, new_value: float, now: float) -> list[ServeRecord]:
-        """Resolve every pending serve the write invalidates; each at most once."""
-        hit = []
-        for serve_id in self._pending.stab_either(old_value, new_value):
-            rec = self._by_id.pop(serve_id)
+    def on_write(self, old_value: float, new_value: float, now: float) -> list[int]:
+        """Resolve every pending serve the write invalidates, each at most
+        once; returns their serve ids."""
+        resolved = self._pending.stab_either(old_value, new_value)
+        for serve_id in resolved:
             self._pending.discard(serve_id)
-            rec.resolved_at = now
-            rec.true_ttl = now - rec.served_at
-            rec.shadow = rec.true_ttl > rec.action
-            hit.append(rec)
-        return hit
+            self.true_ttl[serve_id] = now - self.served_at[serve_id]
+        return resolved
 
     @property
     def pending_count(self) -> int:
         return len(self._pending)
 
-    def resolved_records(self) -> list[ServeRecord]:
-        return [r for r in self.records if r.resolved]
+    @property
+    def records(self) -> array:
+        """The actions column, one entry per serve; perfbench/tracer.py reads
+        len(oracle.records)."""
+        return self.actions
 
-    def resolved_errors(self) -> list[float]:
-        return [r.action - r.true_ttl for r in self.records if r.true_ttl is not None]
+    def resolved_errors(self) -> np.ndarray:
+        """action - true_ttl of each resolved serve, in serve order."""
+        true_ttl = np.array(self.true_ttl)
+        return (np.array(self.actions) - true_ttl)[~np.isnan(true_ttl)]
 
-    def true_ttls(self) -> list[float]:
-        return [r.true_ttl for r in self.records if r.true_ttl is not None]
+    def true_ttls(self) -> np.ndarray:
+        """The true TTL of each resolved serve, in serve order."""
+        true_ttl = np.array(self.true_ttl)
+        return true_ttl[~np.isnan(true_ttl)]
 
-    def records_for_unit(self, unit: int) -> list[ServeRecord]:
-        return [r for r in self.records if r.unit == unit]
+    def serves_of_unit(self, unit: int) -> list[int]:
+        """The serve ids of one unit, in serve order."""
+        return [i for i, u in enumerate(self.units) if u == unit]
 
 
 class Telemetry:
     """Facade bundling the trackers and oracle that estimators read."""
 
-    def __init__(self, window: float = 60.0):
+    def __init__(self, window: float):
         self.window = window
         self.writes = WriteRateTracker(window)
         self.requests = MissRateTracker(window)
@@ -220,15 +207,9 @@ class Telemetry:
     def record_request(self, unit: int, now: float, miss: bool) -> None:
         self.requests.record(unit, now, miss)
 
-    def write_rate(self, key: int, now: float) -> float | None:
-        return self.writes.rate(key, now)
-
     def write_counts(self, keys, now: float) -> np.ndarray:
         """Each key's writes in the window; its rate is count / window, none if 0."""
         return self.writes.counts(keys, now)
-
-    def miss_rate(self, unit: int, now: float) -> float | None:
-        return self.requests.miss_rate(unit, now)
 
     def miss_rate_delta(self, unit: int, now: float) -> float:
         return self.requests.miss_rate_delta(unit, now)

@@ -10,6 +10,7 @@ Criteria 01, 02, 03 and 07 call the benchcli functions `ttl-lab check` runs.
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -77,7 +78,8 @@ def test_criterion_04_oracle_equivalence():
         values = world.values
         oracle = TrueTtlOracle()
         pending: dict[int, tuple[float, float, float, float]] = {}
-        expect: dict[int, tuple[float, float, bool]] = {}
+        expect: dict[int, tuple[float, bool]] = {}  # sid -> (true TTL, shadow)
+        serves = 0
 
         now = 0.0
         for sid in range(1000):
@@ -91,31 +93,37 @@ def test_criterion_04_oracle_equivalence():
                     unit = spec.query_count + key
                     lo, hi = read_range(values, key)
                 action = float(rng.uniform(0.5, 30.0))
-                oracle.on_serve(sid, unit, lo, hi, now, action)
-                pending[sid] = (lo, hi, now, action)
+                oracle.on_serve(serves, unit, lo, hi, now, action)
+                pending[serves] = (lo, hi, now, action)
+                serves += 1
             else:
                 key = int(rng.integers(spec.record_count))
                 new = float(rng.uniform(0.0, spec.record_count))
                 old = float(values[key])
                 values[key] = new
-                oracle.on_write(old, new, now)
+                got = oracle.on_write(old, new, now)
                 hit = [s for s, (lo, hi, _, _) in pending.items()
                        if lo <= old < hi or lo <= new < hi]
+                if got != hit:  # both in serve order
+                    mismatches += 1
                 for s in hit:
                     _, _, served_at, act = pending.pop(s)
                     ttl = now - served_at
-                    expect[s] = (now, ttl, ttl > act)
+                    expect[s] = (ttl, ttl > act)
 
-        for rec in oracle.records:
-            if rec.serve_id in expect:
-                e_at, e_ttl, e_shadow = expect[rec.serve_id]
-                if (rec.resolved_at != e_at or rec.true_ttl != e_ttl
-                        or rec.shadow != e_shadow):
+        if len(oracle.actions) != serves:
+            mismatches += 1
+        for sid in range(serves):
+            true_ttl = oracle.true_ttl[sid]
+            if sid in expect:
+                e_ttl, e_shadow = expect[sid]
+                shadow = true_ttl > oracle.actions[sid]
+                if true_ttl != e_ttl or shadow != e_shadow:
                     mismatches += 1
                 resolved += 1
-                shadows += rec.shadow
+                shadows += shadow
             else:
-                if rec.resolved is not False:
+                if not math.isnan(true_ttl):
                     mismatches += 1
                 censored += 1
         if oracle.pending_count != len(pending):
@@ -174,7 +182,7 @@ def test_criterion_05_origin_update_brute_force():
         reap()
         expected = [sid for sid, (lo, hi, _, p) in mirror.items()
                     if not p and (lo <= old < hi or lo <= new < hi)]
-        resolved = [r.serve_id for r in oracle.on_write(old, new, now)]
+        resolved = oracle.on_write(old, new, now)
         got = [e.serve_id for e in cache.origin_update(resolved, now)]
         if got != expected:
             mismatches += 1

@@ -129,7 +129,8 @@ def test_naf_and_reward_defaults_have_one_source():
     for section, cls in (("naf", NafConfig), ("reward", RewardConfig),
                          ("workload", WorkloadSpec), ("latency", LatencyModel)):
         for f in dataclasses.fields(cls):
-            assert f"{section}.{f.name}" in SCHEMA
+            derived = (section, f.name) == ("reward", "load_threshold")  # 1 - w per cell
+            assert (f"{section}.{f.name}" in SCHEMA) is not derived
 
 
 def test_reward_form_by_preset():
@@ -209,6 +210,17 @@ def test_config_validation_errors():
     build_config(overrides={"bench.trace_query": "5"})  # a real query id is fine
 
 
+def test_reward_threshold_is_one_minus_w_and_not_a_key():
+    cfg = build_config(overrides={"workload.write_fraction": "0.1,0.3"})
+    assert [cfg.reward_config(w).load_threshold for w in cfg.write_fractions] == [0.9, 0.7]
+    for key, raw in (("reward.load_threshold", "0.6"),
+                     ("reward.adjust_threshold_to_workload", "false"),
+                     ("reward.above_threshold_form", "literal")):
+        with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+            build_config(overrides={key: raw})
+    assert len(SCHEMA) == 41
+
+
 RUN_FAILING_SETTINGS = [
     ("cache.capacity", "0", "capacity must be >= 1"),
     ("telemetry.window", "-1", "window must be a positive finite number"),
@@ -249,7 +261,7 @@ def test_non_finite_settings_fail_where_they_enter(key, raw):
 
 
 def test_float_keys_cover_every_float_setting():
-    assert len(FLOAT_KEYS) == 21
+    assert len(FLOAT_KEYS) == 20
     for key in ("workload.duration", "latency.origin_rtt_ms", "estimator.max_ttl",
                 "estimator.fixed_ttl", "workload.query_fraction", "telemetry.window"):
         assert key in FLOAT_KEYS
@@ -283,16 +295,12 @@ def test_config_derived_objects():
     cfg = build_config(overrides={
         "latency.edge_rtt_ms": "8",
         "latency.origin_rtt_ms": "100",
-        "reward.adjust_threshold_to_workload": "false",
-        "reward.load_threshold": "0.6",
+        "reward.r0": "3",
     })
     lat = cfg.latency_model()
     assert lat.hit_latency == pytest.approx(0.008)
     assert lat.miss_latency == pytest.approx(0.108)
-    assert cfg.reward_config(0.1).load_threshold == 0.6
-
-    adj = build_config()
-    assert adj.reward_config(0.3).load_threshold == pytest.approx(0.7)
+    assert cfg.reward_config(0.3) == RewardConfig(r0=3.0, load_threshold=0.7)
 
     spec = cfg.workload_spec(0.25)
     assert spec.write_fraction == 0.25

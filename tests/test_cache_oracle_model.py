@@ -102,7 +102,7 @@ class CacheOracleModel(RuleBasedStateMachine):
         def hit(lo, hi):
             return lo <= old < hi or lo <= new < hi
 
-        resolved = [r.serve_id for r in self.oracle.on_write(old, new, self.now)]
+        resolved = self.oracle.on_write(old, new, self.now)
         assert resolved == [sid for sid, (lo, hi) in self.unresolved.items() if hit(lo, hi)]
         for sid in resolved:
             del self.unresolved[sid]

@@ -17,11 +17,12 @@ def test_rangeset_add_discard_contains():
     rs.add(1, 0.0, 5.0)
     rs.add(2, 3.0, 7.0)
     assert len(rs) == 2
-    assert 1 in rs and 2 in rs and 3 not in rs
+    assert rs.stab_either(1.0, 6.0) == [1, 2]
+    assert rs.discard(3) is False  # never added
     assert rs.discard(1) is True
     assert rs.discard(1) is False
     assert len(rs) == 1
-    assert 1 not in rs
+    assert rs.stab_either(1.0, 4.0) == [2]
 
 
 def test_rangeset_rejects_bad_adds():
@@ -45,25 +46,25 @@ def test_rangeset_rejects_non_finite_bounds(side, bad):
     bounds = {"lo": 1.0, "hi": 3.0, side: bad}
     with pytest.raises(ValueError, match=f"range bound {side} .* is not finite"):
         rs.add(1, bounds["lo"], bounds["hi"])
-    assert len(rs) == 0 and 1 not in rs
-    assert rs.stab(2.0) == [] and rs.stab(bad) == []
+    assert len(rs) == 0 and rs.discard(1) is False
+    assert rs.stab_either(2.0, bad) == []
 
 
 def test_rangeset_stab_is_half_open():
     rs = RangeSet()
     rs.add(7, 1.0, 2.0)
-    assert rs.stab(1.0) == [7]
-    assert rs.stab(2.0) == []
-    assert rs.stab(1.999999) == [7]
+    assert rs.stab_either(1.0, 1.0) == [7]
+    assert rs.stab_either(2.0, 2.0) == []
+    assert rs.stab_either(1.999999, 1.999999) == [7]
 
 
 def test_rangeset_stab_insertion_order():
     rs = RangeSet()
     for rid in (5, 3, 9, 1):
         rs.add(rid, 0.0, 10.0)
-    assert rs.stab(4.0) == [5, 3, 9, 1]
+    assert rs.stab_either(4.0, 4.0) == [5, 3, 9, 1]
     rs.discard(3)
-    assert rs.stab(4.0) == [5, 9, 1]
+    assert rs.stab_either(4.0, 4.0) == [5, 9, 1]
 
 
 def test_rangeset_stab_either_orders_hits_across_buckets():
@@ -101,13 +102,13 @@ def test_rangeset_matches_dict_oracle_under_churn():
                 r for r, (lo, hi) in oracle.items()
                 if lo <= v1 < hi or lo <= v2 < hi
             )
-            assert sorted(rs.stab(v1)) == expect_one
+            assert sorted(rs.stab_either(v1, v1)) == expect_one
             assert sorted(rs.stab_either(v1, v2)) == expect_two
         assert len(rs) == len(oracle)
     # final full sweep
     for v in np.linspace(-5.0, 105.0, 200):
         expect = sorted(r for r, (lo, hi) in oracle.items() if lo <= v < hi)
-        assert sorted(rs.stab(float(v))) == expect
+        assert sorted(rs.stab_either(float(v), float(v))) == expect
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +200,7 @@ def _serve(oracle, cache, unit, serve_id, lo, hi, ttl, now):
 
 def _write(oracle, cache, old, new, now):
     """An origin write: the serves it resolves, then their live entries."""
-    return cache.origin_update([r.serve_id for r in oracle.on_write(old, new, now)], now)
+    return cache.origin_update(oracle.on_write(old, new, now), now)
 
 
 def test_origin_update_marks_pending_once():
@@ -262,7 +263,7 @@ def test_insert_rejects_non_finite_bounds_and_changes_nothing(side, bad):
         _serve(oracle, cache, 1, 1, bounds["lo"], bounds["hi"], ttl=10.0, now=1.0)
     cache.check_invariants()
     assert cache.live_count == 1 and cache.stats.evictions == 0
-    assert len(oracle.records) == 1 and oracle.pending_count == 1
+    assert len(oracle.actions) == 1 and oracle.pending_count == 1
     assert cache.lookup(0, 2.0) is Lookup.HIT
     # the serve id and the unit were never taken
     _serve(oracle, cache, 1, 1, 1.0, 3.0, ttl=10.0, now=2.0)

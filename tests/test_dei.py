@@ -25,8 +25,6 @@ def test_reward_config_validation():
         RewardConfig(load_threshold=0.0).validate()
     with pytest.raises(ValueError, match="load_threshold"):
         RewardConfig(load_threshold=1.1).validate()
-    with pytest.raises(ValueError, match="above_threshold_form"):
-        RewardConfig(above_threshold_form="clamp").validate()
 
 
 def test_reward_invalidated_branch():
@@ -47,11 +45,10 @@ def test_reward_survival_below_threshold():
 
 
 def test_reward_above_threshold_forms():
-    penalty = RewardConfig(r0=2.0, load_threshold=0.8, above_threshold_form="penalty")
-    literal = RewardConfig(r0=2.0, load_threshold=0.8, above_threshold_form="literal")
-    assert transition_reward(None, 10.0, load=0.9, cfg=penalty) == pytest.approx(-1.8)
-    assert transition_reward(None, 10.0, load=0.9, cfg=literal) == pytest.approx(0.2)
-    assert transition_reward(None, 10.0, load=1.0, cfg=literal) == pytest.approx(0.0)
+    # above the threshold a survivor pays r0 * load, the one form there is
+    cfg = RewardConfig(r0=2.0, load_threshold=0.8)
+    assert transition_reward(None, 10.0, load=0.9, cfg=cfg) == pytest.approx(-1.8)
+    assert transition_reward(None, 10.0, load=1.0, cfg=cfg) == pytest.approx(-2.0)
 
 
 def test_reward_form_validation():
@@ -172,7 +169,7 @@ def test_queue_pop_unknown_raises():
 def _scripted_sim(tiny_cfg, estimator):
     """A simulation that never run()s: handlers are driven by hand."""
     sim = Simulation(tiny_cfg.workload_spec(0.1), tiny_cfg.latency_model(),
-                     tiny_cfg.capacity, seed=1)
+                     tiny_cfg.capacity, seed=1, telemetry_window=tiny_cfg.telemetry_window)
     sim.attach(estimator)
     return sim
 

@@ -1,22 +1,11 @@
-"""MLP parameter layout, forward/backward, Adam, gradient clipping, and weight snapshots."""
+"""MLP parameter layout, forward/backward, Adam and gradient clipping."""
 
 from __future__ import annotations
-
-import struct
 
 import numpy as np
 import pytest
 
-from ttl_lab.neural import (
-    AdamState,
-    Mlp,
-    adam_step,
-    backward,
-    forward,
-    init_mlp,
-    load_weights,
-    save_weights,
-)
+from ttl_lab.neural import AdamState, Mlp, adam_step, backward, forward, init_mlp
 
 
 def _reference_forward(net: Mlp, x: np.ndarray) -> np.ndarray:
@@ -259,48 +248,3 @@ def test_adam_step_rejects_layer_mismatch():
     net = init_mlp((2, 2), np.random.default_rng(10))
     with pytest.raises(ValueError, match="gradient"):
         adam_step(net, np.zeros(net.params.size + 1), AdamState(), 0.01)
-
-
-# ---------------------------------------------------------------------------
-# snapshots
-
-
-def test_snapshot_roundtrip_exact(tmp_path):
-    net = init_mlp((5, 7, 4), np.random.default_rng(11))
-    path = tmp_path / "net.w"
-    save_weights(net, str(path))
-    back = load_weights(str(path))
-    assert back.dims == net.dims
-    assert np.array_equal(back.params, net.params)
-
-
-def test_snapshot_byte_layout(tmp_path):
-    net = init_mlp((3, 2), np.random.default_rng(12))
-    path = tmp_path / "net.w"
-    save_weights(net, str(path))
-    raw = path.read_bytes()
-    ndims = struct.unpack_from("<I", raw, 0)[0]
-    assert ndims == 2
-    assert struct.unpack_from("<2I", raw, 4) == (3, 2)
-    params = np.frombuffer(raw[4 + 8 :], dtype="<f8")
-    assert np.array_equal(params, net.params)
-
-
-def test_snapshot_error_cases(tmp_path):
-    path = tmp_path / "bad.w"
-    path.write_bytes(b"\x01")
-    with pytest.raises(ValueError, match="truncated"):
-        load_weights(str(path))
-
-    path.write_bytes(struct.pack("<I", 1) + struct.pack("<I", 5))
-    with pytest.raises(ValueError, match="implausible"):
-        load_weights(str(path))
-
-    net = init_mlp((3, 2), np.random.default_rng(13))
-    good = tmp_path / "good.w"
-    save_weights(net, str(good))
-    clipped = good.read_bytes()[:-8]  # lose one parameter
-    bad = tmp_path / "short.w"
-    bad.write_bytes(clipped)
-    with pytest.raises(ValueError, match="params"):
-        load_weights(str(bad))

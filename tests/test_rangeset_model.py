@@ -77,7 +77,7 @@ class RangeSetModel(RuleBasedStateMachine):
 
     @rule(v=values)
     def stab(self, v):
-        assert self.rs.stab(v) == self.expect(v)
+        assert self.rs.stab_either(v, v) == self.expect(v)
 
     @rule(v1=values, v2=values)
     def stab_either(self, v1, v2):
@@ -88,14 +88,15 @@ class RangeSetModel(RuleBasedStateMachine):
         for lo, hi in list(self.model.values()):
             last = math.nextafter(hi, DOWN)
             for v in (lo, last, hi, math.nextafter(lo, DOWN)):
-                assert self.rs.stab(v) == self.expect(v)
+                assert self.rs.stab_either(v, v) == self.expect(v)
             assert self.rs.stab_either(lo, hi) == self.expect(lo, hi)
             assert self.rs.stab_either(last, lo) == self.expect(last, lo)
 
     @invariant()
     def same_members(self):
         assert len(self.rs) == len(self.model)
-        assert all(r in self.rs for r in self.model)
+        # each range holds its own lo
+        assert all(r in self.rs.stab_either(lo, lo) for r, (lo, _) in self.model.items())
 
 
 TestRangeSetModel = RangeSetModel.TestCase

@@ -107,14 +107,14 @@ def test_latency_model_rejects_negative():
 
 def _build_sim(cfg, seed=5, trace=None):
     sim = Simulation(cfg.workload_spec(0.1), cfg.latency_model(), cfg.capacity,
-                     seed, trace_writer=trace)
+                     seed, cfg.telemetry_window, trace_writer=trace)
     sim.attach(FixedEstimator(5.0))
     return sim
 
 
 def test_simulation_requires_estimator(tiny_cfg):
     sim = Simulation(tiny_cfg.workload_spec(0.1), tiny_cfg.latency_model(),
-                     tiny_cfg.capacity, seed=1)
+                     tiny_cfg.capacity, seed=1, telemetry_window=tiny_cfg.telemetry_window)
     with pytest.raises(RuntimeError, match="estimator"):
         sim.run()
 
@@ -164,7 +164,7 @@ def test_simulation_accounting_identities(tiny_cfg):
     assert stats.hits == res.hits and stats.misses == res.misses
     assert 0.0 <= res.hit_rate <= 1.0
     assert 0.0 <= res.invalidation_rate <= 1.0
-    assert len(sim.telemetry.oracle.records) == stats.inserts
+    assert len(sim.telemetry.oracle.actions) == stats.inserts
     sim.cache.check_invariants()
 
 
@@ -224,7 +224,8 @@ def test_arrival_gaps_equal_per_call_draws(tiny_cfg):
     # Each connection's gaps come in blocks; across block boundaries they must
     # be the values of one exponential() call per arrival on its own generator.
     spec = tiny_cfg.workload_spec(0.1)
-    sim = Simulation(spec, tiny_cfg.latency_model(), tiny_cfg.capacity, seed=4)
+    sim = Simulation(spec, tiny_cfg.latency_model(), tiny_cfg.capacity, seed=4,
+                     telemetry_window=tiny_cfg.telemetry_window)
     arrivals = np.random.SeedSequence(4).spawn(4)[2].spawn(spec.connections)
     n = 3 * _GAP_BLOCK + 7
     for conn in (0, 1, 17, spec.connections - 1):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -10,13 +11,7 @@ import pytest
 
 from ttl_lab.estimators import poisson_ttl
 from ttl_lab.nafagent import build_state
-from ttl_lab.telemetry import (
-    MissRateTracker,
-    ServeRecord,
-    Telemetry,
-    TrueTtlOracle,
-    WriteRateTracker,
-)
+from ttl_lab.telemetry import MissRateTracker, Telemetry, TrueTtlOracle, WriteRateTracker
 
 # ---------------------------------------------------------------------------
 # write rates
@@ -26,23 +21,24 @@ def test_write_rate_counts_over_window():
     tr = WriteRateTracker(10.0)
     for t in (1.0, 2.0, 3.0):
         tr.record(7, t)
-    assert tr.rate(7, 5.0) == pytest.approx(0.3)
+    assert tr.counts([7], 5.0).tolist() == [3]  # a rate of 3 / 10 per second
 
 
 def test_write_rate_window_is_left_open():
     # Window is (now - W, now]: an event exactly W old has fallen out.
     tr = WriteRateTracker(10.0)
     tr.record(1, 0.0)
-    assert tr.rate(1, 9.999) == pytest.approx(0.1)
-    assert tr.rate(1, 10.0) is None
+    assert tr.counts([1], 9.999).tolist() == [1]
+    assert tr.counts([1], 10.0).tolist() == [0]
 
 
 def test_write_rate_none_is_not_zero():
+    # A count of 0 is no rate at all (poisson_ttl and build_state skip it),
+    # and a key above every key written so far counts 0 too.
     tr = WriteRateTracker(5.0)
-    assert tr.rate(3, 100.0) is None
+    assert tr.counts([3, 900], 100.0).tolist() == [0, 0]
     tr.record(3, 100.0)
-    assert tr.rate(3, 100.0) == pytest.approx(0.2)
-    assert tr.rate(4, 100.0) is None  # other keys unaffected
+    assert tr.counts([3, 4, 900], 100.0).tolist() == [1, 0, 0]  # other keys unaffected
 
 
 def test_write_rate_rejects_bad_window():
@@ -130,8 +126,8 @@ def test_write_tracker_clock_cannot_go_back():
     tr = WriteRateTracker(10.0)
     tr.record(1, 5.0)
     assert tr.counts([1, 2], 5.0).tolist() == [1, 0]  # the same time again is fine
-    for go_back in (lambda: tr.counts([1], 4.0), lambda: tr.rate(1, 4.0),
-                    lambda: tr.record(1, 4.0), lambda: tr.counts([1], math.nan)):
+    for go_back in (lambda: tr.counts([1], 4.0), lambda: tr.record(1, 4.0),
+                    lambda: tr.counts([1], math.nan)):
         with pytest.raises(ValueError, match="cannot go back"):
             go_back()
     assert tr.counts([1], 14.0).tolist() == [1]
@@ -194,20 +190,6 @@ def test_miss_rate_delta_unknown_unit():
 
 
 # ---------------------------------------------------------------------------
-# serve records
-
-
-def test_serve_record_error_and_resolved():
-    rec = ServeRecord(0, 1, served_at=2.0, action=8.0, lo=0.0, hi=1.0)
-    assert not rec.resolved
-    with pytest.raises(ValueError, match="censored"):
-        _ = rec.error
-    rec.true_ttl = 5.0
-    assert rec.resolved
-    assert rec.error == pytest.approx(3.0)
-
-
-# ---------------------------------------------------------------------------
 # oracle
 
 
@@ -242,6 +224,7 @@ def test_oracle_matches_forward_scan_on_random_stream():
     oracle = TrueTtlOracle()
     serves = []  # (time, lo, hi, action)
     writes = []  # (time, old, new)
+    resolved_by_write = {}  # sid -> time of the write whose on_write returned it
     now = 0.0
     for sid in range(400):
         now += float(rng.exponential(0.3))
@@ -255,24 +238,24 @@ def test_oracle_matches_forward_scan_on_random_stream():
         else:
             old = float(rng.uniform(0.0, 50.0))
             new = float(rng.uniform(0.0, 50.0))
-            oracle.on_write(old, new, now)
+            for s in oracle.on_write(old, new, now):
+                assert s not in resolved_by_write
+                resolved_by_write[s] = now
             writes.append((now, old, new))
 
     expected = _brute_force(serves, writes)
-    assert len(oracle.records) == len(serves)
+    assert resolved_by_write == expected
+    assert len(oracle.actions) == len(serves)
     shadows = 0
-    for rec in oracle.records:
-        t_serve, lo, hi, action = serves[rec.serve_id]
-        if rec.serve_id in expected:
-            t_res = expected[rec.serve_id]
-            assert rec.resolved
-            assert rec.resolved_at == t_res
-            assert rec.true_ttl == t_res - t_serve  # bit-exact, same arithmetic
-            assert rec.shadow == (rec.true_ttl > action)
-            shadows += 1 if rec.shadow else 0
+    for sid, (t_serve, lo, hi, action) in enumerate(serves):
+        assert oracle.units[sid] == sid % 17
+        assert oracle.served_at[sid] == t_serve and oracle.actions[sid] == action
+        true_ttl = oracle.true_ttl[sid]
+        if sid in expected:
+            assert true_ttl == expected[sid] - t_serve  # bit-exact, same arithmetic
+            shadows += true_ttl > action
         else:
-            assert not rec.resolved
-            assert rec.true_ttl is None
+            assert math.isnan(true_ttl)
     assert shadows > 0, "stream produced no shadow resolutions; weak test"
     assert oracle.pending_count == len(serves) - len(expected)
 
@@ -280,12 +263,11 @@ def test_oracle_matches_forward_scan_on_random_stream():
 def test_oracle_resolves_each_serve_once():
     oracle = TrueTtlOracle()
     oracle.on_serve(0, unit=1, lo=0.0, hi=10.0, now=0.0, action=5.0)
-    first = oracle.on_write(3.0, 60.0, 2.0)
-    assert [r.serve_id for r in first] == [0]
-    assert oracle.records[0].true_ttl == pytest.approx(2.0)
+    assert oracle.on_write(3.0, 60.0, 2.0) == [0]
+    assert oracle.true_ttl[0] == 2.0
     again = oracle.on_write(4.0, 61.0, 3.0)
     assert again == []  # already resolved, not re-stamped
-    assert oracle.records[0].true_ttl == pytest.approx(2.0)
+    assert oracle.true_ttl[0] == 2.0
 
 
 def test_oracle_resolution_uses_old_or_new_value():
@@ -293,36 +275,75 @@ def test_oracle_resolution_uses_old_or_new_value():
     oracle.on_serve(0, unit=1, lo=0.0, hi=1.0, now=0.0, action=5.0)
     oracle.on_serve(1, unit=2, lo=10.0, hi=11.0, now=0.0, action=5.0)
     hit = oracle.on_write(0.5, 10.5, 1.0)  # old hits serve 0, new hits serve 1
-    assert sorted(r.serve_id for r in hit) == [0, 1]
+    assert sorted(hit) == [0, 1]
 
 
 def test_oracle_shadow_flag():
+    # a shadow resolution: the write comes after the entry's nominal expiry
     oracle = TrueTtlOracle()
     oracle.on_serve(0, unit=1, lo=0.0, hi=1.0, now=0.0, action=2.0)
     oracle.on_write(0.5, 99.0, 7.0)  # resolves well after the 2 s action
-    rec = oracle.records[0]
-    assert rec.shadow is True
-    assert rec.true_ttl == pytest.approx(7.0)
-    assert oracle.resolved_errors() == [pytest.approx(-5.0)]
+    assert oracle.true_ttl[0] == 7.0 and oracle.true_ttl[0] > oracle.actions[0]
+    assert oracle.resolved_errors().tolist() == [-5.0]
 
 
 def test_oracle_accessors():
     oracle = TrueTtlOracle()
     oracle.on_serve(0, unit=3, lo=0.0, hi=1.0, now=0.0, action=1.0)
+    oracle.on_serve(1, unit=4, lo=5.0, hi=6.0, now=1.0, action=1.5)
+    oracle.on_serve(2, unit=3, lo=7.0, hi=8.0, now=2.0, action=0.5)
+    oracle.on_write(0.5, 7.5, 4.0)
+    assert oracle.true_ttls().tolist() == [4.0, 2.0]
+    assert oracle.resolved_errors().tolist() == [-3.0, -1.5]
+    assert math.isnan(oracle.true_ttl[1])  # censored
+    assert oracle.serves_of_unit(3) == [0, 2]
+    assert oracle.serves_of_unit(4) == [1]
+    assert oracle.serves_of_unit(99) == []
+    assert oracle.records is oracle.actions
+
+
+def test_oracle_rejects_out_of_order_serve_ids_and_changes_nothing():
+    oracle = TrueTtlOracle()
+    oracle.on_serve(0, unit=3, lo=0.0, hi=1.0, now=0.0, action=1.0)
+    columns = (oracle.units, oracle.served_at, oracle.actions, oracle.true_ttl)
+    before = [c.tobytes() for c in columns]
+    for bad in (0, 2, -1):  # a repeat, a gap, and a negative id
+        with pytest.raises(ValueError, match=f"serve id {bad} is not the next one, 1"):
+            oracle.on_serve(bad, unit=4, lo=5.0, hi=6.0, now=1.0, action=1.0)
+    assert [c.tobytes() for c in columns] == before
+    assert oracle.pending_count == 1
+    assert oracle.on_write(5.5, 99.0, 2.0) == []  # no range was added for it
     oracle.on_serve(1, unit=4, lo=5.0, hi=6.0, now=1.0, action=1.0)
-    oracle.on_write(0.5, 99.0, 4.0)
-    assert [r.serve_id for r in oracle.resolved_records()] == [0]
-    assert oracle.true_ttls() == [pytest.approx(4.0)]
-    assert [r.serve_id for r in oracle.records_for_unit(4)] == [1]
-    assert oracle.records_for_unit(99) == []
+    assert oracle.on_write(5.5, 99.0, 2.0) == [1]
+
+
+def test_oracle_memory_per_resolved_serve():
+    # Every serve is resolved by the write that follows it, so the range index
+    # stays small and what remains is the four columns: 32 bytes a serve plus
+    # the arrays' spare capacity.
+    n = 100_000
+    oracle = TrueTtlOracle()
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        for sid in range(n):
+            lo = float(sid % 1000)
+            oracle.on_serve(sid, sid % 50, lo, lo + 1.0, float(sid), 5.0)
+            oracle.on_write(lo + 0.5, -1.0, sid + 0.5)
+        used, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(oracle.resolved_errors()) == n and oracle.pending_count == 0
+    per_serve = (used - base) / n
+    assert per_serve <= 64, f"{per_serve:.1f} bytes per resolved serve"
 
 
 def test_telemetry_facade_wiring():
     tel = Telemetry(window=20.0)
     tel.record_write(5, 1.0)
     tel.record_request(2, 1.0, miss=True)
-    assert tel.write_rate(5, 2.0) == pytest.approx(1 / 20.0)
-    assert tel.miss_rate(2, 2.0) == pytest.approx(1.0)
+    assert tel.write_counts([5, 6], 2.0).tolist() == [1, 0]
+    assert tel.requests.miss_rate(2, 2.0) == 1.0
     assert tel.miss_rate_delta(2, 2.0) == 0.0
-    assert tel.window == 20.0
-    assert tel.oracle.records == []
+    assert tel.window == tel.writes.window == tel.requests.window == 20.0
+    assert len(tel.oracle.actions) == 0
