@@ -245,11 +245,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None, ech
 
     results: list[RunResult] = []
     summary_rows: list[tuple] = []
-    cdf_rows: list[tuple[str, float, float]] = []
     replay_rows: list[tuple] = []
     querytrace_rows: list[tuple] = []
-    with open(out / "trace.csv", "w", newline="") as trace_fh:
+    with open(out / "trace.csv", "w", newline="") as trace_fh, \
+            open(out / "cdf.csv", "w", newline="") as cdf_fh:
         trace_fh.write(TRACE_HEADER)
+        cdf_fh.write(",".join(CDF_HEADER) + "\r\n")
         for wi, w in enumerate(cfg.write_fractions):
             cell_best: tuple[float, float] | None = None
             for ei, est_kind in enumerate(cfg.estimators):
@@ -280,7 +281,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None, ech
                         continue  # a repeated write fraction or estimator feeds nothing more
                     for label in cdf_series.get(est_kind, ()):
                         values = true_ttls if label == "optimal" else oracle.actions
-                        cdf_rows += [(label, v, f) for v, f in emit_cdf(values)]
+                        cdf_fh.writelines(CDF_ROW % (label, v, f) for v, f in emit_cdf(values))
                     if est_kind == query_kind and cfg.trace_query != "none":
                         querytrace_rows = _query_trace_rows(sim, cfg.trace_query)
 
@@ -308,7 +309,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None, ech
 
     _write_csv(out / "per_run.csv", PER_RUN_HEADER, PER_RUN_ROW, map(astuple, results))
     _write_csv(out / "summary.csv", SUMMARY_HEADER, SUMMARY_ROW, summary_rows)
-    _write_csv(out / "cdf.csv", CDF_HEADER, CDF_ROW, cdf_rows)
     if cfg.trace_query != "none":
         _write_csv(out / "querytrace.csv", QUERYTRACE_HEADER, QUERYTRACE_ROW, querytrace_rows)
     if cfg.replay_log:

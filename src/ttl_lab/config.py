@@ -16,7 +16,7 @@ from .dei import RewardConfig
 from .estimators import make_estimator
 from .nafagent import NafConfig
 from .simcore import LatencyModel
-from .telemetry import _check_window
+from .telemetry import Telemetry
 from .workload import WorkloadSpec
 
 ESTIMATOR_KINDS = ("poisson", "naf-dei", "naf-naive", "fixed")
@@ -170,8 +170,9 @@ class ExperimentConfig:
                 raise ValueError(f"write fraction {w}: {e}") from None
         self.latency.validate()
         self.naf.validate()
-        CacheSystem(self.capacity)  # the bounds a run would enforce
-        _check_window(self.telemetry_window)
+        # the bounds a run would enforce
+        CacheSystem(self.capacity)
+        Telemetry(self.telemetry_window)
 
     def workload_spec(self, write_fraction: float) -> WorkloadSpec:
         qf = 1.0 - write_fraction if self.query_fraction is None else self.query_fraction

@@ -35,7 +35,7 @@ def poisson_ttl(result_keys, telemetry, now: float, max_ttl: float) -> float:
     unknown = 0
     # One rate at a time in key order: np.sum sums pairwise and sum() compensates,
     # and either can move the last bit of the TTL.
-    for n in telemetry.write_counts(result_keys, now).tolist():
+    for n in telemetry.write_counts(result_keys, now):
         if n:
             known += n / window
         else:
@@ -189,13 +189,19 @@ def make_estimator(
     naf_cfg: NafConfig | None = None,
     reward_cfg: RewardConfig | None = None,
     rng: np.random.Generator | None = None,
-    fixed_ttl: float = 60.0,
-    poisson_max_ttl: float = 300.0,
+    fixed_ttl: float | None = None,
+    poisson_max_ttl: float | None = None,
     log_transitions: bool = False,
 ) -> TtlEstimator:
+    """The estimator of one kind; `fixed` and `poisson` need their option,
+    whose default is ExperimentConfig's."""
     if kind == "fixed":
+        if fixed_ttl is None:
+            raise ValueError("fixed needs a fixed_ttl")
         return FixedEstimator(fixed_ttl)
     if kind == "poisson":
+        if poisson_max_ttl is None:
+            raise ValueError("poisson needs a poisson_max_ttl")
         return PoissonEstimator(poisson_max_ttl)
     if kind in ("naf-dei", "naf-naive"):
         if rng is None:

@@ -81,7 +81,7 @@ def build_state(result_keys, telemetry, unit: int, now: float, rate_inputs: int)
     zero-padded) plus the unit's miss-rate delta. A key with no write in the
     telemetry window has no rate and takes no slot."""
     window = telemetry.window
-    rates = [min(n / window, 1.0) for n in telemetry.write_counts(result_keys, now).tolist() if n]
+    rates = [min(n / window, 1.0) for n in telemetry.write_counts(result_keys, now) if n]
     rates.sort(reverse=True)
     s = np.zeros(rate_inputs + 1)
     top = rates[:rate_inputs]

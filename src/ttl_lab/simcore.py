@@ -157,7 +157,6 @@ class Simulation:
         self.completed = 0
         self.latency_sum = 0.0
         self.op_counts = {"read": 0, "update": 0, "query": 0}
-        self.miss_counts: dict[int, int] = {}
         self._serve_seq = 0
 
     def attach(self, estimator) -> None:
@@ -215,7 +214,6 @@ class Simulation:
         self.telemetry.record_request(unit, now, miss=outcome is Lookup.MISS)
 
         if outcome is Lookup.MISS:
-            self.miss_counts[unit] = self.miss_counts.get(unit, 0) + 1
             result_keys = evaluate_query(values, lo, hi)
             serve_id = self._serve_seq
             self._serve_seq += 1
@@ -256,10 +254,8 @@ class Simulation:
 
     def hottest_missed_query(self) -> int | None:
         """Query unit with the most cache misses (for --trace-query auto);
-        ties break toward the smallest id."""
-        best, best_n = None, 0
-        for unit in sorted(u for u in self.miss_counts if u < self.spec.query_count):
-            n = self.miss_counts[unit]
-            if n > best_n:
-                best, best_n = unit, n
-        return best
+        ties break toward the smallest id. Each miss is one serve."""
+        units = np.asarray(self.telemetry.oracle.units)
+        misses = np.bincount(units[units < self.spec.query_count], minlength=1)
+        best = int(misses.argmax())
+        return best if misses[best] else None

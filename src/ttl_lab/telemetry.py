@@ -1,12 +1,14 @@
-"""Run-time measurement: write counts, miss rates, and the true-TTL oracle.
+"""Run-time measurement: windowed counts and the true-TTL oracle.
 
-Both are taken over a sliding window (now - W, now]. A key's write rate is its
-count / W; a key with no writes in the window has no rate ("unavailable"),
-which is distinct from a rate of zero, and a unit with no requests in it has
-no miss rate. Write counts come from one FIFO of (time, key) over the window
-and one integer count per key, so the counts of a whole result set are one
-array lookup; recording and querying share the tracker's clock, and a `now`
-earlier than the last one raises ValueError instead of silently under-counting.
+Estimators read two measurements, both over a sliding window (now - W, now]:
+each key's write count and each unit's miss rate. Both come from
+WindowCounter: Telemetry holds three, which count writes per key and requests
+and misses per unit. A key's write rate is its count / W; a key with no
+writes in the window has no rate ("unavailable"), which is distinct from a
+rate of zero, and a unit with no requests in it has no miss rate. Each
+counter keeps one monotone clock: a `now` earlier than its last raises
+ValueError instead of silently under-counting.
+
 The oracle keeps four columns indexed by serve id (unit, serve time, action,
 true TTL) and resolves a serve's true TTL at the moment the first
 invalidating write is issued, including "shadow" resolutions that land after
@@ -26,109 +28,50 @@ import numpy as np
 from .cachesys import RangeSet
 
 
-def _check_window(window: float) -> None:
-    if not 0.0 < window < math.inf:
-        raise ValueError(f"window must be a positive finite number, got {window}")
+class WindowCounter:
+    """Events per id over the sliding window (now - window, now].
 
-
-class WriteRateTracker:
-    """Write counts per key over a sliding window.
-
-    The writes still in the window wait in one FIFO of (time, key) in time
-    order, and `_counts[key]` is how many of them are key's. Moving the clock
-    to `now` pops every write at or before now - window off the front.
+    The events still in the window wait in one FIFO of (time, id) in time
+    order, and `_counts[id]` is how many of them are id's; the list grows on
+    demand, so an id never recorded counts 0. Moving the clock to `now` pops
+    every event at or before now - window off the front.
     """
 
     def __init__(self, window: float):
-        _check_window(window)
+        if not 0.0 < window < math.inf:
+            raise ValueError(f"window must be a positive finite number, got {window}")
         self.window = window
         self._fifo: deque[tuple[float, int]] = deque()
-        self._counts = np.zeros(0, dtype=np.int64)
+        self._counts: list[int] = []
         self._now = -math.inf
 
     def _advance(self, now: float) -> None:
         if not now >= self._now:
-            raise ValueError(f"write tracker clock cannot go back from {self._now} to {now}")
+            raise ValueError(f"window clock cannot go back from {self._now} to {now}")
         self._now = now
         cutoff = now - self.window
         fifo, counts = self._fifo, self._counts
         while fifo and fifo[0][0] <= cutoff:
             counts[fifo.popleft()[1]] -= 1
 
-    def _grow(self, size: int) -> None:
-        grown = np.zeros(max(size, 2 * len(self._counts)), dtype=np.int64)
-        grown[: len(self._counts)] = self._counts
-        self._counts = grown
-
-    def record(self, key: int, now: float) -> None:
+    def record(self, i: int, now: float) -> None:
         self._advance(now)
-        if key >= len(self._counts):
-            self._grow(key + 1)
-        self._fifo.append((now, key))
-        self._counts[key] += 1
+        counts = self._counts
+        if i >= len(counts):
+            counts.extend([0] * (i + 1 - len(counts)))
+        self._fifo.append((now, i))
+        counts[i] += 1
 
-    def counts(self, keys, now: float) -> np.ndarray:
-        """Writes in (now - window, now] of each key in `keys`, as int64."""
+    def count(self, i: int, now: float) -> int:
         self._advance(now)
-        keys = np.asarray(keys, dtype=np.intp)
-        try:
-            return self._counts[keys]
-        except IndexError:  # a key above every key written so far: it counts 0
-            self._grow(int(keys.max()) + 1)
-            return self._counts[keys]
+        return self._counts[i] if i < len(self._counts) else 0
 
-
-class MissRateTracker:
-    """Per-unit request outcomes in a sliding window, plus the stateful delta.
-
-    miss_rate_delta reports the change since the last reported value for the
-    unit and then updates that baseline; the first observation for a unit and
-    any empty-window call report 0 (an empty window leaves the baseline
-    untouched).
-    """
-
-    def __init__(self, window: float):
-        _check_window(window)
-        self.window = window
-        self._events: dict[int, deque[tuple[float, int]]] = {}
-        self._miss_in_window: dict[int, int] = {}
-        self._last_reported: dict[int, float] = {}
-
-    def record(self, unit: int, now: float, miss: bool) -> None:
-        dq = self._events.get(unit)
-        if dq is None:
-            dq = self._events[unit] = deque()
-        dq.append((now, 1 if miss else 0))
-        if miss:
-            self._miss_in_window[unit] = self._miss_in_window.get(unit, 0) + 1
-        self._prune(unit, dq, now)
-
-    def _prune(self, unit: int, dq: deque[tuple[float, int]], now: float) -> None:
-        cutoff = now - self.window
-        dropped_miss = 0
-        while dq and dq[0][0] <= cutoff:
-            dropped_miss += dq.popleft()[1]
-        if dropped_miss:
-            self._miss_in_window[unit] -= dropped_miss
-
-    def miss_rate(self, unit: int, now: float) -> float | None:
-        dq = self._events.get(unit)
-        if dq is None:
-            return None
-        self._prune(unit, dq, now)
-        if not dq:
-            return None
-        return self._miss_in_window.get(unit, 0) / len(dq)
-
-    def miss_rate_delta(self, unit: int, now: float) -> float:
-        cur = self.miss_rate(unit, now)
-        if cur is None:
-            return 0.0
-        prev = self._last_reported.get(unit)
-        self._last_reported[unit] = cur
-        if prev is None:
-            return 0.0
-        return cur - prev
+    def counts(self, ids, now: float) -> list[int]:
+        """count(i, now) of each i in `ids` (ints or an integer array)."""
+        self._advance(now)
+        counts = self._counts
+        n = len(counts)
+        return [counts[i] if i < n else 0 for i in np.asarray(ids, dtype=np.intp).tolist()]
 
 
 class TrueTtlOracle:
@@ -193,23 +136,44 @@ class TrueTtlOracle:
 
 
 class Telemetry:
-    """Facade bundling the trackers and oracle that estimators read."""
+    """What estimators read: write counts per key, and request and miss counts
+    per unit, each over the same window, plus the true-TTL oracle.
+
+    miss_rate_delta reports the change in a unit's miss rate since the last
+    value reported for it, then makes that value the baseline; the first
+    report for a unit and any empty-window call report 0 (an empty window
+    leaves the baseline untouched).
+    """
 
     def __init__(self, window: float):
+        self.writes = WindowCounter(window)
+        self.requests = WindowCounter(window)
+        self.misses = WindowCounter(window)
         self.window = window
-        self.writes = WriteRateTracker(window)
-        self.requests = MissRateTracker(window)
         self.oracle = TrueTtlOracle()
+        self._last_miss_rate: dict[int, float] = {}
 
     def record_write(self, key: int, now: float) -> None:
         self.writes.record(key, now)
 
     def record_request(self, unit: int, now: float, miss: bool) -> None:
-        self.requests.record(unit, now, miss)
+        self.requests.record(unit, now)  # first: it rejects an earlier now
+        if miss:
+            self.misses.record(unit, now)
 
-    def write_counts(self, keys, now: float) -> np.ndarray:
+    def write_counts(self, keys, now: float) -> list[int]:
         """Each key's writes in the window; its rate is count / window, none if 0."""
         return self.writes.counts(keys, now)
 
+    def miss_rate(self, unit: int, now: float) -> float | None:
+        """The unit's misses / requests in the window; None if none is in it."""
+        n = self.requests.count(unit, now)
+        return self.misses.count(unit, now) / n if n else None
+
     def miss_rate_delta(self, unit: int, now: float) -> float:
-        return self.requests.miss_rate_delta(unit, now)
+        cur = self.miss_rate(unit, now)
+        if cur is None:
+            return 0.0
+        prev = self._last_miss_rate.get(unit)
+        self._last_miss_rate[unit] = cur
+        return 0.0 if prev is None else cur - prev

@@ -281,6 +281,7 @@ def test_criterion_07_determinism():
 # 8. delayed injection beats instant misattributed injection
 
 
+@pytest.mark.slow
 def test_criterion_08_dei_beats_naive():
     cfg = build_config(preset="desk")
     means = {}
@@ -311,6 +312,7 @@ def _seed_line(rows):
                      for r in rows)
 
 
+@pytest.mark.slow
 def test_criterion_09_hit_rate_vs_poisson(tmp_path):
     # half-duration variant of the full-scale preset, 3 seeds, to stay
     # inside a test-suite budget

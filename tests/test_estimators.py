@@ -170,6 +170,11 @@ def test_make_estimator_errors():
         make_estimator("lru")
     with pytest.raises(ValueError, match="RNG"):
         make_estimator("naf-dei")
+    # their options come from ExperimentConfig, which has the one default
+    with pytest.raises(ValueError, match="fixed needs a fixed_ttl"):
+        make_estimator("fixed", poisson_max_ttl=300.0)
+    with pytest.raises(ValueError, match="poisson needs a poisson_max_ttl"):
+        make_estimator("poisson", fixed_ttl=60.0)
 
 
 def test_estimator_kind_labels():

@@ -107,7 +107,7 @@ class _StubTelemetry:
         self.delta = delta
 
     def write_counts(self, keys, now):
-        return np.array([self.counts.get(k, 0) for k in keys], dtype=np.int64)
+        return [self.counts.get(k, 0) for k in keys]
 
     def miss_rate_delta(self, unit, now):
         return self.delta

@@ -197,12 +197,19 @@ def test_unknown_event_kind_raises(tiny_cfg):
 
 
 def test_hottest_missed_query_tiebreak(tiny_cfg):
-    sim = _build_sim(tiny_cfg)
+    # Each miss is one serve, so the misses are counted from the oracle.
     qc = tiny_cfg.workload.query_count
-    sim.miss_counts = {3: 5, 1: 5, 2: 4, qc + 9: 99}  # reads never win
-    assert sim.hottest_missed_query() == 1
-    sim.miss_counts = {qc + 9: 99}
-    assert sim.hottest_missed_query() is None
+
+    def hottest(misses):
+        sim = _build_sim(tiny_cfg)
+        oracle = sim.telemetry.oracle
+        for sid, unit in enumerate(u for u, n in misses.items() for _ in range(n)):
+            oracle.on_serve(sid, unit, 0.0, 1.0, float(sid), 1.0)
+        return sim.hottest_missed_query()
+
+    assert hottest({3: 5, 1: 5, 2: 4, qc + 9: 99}) == 1  # reads never win
+    assert hottest({qc + 9: 99}) is None
+    assert hottest({}) is None
 
 
 def test_stale_reads_happen_under_writes(tiny_cfg):

@@ -1,4 +1,4 @@
-"""Sliding-window rates and the true-TTL oracle vs a forward-scan reference."""
+"""Sliding-window counts and the true-TTL oracle vs a forward-scan reference."""
 
 from __future__ import annotations
 
@@ -11,43 +11,46 @@ import pytest
 
 from ttl_lab.estimators import poisson_ttl
 from ttl_lab.nafagent import build_state
-from ttl_lab.telemetry import MissRateTracker, Telemetry, TrueTtlOracle, WriteRateTracker
+from ttl_lab.telemetry import Telemetry, TrueTtlOracle, WindowCounter
 
 # ---------------------------------------------------------------------------
 # write rates
 
 
 def test_write_rate_counts_over_window():
-    tr = WriteRateTracker(10.0)
+    tr = WindowCounter(10.0)
     for t in (1.0, 2.0, 3.0):
         tr.record(7, t)
-    assert tr.counts([7], 5.0).tolist() == [3]  # a rate of 3 / 10 per second
+    assert tr.counts([7], 5.0) == [3]  # a rate of 3 / 10 per second
+    assert tr.count(7, 5.0) == 3
 
 
 def test_write_rate_window_is_left_open():
     # Window is (now - W, now]: an event exactly W old has fallen out.
-    tr = WriteRateTracker(10.0)
+    tr = WindowCounter(10.0)
     tr.record(1, 0.0)
-    assert tr.counts([1], 9.999).tolist() == [1]
-    assert tr.counts([1], 10.0).tolist() == [0]
+    assert tr.counts([1], 9.999) == [1]
+    assert tr.counts([1], 10.0) == [0]
 
 
 def test_write_rate_none_is_not_zero():
     # A count of 0 is no rate at all (poisson_ttl and build_state skip it),
     # and a key above every key written so far counts 0 too.
-    tr = WriteRateTracker(5.0)
-    assert tr.counts([3, 900], 100.0).tolist() == [0, 0]
+    tr = WindowCounter(5.0)
+    assert tr.counts([3, 900], 100.0) == [0, 0]
+    assert tr.count(900, 100.0) == 0
     tr.record(3, 100.0)
-    assert tr.counts([3, 4, 900], 100.0).tolist() == [1, 0, 0]  # other keys unaffected
+    assert tr.counts(np.array([3, 4, 900]), 100.0) == [1, 0, 0]  # other keys unaffected
 
 
 def test_write_rate_rejects_bad_window():
-    with pytest.raises(ValueError, match="window"):
-        WriteRateTracker(0.0)
+    for make in (WindowCounter, Telemetry):
+        with pytest.raises(ValueError, match="window"):
+            make(0.0)
 
 
 @pytest.mark.parametrize("window", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("make", [Telemetry, WriteRateTracker, MissRateTracker])
+@pytest.mark.parametrize("make", [Telemetry, WindowCounter])
 def test_windows_reject_non_finite(make, window):
     with pytest.raises(ValueError, match="window must be a positive finite number"):
         make(window)
@@ -55,7 +58,7 @@ def test_windows_reject_non_finite(make, window):
 
 class _DequeWriteRates:
     """Per-key deques of write times, pruned when the key is asked for: the
-    tracker write rates were first computed with, kept as the reference."""
+    way write rates were first computed, kept as the reference."""
 
     def __init__(self, window):
         self.window = window
@@ -114,7 +117,7 @@ def test_write_counts_match_per_key_deque_reference():
             continue
         keys = rng.choice(60, size=int(rng.integers(1, 25)), replace=False)  # 40-59 never written
         edge_queries += (now - window) in write_times
-        assert tel.write_counts(keys, now).tolist() == [ref.count(int(k), now) for k in keys]
+        assert tel.write_counts(keys, now) == [ref.count(int(k), now) for k in keys]
         assert poisson_ttl(keys, tel, now, 300.0) == _reference_poisson_ttl(keys, ref, now, 300.0)
         assert build_state(keys, tel, 0, now, 6).tolist() == _reference_state(keys, ref, now, 6)
     assert edge_queries > 100
@@ -123,14 +126,14 @@ def test_write_counts_match_per_key_deque_reference():
 
 
 def test_write_tracker_clock_cannot_go_back():
-    tr = WriteRateTracker(10.0)
+    tr = WindowCounter(10.0)
     tr.record(1, 5.0)
-    assert tr.counts([1, 2], 5.0).tolist() == [1, 0]  # the same time again is fine
+    assert tr.counts([1, 2], 5.0) == [1, 0]  # the same time again is fine
     for go_back in (lambda: tr.counts([1], 4.0), lambda: tr.record(1, 4.0),
-                    lambda: tr.counts([1], math.nan)):
+                    lambda: tr.count(1, 4.0), lambda: tr.counts([1], math.nan)):
         with pytest.raises(ValueError, match="cannot go back"):
             go_back()
-    assert tr.counts([1], 14.0).tolist() == [1]
+    assert tr.counts([1], 14.0) == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -138,55 +141,76 @@ def test_write_tracker_clock_cannot_go_back():
 
 
 def test_miss_rate_fraction_over_window():
-    tr = MissRateTracker(10.0)
-    tr.record(1, 1.0, miss=True)
-    tr.record(1, 2.0, miss=False)
-    tr.record(1, 3.0, miss=False)
-    tr.record(1, 4.0, miss=True)
+    tr = Telemetry(10.0)
+    tr.record_request(1, 1.0, miss=True)
+    tr.record_request(1, 2.0, miss=False)
+    tr.record_request(1, 3.0, miss=False)
+    tr.record_request(1, 4.0, miss=True)
     assert tr.miss_rate(1, 5.0) == pytest.approx(0.5)
 
 
 def test_miss_rate_none_when_window_empty():
-    tr = MissRateTracker(10.0)
+    tr = Telemetry(10.0)
     assert tr.miss_rate(1, 0.0) is None
-    tr.record(1, 0.0, miss=True)
+    tr.record_request(1, 0.0, miss=True)
     assert tr.miss_rate(1, 9.0) == pytest.approx(1.0)
     assert tr.miss_rate(1, 10.0) is None  # the one event just slid out
 
 
 def test_miss_rate_prunes_miss_counts():
-    tr = MissRateTracker(10.0)
-    tr.record(1, 0.0, miss=True)
-    tr.record(1, 8.0, miss=False)
-    tr.record(1, 12.0, miss=False)
+    tr = Telemetry(10.0)
+    tr.record_request(1, 0.0, miss=True)
+    tr.record_request(1, 8.0, miss=False)
+    tr.record_request(1, 12.0, miss=False)
     # the t=0 miss left the window; 1 miss-free pair remains plus the miss at none
     assert tr.miss_rate(1, 12.0) == pytest.approx(0.0)
 
 
 def test_miss_rate_delta_semantics():
-    tr = MissRateTracker(100.0)
-    tr.record(1, 1.0, miss=True)
+    tr = Telemetry(100.0)
+    tr.record_request(1, 1.0, miss=True)
     assert tr.miss_rate_delta(1, 2.0) == 0.0  # first report seeds the baseline
-    tr.record(1, 3.0, miss=False)
+    tr.record_request(1, 3.0, miss=False)
     # rate moved 1.0 -> 0.5
     assert tr.miss_rate_delta(1, 4.0) == pytest.approx(-0.5)
     assert tr.miss_rate_delta(1, 5.0) == 0.0  # unchanged since last report
 
 
 def test_miss_rate_delta_empty_window_keeps_baseline():
-    tr = MissRateTracker(10.0)
-    tr.record(1, 0.0, miss=True)
+    tr = Telemetry(10.0)
+    tr.record_request(1, 0.0, miss=True)
     assert tr.miss_rate_delta(1, 1.0) == 0.0  # baseline = 1.0
     assert tr.miss_rate_delta(1, 50.0) == 0.0  # empty window, baseline untouched
-    tr.record(1, 60.0, miss=True)
-    tr.record(1, 61.0, miss=False)
+    tr.record_request(1, 60.0, miss=True)
+    tr.record_request(1, 61.0, miss=False)
     # 0.5 against the surviving 1.0 baseline
     assert tr.miss_rate_delta(1, 62.0) == pytest.approx(-0.5)
 
 
 def test_miss_rate_delta_unknown_unit():
-    tr = MissRateTracker(10.0)
+    tr = Telemetry(10.0)
     assert tr.miss_rate_delta(99, 5.0) == 0.0
+
+
+def test_requests_and_miss_rates_cannot_go_back():
+    # A request recorded at an earlier now would be counted as if it were
+    # still in the window after newer ones left it; it fails where it enters
+    # and changes nothing.
+    tel = Telemetry(10.0)
+    tel.record_request(1, 5.0, miss=True)
+    tel.record_request(2, 6.0, miss=False)
+    for go_back in (lambda: tel.record_request(1, 4.0, miss=True),
+                    lambda: tel.record_request(3, 5.5, miss=False),
+                    lambda: tel.miss_rate(1, 5.0),
+                    lambda: tel.miss_rate_delta(1, 5.0),
+                    lambda: tel.record_request(1, math.nan, miss=True)):
+        with pytest.raises(ValueError, match="cannot go back"):
+            go_back()
+    assert tel.miss_rate_delta(1, 6.0) == 0.0  # seeds the baseline at 1.0
+    assert (tel.miss_rate(1, 14.0), tel.miss_rate(2, 14.0)) == (1.0, 0.0)
+    assert tel.miss_rate(1, 15.0) is None  # the t=5 miss left the window
+    with pytest.raises(ValueError, match="cannot go back"):
+        tel.miss_rate_delta(1, 14.5)
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +366,8 @@ def test_telemetry_facade_wiring():
     tel = Telemetry(window=20.0)
     tel.record_write(5, 1.0)
     tel.record_request(2, 1.0, miss=True)
-    assert tel.write_counts([5, 6], 2.0).tolist() == [1, 0]
-    assert tel.requests.miss_rate(2, 2.0) == 1.0
+    assert tel.write_counts([5, 6], 2.0) == [1, 0]
+    assert tel.miss_rate(2, 2.0) == 1.0
     assert tel.miss_rate_delta(2, 2.0) == 0.0
-    assert tel.window == tel.writes.window == tel.requests.window == 20.0
+    assert tel.window == tel.writes.window == tel.requests.window == tel.misses.window == 20.0
     assert len(tel.oracle.actions) == 0
