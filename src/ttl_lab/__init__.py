@@ -6,38 +6,6 @@ reinforcement learner whose transitions complete via delayed experience
 injection. A true-TTL oracle scores every decision after the fact.
 """
 
-from .benchcli import DEFAULT_TTL_GRID, best_default_ttl
-from .cachesys import CacheStats, CacheSystem, Lookup, RangeSet
-from .config import ExperimentConfig, build_config, parse_kv_file
-from .dei import DeiQueue, IncompleteTransition, RewardConfig, transition_reward
-from .estimators import (
-    FixedEstimator,
-    NafDeiEstimator,
-    NafNaiveEstimator,
-    PoissonEstimator,
-    make_estimator,
-    poisson_ttl,
-)
-from .nafagent import NafAgent, NafConfig, Transition, build_state
-from .neural import Mlp, adam_step, backward, forward, init_mlp
-from .simcore import Engine, LatencyModel, SimEvent, Simulation
-from .telemetry import Telemetry, TrueTtlOracle
-from .workload import OpStream, WorkloadSpec, ZipfSampler, evaluate_query, generate_world
+from .config import build_config
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "DEFAULT_TTL_GRID", "best_default_ttl",
-    "CacheStats", "CacheSystem", "Lookup", "RangeSet",
-    "ExperimentConfig", "build_config", "parse_kv_file",
-    "DeiQueue", "IncompleteTransition", "RewardConfig", "transition_reward",
-    "FixedEstimator", "NafDeiEstimator", "NafNaiveEstimator",
-    "PoissonEstimator", "make_estimator", "poisson_ttl",
-    "NafAgent", "NafConfig", "Transition", "build_state",
-    "Mlp", "adam_step", "backward", "forward", "init_mlp",
-    "Engine", "LatencyModel", "SimEvent", "Simulation",
-    "Telemetry", "TrueTtlOracle",
-    "OpStream", "WorkloadSpec", "ZipfSampler", "evaluate_query", "generate_world",
-    "__version__",
-]
-

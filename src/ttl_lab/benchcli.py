@@ -231,7 +231,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None, ech
     the Poisson run) and the query trace from the learned run (else the
     first cell); replay_log.csv from every learned cell.
     """
-    cfg.validate()
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

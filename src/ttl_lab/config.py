@@ -1,8 +1,10 @@
 """Experiment configuration: flat key=value files, presets, CLI overrides.
 
 Precedence is defaults < preset < config file < CLI flags. Every key is
-validated against the schema below; a typo fails loudly with the offending
-key and line instead of silently running the wrong experiment.
+validated against the schema below, and each section and ExperimentConfig
+check their settings when built, from keys or from Python: a typo or a bad
+value fails loudly where it enters instead of silently running the wrong
+experiment.
 """
 
 from __future__ import annotations
@@ -90,14 +92,8 @@ SCHEMA: dict[str, tuple[str, object]] = {
 }
 
 PRESETS: dict[str, dict[str, str]] = {
-    # Seconds-scale sanity runs on a laptop.
+    # Seconds-scale sanity runs on a laptop: the defaults plus learner settings.
     "desk": {
-        "workload.record_count": "2000",
-        "workload.query_count": "200",
-        "workload.target_throughput": "200",
-        "workload.duration": "300",
-        "cache.capacity": "160",
-        "bench.runs": "3",
         "naf.ttl_max": "60",
         "naf.explore_steps": "300",
         "naf.noise_sigma_start": "5",
@@ -122,7 +118,7 @@ PRESETS: dict[str, dict[str, str]] = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     # workload (write_fractions sweeps cells; query share defaults to 1 - w)
     workload: WorkloadSpec = WorkloadSpec()
@@ -145,7 +141,7 @@ class ExperimentConfig:
     trace_query: str = "auto"  # "auto" | "none" | a query id
     out_dir: str = "results"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for est in self.estimators:
             if est not in ESTIMATOR_KINDS:
                 raise ValueError(f"unknown estimator {est!r}; choose from {ESTIMATOR_KINDS}")
@@ -153,23 +149,21 @@ class ExperimentConfig:
                 make_estimator(est, fixed_ttl=self.fixed_ttl, poisson_max_ttl=self.poisson_max_ttl)
         if self.runs < 1:
             raise ValueError("bench.runs must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError("bench.base_seed must be >= 0")
         if self.trace_query not in ("auto", "none"):
             try:
                 qid = int(self.trace_query)
             except ValueError:
-                raise ValueError(
-                    "bench.trace_query must be 'auto', 'none' or a query id"
-                ) from None
+                raise ValueError("bench.trace_query must be 'auto', 'none' or a query id") from None
             if not (0 <= qid < self.workload.query_count):
                 raise ValueError(f"bench.trace_query {qid} outside [0, {self.workload.query_count})")
         for w in self.write_fractions:
             try:
-                self.workload_spec(w).validate()
-                self.reward_config(w).validate()
+                self.workload_spec(w)
+                self.reward_config(w)
             except ValueError as e:
                 raise ValueError(f"write fraction {w}: {e}") from None
-        self.latency.validate()
-        self.naf.validate()
         # the bounds a run would enforce
         CacheSystem(self.capacity)
         Telemetry(self.telemetry_window)
@@ -179,10 +173,12 @@ class ExperimentConfig:
         return replace(self.workload, write_fraction=write_fraction, query_fraction=qf)
 
     def latency_model(self) -> LatencyModel:
+        """`latency`, kept only for perfbench/worker.py until it reads the field."""
         return self.latency
 
     @property
     def duration(self) -> float:
+        """`workload.duration`, kept only for perfbench/worker.py until it reads it."""
         return self.workload.duration
 
     def reward_config(self, write_fraction: float) -> RewardConfig:
@@ -209,7 +205,8 @@ def build_config(
     file_kv: dict[str, str] | None = None,
     overrides: dict[str, str] | None = None,
 ) -> ExperimentConfig:
-    """Merge preset, file and override key maps into a validated config."""
+    """Merge preset, file and override key maps into a checked config. Each
+    section is built once from its parsed keys, so no half-applied state is checked."""
     merged: dict[str, str] = {}
     if preset is not None:
         if preset not in PRESETS:
@@ -218,7 +215,8 @@ def build_config(
     merged.update(file_kv or {})
     merged.update(overrides or {})
 
-    cfg = ExperimentConfig()
+    top: dict[str, object] = {}
+    sections: dict[str, dict[str, object]] = {}
     for key, raw in merged.items():
         if key not in SCHEMA:
             raise ValueError(f"unknown config key {key!r}")
@@ -229,8 +227,9 @@ def build_config(
             raise ValueError(f"bad value for {key}: {e}") from None
         section, _, name = attr.rpartition(".")
         if section:
-            setattr(cfg, section, replace(getattr(cfg, section), **{name: value}))
+            sections.setdefault(section, {})[name] = value
         else:
-            setattr(cfg, attr, value)
-    cfg.validate()
-    return cfg
+            top[attr] = value
+    for section, values in sections.items():
+        top[section] = replace(getattr(ExperimentConfig, section), **values)
+    return ExperimentConfig(**top)

@@ -29,7 +29,7 @@ class RewardConfig:
     load_threshold: float = 0.8  # a run's is 1 - w: ExperimentConfig.reward_config
     form: str = "flat"  # "flat" or "survival"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         require_finite(self)
         if self.r0 <= 0.0:
             raise ValueError("r0 must be positive")

@@ -109,7 +109,6 @@ class _NafEstimator(TtlEstimator):
         rng: np.random.Generator,
         log_transitions: bool = False,
     ):
-        reward_cfg.validate()
         self.agent = NafAgent(naf_cfg, rng)
         self.reward_cfg = reward_cfg
         self.injection_log: list[InjectionRow] | None = [] if log_transitions else None

@@ -111,10 +111,14 @@ class NafConfig:
     def state_dim(self) -> int:
         return self.rate_inputs + 1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         require_finite(self)
         if self.ttl_min <= 0 or self.ttl_max <= self.ttl_min:
             raise ValueError("need 0 < ttl_min < ttl_max")
+        if self.lr < 0.0:
+            raise ValueError("lr must be >= 0")
+        if self.clip < 0.0:
+            raise ValueError("clip must be >= 0")
         if self.batch_size < 1 or self.replay_capacity < self.batch_size:
             raise ValueError("replay must hold at least one batch")
         if self.gamma < 0.0 or self.gamma >= 1.0:
@@ -174,7 +178,6 @@ class NafAgent:
     uniformly sampled replay batches against a target network."""
 
     def __init__(self, cfg: NafConfig, rng: np.random.Generator):
-        cfg.validate()
         self.cfg = cfg
         self.rng = rng
         dims = (cfg.state_dim, *cfg.hidden, HEAD_WIDTH)

@@ -103,7 +103,7 @@ class LatencyModel:
     def invalidation_delay(self) -> float:
         return self.invalidation_delay_ms / 1000.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         require_finite(self)
         if min(self.edge_rtt_ms, self.origin_rtt_ms, self.invalidation_delay_ms) < 0.0:
             raise ValueError("latencies must be non-negative")
@@ -126,8 +126,6 @@ class Simulation:
         telemetry_window: float,
         trace_writer: Callable[[tuple], None] | None = None,
     ):
-        spec.validate()
-        latency.validate()
         self.spec = spec
         self.latency = latency
         self.seed = seed

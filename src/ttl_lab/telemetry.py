@@ -28,13 +28,21 @@ import numpy as np
 from .cachesys import RangeSet
 
 
+def _unseen(i: int) -> int:
+    """The count of an id past the end of the count list: 0, but a negative
+    id, which would index the list from its end, raises."""
+    if i < 0:
+        raise ValueError(f"ids must be >= 0, got {i}")
+    return 0
+
+
 class WindowCounter:
     """Events per id over the sliding window (now - window, now].
 
     The events still in the window wait in one FIFO of (time, id) in time
     order, and `_counts[id]` is how many of them are id's; the list grows on
-    demand, so an id never recorded counts 0. Moving the clock to `now` pops
-    every event at or before now - window off the front.
+    demand, so an id never recorded counts 0, and a negative id raises. Moving
+    the clock to `now` pops every event at or before now - window off the front.
     """
 
     def __init__(self, window: float):
@@ -57,21 +65,22 @@ class WindowCounter:
     def record(self, i: int, now: float) -> None:
         self._advance(now)
         counts = self._counts
-        if i >= len(counts):
+        if not 0 <= i < len(counts):
+            _unseen(i)  # raises on a negative id
             counts.extend([0] * (i + 1 - len(counts)))
         self._fifo.append((now, i))
         counts[i] += 1
 
     def count(self, i: int, now: float) -> int:
         self._advance(now)
-        return self._counts[i] if i < len(self._counts) else 0
+        return self._counts[i] if 0 <= i < len(self._counts) else _unseen(i)
 
     def counts(self, ids, now: float) -> list[int]:
         """count(i, now) of each i in `ids` (ints or an integer array)."""
         self._advance(now)
         counts = self._counts
         n = len(counts)
-        return [counts[i] if i < n else 0 for i in np.asarray(ids, dtype=np.intp).tolist()]
+        return [counts[i] if 0 <= i < n else _unseen(i) for i in np.asarray(ids, dtype=np.intp).tolist()]
 
 
 class TrueTtlOracle:
@@ -116,8 +125,8 @@ class TrueTtlOracle:
 
     @property
     def records(self) -> array:
-        """The actions column, one entry per serve; perfbench/tracer.py reads
-        len(oracle.records)."""
+        """The actions column, one entry per serve; kept only because
+        perfbench/tracer.py reads len(oracle.records), until it reads actions."""
         return self.actions
 
     def resolved_errors(self) -> np.ndarray:

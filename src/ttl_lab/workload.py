@@ -29,7 +29,7 @@ def require_finite(section) -> None:
     """Reject a NaN or infinite float field of a config dataclass.
 
     NaN passes every comparison-based range check and inf passes the lower
-    bounds, so each section's validate() starts here.
+    bounds, so each section's __post_init__ starts here.
     """
     for f in fields(section):
         v = getattr(section, f.name)
@@ -50,7 +50,7 @@ def block_draws(draw: Callable[[int], np.ndarray], size: int) -> Iterator[float]
 
 @dataclass(frozen=True)
 class WorkloadSpec:
-    """Knobs for one workload cell. Defaults are the desk-scale preset."""
+    """Knobs for one workload cell, checked when built; defaults are desk-scale."""
 
     record_count: int = 2000
     query_count: int = 200
@@ -73,7 +73,7 @@ class WorkloadSpec:
     def read_fraction(self) -> float:
         return 1.0 - self.write_fraction - self.query_fraction
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         require_finite(self)
         if self.record_count < 1:
             raise ValueError("record_count must be >= 1")
@@ -161,7 +161,6 @@ def generate_world(spec: WorkloadSpec, rng: np.random.Generator) -> World:
     [1, result_cap]; the [lo, hi) bounds are cut from the sorted value array so
     the query matches exactly that many records at t=0.
     """
-    spec.validate()
     n = spec.record_count
     values = rng.uniform(0.0, float(n), size=n)
     if len(np.unique(values)) != n:
@@ -210,7 +209,6 @@ class OpStream:
     _queries: ZipfSampler = field(init=False)
 
     def __post_init__(self) -> None:
-        self.spec.validate()
         self._keys = ZipfSampler(self.spec.record_count, self.spec.zipf_s)
         self._queries = ZipfSampler(self.spec.query_count, self.spec.zipf_s)
         self._uniform = block_draws(self.rng.random, _OP_BLOCK).__next__

@@ -219,7 +219,7 @@ def test_criterion_05_origin_update_brute_force():
 
 def test_criterion_06_dei_timing(tiny_cfg):
     spec = tiny_cfg.workload_spec(0.1)
-    sim = Simulation(spec, tiny_cfg.latency_model(), tiny_cfg.capacity, seed=7,
+    sim = Simulation(spec, tiny_cfg.latency, tiny_cfg.capacity, seed=7,
                      telemetry_window=tiny_cfg.telemetry_window)
     est = make_estimator("naf-dei", naf_cfg=tiny_cfg.naf,
                          reward_cfg=tiny_cfg.reward_config(0.1), rng=sim.agent_rng,

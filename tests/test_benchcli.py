@@ -4,13 +4,19 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import inspect
 import io
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ttl_lab
 from ttl_lab.benchcli import (
     CDF_HEADER,
     CDF_ROW,
@@ -125,7 +131,7 @@ def test_naf_and_reward_defaults_have_one_source():
     assert est.agent.cfg == cfg.naf  # the factory and the CLI train the same agent
     # the workload and latency sections too: a default cell is WorkloadSpec()
     assert cfg.workload_spec(WorkloadSpec.write_fraction) == WorkloadSpec()
-    assert cfg.latency_model() == LatencyModel()
+    assert cfg.latency == LatencyModel()
     for section, cls in (("naf", NafConfig), ("reward", RewardConfig),
                          ("workload", WorkloadSpec), ("latency", LatencyModel)):
         for f in dataclasses.fields(cls):
@@ -228,6 +234,9 @@ RUN_FAILING_SETTINGS = [
     ("naf.hidden", "0", "every hidden width must be >= 1"),
     ("naf.hidden", "30,0", "every hidden width must be >= 1"),
     ("naf.rate_inputs", "-1", "rate_inputs must be >= 0"),
+    ("bench.base_seed", "-1", "base_seed must be >= 0"),
+    ("naf.lr", "-0.01", "lr must be >= 0"),
+    ("naf.clip", "-5", "clip must be >= 0"),
 ]
 
 
@@ -237,6 +246,42 @@ def test_settings_that_fail_a_run_fail_at_build_time(key, raw, match):
     # each of these used to pass build_config and fail inside run_experiment
     with pytest.raises(ValueError, match=match):
         build_config(overrides={key: raw})
+
+
+def test_zero_lr_and_clip_stay_legal():
+    naf = build_config(overrides={"naf.lr": "0", "naf.clip": "0"}).naf  # 0 clip disables
+    assert (naf.lr, naf.clip) == (0.0, 0.0)
+
+
+def test_configs_are_checked_when_built():
+    # a config or section built in Python is checked like one built from keys
+    cfg = build_config()
+    with pytest.raises(ValueError, match="bench.runs must be >= 1"):
+        dataclasses.replace(cfg, runs=0)  # NafConfig(ttl_min=0.0): test_nafagent.py
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.runs = 0
+    for cls in (ExperimentConfig, WorkloadSpec, LatencyModel, NafConfig, RewardConfig):
+        assert not hasattr(cls, "validate")
+
+
+def test_section_keys_apply_together_in_any_order():
+    # record_count 10 with the default result_cap 20, or ttl_max 0.5 with the
+    # default ttl_min 1, is invalid: each section is built once from all its keys
+    cfg = build_config(file_kv={"workload.record_count": "10", "workload.result_cap": "5",
+                                "naf.ttl_max": "0.5", "naf.ttl_min": "0.1"})
+    assert (cfg.workload.record_count, cfg.workload.result_cap) == (10, 5)
+    assert (cfg.naf.ttl_min, cfg.naf.ttl_max) == (0.1, 0.5)
+
+
+def test_presets_restate_no_default():
+    # a preset key parsed to its default value would be a second copy of it
+    default = build_config()
+    for preset, kv in PRESETS.items():
+        for key, raw in kv.items():
+            assert build_config(overrides={key: raw}) != default, f"{preset} restates {key}"
+    desk = build_config(preset="desk")
+    assert (desk.workload.record_count, desk.workload.query_count, desk.capacity, desk.runs,
+            desk.workload.target_throughput, desk.workload.duration) == (2000, 200, 160, 3, 200.0, 300.0)
 
 
 def test_estimator_options_checked_at_build_time():
@@ -283,7 +328,7 @@ SECTION_FLOATS = [
 def test_section_validators_reject_non_finite_floats(cls, name, value):
     # A section built in Python, not parsed from keys, must fail the same way.
     with pytest.raises(ValueError, match=f"{name} must be a finite number"):
-        dataclasses.replace(cls(), **{name: value}).validate()
+        dataclasses.replace(cls(), **{name: value})
 
 
 def test_section_float_fields_are_all_parametrized():
@@ -297,7 +342,7 @@ def test_config_derived_objects():
         "latency.origin_rtt_ms": "100",
         "reward.r0": "3",
     })
-    lat = cfg.latency_model()
+    lat = cfg.latency
     assert lat.hit_latency == pytest.approx(0.008)
     assert lat.miss_latency == pytest.approx(0.108)
     assert cfg.reward_config(0.3) == RewardConfig(r0=3.0, load_threshold=0.7)
@@ -587,6 +632,21 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     missing = tmp_path / "nope.cfg"
     assert main(["run", "--config", str(missing)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_package_exports_only_build_config():
+    public = {name for name, obj in vars(ttl_lab).items()
+              if not name.startswith("_") and not inspect.ismodule(obj)}
+    assert public == {"build_config"}
+    assert ttl_lab.__version__ == "0.1.0"
+
+
+def test_module_entry_point_runs_without_warnings():
+    # importing the package must not import benchcli before `-m` runs it
+    env = {**os.environ, "PYTHONPATH": str(Path(ttl_lab.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "ttl_lab.benchcli", "--help"],
+                          env=env, capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_check_passes():

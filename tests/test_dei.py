@@ -18,13 +18,13 @@ from ttl_lab.simcore import Simulation
 
 
 def test_reward_config_validation():
-    RewardConfig().validate()
+    RewardConfig()
     with pytest.raises(ValueError, match="r0"):
-        RewardConfig(r0=0.0).validate()
+        RewardConfig(r0=0.0)
     with pytest.raises(ValueError, match="load_threshold"):
-        RewardConfig(load_threshold=0.0).validate()
+        RewardConfig(load_threshold=0.0)
     with pytest.raises(ValueError, match="load_threshold"):
-        RewardConfig(load_threshold=1.1).validate()
+        RewardConfig(load_threshold=1.1)
 
 
 def test_reward_invalidated_branch():
@@ -52,9 +52,9 @@ def test_reward_above_threshold_forms():
 
 
 def test_reward_form_validation():
-    RewardConfig(form="survival").validate()
+    RewardConfig(form="survival")
     with pytest.raises(ValueError, match="reward form"):
-        RewardConfig(form="hyperbolic").validate()
+        RewardConfig(form="hyperbolic")
 
 
 def test_reward_survival_form_values():
@@ -168,7 +168,7 @@ def test_queue_pop_unknown_raises():
 
 def _scripted_sim(tiny_cfg, estimator):
     """A simulation that never run()s: handlers are driven by hand."""
-    sim = Simulation(tiny_cfg.workload_spec(0.1), tiny_cfg.latency_model(),
+    sim = Simulation(tiny_cfg.workload_spec(0.1), tiny_cfg.latency,
                      tiny_cfg.capacity, seed=1, telemetry_window=tiny_cfg.telemetry_window)
     sim.attach(estimator)
     return sim

@@ -195,7 +195,7 @@ def test_injection_log_opt_in():
 def test_nan_agent_output_fails_the_run(tiny_cfg, kind):
     # A diverged learner must stop the run where its TTL enters the event heap
     # (naf-dei's due event) or the cache (naf-naive), not return a truncated run.
-    sim = Simulation(tiny_cfg.workload_spec(0.1), tiny_cfg.latency_model(), tiny_cfg.capacity,
+    sim = Simulation(tiny_cfg.workload_spec(0.1), tiny_cfg.latency, tiny_cfg.capacity,
                      seed=6, telemetry_window=tiny_cfg.telemetry_window)
     est = make_estimator(kind, naf_cfg=tiny_cfg.naf, reward_cfg=tiny_cfg.reward_config(0.1),
                          rng=sim.agent_rng)

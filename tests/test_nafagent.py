@@ -150,7 +150,7 @@ def test_build_state_empty_keys_is_zero_vector():
 )
 def test_naf_config_validation(kwargs, match):
     with pytest.raises(ValueError, match=match):
-        NafConfig(**kwargs).validate()
+        NafConfig(**kwargs)
 
 
 def test_naf_config_state_dim():

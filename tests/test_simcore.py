@@ -93,12 +93,11 @@ def test_latency_model_defaults():
     assert lat.hit_latency == 0.004
     assert lat.miss_latency == 0.154  # 4 ms edge + 150 ms origin, exact
     assert lat.invalidation_delay == 0.002
-    lat.validate()
 
 
 def test_latency_model_rejects_negative():
     with pytest.raises(ValueError, match="non-negative"):
-        LatencyModel(edge_rtt_ms=-1.0).validate()
+        LatencyModel(edge_rtt_ms=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -106,14 +105,14 @@ def test_latency_model_rejects_negative():
 
 
 def _build_sim(cfg, seed=5, trace=None):
-    sim = Simulation(cfg.workload_spec(0.1), cfg.latency_model(), cfg.capacity,
+    sim = Simulation(cfg.workload_spec(0.1), cfg.latency, cfg.capacity,
                      seed, cfg.telemetry_window, trace_writer=trace)
     sim.attach(FixedEstimator(5.0))
     return sim
 
 
 def test_simulation_requires_estimator(tiny_cfg):
-    sim = Simulation(tiny_cfg.workload_spec(0.1), tiny_cfg.latency_model(),
+    sim = Simulation(tiny_cfg.workload_spec(0.1), tiny_cfg.latency,
                      tiny_cfg.capacity, seed=1, telemetry_window=tiny_cfg.telemetry_window)
     with pytest.raises(RuntimeError, match="estimator"):
         sim.run()
@@ -231,7 +230,7 @@ def test_arrival_gaps_equal_per_call_draws(tiny_cfg):
     # Each connection's gaps come in blocks; across block boundaries they must
     # be the values of one exponential() call per arrival on its own generator.
     spec = tiny_cfg.workload_spec(0.1)
-    sim = Simulation(spec, tiny_cfg.latency_model(), tiny_cfg.capacity, seed=4,
+    sim = Simulation(spec, tiny_cfg.latency, tiny_cfg.capacity, seed=4,
                      telemetry_window=tiny_cfg.telemetry_window)
     arrivals = np.random.SeedSequence(4).spawn(4)[2].spawn(spec.connections)
     n = 3 * _GAP_BLOCK + 7

@@ -136,6 +136,19 @@ def test_write_tracker_clock_cannot_go_back():
     assert tr.counts([1], 14.0) == [1]
 
 
+def test_window_counter_rejects_negative_ids():
+    # A negative id would index the count list from its end and count
+    # silently against the highest id.
+    w = WindowCounter(10.0)
+    w.record(3, 0.0)
+    for bad in (lambda: w.record(-1, 0.0), lambda: w.count(-1, 0.0),
+                lambda: w.counts([3, -1], 1.0), lambda: w.counts(np.array([-2]), 1.0)):
+        with pytest.raises(ValueError, match="ids must be >= 0"):
+            bad()
+    assert w.counts([3, 0, 7], 1.0) == [1, 0, 0]
+    assert w.counts([], 1.0) == []
+
+
 # ---------------------------------------------------------------------------
 # miss rates
 

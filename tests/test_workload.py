@@ -273,4 +273,4 @@ def test_spec_derived_fields():
 )
 def test_spec_validation_errors(kwargs, match):
     with pytest.raises(ValueError, match=match):
-        WorkloadSpec(**kwargs).validate()
+        WorkloadSpec(**kwargs)
