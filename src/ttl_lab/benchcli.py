@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import PRESETS, ExperimentConfig, build_config, parse_kv_file
 from .estimators import make_estimator, poisson_ttl
-from .nafagent import HEAD_WIDTH, naf_loss_and_grads, naf_mu, naf_q, naf_v, q_curve_1d
+from .nafagent import HEAD_WIDTH, naf_head, naf_loss_and_grads, naf_q
 from .neural import init_mlp
 from .simcore import Simulation
 from .telemetry import Telemetry
@@ -51,9 +51,10 @@ def best_default_ttl(true_ttls, candidates=DEFAULT_TTL_GRID) -> tuple[float, flo
     """Hindsight-best constant TTL over a grid, scored by truncated RMSE."""
     if len(true_ttls) == 0:
         raise ValueError("no resolved true TTLs to score against")
+    true_ttls = np.asarray(true_ttls, dtype=np.float64)
     best_c, best_err = None, np.inf
     for c in candidates:
-        err = truncated_rmse([c - t for t in true_ttls])
+        err = truncated_rmse(c - true_ttls)
         if err < best_err:
             best_c, best_err = c, err
     return float(best_c), float(best_err)
@@ -346,10 +347,9 @@ def check_naf_identities() -> tuple[bool, str]:
         net = init_mlp((11, 30, 30, HEAD_WIDTH), rng)
         for _ in range(200):
             s = rng.normal(0.0, 1.0, size=11)
-            mu = naf_mu(net, s)
-            v = naf_v(net, s)
+            mu, v, _ = naf_head(net, s)
             worst_gap = max(worst_gap, abs(naf_q(net, s, mu) - v))
-            q = q_curve_1d(net, s, mu + offsets)
+            q = naf_q(net, s, mu + offsets)
             worst_beat = max(worst_beat, float(q.max()) - v)
             checked += 1
     ok = checked == 1000 and worst_gap < 1e-10 and worst_beat <= 0.0

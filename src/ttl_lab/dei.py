@@ -40,11 +40,7 @@ class RewardConfig:
 
 
 def transition_reward(
-    t_inv: float | None,
-    due_at: float,
-    load: float,
-    cfg: RewardConfig,
-    decided_at: float | None = None,
+    t_inv: float | None, due_at: float, load: float, cfg: RewardConfig, decided_at: float
 ) -> float:
     """Reward at completion time.
 
@@ -53,13 +49,11 @@ def transition_reward(
     Surviving episodes earn r0 scaled by cache load while load stays under the
     threshold; above it they are penalized in proportion to load.
 
-    Survival form (needs decided_at; load plays no part): r0 per second the
-    entry stayed valid, min(t_inv, due_at) - decided_at, plus the overshoot
-    t_inv - due_at when it was invalidated.
+    Survival form (load plays no part): r0 per second the entry stayed valid,
+    min(t_inv, due_at) - decided_at, plus the overshoot t_inv - due_at when it
+    was invalidated.
     """
     if cfg.form == "survival":
-        if decided_at is None:
-            raise ValueError("the survival reward form needs decided_at")
         if t_inv is None:
             return cfg.r0 * (due_at - decided_at)
         return cfg.r0 * (t_inv - decided_at) + (t_inv - due_at)
@@ -79,9 +73,12 @@ class IncompleteTransition:
     s: np.ndarray
     a: float
     decided_at: float
-    due_at: float
     result_keys: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
     inval_at: float | None = None
+
+    @property
+    def due_at(self) -> float:
+        return self.decided_at + self.a
 
 
 class DeiQueue:

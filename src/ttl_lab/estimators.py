@@ -49,8 +49,6 @@ def poisson_ttl(result_keys, telemetry, now: float, max_ttl: float) -> float:
 class TtlEstimator:
     """Base: a policy bound to one simulation."""
 
-    kind = "base"
-
     def attach(self, sim) -> None:
         self.sim = sim
 
@@ -62,8 +60,6 @@ class TtlEstimator:
 
 
 class FixedEstimator(TtlEstimator):
-    kind = "fixed"
-
     def __init__(self, ttl: float):
         if not 0.0 < ttl < math.inf:
             raise ValueError(f"fixed ttl must be positive and finite, got {ttl}")
@@ -74,8 +70,6 @@ class FixedEstimator(TtlEstimator):
 
 
 class PoissonEstimator(TtlEstimator):
-    kind = "poisson"
-
     def __init__(self, max_ttl: float):
         if not 0.0 < max_ttl < math.inf:
             raise ValueError(f"max_ttl must be positive and finite, got {max_ttl}")
@@ -121,7 +115,7 @@ class _NafEstimator(TtlEstimator):
         return build_state(result_keys, self.sim.telemetry, unit, now, self.agent.cfg.rate_inputs)
 
     def _inject(self, it: IncompleteTransition, reward: float, s_next: np.ndarray, now: float) -> None:
-        self.agent.remember(Transition(it.s, it.a, reward, s_next))
+        self.agent.replay.push(Transition(it.s, it.a, reward, s_next))
         if self.injection_log is not None:
             self.injection_log.append(
                 InjectionRow(it.serve_id, it.unit, it.decided_at, now, it.a, reward)
@@ -134,14 +128,11 @@ class NafDeiEstimator(_NafEstimator):
     decided_at + action, scored against the invalidation stamp (if any issued
     meanwhile) or the cache load at that moment."""
 
-    kind = "naf-dei"
-
     def decide(self, serve_id, unit, result_keys, now):
         s = self._state(result_keys, unit, now)
         a = self.agent.act(s)
         self.queue.enqueue(
-            IncompleteTransition(serve_id, unit, s, a, decided_at=now, due_at=now + a,
-                                 result_keys=result_keys)
+            IncompleteTransition(serve_id, unit, s, a, decided_at=now, result_keys=result_keys)
         )
         self.sim.engine.schedule(now + a, "dei", (serve_id,))
         return a
@@ -160,8 +151,6 @@ class NafNaiveEstimator(_NafEstimator):
     (s, a) is injected immediately with that stale reward and s_next = s; the
     misattribution is the point."""
 
-    kind = "naf-naive"
-
     def __init__(self, naf_cfg, reward_cfg, rng, log_transitions=False):
         super().__init__(naf_cfg, reward_cfg, rng, log_transitions)
         self._last_serve: dict[int, int] = {}  # unit -> serve id of its queued episode
@@ -169,8 +158,7 @@ class NafNaiveEstimator(_NafEstimator):
     def decide(self, serve_id, unit, result_keys, now):
         s = self._state(result_keys, unit, now)
         a = self.agent.act(s)
-        it = IncompleteTransition(serve_id, unit, s, a, decided_at=now, due_at=now + a,
-                                  result_keys=result_keys)
+        it = IncompleteTransition(serve_id, unit, s, a, decided_at=now, result_keys=result_keys)
         prev_id = self._last_serve.get(unit)
         if prev_id is not None:
             prev = self.queue.pop_due(prev_id)

@@ -20,28 +20,17 @@ from .workload import require_finite
 HEAD_WIDTH = 3  # network output row: mu, V, l
 
 
-def naf_q(net: Mlp, s: np.ndarray, a: float) -> float:
-    """Q(s, a) for one state-action pair."""
-    mu, v, l = forward(net, s)[0]
-    delta = a - mu
-    return float(v - 0.5 * np.exp(2.0 * l) * delta * delta)
+def naf_head(net: Mlp, s: np.ndarray) -> tuple[float, float, float]:
+    """(mu, V, l) of one state."""
+    mu, v, l = forward(net, s[None, :])[0][0]
+    return float(mu), float(v), float(l)
 
 
-def naf_v(net: Mlp, s: np.ndarray) -> float:
-    return float(forward(net, s)[0][1])
-
-
-def naf_mu(net: Mlp, s: np.ndarray) -> float:
-    return float(forward(net, s)[0][0])
-
-
-def q_curve_1d(net: Mlp, s: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    """Vectorized Q(s, a) over an action grid."""
-    out, _ = forward(net, s)
-    mu, v, l = float(out[0]), float(out[1]), float(out[2])
-    p = np.exp(2.0 * l)
-    delta = np.asarray(actions, dtype=np.float64) - mu
-    return v - 0.5 * p * delta * delta
+def naf_q(net: Mlp, s: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """Q(s, a) for each action a of one state."""
+    mu, v, l = naf_head(net, s)
+    delta = actions - mu
+    return v - 0.5 * np.exp(2.0 * l) * delta * delta
 
 
 def naf_loss_and_grads(
@@ -52,9 +41,6 @@ def naf_loss_and_grads(
     states (N, state_dim), actions (N,), targets (N,). The head Jacobian is
     folded into dOut, then the trunk runs standard backprop.
     """
-    states = np.asarray(states, dtype=np.float64)
-    actions = np.asarray(actions, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
     n = states.shape[0]
     if actions.shape != (n,):
         raise ValueError(f"actions must have shape ({n},), got {actions.shape}")
@@ -202,13 +188,10 @@ class NafAgent:
         if self.act_count < cfg.explore_steps:
             a = self.rng.uniform(cfg.ttl_min, cfg.ttl_max)
         else:
-            mu = naf_mu(self.net, s)
+            mu = naf_head(self.net, s)[0]
             a = mu + self.sigma() * self.rng.standard_normal()
         self.act_count += 1
         return float(min(max(a, cfg.ttl_min), cfg.ttl_max))
-
-    def remember(self, t: Transition) -> None:
-        self.replay.push(t)
 
     def train_step(self) -> tuple[float, np.ndarray] | None:
         """One mini-batch update; no-op until the replay holds a full batch.

@@ -56,16 +56,10 @@ def init_mlp(dims: tuple[int, ...], rng: np.random.Generator) -> Mlp:
 
 
 def forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Run the network; returns (output, cache) where cache holds each layer input.
-
-    Accepts a single sample (1-D) or a batch (2-D, one row per sample).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
-    if x.shape[1] != net.dims[0]:
-        raise ValueError(f"input width {x.shape[1]} != {net.dims[0]}")
+    """Run the network on a batch x of shape (n, dims[0]), one row per sample;
+    returns (output, cache) where cache holds each layer input."""
+    if x.ndim != 2 or x.shape[1] != net.dims[0]:
+        raise ValueError(f"input width: need shape (n, {net.dims[0]}), got {x.shape}")
     cache = [x]
     h = x
     last = len(net.weights) - 1
@@ -74,19 +68,16 @@ def forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         if i < last:
             h = np.maximum(h, 0.0)
         cache.append(h)
-    return (h[0] if squeeze else h), cache
+    return h, cache
 
 
 def backward(net: Mlp, cache: list[np.ndarray], dout: np.ndarray) -> np.ndarray:
-    """Backprop dout (gradient w.r.t. the network output) through the cache.
+    """Backprop dout, the (n, dims[-1]) gradient w.r.t. the network output,
+    through the cache.
 
-    Returns the gradient as a flat vector in the layout of net.params. dout may
-    be 1-D or 2-D; batch gradients are summed, so scale dout by 1/N upstream
-    for a mean loss.
+    Returns the gradient as a flat vector in the layout of net.params. Batch
+    gradients are summed, so scale dout by 1/N upstream for a mean loss.
     """
-    dout = np.asarray(dout, dtype=np.float64)
-    if dout.ndim == 1:
-        dout = dout[None, :]
     delta = dout
     grad = np.empty_like(net.params)
     dws, dbs = _layer_views(net.dims, grad)

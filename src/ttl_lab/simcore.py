@@ -128,19 +128,15 @@ class Simulation:
     ):
         self.spec = spec
         self.latency = latency
-        self.seed = seed
         self.trace_writer = trace_writer
 
         ss = np.random.SeedSequence(seed)
         world_ss, ops_ss, arrivals_ss, agent_ss = ss.spawn(4)
-        self.rng_world = np.random.default_rng(world_ss)
-        self.rng_ops = np.random.default_rng(ops_ss)
-        self.arrival_rngs = [np.random.default_rng(c) for c in arrivals_ss.spawn(spec.connections)]
         # Handed to the estimator so policy noise never perturbs the workload.
         self.agent_rng = np.random.default_rng(agent_ss)
 
-        self.world = generate_world(spec, self.rng_world)
-        self.ops = OpStream(spec, self.rng_ops)
+        self.world = generate_world(spec, np.random.default_rng(world_ss))
+        self.ops = OpStream(spec, np.random.default_rng(ops_ss))
         self.engine = Engine(self._dispatch)
         self.cache = CacheSystem(capacity)
         self.telemetry = Telemetry(telemetry_window)
@@ -149,7 +145,7 @@ class Simulation:
         self.mean_gap = spec.connections / spec.target_throughput
         self._next_gap = [
             block_draws(partial(rng.exponential, self.mean_gap), _GAP_BLOCK).__next__
-            for rng in self.arrival_rngs
+            for rng in map(np.random.default_rng, arrivals_ss.spawn(spec.connections))
         ]
         self.op_arrivals = 0
         self.completed = 0

@@ -69,10 +69,6 @@ class WorkloadSpec:
     def connections(self) -> int:
         return self.client_count * self.connections_per_client
 
-    @property
-    def read_fraction(self) -> float:
-        return 1.0 - self.write_fraction - self.query_fraction
-
     def __post_init__(self) -> None:
         require_finite(self)
         if self.record_count < 1:
@@ -137,10 +133,6 @@ class World:
 
     values: np.ndarray
     queries: list[QueryDef]
-
-    @property
-    def record_count(self) -> int:
-        return len(self.values)
 
 
 def evaluate_query(values: np.ndarray, lo: float, hi: float) -> np.ndarray:

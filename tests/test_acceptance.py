@@ -243,15 +243,15 @@ def test_criterion_06_dei_timing(tiny_cfg):
         return orig_pop_due(serve_id)
 
     injections: list[tuple[float, int, float]] = []
-    orig_remember = est.agent.remember
+    orig_push = est.agent.replay.push
 
-    def spy_remember(t):
+    def spy_push(t):
         injections.append((sim.engine.now, popped[-1], t.a))
-        orig_remember(t)
+        orig_push(t)
 
     est.queue.enqueue = spy_enqueue
     est.queue.pop_due = spy_pop_due
-    est.agent.remember = spy_remember
+    est.agent.replay.push = spy_push
     sim.run()
 
     early = exact = 0

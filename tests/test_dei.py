@@ -30,25 +30,25 @@ def test_reward_config_validation():
 def test_reward_invalidated_branch():
     cfg = RewardConfig(r0=2.0)
     # the TTL overshot: invalidation at 8 s, expiry would have been 10 s
-    assert transition_reward(8.0, 10.0, load=0.1, cfg=cfg) == pytest.approx(-2.0)
-    assert transition_reward(10.0, 10.0, load=0.1, cfg=cfg) == 0.0
+    assert transition_reward(8.0, 10.0, load=0.1, cfg=cfg, decided_at=4.0) == pytest.approx(-2.0)
+    assert transition_reward(10.0, 10.0, load=0.1, cfg=cfg, decided_at=4.0) == 0.0
     # the invalidation branch wins regardless of load
-    assert transition_reward(3.0, 10.0, load=0.99, cfg=cfg) == pytest.approx(-7.0)
+    assert transition_reward(3.0, 10.0, load=0.99, cfg=cfg, decided_at=4.0) == pytest.approx(-7.0)
 
 
 def test_reward_survival_below_threshold():
     cfg = RewardConfig(r0=2.0, load_threshold=0.8)
-    assert transition_reward(None, 10.0, load=0.0, cfg=cfg) == pytest.approx(2.0)
-    assert transition_reward(None, 10.0, load=0.5, cfg=cfg) == pytest.approx(3.0)
+    assert transition_reward(None, 10.0, load=0.0, cfg=cfg, decided_at=4.0) == pytest.approx(2.0)
+    assert transition_reward(None, 10.0, load=0.5, cfg=cfg, decided_at=4.0) == pytest.approx(3.0)
     # the threshold itself still counts as below
-    assert transition_reward(None, 10.0, load=0.8, cfg=cfg) == pytest.approx(3.6)
+    assert transition_reward(None, 10.0, load=0.8, cfg=cfg, decided_at=4.0) == pytest.approx(3.6)
 
 
 def test_reward_above_threshold_forms():
     # above the threshold a survivor pays r0 * load, the one form there is
     cfg = RewardConfig(r0=2.0, load_threshold=0.8)
-    assert transition_reward(None, 10.0, load=0.9, cfg=cfg) == pytest.approx(-1.8)
-    assert transition_reward(None, 10.0, load=1.0, cfg=cfg) == pytest.approx(-2.0)
+    assert transition_reward(None, 10.0, load=0.9, cfg=cfg, decided_at=4.0) == pytest.approx(-1.8)
+    assert transition_reward(None, 10.0, load=1.0, cfg=cfg, decided_at=4.0) == pytest.approx(-2.0)
 
 
 def test_reward_form_validation():
@@ -71,8 +71,6 @@ def test_reward_survival_form_values():
     assert transition_reward(4.5, 10.0, load=0.1, cfg=cfg, decided_at=4.0) == pytest.approx(-4.5)
     # an invalidation at the due time scores like a survivor
     assert transition_reward(10.0, 10.0, load=0.1, cfg=cfg, decided_at=4.0) == pytest.approx(12.0)
-    with pytest.raises(ValueError, match="decided_at"):
-        transition_reward(None, 10.0, load=0.1, cfg=cfg)
 
 
 def _expected_reward_curve(cfg, lam, grid, load=0.1, n=2000):
@@ -122,9 +120,8 @@ def test_survival_reward_peaks_at_closed_form_quantile():
 # queue
 
 
-def _it(serve_id=0, unit=1, decided_at=5.0, due_at=8.0):
-    return IncompleteTransition(serve_id, unit, np.zeros(3), a=due_at - decided_at,
-                                decided_at=decided_at, due_at=due_at,
+def _it(serve_id=0, unit=1, decided_at=5.0, a=3.0):
+    return IncompleteTransition(serve_id, unit, np.zeros(3), a=a, decided_at=decided_at,
                                 result_keys=np.array([1, 2]))
 
 
@@ -142,7 +139,7 @@ def test_queue_enqueue_and_pop():
 def test_queue_rejects_bad_transitions():
     q = DeiQueue()
     with pytest.raises(ValueError, match="due before"):
-        q.enqueue(_it(decided_at=9.0, due_at=8.0))
+        q.enqueue(_it(decided_at=9.0, a=-1.0))
     q.enqueue(_it(serve_id=3))
     with pytest.raises(ValueError, match="already pending"):
         q.enqueue(_it(serve_id=3))

@@ -51,8 +51,7 @@ class DeiQueueModel(RuleBasedStateMachine):
         sid = self.next_id
         self.next_id += 1
         self.cache.insert(sid, sid, ttl, self.now)  # one unit per serve
-        it = IncompleteTransition(sid, sid, np.zeros(2), ttl, decided_at=self.now,
-                                  due_at=self.now + ttl)
+        it = IncompleteTransition(sid, sid, np.zeros(2), ttl, decided_at=self.now)
         self.queue.enqueue(it)
         self.model[sid] = [self.now, self.now + ttl, None]
 
@@ -61,14 +60,13 @@ class DeiQueueModel(RuleBasedStateMachine):
     def enqueue_again(self, i):
         sid = self.pick(self.model, i)
         with pytest.raises(ValueError, match="already pending"):
-            self.queue.enqueue(IncompleteTransition(sid, sid, np.zeros(2), 1.0, self.now,
-                                                    self.now + 1.0))
+            self.queue.enqueue(IncompleteTransition(sid, sid, np.zeros(2), 1.0, self.now))
 
     @rule(ttl=ttls)
     def due_before_decided(self, ttl):
         with pytest.raises(ValueError, match="due before"):
-            self.queue.enqueue(IncompleteTransition(self.next_id, 0, np.zeros(2), ttl,
-                                                    decided_at=self.now + ttl, due_at=self.now))
+            self.queue.enqueue(IncompleteTransition(self.next_id, 0, np.zeros(2), -ttl,
+                                                    decided_at=self.now))
 
     def live_ids(self):
         self.cache.sweep(self.now)  # as every cache call does first

@@ -177,14 +177,6 @@ def test_make_estimator_errors():
         make_estimator("poisson", fixed_ttl=60.0)
 
 
-def test_estimator_kind_labels():
-    rng = np.random.default_rng(0)
-    assert FixedEstimator(1.0).kind == "fixed"
-    assert PoissonEstimator(300.0).kind == "poisson"
-    assert make_estimator("naf-dei", rng=rng).kind == "naf-dei"
-    assert make_estimator("naf-naive", rng=rng).kind == "naf-naive"
-
-
 def test_injection_log_opt_in():
     rng = np.random.default_rng(0)
     assert make_estimator("naf-dei", rng=rng).injection_log is None

