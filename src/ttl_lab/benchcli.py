@@ -19,8 +19,8 @@ import numpy as np
 
 from .config import PRESETS, ExperimentConfig, build_config, parse_kv_file
 from .estimators import make_estimator, poisson_ttl
-from .nafagent import HEAD_WIDTH, naf_head, naf_loss_and_grads, naf_q
-from .neural import init_mlp
+from .nafagent import HEAD_WIDTH, NafWorkspace, naf_head, naf_loss_and_grads, naf_q
+from .neural import Workspace, forward, init_mlp
 from .simcore import Simulation
 from .telemetry import Telemetry
 from .workload import OpStream, WorkloadSpec, ZipfSampler
@@ -345,11 +345,12 @@ def check_naf_identities() -> tuple[bool, str]:
     for net_seed in range(5):
         rng = np.random.default_rng(200 + net_seed)
         net = init_mlp((11, 30, 30, HEAD_WIDTH), rng)
+        ws = Workspace(net.dims, (1,))
         for _ in range(200):
             s = rng.normal(0.0, 1.0, size=11)
-            mu, v, _ = naf_head(net, s)
-            worst_gap = max(worst_gap, abs(naf_q(net, s, mu) - v))
-            q = naf_q(net, s, mu + offsets)
+            mu, v, _ = naf_head(net, s, ws)
+            worst_gap = max(worst_gap, abs(naf_q(net, s, mu, ws) - v))
+            q = naf_q(net, s, mu + offsets, ws)
             worst_beat = max(worst_beat, float(q.max()) - v)
             checked += 1
     ok = checked == 1000 and worst_gap < 1e-10 and worst_beat <= 0.0
@@ -365,12 +366,15 @@ def _fd_worst_error(rng: np.random.Generator, dims=(4, 8, HEAD_WIDTH), h: float 
     states = rng.normal(0.0, 1.0, size=(n, dims[0]))
     actions = rng.uniform(-2.0, 2.0, size=n)
     targets = rng.normal(0.0, 2.0, size=n)
-    _, grad = naf_loss_and_grads(net, states, actions, targets)
+    ws = NafWorkspace(dims, (n,))
+    forward(net, states, ws)
+    grad = naf_loss_and_grads(net, ws, actions, targets)[1].copy()
     params = net.params
 
     def loss_with(i, x):
         params[i] = x
-        return naf_loss_and_grads(net, states, actions, targets)[0]
+        forward(net, states, ws)
+        return naf_loss_and_grads(net, ws, actions, targets)[0]
 
     worst = 0.0
     for i, g in enumerate(grad):

@@ -14,52 +14,74 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .neural import AdamState, Mlp, adam_step, backward, forward, init_mlp
+from .neural import AdamState, Mlp, Workspace, adam_step, backward, forward, init_mlp
 from .workload import require_finite
 
 HEAD_WIDTH = 3  # network output row: mu, V, l
 
 
-def naf_head(net: Mlp, s: np.ndarray) -> tuple[float, float, float]:
-    """(mu, V, l) of one state."""
-    mu, v, l = forward(net, s[None, :])[0][0]
+def naf_head(net: Mlp, s: np.ndarray, ws: Workspace) -> tuple[float, float, float]:
+    """(mu, V, l) of one state; ws is a one-row Workspace for net's dims."""
+    mu, v, l = forward(net, s[None, :], ws)[0]
     return float(mu), float(v), float(l)
 
 
-def naf_q(net: Mlp, s: np.ndarray, actions: np.ndarray) -> np.ndarray:
+def naf_q(net: Mlp, s: np.ndarray, actions: np.ndarray, ws: Workspace) -> np.ndarray:
     """Q(s, a) for each action a of one state."""
-    mu, v, l = naf_head(net, s)
+    mu, v, l = naf_head(net, s, ws)
     delta = actions - mu
     return v - 0.5 * np.exp(2.0 * l) * delta * delta
 
 
-def naf_loss_and_grads(
-    net: Mlp, states: np.ndarray, actions: np.ndarray, targets: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Mean squared TD loss over a batch and its exact gradient, flat like net.params.
+class NafWorkspace(Workspace):
+    """A Workspace with the NAF head's per-sample buffers and dout, the loss
+    gradient w.r.t. the output; mu, v and l are views of the output columns
+    of the network that backward differentiates."""
 
-    states (N, state_dim), actions (N,), targets (N,). The head Jacobian is
-    folded into dOut, then the trunk runs standard backprop.
+    def __init__(self, dims: tuple[int, ...], batch: tuple[int, ...]):
+        super().__init__(dims, batch)
+        self.n = batch[-1]
+        self.p, self.delta, self.e, self.tmp = np.empty((4, self.n))
+        self.mu, self.v, self.l = self.outs[-1].T
+        self.dout = np.empty((self.n, HEAD_WIDTH))
+        self.dmu, self.dv, self.dl = self.dout.T
+
+
+def naf_loss_and_grads(
+    net: Mlp, ws: NafWorkspace, actions: np.ndarray, targets: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Mean squared TD loss over the batch of the last forward run in ws (of
+    its first network, for a stack), and its exact gradient, flat like
+    net.params (ws.grad).
+
+    actions (N,), targets (N,). The head Jacobian is folded into dout, then
+    the trunk runs standard backprop. Each buffer write below is one
+    operation of q = v - 0.5 p delta^2, dq = 2 (q - y) / N and the dout
+    columns, in left-to-right order.
     """
-    n = states.shape[0]
+    n = ws.n
     if actions.shape != (n,):
         raise ValueError(f"actions must have shape ({n},), got {actions.shape}")
-    out, cache = forward(net, states)
-    dout = np.zeros_like(out)
+    p, delta, e, tmp = ws.p, ws.delta, ws.e, ws.tmp
+    np.exp(ws.l, out=p)
+    p *= p  # e^{2l} as (e^l)^2
+    np.subtract(actions, ws.mu, out=delta)
+    np.multiply(p, 0.5, out=tmp)
+    tmp *= delta
+    tmp *= delta
+    np.subtract(ws.v, tmp, out=e)  # q
+    e -= targets
+    dq = np.multiply(e, 2.0, out=ws.dv)
+    dq /= n
+    np.multiply(dq, p, out=ws.dmu)
+    ws.dmu *= delta
+    np.negative(p, out=tmp)
+    tmp *= delta
+    tmp *= delta
+    np.multiply(dq, tmp, out=ws.dl)
 
-    mu = out[:, 0]
-    v = out[:, 1]
-    ld = np.exp(out[:, 2])
-    p = ld * ld
-    delta = actions - mu
-    q = v - 0.5 * p * delta * delta
-    dq = 2.0 * (q - targets) / n
-    dout[:, 0] = dq * p * delta
-    dout[:, 1] = dq
-    dout[:, 2] = dq * (-p * delta * delta)
-
-    loss = float(np.mean((q - targets) ** 2))
-    return loss, backward(net, cache, dout)
+    loss = float(np.add.reduce(np.multiply(e, e, out=tmp))) / n
+    return loss, backward(net, ws, ws.dout)
 
 
 def build_state(result_keys, telemetry, unit: int, now: float, rate_inputs: int) -> np.ndarray:
@@ -125,17 +147,28 @@ class Transition(NamedTuple):
 
 
 class ReplayMemory:
-    """Ring buffer of transitions held as four preallocated arrays, one row
-    per slot; sampling is uniform with replacement."""
+    """Ring buffer of transitions in two preallocated arrays, sampled uniformly
+    with replacement.
+
+    Slot i of states (capacity, 2, state_dim) holds s and s_next, and slot i
+    of ar (capacity, 2) holds a and r; .s, .s_next, .a and .r are views of
+    those columns. A sample of n slots is then two takes, into an
+    (n, 2, state_dim) and an (n, 2) buffer; transposed, the first is the
+    stacked (2, n, state_dim) input of an online and a target network.
+    A slot's s and s_next are adjacent, so a replay that is mostly empty
+    touches only the pages of its first slots; numpy asks Linux for 2 MB
+    pages on arrays this large, and an s_next block placed capacity rows
+    away would fault in one of those on its first write.
+    """
 
     def __init__(self, capacity: int, state_dim: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.s = np.zeros((capacity, state_dim))
-        self.a = np.zeros(capacity)
-        self.r = np.zeros(capacity)
-        self.s_next = np.zeros((capacity, state_dim))
+        self.states = np.zeros((capacity, 2, state_dim))
+        self.ar = np.zeros((capacity, 2))
+        self.s, self.s_next = self.states.transpose(1, 0, 2)
+        self.a, self.r = self.ar.T
         self._len = 0
         self._next = 0
 
@@ -145,10 +178,16 @@ class ReplayMemory:
         self._next = (i + 1) % self.capacity
         self._len = min(self._len + 1, self.capacity)
 
-    def sample(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, Transition]:
-        """n slots drawn with replacement, and their transitions as arrays."""
-        idx = rng.integers(0, self._len, size=n)
-        return idx, Transition(self.s[idx], self.a[idx], self.r[idx], self.s_next[idx])
+    def sample(self, rng: np.random.Generator, states: np.ndarray, ar: np.ndarray) -> np.ndarray:
+        """Draw n = len(ar) slots with replacement; write their (s, s_next)
+        into states (n, 2, state_dim) and their (a, r) into ar (n, 2).
+        Returns the slots."""
+        idx = rng.integers(0, self._len, size=len(ar))
+        # Mode "clip" writes straight into out, where "raise" goes through a
+        # copy; every slot is below len, so nothing is clipped.
+        self.states.take(idx, 0, states, "clip")
+        self.ar.take(idx, 0, ar, "clip")
+        return idx
 
     def __len__(self) -> int:
         return self._len
@@ -161,18 +200,32 @@ class ReplayMemory:
 
 class NafAgent:
     """Online NAF learner: act with decaying Gaussian exploration, train on
-    uniformly sampled replay batches against a target network."""
+    uniformly sampled replay batches against a target network.
+
+    The online and target networks are rows 0 and 1 of one (2, P) parameter
+    array, so one stacked forward gives the online outputs on a batch's s and
+    the target's on its s_next. Every buffer a step uses is built here."""
 
     def __init__(self, cfg: NafConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.rng = rng
         dims = (cfg.state_dim, *cfg.hidden, HEAD_WIDTH)
-        self.net = init_mlp(dims, rng)
-        self.target = self.net.copy()
-        self.adam = AdamState()
+        online = init_mlp(dims, rng).params
+        self.nets = Mlp(dims, np.stack([online, online]))
+        self.net = Mlp(dims, self.nets.params[0])
+        self.target = Mlp(dims, self.nets.params[1])
+        self.adam = AdamState(online.size)
         self.replay = ReplayMemory(cfg.replay_capacity, cfg.state_dim)
         self.act_count = 0
         self.train_count = 0
+        self._act_ws = Workspace(dims, (1,))
+        n = cfg.batch_size
+        self._train_ws = NafWorkspace(dims, (2, n))
+        self._sample = np.empty((n, 2, cfg.state_dim))
+        self._x = self._sample.transpose(1, 0, 2)  # s and s_next, as (2, n, state_dim)
+        self._ar = np.empty((n, 2))
+        self._y = np.empty(n)
+        self._v_next = self._train_ws.acts[-1][1, :, 1]  # the target's V on s_next
 
     def sigma(self) -> float:
         """Exploration noise scale for the current act step."""
@@ -188,7 +241,7 @@ class NafAgent:
         if self.act_count < cfg.explore_steps:
             a = self.rng.uniform(cfg.ttl_min, cfg.ttl_max)
         else:
-            mu = naf_head(self.net, s)[0]
+            mu = naf_head(self.net, s, self._act_ws)[0]
             a = mu + self.sigma() * self.rng.standard_normal()
         self.act_count += 1
         return float(min(max(a, cfg.ttl_min), cfg.ttl_max))
@@ -201,10 +254,13 @@ class NafAgent:
         cfg = self.cfg
         if len(self.replay) < cfg.batch_size:
             return None
-        idx, (s, a, r, s_next) = self.replay.sample(cfg.batch_size, self.rng)
-        v_next = forward(self.target, s_next)[0][:, 1]
-        y = r + cfg.gamma * v_next
-        loss, grad = naf_loss_and_grads(self.net, s, a, y)
+        ws, y = self._train_ws, self._y
+        idx = self.replay.sample(self.rng, self._sample, self._ar)
+        a, r = self._ar.T
+        forward(self.nets, self._x, ws)
+        np.multiply(self._v_next, cfg.gamma, out=y)
+        y += r  # y = r + gamma V'(s_next)
+        loss, grad = naf_loss_and_grads(self.net, ws, a, y)
         adam_step(self.net, grad, self.adam, cfg.lr, cfg.clip)
         self.train_count += 1
         if self.train_count % cfg.target_sync_interval == 0:

@@ -10,7 +10,6 @@ import pytest
 from ttl_lab.config import build_config
 from ttl_lab.dei import DeiQueue, IncompleteTransition, RewardConfig, transition_reward
 from ttl_lab.estimators import NafDeiEstimator, NafNaiveEstimator
-from ttl_lab.nafagent import NafConfig
 from ttl_lab.simcore import Simulation
 
 # ---------------------------------------------------------------------------

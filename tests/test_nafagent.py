@@ -9,6 +9,7 @@ from ttl_lab.nafagent import (
     HEAD_WIDTH,
     NafAgent,
     NafConfig,
+    NafWorkspace,
     ReplayMemory,
     Transition,
     build_state,
@@ -16,7 +17,7 @@ from ttl_lab.nafagent import (
     naf_loss_and_grads,
     naf_q,
 )
-from ttl_lab.neural import forward, init_mlp
+from ttl_lab.neural import Workspace, forward, init_mlp
 
 
 def test_q_from_head_hand_computed():
@@ -26,18 +27,20 @@ def test_q_from_head_hand_computed():
     net.weights[-1][:] = 0.0
     net.biases[-1][:] = [10.0, 5.0, np.log(2.0)]
     s = np.array([0.3, -1.0, 2.0])
-    assert naf_head(net, s) == (10.0, 5.0, np.log(2.0))
-    assert naf_q(net, s, np.array([10.0, 13.0])) == pytest.approx([5.0, 5.0 - 0.5 * 4 * 9])
+    ws = Workspace(net.dims, (1,))
+    assert naf_head(net, s, ws) == (10.0, 5.0, np.log(2.0))
+    assert naf_q(net, s, np.array([10.0, 13.0]), ws) == pytest.approx([5.0, 5.0 - 0.5 * 4 * 9])
 
 
 def test_q_identities_on_random_nets():
     for seed in range(4):
         rng = np.random.default_rng(seed)
         net = init_mlp((6, 12, HEAD_WIDTH), rng)
+        ws = Workspace(net.dims, (1,))
         s = rng.uniform(0.0, 1.0, size=6)
-        mu, v, _ = naf_head(net, s)
-        assert abs(naf_q(net, s, mu) - v) < 1e-12
-        assert np.all(naf_q(net, s, rng.uniform(-50.0, 50.0, size=32)) <= v + 1e-12)
+        mu, v, _ = naf_head(net, s, ws)
+        assert abs(naf_q(net, s, mu, ws) - v) < 1e-12
+        assert np.all(naf_q(net, s, rng.uniform(-50.0, 50.0, size=32), ws) <= v + 1e-12)
 
 
 def test_q_curve_matches_pointwise_q():
@@ -45,8 +48,9 @@ def test_q_curve_matches_pointwise_q():
     net = init_mlp((4, 10, HEAD_WIDTH), rng)
     s = rng.normal(size=4)
     grid = np.linspace(-20.0, 20.0, 101)
-    curve = naf_q(net, s, grid)
-    pointwise = np.array([naf_q(net, s, a) for a in grid])
+    ws = Workspace(net.dims, (1,))
+    curve = naf_q(net, s, grid, ws)
+    pointwise = np.array([naf_q(net, s, a, ws) for a in grid])
     assert np.allclose(curve, pointwise, atol=1e-12, rtol=0.0)
 
 
@@ -56,22 +60,31 @@ def test_loss_matches_manual_td_error():
     s = rng.normal(size=(7, 3))
     a = rng.uniform(1.0, 30.0, size=7)
     y = rng.normal(size=7)
-    loss, _ = naf_loss_and_grads(net, s, a, y)
-    q = np.array([naf_q(net, s[i], a[i]) for i in range(7)])
+    ws = NafWorkspace(net.dims, (7,))
+    forward(net, s, ws)
+    loss, _ = naf_loss_and_grads(net, ws, a, y)
+    one = Workspace(net.dims, (1,))
+    q = np.array([naf_q(net, s[i], a[i], one) for i in range(7)])
     assert loss == pytest.approx(float(np.mean((q - y) ** 2)), rel=1e-12)
 
 
 def _fd_check(net, s, a, y, tol):
-    _, flat_g = naf_loss_and_grads(net, s, a, y)
+    ws = NafWorkspace(net.dims, (len(s),))
+
+    def loss_and_grads():
+        forward(net, s, ws)
+        return naf_loss_and_grads(net, ws, a, y)
+
+    flat_g = loss_and_grads()[1].copy()
     params = net.params
     eps = 1e-6
     num = np.empty_like(params)
     for i in range(params.size):
         base = params[i]
         params[i] = base + eps
-        f_plus = naf_loss_and_grads(net, s, a, y)[0]
+        f_plus = loss_and_grads()[0]
         params[i] = base - eps
-        f_minus = naf_loss_and_grads(net, s, a, y)[0]
+        f_minus = loss_and_grads()[0]
         params[i] = base
         num[i] = (f_plus - f_minus) / (2 * eps)
     denom = np.maximum(np.abs(flat_g) + np.abs(num), 1e-8)
@@ -174,7 +187,11 @@ def test_replay_sampling_bounds_and_capacity_check():
     mem = ReplayMemory(6, 3)
     for i in range(4):
         mem.push(Transition(np.full(3, i), float(i), -float(i), np.full(3, 10 + i)))
-    idx, (s, a, r, s_next) = mem.sample(100, np.random.default_rng(0))
+    # slot-major: a slot's s and s_next sit side by side, as do its a and r
+    assert mem.states[1].tolist() == [[1.0] * 3, [11.0] * 3] and mem.ar[1].tolist() == [1.0, -1.0]
+    states, ar = np.empty((100, 2, 3)), np.empty((100, 2))
+    idx = mem.sample(np.random.default_rng(0), states, ar)
+    (s, s_next), (a, r) = states.transpose(1, 0, 2), ar.T
     assert idx.min() >= 0 and idx.max() < 4  # only filled slots
     assert np.array_equal(idx, np.random.default_rng(0).integers(0, 4, size=100))
     assert a.tolist() == idx.tolist() and r.tolist() == (-idx).tolist()
@@ -218,7 +235,7 @@ def test_act_explores_uniformly_then_clamps():
 def test_act_equals_mu_when_noise_is_zero():
     agent = _agent(explore_steps=0, noise_sigma_start=0.0, noise_sigma_end=0.0)
     s = np.array([0.1, 0.2, 0.0])
-    mu = float(forward(agent.net, s[None, :])[0][0, 0])
+    mu = float(forward(agent.net, s[None, :], Workspace(agent.net.dims, (1,)))[0, 0])
     expected = min(max(mu, 1.0), 50.0)
     assert agent.act(s) == expected
 
@@ -286,7 +303,125 @@ def test_train_targets_use_target_network_value():
     agent.replay.push(t0)
     agent.replay.push(t1)
     slots = (t0, t1)  # the replay fills slot 0, then slot 1
-    qs = [naf_q(agent.net, t.s, t.a) for t in slots]
+    ws = Workspace(agent.net.dims, (1,))
+    qs = [naf_q(agent.net, t.s, t.a, ws) for t in slots]
     loss, idx = agent.train_step()
     expected = float(np.mean([(qs[i] - slots[i].r) ** 2 for i in idx]))
     assert loss == pytest.approx(expected, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# bit-exact reference: the training step as plain allocating numpy
+
+
+def _reference_layers(dims, vec):
+    """Per-layer (W, b) views of a flat parameter vector, in the agent's layout."""
+    layers, pos = [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        w = vec[pos : pos + fan_in * fan_out].reshape(fan_in, fan_out)
+        pos += fan_in * fan_out
+        layers.append((w, vec[pos : pos + fan_out]))
+        pos += fan_out
+    return layers
+
+
+def _reference_forward(layers, x):
+    """Each layer's input, then the output."""
+    acts = [x]
+    for i, (w, b) in enumerate(layers):
+        h = acts[-1] @ w + b
+        acts.append(np.maximum(h, 0.0) if i < len(layers) - 1 else h)
+    return acts
+
+
+def _reference_train_step(ref, cfg):
+    """One update of ref (a dict of flat online/target params, Adam moments,
+    replay arrays and rng), with separate target and online forwards."""
+    dims, n = ref["dims"], cfg.batch_size
+    idx = ref["rng"].integers(0, ref["len"], size=n)
+    s, a, r, s_next = ref["s"][idx], ref["a"][idx], ref["r"][idx], ref["s_next"][idx]
+    v_next = _reference_forward(_reference_layers(dims, ref["target"]), s_next)[-1][:, 1]
+    y = r + cfg.gamma * v_next
+
+    layers = _reference_layers(dims, ref["online"])
+    acts = _reference_forward(layers, s)
+    out = acts[-1]
+    mu, v = out[:, 0], out[:, 1]
+    ld = np.exp(out[:, 2])
+    p = ld * ld
+    delta = a - mu
+    q = v - 0.5 * p * delta * delta
+    dq = 2.0 * (q - y) / n
+    dout = np.zeros_like(out)
+    dout[:, 0] = dq * p * delta
+    dout[:, 1] = dq
+    dout[:, 2] = dq * (-p * delta * delta)
+    loss = float(np.mean((q - y) ** 2))
+
+    grad = np.empty_like(ref["online"])
+    grads = _reference_layers(dims, grad)
+    for i in range(len(layers) - 1, -1, -1):
+        if i < len(layers) - 1:
+            dout = dout * (acts[i + 1] > 0.0)
+        grads[i][0][...] = acts[i].T @ dout
+        grads[i][1][...] = dout.sum(axis=0)
+        if i > 0:
+            dout = dout @ layers[i][0].T
+
+    ref["clipped"] += int((np.abs(grad) > cfg.clip).sum())
+    g = np.clip(grad, -cfg.clip, cfg.clip)
+    ref["t"] += 1
+    m, v2 = ref["m"], ref["v"]
+    m *= 0.9
+    m += (1.0 - 0.9) * g
+    v2 *= 0.999
+    v2 += (1.0 - 0.999) * g * g
+    ref["online"] -= cfg.lr * (m / (1.0 - 0.9 ** ref["t"])) / (
+        np.sqrt(v2 / (1.0 - 0.999 ** ref["t"])) + 1e-8)
+    if ref["t"] % cfg.target_sync_interval == 0:
+        ref["target"][...] = ref["online"]
+    return loss, idx
+
+
+def test_train_step_is_bit_equal_to_an_allocating_reference():
+    # The agent's real dims and batch; a 32-slot replay wraps many times, and
+    # rewards of a few thousand make gradients far beyond the clip of 30.
+    cfg = NafConfig(batch_size=10, replay_capacity=32, target_sync_interval=7)
+    agent = NafAgent(cfg, np.random.default_rng(5))
+    assert agent.net.dims == (11, 30, 30, HEAD_WIDTH)
+    cap, d = cfg.replay_capacity, cfg.state_dim
+    ref = {
+        "dims": agent.net.dims, "online": agent.net.params.copy(),
+        "target": agent.target.params.copy(), "t": 0, "clipped": 0,
+        "m": np.zeros(agent.net.params.size), "v": np.zeros(agent.net.params.size),
+        "rng": np.random.default_rng(), "len": 0,
+        "s": np.zeros((cap, d)), "a": np.zeros(cap), "r": np.zeros(cap),
+        "s_next": np.zeros((cap, d)),
+    }
+    ref["rng"].bit_generator.state = agent.rng.bit_generator.state
+    data = np.random.default_rng(6)
+    steps = 0
+    for k in range(300):
+        t = Transition(data.uniform(-1.0, 1.0, d), float(data.uniform(1.0, 600.0)),
+                       float(data.normal(0.0, 3000.0)), data.uniform(-1.0, 1.0, d))
+        agent.replay.push(t)
+        slot = k % cap
+        ref["s"][slot], ref["a"][slot], ref["r"][slot], ref["s_next"][slot] = t
+        ref["len"] = min(k + 1, cap)
+
+        got = agent.train_step()
+        if ref["len"] < cfg.batch_size:
+            assert got is None
+            continue
+        loss, idx = got
+        ref_loss, ref_idx = _reference_train_step(ref, cfg)
+        steps += 1
+        assert np.array_equal(idx, ref_idx), f"step {steps}"
+        assert loss == ref_loss, f"step {steps}"
+        assert np.array_equal(agent.net.params, ref["online"]), f"step {steps}"
+        assert np.array_equal(agent.target.params, ref["target"]), f"step {steps}"
+        assert np.array_equal(agent.adam.m, ref["m"]), f"step {steps}"
+        assert np.array_equal(agent.adam.v, ref["v"]), f"step {steps}"
+    assert steps >= 250 and agent.train_count == steps
+    assert np.isfinite(agent.net.params).all()
+    assert ref["clipped"] > 1000  # the clip fired on many elements

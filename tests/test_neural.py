@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ttl_lab.nafagent import HEAD_WIDTH, naf_head
-from ttl_lab.neural import AdamState, Mlp, adam_step, backward, forward, init_mlp
+from ttl_lab.neural import AdamState, Mlp, Workspace, adam_step, backward, forward, init_mlp
 
 
 def _reference_forward(net: Mlp, x: np.ndarray) -> np.ndarray:
@@ -17,6 +17,12 @@ def _reference_forward(net: Mlp, x: np.ndarray) -> np.ndarray:
         if i < len(net.weights) - 1:
             h = np.where(h > 0.0, h, 0.0)
     return h
+
+
+def _forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, Workspace]:
+    """forward on a fresh workspace sized for x; returns (output, workspace)."""
+    ws = Workspace(net.dims, x.shape[:-1])
+    return forward(net, x, ws), ws
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +48,7 @@ def test_flat_load_flat_roundtrip():
     np.copyto(other.params, vec)
     assert np.array_equal(other.params, vec)
     x = np.random.default_rng(3).normal(size=(2, 4))
-    assert np.array_equal(forward(other, x)[0], forward(net, x)[0])
+    assert np.array_equal(_forward(other, x)[0], _forward(net, x)[0])
 
 
 def test_weights_and_biases_are_views_of_params():
@@ -89,8 +95,27 @@ def test_forward_matches_reference_loop():
     rng = np.random.default_rng(4)
     net = init_mlp((6, 9, 9, 4), rng)
     x = rng.normal(size=(12, 6))
-    out, _ = forward(net, x)
+    out, _ = _forward(net, x)
     assert np.allclose(out, _reference_forward(net, x), atol=1e-14, rtol=0.0)
+
+
+def test_stacked_forward_is_each_networks_forward():
+    # A (k, P) params array is k networks; one forward on a (k, n, d) batch
+    # gives each network's output on its own rows, bit for bit.
+    rng = np.random.default_rng(11)
+    nets = [init_mlp((6, 9, 9, 4), rng) for _ in range(3)]
+    stack = Mlp((6, 9, 9, 4), np.stack([net.params for net in nets]))
+    assert stack.weights[1].shape == (3, 9, 9) and stack.biases[1].shape == (3, 1, 9)
+    x = rng.normal(size=(3, 10, 6))
+    out, ws = _forward(stack, x)
+    assert out.shape == (3, 10, 4)
+    for k, net in enumerate(nets):
+        assert np.array_equal(out[k], _forward(net, x[k])[0])
+    # backward differentiates the first network of the stack
+    dout = rng.normal(size=(10, 4))
+    single = Workspace(nets[0].dims, (10,))
+    forward(nets[0], x[0], single)
+    assert np.array_equal(backward(nets[0], ws, dout), backward(nets[0], single, dout))
 
 
 def test_forward_single_sample_matches_batch_row():
@@ -98,32 +123,39 @@ def test_forward_single_sample_matches_batch_row():
     rng = np.random.default_rng(5)
     net = init_mlp((5, 7, HEAD_WIDTH), rng)
     x = rng.normal(size=(4, 5))
-    batch_out, _ = forward(net, x)
+    batch_out, _ = _forward(net, x)
+    ws = Workspace(net.dims, (1,))
     for i in range(4):
         # BLAS may order the sums differently for one row and a batch
-        np.testing.assert_allclose(naf_head(net, x[i]), batch_out[i], rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(naf_head(net, x[i], ws), batch_out[i], rtol=1e-13, atol=0.0)
 
 
 def test_forward_hand_computed_example():
     # One hidden unit, all weights explicit; ReLU kills the negative path.
     # layout: W0 (2x1) = [1, -2], b0 = 0.5, W1 (1x1) = 3, b1 = -1
     net = Mlp((2, 1, 1), np.array([1.0, -2.0, 0.5, 3.0, -1.0]))
-    out, cache = forward(net, np.array([[1.0, 1.0]]))  # pre-act -0.5 -> ReLU 0
+    ws = Workspace(net.dims, (1,))
+    out = forward(net, np.array([[1.0, 1.0]]), ws)  # pre-act -0.5 -> ReLU 0
     assert out[0, 0] == pytest.approx(-1.0)
-    out, _ = forward(net, np.array([[2.0, 0.0]]))  # pre-act 2.5 -> 3*2.5 - 1
+    out = forward(net, np.array([[2.0, 0.0]]), ws)  # pre-act 2.5 -> 3*2.5 - 1
     assert out[0, 0] == pytest.approx(6.5)
-    assert len(cache) == 3  # input, hidden activation, output
+    assert len(ws.acts) == 2  # hidden activation, output
+    assert out is ws.acts[-1] and ws.acts[0].tolist() == [[2.5]]
 
 
 def test_forward_rejects_wrong_width():
     net = init_mlp((4, 3, 2), np.random.default_rng(6))
-    with pytest.raises(ValueError, match="input width"):
-        forward(net, np.zeros((2, 5)))
-    with pytest.raises(ValueError, match="input width"):
-        forward(net, np.zeros(5))
+    ws = Workspace(net.dims, (2,))
+    with pytest.raises(ValueError, match="input shape"):
+        forward(net, np.zeros((2, 5)), ws)
+    with pytest.raises(ValueError, match="input shape"):
+        forward(net, np.zeros(5), ws)
     # A single state of the right width is not a batch either.
-    with pytest.raises(ValueError, match="input width"):
-        forward(net, np.zeros(4))
+    with pytest.raises(ValueError, match="input shape"):
+        forward(net, np.zeros(4), ws)
+    # The workspace fixes the batch size too.
+    with pytest.raises(ValueError, match="input shape"):
+        forward(net, np.zeros((3, 4)), ws)
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +169,8 @@ def test_backward_matches_finite_differences():
     x = rng.normal(size=(5, 3))
     y = rng.normal(size=(5, 2))
 
-    out, cache = forward(net, x)
-    flat_g = backward(net, cache, out - y)
+    out, ws = _forward(net, x)
+    flat_g = backward(net, ws, out - y).copy()
 
     params = net.params
     eps = 1e-6
@@ -146,9 +178,9 @@ def test_backward_matches_finite_differences():
     for i in range(params.size):
         base = params[i]
         params[i] = base + eps
-        f_plus = 0.5 * float(((forward(net, x)[0] - y) ** 2).sum())
+        f_plus = 0.5 * float(((forward(net, x, ws) - y) ** 2).sum())
         params[i] = base - eps
-        f_minus = 0.5 * float(((forward(net, x)[0] - y) ** 2).sum())
+        f_minus = 0.5 * float(((forward(net, x, ws) - y) ** 2).sum())
         params[i] = base
         num[i] = (f_plus - f_minus) / (2 * eps)
 
@@ -160,8 +192,8 @@ def test_backward_dead_relu_gets_zero_gradient():
     # Drive the single hidden unit negative: its incoming weights get no signal.
     # layout: W0 = 1, b0 = -5, W1 = 2, b1 = 0
     net = Mlp((1, 1, 1), np.array([1.0, -5.0, 2.0, 0.0]))
-    _, cache = forward(net, np.array([[1.0]]))
-    grad = backward(net, cache, np.array([[1.0]]))
+    _, ws = _forward(net, np.array([[1.0]]))
+    grad = backward(net, ws, np.array([[1.0]]))
     assert grad[0] == 0.0  # W0
     assert grad[1] == 0.0  # b0
     assert grad[2] == 0.0  # W1: its layer input (post-ReLU) is 0
@@ -173,12 +205,12 @@ def test_backward_sums_over_batch():
     net = init_mlp((3, 4, 2), rng)
     x = rng.normal(size=(6, 3))
     dout = rng.normal(size=(6, 2))
-    _, cache = forward(net, x)
-    full = backward(net, cache, dout)
+    _, ws = _forward(net, x)
+    full = backward(net, ws, dout)
     acc = np.zeros_like(full)
     for i in range(6):
-        _, ci = forward(net, x[i : i + 1])
-        acc += backward(net, ci, dout[i : i + 1])
+        _, wi = _forward(net, x[i : i + 1])
+        acc += backward(net, wi, dout[i : i + 1])
     assert np.allclose(full, acc, atol=1e-12)
 
 
@@ -190,7 +222,7 @@ def _moment_sees(grad, clip):
     """The gradient Adam's first moment saw in one step from zero: that moment
     is exactly (1 - beta1) times it."""
     net = Mlp((1, 2), np.zeros(4))
-    state = AdamState()
+    state = AdamState(4)
     adam_step(net, np.array(grad), state, lr=0.1, clip=clip)
     return state.m
 
@@ -221,14 +253,14 @@ def test_adam_step_matches_reference_update():
     ref = [p.copy() for pair in zip(net.weights, net.biases) for p in pair]
     ms = [np.zeros_like(p) for p in ref]
     vs = [np.zeros_like(p) for p in ref]
-    state = AdamState()
+    state = AdamState(net.params.size)
     lr, clip = 0.01, 1.5
     clipped = 0
 
     for t in range(1, 251):
         grad = rng.normal(size=net.params.size)
         clipped += int((np.abs(grad) > clip).sum())
-        adam_step(net, grad, state, lr, clip)
+        adam_step(net, grad.copy(), state, lr, clip)  # it clips its argument in place
         pos = 0
         for p, m, v in zip(ref, ms, vs):
             g = grad[pos : pos + p.size].reshape(p.shape)
@@ -242,8 +274,10 @@ def test_adam_step_matches_reference_update():
 
 def test_adam_step_applies_clip_before_moments():
     net = Mlp((1, 1), np.zeros(2))
-    state = AdamState()
-    adam_step(net, np.array([1000.0, 1000.0]), state, lr=0.1, clip=1.0)
+    state = AdamState(2)
+    grad = np.array([1000.0, 1000.0])
+    adam_step(net, grad, state, lr=0.1, clip=1.0)
+    assert grad.tolist() == [1.0, 1.0]  # clipped in place
     # with g clipped to 1: m/bc1 = 1, v/bc2 = 1 -> step = lr * 1/(1+eps)
     assert net.weights[0][0, 0] == pytest.approx(-0.1, rel=1e-6)
     assert state.m[0] == pytest.approx(0.1)  # moments saw the clipped value
@@ -252,4 +286,4 @@ def test_adam_step_applies_clip_before_moments():
 def test_adam_step_rejects_layer_mismatch():
     net = init_mlp((2, 2), np.random.default_rng(10))
     with pytest.raises(ValueError, match="gradient"):
-        adam_step(net, np.zeros(net.params.size + 1), AdamState(), 0.01)
+        adam_step(net, np.zeros(net.params.size + 1), AdamState(net.params.size), 0.01)
