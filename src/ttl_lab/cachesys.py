@@ -1,4 +1,4 @@
-"""Edge cache with TTL expiry, and the range index that finds what a write touches.
+"""Edge cache with TTL expiry and asynchronous invalidation.
 
 The cache maps cacheable units (query ids, or singleton ranges for point
 reads) to served result entries. Expiry is half-open: an entry whose
@@ -10,10 +10,9 @@ applies after a propagation delay; lookups in that window are stale reads.
 
 The cache keeps no range index: the true-TTL oracle (telemetry.py) resolves a
 serve at the first write touching its range, the write that marks its entry,
-so a write marks the live entries of the serves it resolves. The oracle's
-RangeSet is a grid of fixed-width value buckets: a write's probe visits the
-bucket of each of its two values, and adding or dropping a range visits the
-buckets it spans (1-3 at every preset).
+so a write marks the live entries of the serves the oracle's range index
+returns. The cache speaks serve ids: origin_update takes the resolved ids and
+returns those it marked.
 """
 
 from __future__ import annotations
@@ -22,75 +21,6 @@ import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-# Bucket width in value units. Record values are uniform on [0, record_count),
-# one record per unit at every preset, and a range holds at most result_cap
-# (20) records, so it spans 1-3 buckets. Replaying the 100,200 index calls of a
-# paper-scale run (w = 0.3, 60 s, about 500 live ranges per index) on a 2-core
-# Xeon VM took, in CPU s (median of 11): width 4 0.32, 8 0.25, 16 0.23,
-# 32 0.23, 64 0.27; the numpy scan this replaced took 0.65. Narrow buckets
-# cost more entries per add, wide ones more ranges per probe.
-_WIDTH = 16.0
-
-
-class RangeSet:
-    """Dynamic set of id-tagged half-open intervals on a grid of value buckets.
-
-    Each range is registered in every bucket of width _WIDTH that its [lo, hi)
-    overlaps, so a probe visits only the bucket of its value, and an add or
-    discard visits the buckets the range spans. Each bucket is a dict in add
-    order; a per-range sequence number orders hits from two buckets.
-    """
-
-    def __init__(self):
-        self._ranges: dict[int, tuple[float, float, int]] = {}  # rid -> (lo, hi, seq)
-        self._buckets: dict[float, dict[int, tuple[float, float, int]]] = {}
-        self._seq = 0
-
-    def __len__(self) -> int:
-        return len(self._ranges)
-
-    def add(self, rid: int, lo: float, hi: float) -> None:
-        if not -math.inf < lo < math.inf:
-            raise ValueError(f"range bound lo {lo} is not finite")
-        if not -math.inf < hi < math.inf:
-            raise ValueError(f"range bound hi {hi} is not finite")
-        if hi <= lo:
-            raise ValueError(f"empty range [{lo}, {hi})")
-        if rid in self._ranges:
-            raise ValueError(f"range id {rid} already present")
-        rec = self._ranges[rid] = (lo, hi, self._seq)
-        self._seq += 1
-        buckets, first = self._buckets, lo // _WIDTH
-        for i in range(int(hi // _WIDTH - first) + 1):
-            bucket = buckets.get(first + i)
-            if bucket is None:
-                bucket = buckets[first + i] = {}
-            bucket[rid] = rec
-
-    def discard(self, rid: int) -> bool:
-        rec = self._ranges.pop(rid, None)
-        if rec is None:
-            return False
-        buckets, first = self._buckets, rec[0] // _WIDTH
-        for i in range(int(rec[1] // _WIDTH - first) + 1):
-            del buckets[first + i][rid]
-        return True
-
-    def stab_either(self, v1: float, v2: float) -> list[int]:
-        """Ids of live ranges containing v1 or v2 (the write-invalidation
-        probe), insertion-ordered."""
-        hits: dict[int, int] = {}  # rid -> seq
-        get = self._buckets.get
-        for v in (v1, v2):
-            bucket = get(v // _WIDTH)  # every range holding v is in it
-            if bucket:
-                for rid, (lo, hi, seq) in bucket.items():
-                    if lo <= v < hi:
-                        hits[rid] = seq
-        if len(hits) > 1:
-            return sorted(hits, key=hits.__getitem__)
-        return list(hits)
 
 
 class Lookup(Enum):
@@ -104,7 +34,7 @@ class CacheEntry:
     unit: int
     serve_id: int
     expires_at: float
-    pending_since: float | None = None
+    pending: bool = False  # marked by a write, purged after the propagation delay
 
 
 @dataclass
@@ -179,7 +109,7 @@ class CacheSystem:
             self.stats.misses += 1
             return Lookup.MISS
         self.stats.hits += 1
-        if entry.pending_since is not None:
+        if entry.pending:
             self.stats.stale_reads += 1
             return Lookup.STALE_HIT
         return Lookup.HIT
@@ -212,19 +142,19 @@ class CacheSystem:
                 return
         raise RuntimeError("cache full but expiry heap empty")
 
-    def origin_update(self, serve_ids: list[int], now: float) -> list[CacheEntry]:
+    def origin_update(self, serve_ids: list[int], now: float) -> list[int]:
         """Mark pending, in the order given, the live entries of the serves a
         write resolves (TrueTtlOracle.on_write, which resolves a serve once);
-        serves whose entry expired or was evicted are skipped. The caller
-        schedules the delayed purges."""
+        returns the ids marked, skipping serves whose entry expired or was
+        evicted. The caller schedules the delayed purges."""
         self.sweep(now)
-        touched = []
+        marked = []
         for serve_id in serve_ids:
             entry = self._by_serve.get(serve_id)
             if entry is not None:
-                entry.pending_since = now
-                touched.append(entry)
-        return touched
+                entry.pending = True
+                marked.append(serve_id)
+        return marked
 
     def apply_invalidation(self, serve_id: int, now: float) -> bool:
         """The delayed purge. No-op if the entry already expired or was evicted."""

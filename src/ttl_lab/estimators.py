@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dei import DeiQueue, IncompleteTransition, RewardConfig, transition_reward
-from .nafagent import NafAgent, NafConfig, Transition, build_state
+from .nafagent import NafAgent, NafConfig, build_state
 
 
 def poisson_ttl(result_keys, telemetry, now: float, max_ttl: float) -> float:
@@ -55,7 +55,7 @@ class TtlEstimator:
     def decide(self, serve_id: int, unit: int, result_keys, now: float) -> float:
         raise NotImplementedError
 
-    def on_invalidation_issued(self, serve_id: int, unit: int, now: float) -> None:
+    def on_invalidation_issued(self, serve_id: int, now: float) -> None:
         pass
 
 
@@ -108,14 +108,14 @@ class _NafEstimator(TtlEstimator):
         self.injection_log: list[InjectionRow] | None = [] if log_transitions else None
         self.queue = DeiQueue()
 
-    def on_invalidation_issued(self, serve_id, unit, now):
+    def on_invalidation_issued(self, serve_id, now):
         self.queue.stamp_invalidation(serve_id, now)
 
     def _state(self, result_keys, unit: int, now: float) -> np.ndarray:
         return build_state(result_keys, self.sim.telemetry, unit, now, self.agent.cfg.rate_inputs)
 
     def _inject(self, it: IncompleteTransition, reward: float, s_next: np.ndarray, now: float) -> None:
-        self.agent.replay.push(Transition(it.s, it.a, reward, s_next))
+        self.agent.replay.push(it.s, it.a, reward, s_next)
         if self.injection_log is not None:
             self.injection_log.append(
                 InjectionRow(it.serve_id, it.unit, it.decided_at, now, it.a, reward)
@@ -134,7 +134,7 @@ class NafDeiEstimator(_NafEstimator):
         self.queue.enqueue(
             IncompleteTransition(serve_id, unit, s, a, decided_at=now, result_keys=result_keys)
         )
-        self.sim.engine.schedule(now + a, "dei", (serve_id,))
+        self.sim.engine.schedule(now + a, "dei", serve_id)
         return a
 
     def on_due(self, serve_id, now):

@@ -10,7 +10,6 @@ hand and flow into the shared trunk backprop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -139,13 +138,6 @@ class NafConfig:
             raise ValueError("target_sync_interval must be >= 1")
 
 
-class Transition(NamedTuple):
-    s: np.ndarray
-    a: float
-    r: float
-    s_next: np.ndarray
-
-
 class ReplayMemory:
     """Ring buffer of transitions in two preallocated arrays, sampled uniformly
     with replacement.
@@ -172,9 +164,9 @@ class ReplayMemory:
         self._len = 0
         self._next = 0
 
-    def push(self, t: Transition) -> None:
+    def push(self, s: np.ndarray, a: float, r: float, s_next: np.ndarray) -> None:
         i = self._next
-        self.s[i], self.a[i], self.r[i], self.s_next[i] = t
+        self.s[i], self.a[i], self.r[i], self.s_next[i] = s, a, r, s_next
         self._next = (i + 1) % self.capacity
         self._len = min(self._len + 1, self.capacity)
 
@@ -191,11 +183,6 @@ class ReplayMemory:
 
     def __len__(self) -> int:
         return self._len
-
-    def __getitem__(self, i: int) -> Transition:
-        if not 0 <= i < self._len:
-            raise IndexError(f"replay slot {i} outside [0, {self._len})")
-        return Transition(self.s[i], float(self.a[i]), float(self.r[i]), self.s_next[i])
 
 
 class NafAgent:

@@ -58,9 +58,6 @@ class Mlp:
         self.params = np.asarray(params, dtype=np.float64)
         self.weights, self.biases = _layer_views(self.dims, self.params)
 
-    def copy(self) -> "Mlp":
-        return Mlp(self.dims, self.params.copy())
-
 
 def init_mlp(dims: tuple[int, ...], rng: np.random.Generator) -> Mlp:
     """Glorot-uniform weights, zero biases."""

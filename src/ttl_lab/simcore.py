@@ -2,9 +2,11 @@
 
 Virtual time is a float starting at 0. Events are totally ordered by
 (time, insertion sequence), so simultaneous events dispatch in scheduling
-order and a run is a pure function of (config, seed). Each client connection
-draws its exponential arrival gaps a block at a time, inside the event loop;
-the gaps are those of one `exponential` call per arrival.
+order and a run is a pure function of (config, seed). Each event carries one
+int: for "op" the arriving connection, for "inval" (the delayed purge) and
+"dei" (a transition coming due) a serve id. Each of the `workload.connections`
+open-loop connections draws its exponential arrival gaps a block at a time,
+inside the event loop; the gaps are those of one `exponential` call per arrival.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ class SimEvent(NamedTuple):
     time: float
     seq: int
     kind: str
-    args: tuple = ()
+    arg: int  # the connection of an "op", the serve id of an "inval" or "dei"
 
 
 class Engine:
@@ -47,19 +49,18 @@ class Engine:
     def __init__(self, handler: Callable[[SimEvent], None] | None = None):
         self.handler = handler
         self.now = 0.0
-        self.dispatched = 0
         self._heap: list[SimEvent] = []
         self._seq = 0
 
     def __len__(self) -> int:
         return len(self._heap)
 
-    def schedule(self, time: float, kind: str, args: tuple = ()) -> None:
+    def schedule(self, time: float, kind: str, arg: int) -> None:
         if not (self.now <= time < math.inf):
             raise ValueError(
                 f"cannot schedule {kind!r} at {time}: not finite or before now={self.now}"
             )
-        heapq.heappush(self._heap, SimEvent(time, self._seq, kind, args))
+        heapq.heappush(self._heap, SimEvent(time, self._seq, kind, arg))
         self._seq += 1
 
     def peek_time(self) -> float | None:
@@ -77,7 +78,6 @@ class Engine:
             self.handler(ev)
             n += 1
         self.now = t_end
-        self.dispatched += n
         return n
 
 
@@ -150,7 +150,6 @@ class Simulation:
         self.op_arrivals = 0
         self.completed = 0
         self.latency_sum = 0.0
-        self.op_counts = {"read": 0, "update": 0, "query": 0}
         self._serve_seq = 0
 
     def attach(self, estimator) -> None:
@@ -164,7 +163,7 @@ class Simulation:
         if self.estimator is None:
             raise RuntimeError("no estimator attached")
         for conn in range(self.spec.connections):
-            self.engine.schedule(self._next_gap[conn](), "op", (conn,))
+            self.engine.schedule(self._next_gap[conn](), "op", conn)
         self.engine.run_until(self.spec.duration)
         return self
 
@@ -173,19 +172,18 @@ class Simulation:
     def _dispatch(self, ev: SimEvent) -> None:
         kind = ev.kind
         if kind == "op":
-            self._handle_arrival(ev.args[0], ev.time)
+            self._handle_arrival(ev.arg, ev.time)
         elif kind == "inval":
-            self.cache.apply_invalidation(ev.args[0], ev.time)
+            self.cache.apply_invalidation(ev.arg, ev.time)
         elif kind == "dei":
-            self.estimator.on_due(ev.args[0], ev.time)
+            self.estimator.on_due(ev.arg, ev.time)
         else:
             raise RuntimeError(f"unknown event kind {kind!r}")
 
     def _handle_arrival(self, conn: int, now: float) -> None:
-        self.engine.schedule(now + self._next_gap[conn](), "op", (conn,))
+        self.engine.schedule(now + self._next_gap[conn](), "op", conn)
         self.op_arrivals += 1
         op = self.ops.next_op()
-        self.op_counts[op.kind] += 1
         if op.kind == "update":
             lat = self._handle_update(op.target, op.new_value, now)
         else:
@@ -229,9 +227,9 @@ class Simulation:
         values[key] = new_value
         self.telemetry.record_write(key, now)
         resolved = self.telemetry.oracle.on_write(old, new_value, now)
-        for entry in self.cache.origin_update(resolved, now):
-            self.engine.schedule(now + self.latency.invalidation_delay, "inval", (entry.serve_id,))
-            self.estimator.on_invalidation_issued(entry.serve_id, entry.unit, now)
+        for serve_id in self.cache.origin_update(resolved, now):
+            self.engine.schedule(now + self.latency.invalidation_delay, "inval", serve_id)
+            self.estimator.on_invalidation_issued(serve_id, now)
         if self.trace_writer is not None:
             self.trace_writer((now, "update", self.unit_for("update", key), "write", self.latency.miss_latency))
         return self.latency.miss_latency

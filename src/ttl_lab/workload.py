@@ -61,13 +61,8 @@ class WorkloadSpec:
     scan_std: float = 5.0
     result_cap: int = 20
     target_throughput: float = 200.0
-    client_count: int = 10
-    connections_per_client: int = 6
+    connections: int = 60  # open-loop Poisson streams sharing target_throughput
     duration: float = 300.0
-
-    @property
-    def connections(self) -> int:
-        return self.client_count * self.connections_per_client
 
     def __post_init__(self) -> None:
         require_finite(self)
@@ -90,7 +85,7 @@ class WorkloadSpec:
         if self.target_throughput <= 0.0:
             raise ValueError("target_throughput must be positive")
         if self.connections < 1:
-            raise ValueError("need at least one client connection")
+            raise ValueError("connections must be >= 1")
         if self.duration <= 0.0:
             raise ValueError("duration must be positive")
 

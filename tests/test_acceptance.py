@@ -183,7 +183,7 @@ def test_criterion_05_origin_update_brute_force():
         expected = [sid for sid, (lo, hi, _, p) in mirror.items()
                     if not p and (lo <= old < hi or lo <= new < hi)]
         resolved = oracle.on_write(old, new, now)
-        got = [e.serve_id for e in cache.origin_update(resolved, now)]
+        got = cache.origin_update(resolved, now)
         if got != expected:
             mismatches += 1
         marked_total += len(expected)
@@ -245,9 +245,9 @@ def test_criterion_06_dei_timing(tiny_cfg):
     injections: list[tuple[float, int, float]] = []
     orig_push = est.agent.replay.push
 
-    def spy_push(t):
-        injections.append((sim.engine.now, popped[-1], t.a))
-        orig_push(t)
+    def spy_push(s, a, r, s_next):
+        injections.append((sim.engine.now, popped[-1], a))
+        orig_push(s, a, r, s_next)
 
     est.queue.enqueue = spy_enqueue
     est.queue.pop_due = spy_pop_due

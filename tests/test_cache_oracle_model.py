@@ -106,7 +106,7 @@ class CacheOracleModel(RuleBasedStateMachine):
         assert resolved == [sid for sid, (lo, hi) in self.unresolved.items() if hit(lo, hi)]
         for sid in resolved:
             del self.unresolved[sid]
-        marked = [e.serve_id for e in self.cache.origin_update(resolved, self.now)]
+        marked = self.cache.origin_update(resolved, self.now)
         self.reap()
         expected = [sid for sid, e in self.live.items() if not e[4] and hit(e[1], e[2])]
         assert marked == expected

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ttl_lab.cachesys import CacheEntry, CacheStats, CacheSystem, Lookup, RangeSet
-from ttl_lab.telemetry import TrueTtlOracle
+from ttl_lab.cachesys import CacheEntry, CacheStats, CacheSystem, Lookup
+from ttl_lab.telemetry import RangeSet, TrueTtlOracle
 
 # ---------------------------------------------------------------------------
 # RangeSet
@@ -58,13 +58,15 @@ def test_rangeset_stab_is_half_open():
     assert rs.stab_either(1.999999, 1.999999) == [7]
 
 
-def test_rangeset_stab_insertion_order():
+def test_rangeset_stab_returns_ids_ascending():
     rs = RangeSet()
-    for rid in (5, 3, 9, 1):
+    for rid in (5, 3, 9, 1):  # added out of order
         rs.add(rid, 0.0, 10.0)
-    assert rs.stab_either(4.0, 4.0) == [5, 3, 9, 1]
+    assert rs.stab_either(4.0, 4.0) == [1, 3, 5, 9]
     rs.discard(3)
-    assert rs.stab_either(4.0, 4.0) == [5, 9, 1]
+    assert rs.stab_either(4.0, 4.0) == [1, 5, 9]
+    rs.add(3, 2.0, 5.0)  # re-added last, still found in id order
+    assert rs.stab_either(4.0, 4.0) == [1, 3, 5, 9]
 
 
 def test_rangeset_stab_either_orders_hits_across_buckets():
@@ -72,8 +74,8 @@ def test_rangeset_stab_either_orders_hits_across_buckets():
     rs.add(4, 1000.0, 1001.0)
     rs.add(2, 0.0, 1.0)
     rs.add(8, -5.0, 2000.0)
-    assert rs.stab_either(0.5, 1000.5) == [4, 2, 8]
-    assert rs.stab_either(1000.5, 0.5) == [4, 2, 8]
+    assert rs.stab_either(0.5, 1000.5) == [2, 4, 8]
+    assert rs.stab_either(1000.5, 0.5) == [2, 4, 8]
 
 
 def test_rangeset_matches_dict_oracle_under_churn():
@@ -207,14 +209,13 @@ def test_origin_update_marks_pending_once():
     oracle, cache = TrueTtlOracle(), CacheSystem(4)
     _serve(oracle, cache, 1, 0, 0.0, 5.0, ttl=60.0, now=0.0)
     _serve(oracle, cache, 2, 1, 10.0, 15.0, ttl=60.0, now=0.0)
-    touched = _write(oracle, cache, 3.0, 99.0, now=1.0)
-    assert [e.serve_id for e in touched] == [0]
-    assert touched[0].pending_since == 1.0
+    assert _write(oracle, cache, 3.0, 99.0, now=1.0) == [0]
+    assert [e.pending for e in cache.live_entries()] == [True, False]
     # same write region again: the serve is resolved, nothing newly touched
     assert _write(oracle, cache, 3.0, 99.0, now=2.0) == []
-    assert touched[0].pending_since == 1.0
     # a write landing in the other range still finds it through the oracle
-    assert [e.serve_id for e in _write(oracle, cache, 98.0, 12.0, now=3.0)] == [1]
+    assert _write(oracle, cache, 98.0, 12.0, now=3.0) == [1]
+    assert [e.pending for e in cache.live_entries()] == [True, True]
 
 
 def test_origin_update_marks_live_entries_in_the_order_given():
@@ -224,9 +225,8 @@ def test_origin_update_marks_live_entries_in_the_order_given():
     cache.insert(3, 2, ttl=10.0, now=0.0)
     cache.insert(4, 3, ttl=60.0, now=0.5)  # evicts serve 0, the earliest expiry
     cache.insert(5, 4, ttl=70.0, now=0.5)  # evicts serve 2
-    touched = cache.origin_update([4, 2, 0, 1, 99], now=2.0)
-    assert [e.serve_id for e in touched] == [4, 1]
-    assert all(e.pending_since == 2.0 for e in touched)
+    assert cache.origin_update([4, 2, 0, 1, 99], now=2.0) == [4, 1]
+    assert {e.serve_id: e.pending for e in cache.live_entries()} == {1: True, 3: False, 4: True}
     assert cache.live_count == 3 and cache.stats.evictions == 2
     assert cache.origin_update([], now=2.0) == []
 
@@ -267,7 +267,7 @@ def test_insert_rejects_non_finite_bounds_and_changes_nothing(side, bad):
     assert cache.lookup(0, 2.0) is Lookup.HIT
     # the serve id and the unit were never taken
     _serve(oracle, cache, 1, 1, 1.0, 3.0, ttl=10.0, now=2.0)
-    assert [e.serve_id for e in _write(oracle, cache, 2.0, 2.5, now=3.0)] == [1]
+    assert _write(oracle, cache, 2.0, 2.5, now=3.0) == [1]
 
 
 def test_stats_rates():
@@ -375,7 +375,7 @@ def test_cache_matches_reference_model_under_random_traffic():
         elif u < 0.75:
             old = float(rng.uniform(0.0, 100.0))
             new = float(rng.uniform(0.0, 100.0))
-            got = [e.serve_id for e in _write(oracle, cache, old, new, now)]
+            got = _write(oracle, cache, old, new, now)
             want = ref.origin_update(old, new, now)
             assert got == want, f"step {step}: pending {got} != {want}"
             purges.extend((now + 0.002, sid) for sid in got)
@@ -404,7 +404,7 @@ def test_check_invariants_after_basic_churn():
     cache.insert(1, 0, 5.0, now=0.0)
     cache.insert(2, 1, 6.0, now=0.0)
     cache.insert(3, 2, 7.0, now=0.0)  # evicts
-    assert [e.serve_id for e in cache.origin_update([0, 1], now=1.0)] == [1]
+    assert cache.origin_update([0, 1], now=1.0) == [1]
     cache.apply_invalidation(1, now=1.2)
     cache.check_invariants()
     assert isinstance(cache.live_entries()[0], CacheEntry)

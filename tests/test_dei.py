@@ -187,10 +187,10 @@ def test_dei_completes_exactly_at_due_time(tiny_cfg):
     row = est.injection_log[0]
     assert row.serve_id == 0
     assert row.due_at == row.decided_at + row.action  # bit-exact due timestamp
-    t = est.agent.replay[0]
-    assert t.a == a
+    replay = est.agent.replay
+    assert replay.a[0] == a
     # no invalidation: survival reward with an empty cache (load 0)
-    assert t.r == pytest.approx(RewardConfig().r0)
+    assert replay.r[0] == pytest.approx(RewardConfig().r0)
 
 
 def test_dei_invalidation_stamp_flows_into_reward(tiny_cfg):
@@ -200,13 +200,13 @@ def test_dei_invalidation_stamp_flows_into_reward(tiny_cfg):
 
     a = est.decide(serve_id=0, unit=4, result_keys=np.array([0]), now=1.0)
     t_inv = 1.0 + a / 2.0
-    est.on_invalidation_issued(0, 4, t_inv)
-    est.on_invalidation_issued(0, 4, t_inv + 0.1)  # second stamp is dropped
+    est.on_invalidation_issued(0, t_inv)
+    est.on_invalidation_issued(0, t_inv + 0.1)  # second stamp is dropped
     sim.engine.run_until(1.0 + a)
 
-    t = est.agent.replay[0]
-    assert t.r == pytest.approx(t_inv - (1.0 + a))
-    assert t.r < 0.0
+    r = est.agent.replay.r[0]
+    assert r == pytest.approx(t_inv - (1.0 + a))
+    assert r < 0.0
 
 
 def test_injection_trains_before_the_call_returns(tiny_cfg):
@@ -238,16 +238,16 @@ def test_naive_injects_instantly_with_previous_episode_reward(tiny_cfg):
     sim = _scripted_sim(tiny_cfg, est)
 
     a0 = est.decide(serve_id=0, unit=7, result_keys=np.array([0]), now=1.0)
-    est.on_invalidation_issued(0, 7, 2.5)  # first episode gets invalidated
+    est.on_invalidation_issued(0, 2.5)  # first episode gets invalidated
     a1 = est.decide(serve_id=1, unit=7, result_keys=np.array([0]), now=9.0)
 
     # the new pair is in replay immediately, scored by the old episode
     assert len(est.agent.replay) == 1
-    t = est.agent.replay[0]
-    assert t.a == a1
-    assert t.r == pytest.approx(2.5 - (1.0 + a0))
+    replay = est.agent.replay
+    assert replay.a[0] == a1
+    assert replay.r[0] == pytest.approx(2.5 - (1.0 + a0))
     # successor state is the current state: a self-loop
-    assert np.array_equal(t.s, t.s_next)
+    assert np.array_equal(replay.s[0], replay.s_next[0])
     assert sim.engine.peek_time() is None  # no dei event scheduled
 
 
@@ -262,7 +262,7 @@ def test_naive_survival_reward_uses_current_load(tiny_cfg):
     est.decide(serve_id=1, unit=7, result_keys=np.array([0]), now=2.0)
 
     load = 1.0 / tiny_cfg.capacity
-    assert est.agent.replay[0].r == pytest.approx(2.0 * (1.0 + load))
+    assert est.agent.replay.r[0] == pytest.approx(2.0 * (1.0 + load))
 
 
 def test_naive_tracks_units_independently(tiny_cfg):
@@ -274,4 +274,4 @@ def test_naive_tracks_units_independently(tiny_cfg):
     assert len(est.agent.replay) == 0  # each unit's first decision is silent
     est.decide(serve_id=2, unit=1, result_keys=np.array([0]), now=3.0)
     assert len(est.agent.replay) == 1
-    est.on_invalidation_issued(0, 1, 4.0)  # finished episode: stamp is a no-op
+    est.on_invalidation_issued(0, 4.0)  # finished episode: stamp is a no-op

@@ -78,8 +78,8 @@ class DeiQueueModel(RuleBasedStateMachine):
         # as Simulation._handle_update: the live entry is marked, its
         # transition stamped at issue time
         sid = self.pick(self.live_ids(), i)
-        for entry in self.cache.origin_update([sid], self.now):
-            self.stamp(entry.serve_id)
+        for marked in self.cache.origin_update([sid], self.now):
+            self.stamp(marked)
 
     @precondition(lambda self: self.live_ids())
     @rule(i=picks)

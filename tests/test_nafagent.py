@@ -11,7 +11,6 @@ from ttl_lab.nafagent import (
     NafConfig,
     NafWorkspace,
     ReplayMemory,
-    Transition,
     build_state,
     naf_head,
     naf_loss_and_grads,
@@ -165,28 +164,26 @@ def test_naf_config_state_dim():
 
 
 def _t(i):
-    # state width 3 matches the _agent factory below (rate_inputs=2 plus delta)
-    return Transition(np.zeros(3), float(i), 0.0, np.zeros(3))
+    """push arguments (s, a, r, s_next); state width 3 matches the _agent
+    factory below (rate_inputs=2 plus delta)."""
+    return np.zeros(3), float(i), 0.0, np.zeros(3)
 
 
 def test_replay_ring_overwrites_oldest():
     mem = ReplayMemory(3, 3)
     for i in range(5):
-        mem.push(_t(i))
+        mem.push(*_t(i))
     assert len(mem) == 3
     assert mem.a.tolist() == [3.0, 4.0, 2.0]  # slot i % capacity holds push i
-    mem.push(_t(5))
+    mem.push(*_t(5))
     assert mem.a.tolist() == [3.0, 4.0, 5.0]
-    t = mem[2]
-    assert (t.a, t.r) == (5.0, 0.0) and t.s.shape == t.s_next.shape == (3,)
-    with pytest.raises(IndexError):
-        ReplayMemory(3, 3)[0]
+    assert (mem.a[2], mem.r[2]) == (5.0, 0.0) and mem.s[2].shape == mem.s_next[2].shape == (3,)
 
 
 def test_replay_sampling_bounds_and_capacity_check():
     mem = ReplayMemory(6, 3)
     for i in range(4):
-        mem.push(Transition(np.full(3, i), float(i), -float(i), np.full(3, 10 + i)))
+        mem.push(np.full(3, i), float(i), -float(i), np.full(3, 10 + i))
     # slot-major: a slot's s and s_next sit side by side, as do its a and r
     assert mem.states[1].tolist() == [[1.0] * 3, [11.0] * 3] and mem.ar[1].tolist() == [1.0, -1.0]
     states, ar = np.empty((100, 2, 3)), np.empty((100, 2))
@@ -258,9 +255,9 @@ def test_train_step_waits_for_full_batch():
     agent = _agent()
     assert agent.train_step() is None
     for i in range(3):
-        agent.replay.push(_t(i))
+        agent.replay.push(*_t(i))
     assert agent.train_step() is None
-    agent.replay.push(_t(3))
+    agent.replay.push(*_t(3))
     before = agent.net.params.copy()
     loss, idx = agent.train_step()
     assert len(idx) == 4 and idx.max() < 4
@@ -275,7 +272,7 @@ def test_train_step_deterministic_across_agents():
         rng = np.random.default_rng(99)
         for i in range(16):
             s = rng.normal(size=3)
-            agent.replay.push(Transition(s, float(rng.uniform(1, 50)), float(rng.normal()), s))
+            agent.replay.push(s, float(rng.uniform(1, 50)), float(rng.normal()), s)
         for _ in range(10):
             agent.train_step()
         return agent.net.params
@@ -287,7 +284,7 @@ def test_train_step_deterministic_across_agents():
 def test_hard_target_sync_interval():
     agent = _agent(target_sync_interval=3)
     for i in range(8):
-        agent.replay.push(_t(i))
+        agent.replay.push(*_t(i))
     for step in range(1, 7):
         agent.train_step()
         same = np.array_equal(agent.target.params, agent.net.params)
@@ -298,15 +295,14 @@ def test_train_targets_use_target_network_value():
     # With gamma = 0 the TD target is the raw reward; the loss at a known
     # network state is recomputable by hand.
     agent = _agent(gamma=0.0, batch_size=2, replay_capacity=2)
-    t0 = Transition(np.array([0.1, 0.2, 0.3]), 5.0, 1.5, np.zeros(3))
-    t1 = Transition(np.array([0.4, 0.5, 0.6]), 7.0, -0.5, np.zeros(3))
-    agent.replay.push(t0)
-    agent.replay.push(t1)
-    slots = (t0, t1)  # the replay fills slot 0, then slot 1
+    slots = ((np.array([0.1, 0.2, 0.3]), 5.0, 1.5, np.zeros(3)),
+             (np.array([0.4, 0.5, 0.6]), 7.0, -0.5, np.zeros(3)))
+    for t in slots:  # the replay fills slot 0, then slot 1
+        agent.replay.push(*t)
     ws = Workspace(agent.net.dims, (1,))
-    qs = [naf_q(agent.net, t.s, t.a, ws) for t in slots]
+    qs = [naf_q(agent.net, s, a, ws) for s, a, _, _ in slots]
     loss, idx = agent.train_step()
-    expected = float(np.mean([(qs[i] - slots[i].r) ** 2 for i in idx]))
+    expected = float(np.mean([(qs[i] - slots[i][2]) ** 2 for i in idx]))
     assert loss == pytest.approx(expected, rel=1e-12)
 
 
@@ -402,9 +398,9 @@ def test_train_step_is_bit_equal_to_an_allocating_reference():
     data = np.random.default_rng(6)
     steps = 0
     for k in range(300):
-        t = Transition(data.uniform(-1.0, 1.0, d), float(data.uniform(1.0, 600.0)),
-                       float(data.normal(0.0, 3000.0)), data.uniform(-1.0, 1.0, d))
-        agent.replay.push(t)
+        t = (data.uniform(-1.0, 1.0, d), float(data.uniform(1.0, 600.0)),
+             float(data.normal(0.0, 3000.0)), data.uniform(-1.0, 1.0, d))
+        agent.replay.push(*t)
         slot = k % cap
         ref["s"][slot], ref["a"][slot], ref["r"][slot], ref["s_next"][slot] = t
         ref["len"] = min(k + 1, cap)

@@ -32,7 +32,7 @@ def _forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, Workspace]:
 def test_dims_and_copy_independence():
     net = init_mlp((3, 5, 2), np.random.default_rng(0))
     assert net.dims == (3, 5, 2)
-    twin = net.copy()
+    twin = Mlp(net.dims, net.params.copy())  # a net over a copy of the params
     twin.weights[0][0, 0] += 1.0
     assert net.weights[0][0, 0] != twin.weights[0][0, 0]
 
@@ -62,10 +62,10 @@ def test_weights_and_biases_are_views_of_params():
     assert net.params[11] == -1.0 and net.params[7] == -2.0
     net.params[0] = 100.0
     assert net.weights[0][0, 0] == 100.0
-    twin = net.copy()
+    twin = Mlp(net.dims, net.params.copy())
     twin.params[:] = 0.0
     assert net.params[0] == 100.0 and net.biases[1][0] == 12.0
-    assert twin.weights[0][0, 0] == 0.0  # the copy's views follow its own params
+    assert twin.weights[0][0, 0] == 0.0  # the twin's views follow its own params
     for n in (12, 14):
         with pytest.raises(ValueError, match="params"):
             Mlp((2, 3, 1), np.zeros(n))

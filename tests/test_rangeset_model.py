@@ -1,7 +1,8 @@
 """RangeSet against a dict model, driven by a hypothesis state machine.
 
-The model is a dict of id -> (lo, hi) in add order, so every probe's expected
-answer is a plain filter over it, in insertion order. Values cluster on and
+The model is a dict of id -> (lo, hi), so every probe's expected answer is a
+plain filter over it, in ascending id order. Ids are added in any order.
+Values cluster on and
 next to the index's bucket edges, ranges include point ranges
 [v, nextafter(v)), negative values and ranges over several buckets.
 """
@@ -18,7 +19,7 @@ from hypothesis import settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule  # noqa: E402
 
-from ttl_lab.cachesys import _WIDTH, RangeSet  # noqa: E402
+from ttl_lab.telemetry import _WIDTH, RangeSet  # noqa: E402
 
 UP, DOWN = math.inf, -math.inf
 
@@ -49,7 +50,7 @@ class RangeSetModel(RuleBasedStateMachine):
         self.model: dict[int, tuple[float, float]] = {}
 
     def expect(self, *vs: float) -> list[int]:
-        return [r for r, (lo, hi) in self.model.items() if any(lo <= v < hi for v in vs)]
+        return sorted(r for r, (lo, hi) in self.model.items() if any(lo <= v < hi for v in vs))
 
     @rule(rid=ids, lo=values, width=widths)
     def add(self, rid, lo, width):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ttl_lab.benchcli import run_single
+from ttl_lab.config import build_config
 from ttl_lab.estimators import FixedEstimator
 from ttl_lab.simcore import _GAP_BLOCK, Engine, LatencyModel, SimEvent, Simulation
 
@@ -18,31 +19,30 @@ from ttl_lab.simcore import _GAP_BLOCK, Engine, LatencyModel, SimEvent, Simulati
 def test_engine_dispatches_in_time_order():
     seen = []
     eng = Engine(lambda ev: seen.append(ev.kind))
-    eng.schedule(3.0, "c")
-    eng.schedule(1.0, "a")
-    eng.schedule(2.0, "b")
+    eng.schedule(3.0, "c", 0)
+    eng.schedule(1.0, "a", 0)
+    eng.schedule(2.0, "b", 0)
     assert eng.run_until(10.0) == 3
     assert seen == ["a", "b", "c"]
     assert eng.now == 10.0
-    assert eng.dispatched == 3
 
 
 def test_engine_same_time_is_fifo():
     seen = []
-    eng = Engine(lambda ev: seen.append(ev.kind))
-    for kind in ("first", "second", "third"):
-        eng.schedule(5.0, kind)
+    eng = Engine(lambda ev: seen.append((ev.kind, ev.arg)))
+    for arg, kind in enumerate(("first", "second", "third")):
+        eng.schedule(5.0, kind, arg)
     eng.run_until(5.0)
-    assert seen == ["first", "second", "third"]
+    assert seen == [("first", 0), ("second", 1), ("third", 2)]
     assert eng.now == 5.0
 
 
 def test_engine_rejects_scheduling_in_the_past():
     eng = Engine(lambda ev: None)
-    eng.schedule(1.0, "x")
+    eng.schedule(1.0, "x", 0)
     eng.run_until(2.0)
     with pytest.raises(ValueError, match="before now"):
-        eng.schedule(1.5, "y")
+        eng.schedule(1.5, "y", 0)
     with pytest.raises(ValueError, match="in the past"):
         eng.run_until(1.0)
 
@@ -52,9 +52,9 @@ def test_engine_rejects_non_finite_times(bad):
     # A NaN at the heap head would compare false against every t_end and
     # silently stop all later dispatch.
     eng = Engine(lambda ev: None)
-    eng.schedule(1.0, "x")
+    eng.schedule(1.0, "x", 0)
     with pytest.raises(ValueError, match=f"at {bad}: not finite"):
-        eng.schedule(bad, "y")
+        eng.schedule(bad, "y", 0)
     assert len(eng) == 1 and eng.peek_time() == 1.0
     assert eng.run_until(10.0) == 1
 
@@ -62,8 +62,8 @@ def test_engine_rejects_non_finite_times(bad):
 def test_engine_run_until_is_inclusive():
     seen = []
     eng = Engine(lambda ev: seen.append(ev.time))
-    eng.schedule(2.0, "x")
-    eng.schedule(2.0000001, "y")
+    eng.schedule(2.0, "x", 0)
+    eng.schedule(2.0000001, "y", 0)
     eng.run_until(2.0)
     assert seen == [2.0]
     assert eng.peek_time() == 2.0000001
@@ -76,10 +76,10 @@ def test_engine_handler_can_schedule_more():
     def handler(ev: SimEvent):
         seen.append(ev.time)
         if ev.time < 3.0:
-            eng.schedule(ev.time + 1.0, "tick")
+            eng.schedule(ev.time + 1.0, "tick", 0)
 
     eng = Engine(handler)
-    eng.schedule(1.0, "tick")
+    eng.schedule(1.0, "tick", 0)
     eng.run_until(10.0)
     assert seen == [1.0, 2.0, 3.0]
 
@@ -150,15 +150,16 @@ def test_simulation_throughput_and_latency_bounds(tiny_cfg):
     res, sim, _ = run_single(tiny_cfg, 0.1, "fixed", seed=3)
     # 30 s x 120 ops/s -> Poisson(3600); 4 sigma is ~6.7%
     assert res.achieved_throughput == pytest.approx(120.0, rel=0.1)
+    assert res.achieved_throughput == sim.op_arrivals / 30.0
     assert 0.004 <= res.mean_latency <= 0.154
-    assert sim.op_counts["read"] + sim.op_counts["query"] + sim.op_counts["update"] \
-        == sim.op_arrivals
 
 
 def test_simulation_accounting_identities(tiny_cfg):
-    res, sim, _ = run_single(tiny_cfg, 0.1, "fixed", seed=11)
+    rows = []
+    res, sim, _ = run_single(tiny_cfg, 0.1, "fixed", seed=11, trace_writer=rows.append)
     stats = sim.cache.stats
-    assert stats.requests == sim.op_counts["read"] + sim.op_counts["query"]
+    assert len(rows) == sim.op_arrivals
+    assert stats.requests == sum(kind != "update" for _, kind, *_ in rows)
     assert stats.inserts == stats.misses  # every miss fills the cache
     assert stats.hits == res.hits and stats.misses == res.misses
     assert 0.0 <= res.hit_rate <= 1.0
@@ -171,26 +172,45 @@ def test_simulation_determinism_same_seed(tiny_cfg):
     def signature(seed):
         res, sim, _ = run_single(tiny_cfg, 0.1, "naf-dei", seed)
         return (res.hits, res.misses, res.invalidations, res.truncated_rmse,
-                res.mean_latency, sim.engine.dispatched)
+                res.mean_latency, sim.op_arrivals)
 
     assert signature(42) == signature(42)
     assert signature(42) != signature(43)
 
 
+def test_desk_poisson_counts_are_pinned():
+    # Every count of one desk run (w 0.1, 300 s, seed 1), pinned: a change to
+    # op or arrival generation, the event order, the cache, the oracle or the
+    # Poisson TTL moves at least one of them. Poisson TTLs are sums and
+    # divisions of window counts, so no BLAS result enters these numbers.
+    res, sim, _ = run_single(build_config("desk"), 0.1, "poisson", seed=1)
+    counts = {f: getattr(res, f) for f in (
+        "hits", "misses", "inserts", "invalidations", "stale_reads",
+        "evictions", "expirations", "resolved", "censored")}
+    assert counts == {
+        "hits": 43_909, "misses": 10_021, "inserts": 10_021, "invalidations": 7_960,
+        "stale_reads": 17, "evictions": 499, "expirations": 1_417,
+        "resolved": 9_830, "censored": 191,
+    }
+    assert sim.op_arrivals == 59_842
+
+
 def test_estimator_rng_does_not_perturb_workload(tiny_cfg):
-    # Policy noise draws from its own RNG stream, so the op mixture, arrival
-    # times and the world's mutation history are identical across estimators.
-    res_a, sim_a, _ = run_single(tiny_cfg, 0.1, "fixed", seed=7)
-    res_b, sim_b, _ = run_single(tiny_cfg, 0.1, "naf-dei", seed=7)
-    assert sim_a.op_counts == sim_b.op_counts
-    assert sim_a.op_arrivals == sim_b.op_arrivals
+    # Policy noise draws from its own RNG stream, so the op sequence (time,
+    # kind and unit of every arrival) and the world's mutation history are
+    # identical across estimators.
+    rows_a, rows_b = [], []
+    res_a, sim_a, _ = run_single(tiny_cfg, 0.1, "fixed", seed=7, trace_writer=rows_a.append)
+    res_b, sim_b, _ = run_single(tiny_cfg, 0.1, "naf-dei", seed=7, trace_writer=rows_b.append)
+    assert [r[:3] for r in rows_a] == [r[:3] for r in rows_b]
+    assert sim_a.op_arrivals == sim_b.op_arrivals == len(rows_a)
     assert np.array_equal(sim_a.world.values, sim_b.world.values)
     assert res_a.hit_rate != res_b.hit_rate  # but the policies did differ
 
 
 def test_unknown_event_kind_raises(tiny_cfg):
     sim = _build_sim(tiny_cfg)
-    sim.engine.schedule(0.5, "bogus")
+    sim.engine.schedule(0.5, "bogus", 0)
     with pytest.raises(RuntimeError, match="unknown event kind"):
         sim.engine.run_until(1.0)
 

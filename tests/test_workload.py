@@ -267,7 +267,7 @@ def test_spec_derived_fields():
         ({"result_cap": 0}, "result_cap"),
         ({"result_cap": 5000}, "result_cap"),
         ({"target_throughput": 0.0}, "target_throughput"),
-        ({"client_count": 0}, "connection"),
+        ({"connections": 0}, "connection"),
         ({"duration": 0.0}, "duration"),
     ],
 )
