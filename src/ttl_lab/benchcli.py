@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import PRESETS, ExperimentConfig, build_config, parse_kv_file
-from .estimators import make_estimator, poisson_ttl
+from .estimators import poisson_ttl
 from .nafagent import HEAD_WIDTH, NafWorkspace, naf_head, naf_loss_and_grads, naf_q
 from .neural import Workspace, forward, init_mlp
 from .simcore import Simulation
@@ -103,27 +103,9 @@ def run_single(
     trace_writer=None,
     log_transitions: bool = False,
 ):
-    """One seeded simulation; returns (RunResult, Simulation, estimator)."""
-    spec = cfg.workload_spec(write_fraction)
-    sim = Simulation(
-        spec,
-        cfg.latency,
-        cfg.capacity,
-        seed,
-        telemetry_window=cfg.telemetry_window,
-        trace_writer=trace_writer,
-    )
-    est = make_estimator(
-        estimator_kind,
-        naf_cfg=cfg.naf,
-        reward_cfg=cfg.reward_config(write_fraction),
-        rng=sim.agent_rng,
-        fixed_ttl=cfg.fixed_ttl,
-        poisson_max_ttl=cfg.poisson_max_ttl,
-        log_transitions=log_transitions,
-    )
-    sim.attach(est)
-    sim.run()
+    """One seeded simulation; returns (RunResult, Simulation), the estimator
+    being `Simulation.estimator`."""
+    sim = Simulation(cfg, write_fraction, estimator_kind, seed, trace_writer, log_transitions).run()
 
     oracle = sim.telemetry.oracle
     errors = oracle.resolved_errors()
@@ -148,7 +130,7 @@ def run_single(
         achieved_throughput=sim.achieved_throughput,
         mean_latency=sim.mean_latency,
     )
-    return res, sim, est
+    return res, sim
 
 
 def _fmt(x) -> str:
@@ -261,7 +243,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None, ech
                     if wi == ei == rep == 0:
                         trace_writer = lambda row: trace_fh.write(TRACE_ROW % row)  # noqa: E731
                     log_tr = cfg.replay_log and rep == 0 and est_kind in LEARNED_KINDS
-                    res, sim, est = run_single(cfg, w, est_kind, seed, trace_writer, log_tr)
+                    res, sim = run_single(cfg, w, est_kind, seed, trace_writer, log_tr)
                     results.append(res)
                     cell.append(res)
                     echo(
@@ -276,7 +258,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None, ech
                     if cell_best is None and len(true_ttls):
                         cell_best = best_default_ttl(true_ttls)
                     if log_tr:
-                        replay_rows += [(w, est_kind, *row) for row in est.injection_log]
+                        replay_rows += [(w, est_kind, *row) for row in sim.estimator.injection_log]
                     if wi != 0 or cfg.estimators.index(est_kind) != ei:
                         continue  # a repeated write fraction or estimator feeds nothing more
                     for label in cdf_series.get(est_kind, ()):
@@ -286,13 +268,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None, ech
                         querytrace_rows = _query_trace_rows(sim, cfg.trace_query)
 
                 rs = np.array([r.truncated_rmse for r in cell])
+                # a cell with no resolved serve has only NaN RMSEs, whose nanmean warns
+                rs_mean, rs_std = ((float(np.nanmean(rs)), float(np.nanstd(rs)))
+                                   if not np.isnan(rs).all() else (math.nan, math.nan))
                 hr = np.array([r.hit_rate for r in cell])
                 ir = np.array([r.invalidation_rate for r in cell])
                 best_ttl, best_rmse = cell_best if cell_best else (float("nan"), float("nan"))
                 ref_hit, ref_inval = PAPER_REFERENCE.get((w, est_kind), ("", ""))
                 summary_rows.append((
                     w, est_kind, cfg.runs,
-                    float(np.nanmean(rs)), float(np.nanstd(rs)),
+                    rs_mean, rs_std,
                     float(hr.mean()), float(hr.std()),
                     float(ir.mean()), float(ir.std()),
                     float(np.mean([r.stale_reads for r in cell])),
@@ -302,7 +287,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None, ech
                     best_ttl, best_rmse, _fmt(ref_hit), _fmt(ref_inval),
                 ))
                 echo(
-                    f"w={w:g} {est_kind}: rmse {np.nanmean(rs):.3f}+-{np.nanstd(rs):.3f}  "
+                    f"w={w:g} {est_kind}: rmse {rs_mean:.3f}+-{rs_std:.3f}  "
                     f"hit {hr.mean():.3f}+-{hr.std():.3f}  inval {ir.mean():.3f}+-{ir.std():.3f}  "
                     f"(best default ttl {best_ttl:g} at rmse {best_rmse:.3f})"
                 )

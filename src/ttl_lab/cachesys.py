@@ -72,10 +72,6 @@ class CacheSystem:
         self._by_serve: dict[int, CacheEntry] = {}
         self._expiry: list[tuple[float, int]] = []
 
-    @property
-    def live_count(self) -> int:
-        return len(self._by_serve)
-
     def current_load(self, now: float) -> float:
         self.sweep(now)
         return len(self._by_serve) / self.capacity
@@ -114,7 +110,7 @@ class CacheSystem:
             return Lookup.STALE_HIT
         return Lookup.HIT
 
-    def insert(self, unit: int, serve_id: int, ttl: float, now: float) -> CacheEntry:
+    def insert(self, unit: int, serve_id: int, ttl: float, now: float) -> None:
         """Cache a fresh serve. Pre: the unit has no live entry (lookup missed)."""
         if not (0.0 < ttl < math.inf):
             raise ValueError(f"ttl {ttl} is not a positive finite number")
@@ -130,7 +126,6 @@ class CacheSystem:
         self._by_serve[serve_id] = entry
         heapq.heappush(self._expiry, (entry.expires_at, serve_id))
         self.stats.inserts += 1
-        return entry
 
     def _evict_earliest(self) -> None:
         while self._expiry:

@@ -15,13 +15,11 @@ from pathlib import Path
 
 from .cachesys import CacheSystem
 from .dei import RewardConfig
-from .estimators import make_estimator
+from .estimators import ESTIMATOR_KINDS
 from .nafagent import NafConfig
 from .simcore import LatencyModel
 from .telemetry import Telemetry
 from .workload import WorkloadSpec
-
-ESTIMATOR_KINDS = ("poisson", "naf-dei", "naf-naive", "fixed")
 
 
 def _parse_bool(s: str) -> bool:
@@ -58,20 +56,16 @@ def _parse_list(item, what: str):
 _PARSERS = {"int": int, "float": _parse_float, "str": str, "tuple[int, ...]": _parse_list(int, "integer")}
 
 
-def _section_keys(section: str, cls, derived: tuple[str, ...] = ()) -> dict[str, tuple[str, object]]:
-    """One key per dataclass field, parsed by the field's annotated type; a
-    derived field, which the config sets from other settings, has no key."""
-    return {
-        f"{section}.{f.name}": (f"{section}.{f.name}", _PARSERS[f.type])
-        for f in fields(cls) if f.name not in derived
-    }
+def _section_keys(section: str, cls) -> dict[str, tuple[str, object]]:
+    """One key per dataclass field, parsed by the field's annotated type."""
+    return {f"{section}.{f.name}": (f"{section}.{f.name}", _PARSERS[f.type]) for f in fields(cls)}
 
 
 # key -> (attribute on ExperimentConfig, parser). A dotted attribute names a field
 # of a section, ExperimentConfig.workload (WorkloadSpec), .latency (LatencyModel),
 # .naf (NafConfig) or .reward (RewardConfig), whose fields are the keys and defaults;
-# workload.write_fraction (a list) and .query_fraction are set per cell by workload_spec,
-# and reward_config sets each cell's load_threshold to 1 - w
+# workload.write_fraction (a list) and .query_fraction are set per cell by workload_spec.
+# The flat reward's load threshold is no key: a learner reads 1 - w from its cell
 SCHEMA: dict[str, tuple[str, object]] = {
     **_section_keys("workload", WorkloadSpec),
     "workload.write_fraction": ("write_fractions", _parse_list(_parse_float, "number")),
@@ -80,7 +74,7 @@ SCHEMA: dict[str, tuple[str, object]] = {
     **_section_keys("latency", LatencyModel),
     "telemetry.window": ("telemetry_window", _parse_float),
     **_section_keys("naf", NafConfig),
-    **_section_keys("reward", RewardConfig, derived=("load_threshold",)),
+    **_section_keys("reward", RewardConfig),
     "estimator.kind": ("estimators", _parse_list(str, "name")),
     "estimator.fixed_ttl": ("fixed_ttl", _parse_float),
     "estimator.max_ttl": ("poisson_max_ttl", _parse_float),
@@ -145,8 +139,11 @@ class ExperimentConfig:
         for est in self.estimators:
             if est not in ESTIMATOR_KINDS:
                 raise ValueError(f"unknown estimator {est!r}; choose from {ESTIMATOR_KINDS}")
-            if est in ("fixed", "poisson"):  # their constructors check their options
-                make_estimator(est, fixed_ttl=self.fixed_ttl, poisson_max_ttl=self.poisson_max_ttl)
+        # an option is checked only when its estimator is in the grid
+        if "fixed" in self.estimators and not 0.0 < self.fixed_ttl < math.inf:
+            raise ValueError(f"fixed ttl must be positive and finite, got {self.fixed_ttl}")
+        if "poisson" in self.estimators and not 0.0 < self.poisson_max_ttl < math.inf:
+            raise ValueError(f"max_ttl must be positive and finite, got {self.poisson_max_ttl}")
         if self.runs < 1:
             raise ValueError("bench.runs must be >= 1")
         if self.base_seed < 0:
@@ -161,9 +158,10 @@ class ExperimentConfig:
         for w in self.write_fractions:
             try:
                 self.workload_spec(w)
-                self.reward_config(w)
             except ValueError as e:
                 raise ValueError(f"write fraction {w}: {e}") from None
+            if w >= 1.0:  # a learner's load threshold is 1 - w
+                raise ValueError(f"write fraction {w}: the load threshold 1 - w must be positive")
         # the bounds a run would enforce
         CacheSystem(self.capacity)
         Telemetry(self.telemetry_window)
@@ -180,9 +178,6 @@ class ExperimentConfig:
     def duration(self) -> float:
         """`workload.duration`, kept only for perfbench/worker.py until it reads it."""
         return self.workload.duration
-
-    def reward_config(self, write_fraction: float) -> RewardConfig:
-        return replace(self.reward, load_threshold=1.0 - write_fraction)
 
 
 def parse_kv_file(path: str | Path) -> dict[str, str]:

@@ -9,7 +9,9 @@ and completes it with the reward and successor state observed at the due time.
 Two reward forms exist. The flat form pays a survivor a constant and charges
 an invalidated entry its overshoot; both terms fall as the TTL grows, so its
 expected reward is highest at the shortest TTL whatever the invalidation-time
-distribution. The survival form pays r0 per second the entry stayed valid and
+distribution. Its load threshold is not a setting but an argument of
+transition_reward: a learner passes 1 - w, its simulated cell's write
+fraction. The survival form pays r0 per second the entry stayed valid and
 charges the overshoot on top; for a time to invalidation T its expected reward
 r0 E[min(a, T)] - E[(a - T)+] peaks where P(T <= a) = r0 / (1 + r0).
 """
@@ -26,28 +28,27 @@ from .workload import require_finite
 @dataclass(frozen=True)
 class RewardConfig:
     r0: float = 1.0
-    load_threshold: float = 0.8  # a run's is 1 - w: ExperimentConfig.reward_config
     form: str = "flat"  # "flat" or "survival"
 
     def __post_init__(self) -> None:
         require_finite(self)
         if self.r0 <= 0.0:
             raise ValueError("r0 must be positive")
-        if not (0.0 < self.load_threshold <= 1.0):
-            raise ValueError("load_threshold must be in (0, 1]")
         if self.form not in ("flat", "survival"):
             raise ValueError(f"unknown reward form {self.form!r}")
 
 
 def transition_reward(
-    t_inv: float | None, due_at: float, load: float, cfg: RewardConfig, decided_at: float
+    t_inv: float | None, due_at: float, load: float, load_threshold: float,
+    cfg: RewardConfig, decided_at: float,
 ) -> float:
     """Reward at completion time.
 
     Flat form: invalidated episodes pay the overshoot t_inv - due_at
     (non-positive: the invalidation arrived before the chosen expiry).
-    Surviving episodes earn r0 scaled by cache load while load stays under the
-    threshold; above it they are penalized in proportion to load.
+    Surviving episodes earn r0 scaled by cache load while load stays at or
+    under load_threshold, which a learner sets to 1 - w, its simulated cell's
+    write fraction; above it they are penalized in proportion to load.
 
     Survival form (load plays no part): r0 per second the entry stayed valid,
     min(t_inv, due_at) - decided_at, plus the overshoot t_inv - due_at when it
@@ -59,7 +60,7 @@ def transition_reward(
         return cfg.r0 * (t_inv - decided_at) + (t_inv - due_at)
     if t_inv is not None:
         return t_inv - due_at
-    if load <= cfg.load_threshold:
+    if load <= load_threshold:
         return cfg.r0 * (1.0 + load)
     return -cfg.r0 * load
 
@@ -94,9 +95,6 @@ class DeiQueue:
 
     def __len__(self) -> int:
         return len(self._pending)
-
-    def __contains__(self, serve_id: int) -> bool:
-        return serve_id in self._pending
 
     def enqueue(self, it: IncompleteTransition) -> None:
         if it.due_at < it.decided_at:

@@ -1,15 +1,16 @@
-"""TTL estimators: the policies a simulation can attach.
+"""TTL estimators: the policies a simulation builds for itself.
 
-An estimator answers decide() on every cache miss and may react to
-invalidation issues and DEI due events. The Poisson baseline
-treats result-key writes as independent Poisson processes and bets on the
-minimum expected gap; the NAF estimators learn the TTL online, differing only
-in when unfinished transitions are completed.
+Each Simulation builds one estimator with make_estimator, bound to that run:
+it answers decide() on every cache miss and may react to invalidation issues
+and DEI due events. A new kind is one name in ESTIMATOR_KINDS and one branch
+of make_estimator; its options are checked once, by ExperimentConfig. The
+Poisson baseline treats result-key writes as independent Poisson processes
+and bets on the minimum expected gap; the NAF estimators learn the TTL
+online, differing only in when unfinished transitions are completed.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -24,12 +25,11 @@ def poisson_ttl(result_keys, telemetry, now: float, max_ttl: float) -> float:
     The first invalidating write is the minimum over per-key exponential
     waits, itself exponential with the summed rate. Keys with no observed
     writes contribute the default rate 1/max_ttl, aggregated as one division
-    so an all-unknown result stays exact (k unknowns -> max_ttl / k).
+    so an all-unknown result stays exact (k unknowns -> max_ttl / k). An
+    empty result carries no rate information and gets the cap.
     """
-    if not 0.0 < max_ttl < math.inf:
-        raise ValueError(f"max_ttl must be positive and finite, got {max_ttl}")
     if len(result_keys) == 0:
-        raise ValueError("poisson_ttl needs a non-empty result key set")
+        return max_ttl
     window = telemetry.window
     known = 0.0
     unknown = 0
@@ -49,9 +49,6 @@ def poisson_ttl(result_keys, telemetry, now: float, max_ttl: float) -> float:
 class TtlEstimator:
     """Base: a policy bound to one simulation."""
 
-    def attach(self, sim) -> None:
-        self.sim = sim
-
     def decide(self, serve_id: int, unit: int, result_keys, now: float) -> float:
         raise NotImplementedError
 
@@ -61,8 +58,6 @@ class TtlEstimator:
 
 class FixedEstimator(TtlEstimator):
     def __init__(self, ttl: float):
-        if not 0.0 < ttl < math.inf:
-            raise ValueError(f"fixed ttl must be positive and finite, got {ttl}")
         self.ttl = float(ttl)
 
     def decide(self, serve_id, unit, result_keys, now):
@@ -70,16 +65,12 @@ class FixedEstimator(TtlEstimator):
 
 
 class PoissonEstimator(TtlEstimator):
-    def __init__(self, max_ttl: float):
-        if not 0.0 < max_ttl < math.inf:
-            raise ValueError(f"max_ttl must be positive and finite, got {max_ttl}")
+    def __init__(self, telemetry, max_ttl: float):
+        self.telemetry = telemetry
         self.max_ttl = max_ttl
 
     def decide(self, serve_id, unit, result_keys, now):
-        if len(result_keys) == 0:
-            # An empty result carries no rate information; fall back to the cap.
-            return self.max_ttl
-        return poisson_ttl(result_keys, self.sim.telemetry, now, self.max_ttl)
+        return poisson_ttl(result_keys, self.telemetry, now, self.max_ttl)
 
 
 class InjectionRow(NamedTuple):
@@ -94,17 +85,14 @@ class InjectionRow(NamedTuple):
 class _NafEstimator(TtlEstimator):
     """Shared plumbing for the learning estimators: the agent, and the queue
     of decisions waiting for their reward, which an invalidation issued
-    before completion stamps."""
+    before completion stamps. The flat reward's load threshold is 1 - w, the
+    simulated cell's write fraction."""
 
-    def __init__(
-        self,
-        naf_cfg: NafConfig,
-        reward_cfg: RewardConfig,
-        rng: np.random.Generator,
-        log_transitions: bool = False,
-    ):
-        self.agent = NafAgent(naf_cfg, rng)
+    def __init__(self, sim, naf_cfg: NafConfig, reward_cfg: RewardConfig, log_transitions: bool):
+        self.sim = sim
+        self.agent = NafAgent(naf_cfg, sim.agent_rng)
         self.reward_cfg = reward_cfg
+        self.load_threshold = 1.0 - sim.spec.write_fraction
         self.injection_log: list[InjectionRow] | None = [] if log_transitions else None
         self.queue = DeiQueue()
 
@@ -140,7 +128,8 @@ class NafDeiEstimator(_NafEstimator):
     def on_due(self, serve_id, now):
         it = self.queue.pop_due(serve_id)
         load = self.sim.cache.current_load(now)
-        r = transition_reward(it.inval_at, it.due_at, load, self.reward_cfg, it.decided_at)
+        r = transition_reward(it.inval_at, it.due_at, load, self.load_threshold,
+                              self.reward_cfg, it.decided_at)
         s_next = self._state(it.result_keys, it.unit, now)
         self._inject(it, r, s_next, now)
 
@@ -151,8 +140,8 @@ class NafNaiveEstimator(_NafEstimator):
     (s, a) is injected immediately with that stale reward and s_next = s; the
     misattribution is the point."""
 
-    def __init__(self, naf_cfg, reward_cfg, rng, log_transitions=False):
-        super().__init__(naf_cfg, reward_cfg, rng, log_transitions)
+    def __init__(self, sim, naf_cfg, reward_cfg, log_transitions):
+        super().__init__(sim, naf_cfg, reward_cfg, log_transitions)
         self._last_serve: dict[int, int] = {}  # unit -> serve id of its queued episode
 
     def decide(self, serve_id, unit, result_keys, now):
@@ -163,36 +152,26 @@ class NafNaiveEstimator(_NafEstimator):
         if prev_id is not None:
             prev = self.queue.pop_due(prev_id)
             load = self.sim.cache.current_load(now)
-            r = transition_reward(prev.inval_at, prev.due_at, load, self.reward_cfg,
-                                  prev.decided_at)
+            r = transition_reward(prev.inval_at, prev.due_at, load, self.load_threshold,
+                                  self.reward_cfg, prev.decided_at)
             self._inject(it, r, s, now)
         self.queue.enqueue(it)
         self._last_serve[unit] = serve_id
         return a
 
 
-def make_estimator(
-    kind: str,
-    naf_cfg: NafConfig | None = None,
-    reward_cfg: RewardConfig | None = None,
-    rng: np.random.Generator | None = None,
-    fixed_ttl: float | None = None,
-    poisson_max_ttl: float | None = None,
-    log_transitions: bool = False,
-) -> TtlEstimator:
-    """The estimator of one kind; `fixed` and `poisson` need their option,
-    whose default is ExperimentConfig's."""
+ESTIMATOR_KINDS = ("poisson", "naf-dei", "naf-naive", "fixed")
+
+
+def make_estimator(kind: str, cfg, sim, log_transitions: bool = False) -> TtlEstimator:
+    """The estimator of one kind for `sim`, its options read from `cfg` (an
+    ExperimentConfig, which checked them)."""
     if kind == "fixed":
-        if fixed_ttl is None:
-            raise ValueError("fixed needs a fixed_ttl")
-        return FixedEstimator(fixed_ttl)
+        return FixedEstimator(cfg.fixed_ttl)
     if kind == "poisson":
-        if poisson_max_ttl is None:
-            raise ValueError("poisson needs a poisson_max_ttl")
-        return PoissonEstimator(poisson_max_ttl)
-    if kind in ("naf-dei", "naf-naive"):
-        if rng is None:
-            raise ValueError(f"{kind} needs an RNG")
-        cls = NafDeiEstimator if kind == "naf-dei" else NafNaiveEstimator
-        return cls(naf_cfg or NafConfig(), reward_cfg or RewardConfig(), rng, log_transitions)
+        return PoissonEstimator(sim.telemetry, cfg.poisson_max_ttl)
+    if kind == "naf-dei":
+        return NafDeiEstimator(sim, cfg.naf, cfg.reward, log_transitions)
+    if kind == "naf-naive":
+        return NafNaiveEstimator(sim, cfg.naf, cfg.reward, log_transitions)
     raise ValueError(f"unknown estimator kind {kind!r}")

@@ -136,6 +136,9 @@ class NafConfig:
             raise ValueError(f"every hidden width must be >= 1, got {self.hidden}")
         if self.target_sync_interval < 1:
             raise ValueError("target_sync_interval must be >= 1")
+        for name in ("explore_steps", "noise_sigma_start", "noise_sigma_end", "noise_decay_steps"):
+            if getattr(self, name) < 0:  # a negative sigma would flip the noise's sign
+                raise ValueError(f"{name} must be >= 0")
 
 
 class ReplayMemory:

@@ -1,5 +1,10 @@
 """Discrete-event core and the simulation that wires everything together.
 
+A Simulation is one run, built from an ExperimentConfig, a write fraction, an
+estimator kind and a seed. It builds its estimator last, from the same config,
+so the estimator is bound from the start to the run's clock, cache, telemetry
+and agent RNG.
+
 Virtual time is a float starting at 0. Events are totally ordered by
 (time, insertion sequence), so simultaneous events dispatch in scheduling
 order and a run is a pure function of (config, seed). Each event carries one
@@ -15,21 +20,24 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from .cachesys import CacheSystem, Lookup
+from .estimators import make_estimator
 from .telemetry import Telemetry
 from .workload import (
     OpStream,
-    WorkloadSpec,
     block_draws,
     evaluate_query,
     generate_world,
     read_range,
     require_finite,
 )
+
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
 
 # Arrival gaps each connection fetches per numpy call; one block per
 # connection is held at a time.
@@ -62,9 +70,6 @@ class Engine:
             )
         heapq.heappush(self._heap, SimEvent(time, self._seq, kind, arg))
         self._seq += 1
-
-    def peek_time(self) -> float | None:
-        return self._heap[0].time if self._heap else None
 
     def run_until(self, t_end: float) -> int:
         """Dispatch every event with time <= t_end; clock lands on t_end."""
@@ -111,7 +116,7 @@ class LatencyModel:
 
 class Simulation:
     """One seeded run: open-loop Poisson clients against an edge cache whose
-    TTLs come from the attached estimator.
+    TTLs come from the run's own estimator, `estimator`.
 
     Cacheable units share one id space: range query q is unit q, a point read
     of key k is unit query_count + k (a singleton range over k's value).
@@ -119,15 +124,15 @@ class Simulation:
 
     def __init__(
         self,
-        spec: WorkloadSpec,
-        latency: LatencyModel,
-        capacity: int,
+        cfg: ExperimentConfig,
+        write_fraction: float,
+        estimator_kind: str,
         seed: int,
-        telemetry_window: float,
         trace_writer: Callable[[tuple], None] | None = None,
+        log_transitions: bool = False,
     ):
-        self.spec = spec
-        self.latency = latency
+        self.spec = spec = cfg.workload_spec(write_fraction)
+        self.latency = cfg.latency
         self.trace_writer = trace_writer
 
         ss = np.random.SeedSequence(seed)
@@ -138,9 +143,8 @@ class Simulation:
         self.world = generate_world(spec, np.random.default_rng(world_ss))
         self.ops = OpStream(spec, np.random.default_rng(ops_ss))
         self.engine = Engine(self._dispatch)
-        self.cache = CacheSystem(capacity)
-        self.telemetry = Telemetry(telemetry_window)
-        self.estimator = None
+        self.cache = CacheSystem(cfg.capacity)
+        self.telemetry = Telemetry(cfg.telemetry_window)
 
         self.mean_gap = spec.connections / spec.target_throughput
         self._next_gap = [
@@ -151,17 +155,13 @@ class Simulation:
         self.completed = 0
         self.latency_sum = 0.0
         self._serve_seq = 0
-
-    def attach(self, estimator) -> None:
-        self.estimator = estimator
-        estimator.attach(self)
+        # last: the estimator reads the parts above
+        self.estimator = make_estimator(estimator_kind, cfg, self, log_transitions)
 
     def unit_for(self, op_kind: str, target: int) -> int:
         return target if op_kind == "query" else self.spec.query_count + target
 
     def run(self) -> "Simulation":
-        if self.estimator is None:
-            raise RuntimeError("no estimator attached")
         for conn in range(self.spec.connections):
             self.engine.schedule(self._next_gap[conn](), "op", conn)
         self.engine.run_until(self.spec.duration)

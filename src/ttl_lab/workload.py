@@ -78,6 +78,8 @@ class WorkloadSpec:
             raise ValueError("write_fraction + query_fraction must not exceed 1")
         if self.zipf_s < 0.0:
             raise ValueError("zipf_s must be >= 0")
+        if self.scan_mean < 0.0:
+            raise ValueError("scan_mean must be >= 0")
         if self.scan_std < 0.0:
             raise ValueError("scan_std must be >= 0")
         if not (1 <= self.result_cap <= self.record_count):

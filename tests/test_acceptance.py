@@ -26,7 +26,6 @@ from ttl_lab.benchcli import (
 )
 from ttl_lab.cachesys import CacheSystem
 from ttl_lab.config import build_config
-from ttl_lab.estimators import make_estimator
 from ttl_lab.simcore import Simulation
 from ttl_lab.telemetry import TrueTtlOracle
 from ttl_lab.workload import WorkloadSpec, ZipfSampler, generate_world, read_range
@@ -218,13 +217,8 @@ def test_criterion_05_origin_update_brute_force():
 
 
 def test_criterion_06_dei_timing(tiny_cfg):
-    spec = tiny_cfg.workload_spec(0.1)
-    sim = Simulation(spec, tiny_cfg.latency, tiny_cfg.capacity, seed=7,
-                     telemetry_window=tiny_cfg.telemetry_window)
-    est = make_estimator("naf-dei", naf_cfg=tiny_cfg.naf,
-                         reward_cfg=tiny_cfg.reward_config(0.1), rng=sim.agent_rng,
-                         log_transitions=True)
-    sim.attach(est)
+    sim = Simulation(tiny_cfg, 0.1, "naf-dei", seed=7, log_transitions=True)
+    est = sim.estimator
 
     enqueued: dict[int, tuple[float, float, float]] = {}
     orig_enqueue = est.queue.enqueue
@@ -288,7 +282,7 @@ def test_criterion_08_dei_beats_naive():
     for kind in ("naf-dei", "naf-naive"):
         rmses = []
         for seed in range(1, 6):
-            res, _, _ = run_single(cfg, 0.1, kind, seed)
+            res, _ = run_single(cfg, 0.1, kind, seed)
             rmses.append(res.truncated_rmse)
         means[kind] = float(np.mean(rmses))
     dei, naive = means["naf-dei"], means["naf-naive"]

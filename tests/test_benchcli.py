@@ -49,7 +49,7 @@ from ttl_lab.config import (
 from ttl_lab.dei import RewardConfig
 from ttl_lab.estimators import make_estimator
 from ttl_lab.nafagent import NafConfig
-from ttl_lab.simcore import LatencyModel
+from ttl_lab.simcore import LatencyModel, Simulation
 from ttl_lab.workload import WorkloadSpec
 
 # ---------------------------------------------------------------------------
@@ -127,22 +127,22 @@ def test_naf_and_reward_defaults_have_one_source():
     cfg = build_config()
     assert cfg.naf == NafConfig()
     assert cfg.reward == RewardConfig()
-    est = make_estimator("naf-dei", rng=np.random.default_rng(0))
-    assert est.agent.cfg == cfg.naf  # the factory and the CLI train the same agent
+    # the factory keeps no defaults of its own: it reads every setting from cfg
+    params = inspect.signature(make_estimator).parameters.values()
+    assert [p.name for p in params if p.default is not p.empty] == ["log_transitions"]
     # the workload and latency sections too: a default cell is WorkloadSpec()
     assert cfg.workload_spec(WorkloadSpec.write_fraction) == WorkloadSpec()
     assert cfg.latency == LatencyModel()
     for section, cls in (("naf", NafConfig), ("reward", RewardConfig),
                          ("workload", WorkloadSpec), ("latency", LatencyModel)):
         for f in dataclasses.fields(cls):
-            derived = (section, f.name) == ("reward", "load_threshold")  # 1 - w per cell
-            assert (f"{section}.{f.name}" in SCHEMA) is not derived
+            assert f"{section}.{f.name}" in SCHEMA
 
 
 def test_reward_form_by_preset():
-    assert build_config().reward_config(0.1).form == "flat"
-    assert build_config(preset="desk").reward_config(0.1).form == "flat"
-    assert build_config(preset="paper").reward_config(0.1).form == "survival"
+    assert build_config().reward.form == "flat"
+    assert build_config(preset="desk").reward.form == "flat"
+    assert build_config(preset="paper").reward.form == "survival"
     with pytest.raises(ValueError, match="reward form"):
         build_config(overrides={"reward.form": "linear"})
 
@@ -205,7 +205,7 @@ def test_config_validation_errors():
     with pytest.raises(ValueError, match="write fraction 0.6: write_fraction \\+ query_fraction"):
         build_config(overrides={"workload.write_fraction": "0.1,0.6",
                                 "workload.query_fraction": "0.5"})
-    with pytest.raises(ValueError, match="write fraction 1.0: load_threshold"):
+    with pytest.raises(ValueError, match="write fraction 1.0: the load threshold 1 - w must be positive"):
         build_config(overrides={"workload.write_fraction": "0.1,1.0"})
     with pytest.raises(ValueError, match="runs"):
         build_config(overrides={"bench.runs": "0"})
@@ -218,7 +218,10 @@ def test_config_validation_errors():
 
 def test_reward_threshold_is_one_minus_w_and_not_a_key():
     cfg = build_config(overrides={"workload.write_fraction": "0.1,0.3"})
-    assert [cfg.reward_config(w).load_threshold for w in cfg.write_fractions] == [0.9, 0.7]
+    thresholds = [Simulation(cfg, w, "naf-dei", seed=1).estimator.load_threshold
+                  for w in cfg.write_fractions]
+    assert thresholds == [0.9, 0.7]
+    assert len(dataclasses.fields(RewardConfig)) == 2
     for key, raw in (("reward.load_threshold", "0.6"),
                      ("reward.adjust_threshold_to_workload", "false"),
                      ("reward.above_threshold_form", "literal")):
@@ -237,13 +240,19 @@ RUN_FAILING_SETTINGS = [
     ("bench.base_seed", "-1", "base_seed must be >= 0"),
     ("naf.lr", "-0.01", "lr must be >= 0"),
     ("naf.clip", "-5", "clip must be >= 0"),
+    ("naf.explore_steps", "-5", "explore_steps must be >= 0"),
+    ("naf.noise_decay_steps", "-1", "noise_decay_steps must be >= 0"),
+    ("naf.noise_sigma_start", "-3", "noise_sigma_start must be >= 0"),
+    ("naf.noise_sigma_end", "-1", "noise_sigma_end must be >= 0"),
+    ("workload.scan_mean", "-4", "scan_mean must be >= 0"),
 ]
 
 
 @pytest.mark.parametrize(("key", "raw", "match"), RUN_FAILING_SETTINGS,
                          ids=[f"{key}={raw}" for key, raw, _ in RUN_FAILING_SETTINGS])
 def test_settings_that_fail_a_run_fail_at_build_time(key, raw, match):
-    # each of these used to pass build_config and fail inside run_experiment
+    # each of these used to pass build_config and then fail inside run_experiment
+    # or run silently reinterpreted (a negative sigma flips the noise's sign)
     with pytest.raises(ValueError, match=match):
         build_config(overrides={key: raw})
 
@@ -251,6 +260,15 @@ def test_settings_that_fail_a_run_fail_at_build_time(key, raw, match):
 def test_zero_lr_and_clip_stay_legal():
     naf = build_config(overrides={"naf.lr": "0", "naf.clip": "0"}).naf  # 0 clip disables
     assert (naf.lr, naf.clip) == (0.0, 0.0)
+
+
+def test_zero_exploration_and_scan_settings_stay_legal():
+    keys = ("naf.explore_steps", "naf.noise_decay_steps", "naf.noise_sigma_start",
+            "naf.noise_sigma_end", "workload.scan_mean")
+    cfg = build_config(overrides=dict.fromkeys(keys, "0"))
+    naf = cfg.naf
+    assert (naf.explore_steps, naf.noise_decay_steps, naf.noise_sigma_start,
+            naf.noise_sigma_end, cfg.workload.scan_mean) == (0, 0, 0.0, 0.0, 0.0)
 
 
 def test_configs_are_checked_when_built():
@@ -332,7 +350,7 @@ def test_section_validators_reject_non_finite_floats(cls, name, value):
 
 
 def test_section_float_fields_are_all_parametrized():
-    assert len(SECTION_FLOATS) == 19
+    assert len(SECTION_FLOATS) == 18
     assert (NafConfig, "lr") in SECTION_FLOATS and (WorkloadSpec, "duration") in SECTION_FLOATS
 
 
@@ -345,7 +363,7 @@ def test_config_derived_objects():
     lat = cfg.latency
     assert lat.hit_latency == pytest.approx(0.008)
     assert lat.miss_latency == pytest.approx(0.108)
-    assert cfg.reward_config(0.3) == RewardConfig(r0=3.0, load_threshold=0.7)
+    assert cfg.reward == RewardConfig(r0=3.0)
 
     spec = cfg.workload_spec(0.25)
     assert spec.write_fraction == 0.25
@@ -434,6 +452,20 @@ def test_cli_summary_schema_and_averages(cli_run):
             assert float(rec["paper_invalidation_rate"]) == 0.068
         else:
             assert rec["paper_hit_rate"] == ""
+
+
+def test_cell_with_no_resolved_serve_summarizes_nan_rmse(tmp_path):
+    # at w = 0 nothing is written, so no serve resolves and every run's RMSE is
+    # NaN; the summary reports nan without numpy's empty-slice warning
+    cfg = build_config(overrides={"workload.write_fraction": "0", "workload.duration": "5",
+                                  "bench.runs": "2", "estimator.kind": "poisson"})
+    lines = []
+    run_experiment(cfg, tmp_path, echo=lines.append)
+    header, rows = _read_csv(tmp_path / "summary.csv")
+    rec = dict(zip(header, rows[0]))
+    assert (rec["truncated_rmse_mean"], rec["truncated_rmse_std"]) == ("nan", "nan")
+    assert float(rec["resolved_mean"]) == 0.0
+    assert any(line.startswith("w=0 poisson: rmse nan+-nan") for line in lines)
 
 
 def test_cli_trace_schema(cli_run):

@@ -186,7 +186,7 @@ def test_sweep_reaps_expired_and_counts():
     cache.insert(3, 2, ttl=9.0, now=0.0)
     assert cache.sweep(2.0) == 2
     assert cache.stats.expirations == 2
-    assert cache.live_count == 1
+    assert len(cache.live_entries()) == 1
     assert cache.current_load(2.0) == pytest.approx(1.0 / 8.0)
 
 
@@ -197,7 +197,7 @@ def test_sweep_reaps_expired_and_counts():
 def _serve(oracle, cache, unit, serve_id, lo, hi, ttl, now):
     """A miss's fill, in the simulation's order: the oracle first."""
     oracle.on_serve(serve_id, unit, lo, hi, now, ttl)
-    return cache.insert(unit, serve_id, ttl, now)
+    cache.insert(unit, serve_id, ttl, now)
 
 
 def _write(oracle, cache, old, new, now):
@@ -227,7 +227,7 @@ def test_origin_update_marks_live_entries_in_the_order_given():
     cache.insert(5, 4, ttl=70.0, now=0.5)  # evicts serve 2
     assert cache.origin_update([4, 2, 0, 1, 99], now=2.0) == [4, 1]
     assert {e.serve_id: e.pending for e in cache.live_entries()} == {1: True, 3: False, 4: True}
-    assert cache.live_count == 3 and cache.stats.evictions == 2
+    assert len(cache.live_entries()) == 3 and cache.stats.evictions == 2
     assert cache.origin_update([], now=2.0) == []
 
 
@@ -262,7 +262,7 @@ def test_insert_rejects_non_finite_bounds_and_changes_nothing(side, bad):
     with pytest.raises(ValueError, match=f"range bound {side} .* is not finite"):
         _serve(oracle, cache, 1, 1, bounds["lo"], bounds["hi"], ttl=10.0, now=1.0)
     cache.check_invariants()
-    assert cache.live_count == 1 and cache.stats.evictions == 0
+    assert len(cache.live_entries()) == 1 and cache.stats.evictions == 0
     assert len(oracle.actions) == 1 and oracle.pending_count == 1
     assert cache.lookup(0, 2.0) is Lookup.HIT
     # the serve id and the unit were never taken

@@ -148,8 +148,7 @@ class DeiQueueModel(RuleBasedStateMachine):
     @invariant()
     def same_pending(self):
         assert len(self.queue) == len(self.model)
-        assert all(sid in self.queue for sid in self.model)
-        assert not any(sid in self.queue for sid in self.popped)
+        assert self.queue._pending.keys() == self.model.keys()
 
 
 TestDeiQueueModel = DeiQueueModel.TestCase

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ttl_lab.benchcli import DEFAULT_TTL_GRID, best_default_ttl, run_single, truncated_rmse
+from ttl_lab.config import build_config
 from ttl_lab.estimators import (
+    ESTIMATOR_KINDS,
     FixedEstimator,
     NafDeiEstimator,
     NafNaiveEstimator,
     PoissonEstimator,
-    make_estimator,
     poisson_ttl,
 )
 from ttl_lab.simcore import Simulation
@@ -77,10 +80,11 @@ def test_poisson_ttl_monotone_in_rates_and_cardinality():
 
 
 def test_poisson_ttl_errors():
-    with pytest.raises(ValueError, match="non-empty"):
-        poisson_ttl([], _telemetry({}), 0.0, 300.0)
+    # an empty result is no error: it carries no rate, so it gets the cap
+    assert poisson_ttl([], _telemetry({}), 0.0, 300.0) == 300.0
+    # a bad cap fails where it enters, in the config
     with pytest.raises(ValueError, match="max_ttl"):
-        poisson_ttl([0], _telemetry({}), 0.0, 0.0)
+        build_config(overrides={"estimator.kind": "poisson", "estimator.max_ttl": "0"})
 
 
 BAD_OPTIONS = [float("nan"), float("inf"), -float("inf"), 0.0, -1.0]
@@ -88,11 +92,13 @@ BAD_OPTIONS = [float("nan"), float("inf"), -float("inf"), 0.0, -1.0]
 
 @pytest.mark.parametrize("value", BAD_OPTIONS, ids=repr)
 @pytest.mark.parametrize("build", [
-    pytest.param(lambda x: FixedEstimator(x), id="fixed-ttl"),
-    pytest.param(lambda x: PoissonEstimator(max_ttl=x), id="poisson-max-ttl"),
-    pytest.param(lambda x: poisson_ttl([0], _telemetry({}), 0.0, max_ttl=x), id="poisson_ttl-max-ttl"),
+    pytest.param(lambda x: dataclasses.replace(build_config(), estimators=("fixed",), fixed_ttl=x),
+                 id="fixed-ttl"),
+    pytest.param(lambda x: dataclasses.replace(build_config(), poisson_max_ttl=x),
+                 id="poisson-max-ttl"),
 ])
 def test_estimator_options_must_be_positive_and_finite(build, value):
+    # an option set from Python is checked like one parsed from a key
     with pytest.raises(ValueError, match="positive and finite"):
         build(value)
 
@@ -137,62 +143,59 @@ def test_fixed_estimator():
     est = FixedEstimator(40.0)
     assert est.decide(0, 0, [1, 2, 3], 0.0) == 40.0
     assert est.decide(1, 9, [], 99.0) == 40.0
-    with pytest.raises(ValueError, match="positive"):
-        FixedEstimator(0.0)
-
-
-class _StubSim:
-    def __init__(self, counts):
-        self.telemetry = _telemetry(counts)
 
 
 def test_poisson_estimator_delegates_and_falls_back():
-    est = PoissonEstimator(max_ttl=300.0)
-    est.attach(_StubSim({0: 2, 1: 3}))
+    est = PoissonEstimator(_telemetry({0: 2, 1: 3}), max_ttl=300.0)
     assert est.decide(0, 0, [0, 1], now=0.0) == 20.0
     assert est.decide(1, 0, [], now=0.0) == 300.0  # empty result: cap fallback
-    with pytest.raises(ValueError, match="max_ttl"):
-        PoissonEstimator(max_ttl=-1.0)
 
 
-def test_make_estimator_kinds():
-    rng = np.random.default_rng(0)
-    assert isinstance(make_estimator("fixed", fixed_ttl=12.0), FixedEstimator)
-    assert make_estimator("fixed", fixed_ttl=12.0).ttl == 12.0
-    assert isinstance(make_estimator("poisson", poisson_max_ttl=77.0), PoissonEstimator)
-    assert make_estimator("poisson", poisson_max_ttl=77.0).max_ttl == 77.0
-    assert isinstance(make_estimator("naf-dei", rng=rng), NafDeiEstimator)
-    assert isinstance(make_estimator("naf-naive", rng=rng), NafNaiveEstimator)
+def test_make_estimator_kinds(tiny_cfg):
+    # every kind the config accepts is one the simulation can build
+    classes = {"fixed": FixedEstimator, "poisson": PoissonEstimator,
+               "naf-dei": NafDeiEstimator, "naf-naive": NafNaiveEstimator}
+    assert sorted(ESTIMATOR_KINDS) == sorted(classes)
+    for kind in ESTIMATOR_KINDS:
+        assert type(Simulation(tiny_cfg, 0.1, kind, seed=0).estimator) is classes[kind]
 
 
-def test_make_estimator_errors():
-    with pytest.raises(ValueError, match="unknown estimator"):
-        make_estimator("lru")
-    with pytest.raises(ValueError, match="RNG"):
-        make_estimator("naf-dei")
-    # their options come from ExperimentConfig, which has the one default
-    with pytest.raises(ValueError, match="fixed needs a fixed_ttl"):
-        make_estimator("fixed", poisson_max_ttl=300.0)
-    with pytest.raises(ValueError, match="poisson needs a poisson_max_ttl"):
-        make_estimator("poisson", fixed_ttl=60.0)
+def test_estimator_options_come_from_cfg(tiny_cfg):
+    cfg = dataclasses.replace(tiny_cfg, fixed_ttl=12.0, poisson_max_ttl=77.0)
+    assert Simulation(cfg, 0.1, "fixed", seed=0).estimator.ttl == 12.0
+    sim = Simulation(cfg, 0.1, "poisson", seed=0)
+    assert sim.estimator.max_ttl == 77.0 and sim.estimator.telemetry is sim.telemetry
+    for kind in ("naf-dei", "naf-naive"):
+        sim = Simulation(cfg, 0.1, kind, seed=0)
+        est = sim.estimator
+        assert est.sim is sim and est.agent.cfg is cfg.naf and est.reward_cfg is cfg.reward
 
 
-def test_injection_log_opt_in():
-    rng = np.random.default_rng(0)
-    assert make_estimator("naf-dei", rng=rng).injection_log is None
-    assert make_estimator("naf-dei", rng=rng, log_transitions=True).injection_log == []
+def test_learner_load_threshold_is_one_minus_the_cells_write_fraction(tiny_cfg):
+    for kind in ("naf-dei", "naf-naive"):
+        assert Simulation(tiny_cfg, 0.3, kind, seed=0).estimator.load_threshold == 0.7
+        assert Simulation(tiny_cfg, 0.0, kind, seed=0).estimator.load_threshold == 1.0
+
+
+def test_make_estimator_errors(tiny_cfg):
+    with pytest.raises(ValueError, match="unknown estimator kind 'lru'"):
+        Simulation(tiny_cfg, 0.1, "lru", seed=0)
+    with pytest.raises(ValueError, match="unknown estimator 'lru'"):
+        build_config(overrides={"estimator.kind": "lru"})
+
+
+def test_injection_log_opt_in(tiny_cfg):
+    assert Simulation(tiny_cfg, 0.1, "naf-dei", seed=0).estimator.injection_log is None
+    sim = Simulation(tiny_cfg, 0.1, "naf-dei", seed=0, log_transitions=True)
+    assert sim.estimator.injection_log == []
 
 
 @pytest.mark.parametrize("kind", ["naf-dei", "naf-naive"])
 def test_nan_agent_output_fails_the_run(tiny_cfg, kind):
     # A diverged learner must stop the run where its TTL enters the event heap
     # (naf-dei's due event) or the cache (naf-naive), not return a truncated run.
-    sim = Simulation(tiny_cfg.workload_spec(0.1), tiny_cfg.latency, tiny_cfg.capacity,
-                     seed=6, telemetry_window=tiny_cfg.telemetry_window)
-    est = make_estimator(kind, naf_cfg=tiny_cfg.naf, reward_cfg=tiny_cfg.reward_config(0.1),
-                         rng=sim.agent_rng)
-    est.agent.net.biases[-1][:] = np.nan
-    sim.attach(est)
+    sim = Simulation(tiny_cfg, 0.1, kind, seed=6)
+    sim.estimator.agent.net.biases[-1][:] = np.nan
     with pytest.raises(ValueError, match="nan.*finite"):
         sim.run()
 
@@ -201,7 +204,7 @@ def test_nan_agent_output_fails_the_run(tiny_cfg, kind):
 def test_every_strategy_emits_valid_ttls(tiny_cfg, kind):
     # Whole-run property: every decided TTL is positive, finite, and within
     # the strategy's configured bound.
-    res, sim, est = run_single(tiny_cfg, 0.1, kind, seed=6)
+    res, sim = run_single(tiny_cfg, 0.1, kind, seed=6)
     arr = np.array(sim.telemetry.oracle.actions)
     assert arr.size, "run produced no decisions"
     assert np.all(np.isfinite(arr)) and np.all(arr > 0.0)

@@ -9,7 +9,6 @@ import pytest
 
 from ttl_lab.benchcli import run_single
 from ttl_lab.config import build_config
-from ttl_lab.estimators import FixedEstimator
 from ttl_lab.simcore import _GAP_BLOCK, Engine, LatencyModel, SimEvent, Simulation
 
 # ---------------------------------------------------------------------------
@@ -55,7 +54,7 @@ def test_engine_rejects_non_finite_times(bad):
     eng.schedule(1.0, "x", 0)
     with pytest.raises(ValueError, match=f"at {bad}: not finite"):
         eng.schedule(bad, "y", 0)
-    assert len(eng) == 1 and eng.peek_time() == 1.0
+    assert len(eng) == 1
     assert eng.run_until(10.0) == 1
 
 
@@ -66,8 +65,9 @@ def test_engine_run_until_is_inclusive():
     eng.schedule(2.0000001, "y", 0)
     eng.run_until(2.0)
     assert seen == [2.0]
-    assert eng.peek_time() == 2.0000001
     assert len(eng) == 1
+    eng.run_until(2.0000001)
+    assert seen == [2.0, 2.0000001]
 
 
 def test_engine_handler_can_schedule_more():
@@ -105,17 +105,7 @@ def test_latency_model_rejects_negative():
 
 
 def _build_sim(cfg, seed=5, trace=None):
-    sim = Simulation(cfg.workload_spec(0.1), cfg.latency, cfg.capacity,
-                     seed, cfg.telemetry_window, trace_writer=trace)
-    sim.attach(FixedEstimator(5.0))
-    return sim
-
-
-def test_simulation_requires_estimator(tiny_cfg):
-    sim = Simulation(tiny_cfg.workload_spec(0.1), tiny_cfg.latency,
-                     tiny_cfg.capacity, seed=1, telemetry_window=tiny_cfg.telemetry_window)
-    with pytest.raises(RuntimeError, match="estimator"):
-        sim.run()
+    return Simulation(dataclasses.replace(cfg, fixed_ttl=5.0), 0.1, "fixed", seed, trace_writer=trace)
 
 
 def test_unit_namespace_mapping(tiny_cfg):
@@ -147,7 +137,7 @@ def test_simulation_trace_and_latencies(tiny_cfg):
 
 
 def test_simulation_throughput_and_latency_bounds(tiny_cfg):
-    res, sim, _ = run_single(tiny_cfg, 0.1, "fixed", seed=3)
+    res, sim = run_single(tiny_cfg, 0.1, "fixed", seed=3)
     # 30 s x 120 ops/s -> Poisson(3600); 4 sigma is ~6.7%
     assert res.achieved_throughput == pytest.approx(120.0, rel=0.1)
     assert res.achieved_throughput == sim.op_arrivals / 30.0
@@ -156,7 +146,7 @@ def test_simulation_throughput_and_latency_bounds(tiny_cfg):
 
 def test_simulation_accounting_identities(tiny_cfg):
     rows = []
-    res, sim, _ = run_single(tiny_cfg, 0.1, "fixed", seed=11, trace_writer=rows.append)
+    res, sim = run_single(tiny_cfg, 0.1, "fixed", seed=11, trace_writer=rows.append)
     stats = sim.cache.stats
     assert len(rows) == sim.op_arrivals
     assert stats.requests == sum(kind != "update" for _, kind, *_ in rows)
@@ -170,7 +160,7 @@ def test_simulation_accounting_identities(tiny_cfg):
 
 def test_simulation_determinism_same_seed(tiny_cfg):
     def signature(seed):
-        res, sim, _ = run_single(tiny_cfg, 0.1, "naf-dei", seed)
+        res, sim = run_single(tiny_cfg, 0.1, "naf-dei", seed)
         return (res.hits, res.misses, res.invalidations, res.truncated_rmse,
                 res.mean_latency, sim.op_arrivals)
 
@@ -183,7 +173,7 @@ def test_desk_poisson_counts_are_pinned():
     # op or arrival generation, the event order, the cache, the oracle or the
     # Poisson TTL moves at least one of them. Poisson TTLs are sums and
     # divisions of window counts, so no BLAS result enters these numbers.
-    res, sim, _ = run_single(build_config("desk"), 0.1, "poisson", seed=1)
+    res, sim = run_single(build_config("desk"), 0.1, "poisson", seed=1)
     counts = {f: getattr(res, f) for f in (
         "hits", "misses", "inserts", "invalidations", "stale_reads",
         "evictions", "expirations", "resolved", "censored")}
@@ -200,8 +190,8 @@ def test_estimator_rng_does_not_perturb_workload(tiny_cfg):
     # kind and unit of every arrival) and the world's mutation history are
     # identical across estimators.
     rows_a, rows_b = [], []
-    res_a, sim_a, _ = run_single(tiny_cfg, 0.1, "fixed", seed=7, trace_writer=rows_a.append)
-    res_b, sim_b, _ = run_single(tiny_cfg, 0.1, "naf-dei", seed=7, trace_writer=rows_b.append)
+    res_a, sim_a = run_single(tiny_cfg, 0.1, "fixed", seed=7, trace_writer=rows_a.append)
+    res_b, sim_b = run_single(tiny_cfg, 0.1, "naf-dei", seed=7, trace_writer=rows_b.append)
     assert [r[:3] for r in rows_a] == [r[:3] for r in rows_b]
     assert sim_a.op_arrivals == sim_b.op_arrivals == len(rows_a)
     assert np.array_equal(sim_a.world.values, sim_b.world.values)
@@ -239,7 +229,7 @@ def test_stale_reads_happen_under_writes(tiny_cfg):
         tiny_cfg, latency=dataclasses.replace(tiny_cfg.latency, invalidation_delay_ms=0.0))
     for seed in (2, 3):
         trace = []
-        res, _, _ = run_single(tiny_cfg, 0.1, "fixed", seed, trace_writer=trace.append)
+        res, _ = run_single(tiny_cfg, 0.1, "fixed", seed, trace_writer=trace.append)
         assert 0 < res.invalidations <= res.inserts
         assert res.stale_reads > 0
         assert res.stale_reads == sum(row[3] == "stale_hit" for row in trace)
@@ -249,9 +239,8 @@ def test_stale_reads_happen_under_writes(tiny_cfg):
 def test_arrival_gaps_equal_per_call_draws(tiny_cfg):
     # Each connection's gaps come in blocks; across block boundaries they must
     # be the values of one exponential() call per arrival on its own generator.
-    spec = tiny_cfg.workload_spec(0.1)
-    sim = Simulation(spec, tiny_cfg.latency, tiny_cfg.capacity, seed=4,
-                     telemetry_window=tiny_cfg.telemetry_window)
+    sim = Simulation(tiny_cfg, 0.1, "fixed", seed=4)
+    spec = sim.spec
     arrivals = np.random.SeedSequence(4).spawn(4)[2].spawn(spec.connections)
     n = 3 * _GAP_BLOCK + 7
     for conn in (0, 1, 17, spec.connections - 1):

@@ -51,7 +51,7 @@ def test_fixed_ttl_hit_ratio_matches_renewal_theory(w):
         "estimator.kind": "fixed",
         "estimator.fixed_ttl": str(TTL),
     })
-    res, _, _ = run_single(cfg, w, "fixed", seed=1)
+    res, _ = run_single(cfg, w, "fixed", seed=1)
     assert res.evictions == 0 and res.stale_reads == 0
 
     expected = predicted_hit_ratio(w, TTL)
