@@ -13,12 +13,10 @@ import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .cachesys import CacheSystem
 from .dei import RewardConfig
 from .estimators import ESTIMATOR_KINDS
 from .nafagent import NafConfig
 from .simcore import LatencyModel
-from .telemetry import Telemetry
 from .workload import WorkloadSpec
 
 
@@ -162,9 +160,10 @@ class ExperimentConfig:
                 raise ValueError(f"write fraction {w}: {e}") from None
             if w >= 1.0:  # a learner's load threshold is 1 - w
                 raise ValueError(f"write fraction {w}: the load threshold 1 - w must be positive")
-        # the bounds a run would enforce
-        CacheSystem(self.capacity)
-        Telemetry(self.telemetry_window)
+        if self.capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        if not 0.0 < self.telemetry_window < math.inf:
+            raise ValueError(f"window must be a positive finite number, got {self.telemetry_window}")
 
     def workload_spec(self, write_fraction: float) -> WorkloadSpec:
         qf = 1.0 - write_fraction if self.query_fraction is None else self.query_fraction

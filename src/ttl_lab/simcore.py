@@ -6,12 +6,18 @@ so the estimator is bound from the start to the run's clock, cache, telemetry
 and agent RNG.
 
 Virtual time is a float starting at 0. Events are totally ordered by
-(time, insertion sequence), so simultaneous events dispatch in scheduling
-order and a run is a pure function of (config, seed). Each event carries one
-int: for "op" the arriving connection, for "inval" (the delayed purge) and
-"dei" (a transition coming due) a serve id. Each of the `workload.connections`
-open-loop connections draws its exponential arrival gaps a block at a time,
-inside the event loop; the gaps are those of one `exponential` call per arrival.
+(time, sequence number), so simultaneous events dispatch in scheduling order
+and a run is a pure function of (config, seed). There are two kinds of event:
+- a client op, one of each of the `workload.connections` open-loop
+  connections' arrivals. Ops never depend on the estimator, so the run's op
+  timeline is computed ahead, a chunk at a time (`workload.arrival_chunks` and
+  `workload.OpStream`), and each op goes to the simulation by a direct call.
+  An op's sequence number is the engine counter's value when the previous op
+  of its connection was dispatched (connection c's first op has c), the
+  number it would get if each arrival were scheduled when its predecessor is
+  dispatched.
+- a heap event, carrying one serve id: "inval" (the delayed purge) or "dei"
+  (a transition coming due).
 """
 
 from __future__ import annotations
@@ -19,8 +25,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from itertools import chain
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -29,7 +35,7 @@ from .estimators import make_estimator
 from .telemetry import Telemetry
 from .workload import (
     OpStream,
-    block_draws,
+    arrival_chunks,
     evaluate_query,
     generate_world,
     read_range,
@@ -39,26 +45,42 @@ from .workload import (
 if TYPE_CHECKING:
     from .config import ExperimentConfig
 
-# Arrival gaps each connection fetches per numpy call; one block per
-# connection is held at a time.
-_GAP_BLOCK = 64
+# What the timeline yields once it has no op left: a time no run reaches.
+_NO_OP = (math.inf, -1, None)
 
 
 class SimEvent(NamedTuple):
     time: float
     seq: int
     kind: str
-    arg: int  # the connection of an "op", the serve id of an "inval" or "dei"
+    arg: int  # the serve id of an "inval" or "dei"
 
 
 class Engine:
-    """Minimal event loop over a binary heap."""
+    """Event loop over an op timeline and a binary heap of other events.
 
-    def __init__(self, handler: Callable[[SimEvent], None] | None = None):
+    The timeline yields (time, connection, op) in dispatch order, and each op
+    goes to `on_op(time, op)`; the heap's events go to `handler`. Their
+    sequence numbers come from one counter, which advances once per op
+    dispatched and once per event scheduled. An engine built without a
+    timeline walks an empty one.
+    """
+
+    def __init__(
+        self,
+        handler: Callable[[SimEvent], None] | None = None,
+        timeline: Iterable[tuple[float, int, object]] = (),
+        on_op: Callable[[float, object], None] | None = None,
+        connections: int = 0,
+    ):
         self.handler = handler
         self.now = 0.0
         self._heap: list[SimEvent] = []
-        self._seq = 0
+        self._ops = iter(timeline)
+        self._on_op = on_op
+        # the sequence number of each connection's next op
+        self._op_seq = list(range(connections))
+        self._seq = connections
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -72,16 +94,33 @@ class Engine:
         self._seq += 1
 
     def run_until(self, t_end: float) -> int:
-        """Dispatch every event with time <= t_end; clock lands on t_end."""
+        """Dispatch every op and event with time <= t_end; clock lands on t_end."""
+        if not t_end < math.inf:  # inf or NaN: the end of the timeline is no bound
+            raise ValueError(f"t_end {t_end} is not finite")
         if t_end < self.now:
             raise ValueError(f"t_end {t_end} is in the past (now={self.now})")
+        heap, handler, on_op, op_seq, ops = self._heap, self.handler, self._on_op, self._op_seq, self._ops
+        pop = heapq.heappop
         n = 0
-        heap = self._heap
-        while heap and heap[0].time <= t_end:
-            ev = heapq.heappop(heap)
-            self.now = ev.time
-            self.handler(ev)
+        t, conn, op = next(ops, _NO_OP)
+        while True:
+            due = t <= t_end
+            # the heap's events that come first go first
+            bound = (t, op_seq[conn]) if due else (t_end, math.inf)
+            while heap and heap[0] < bound:
+                ev = pop(heap)
+                self.now = ev.time
+                handler(ev)
+                n += 1
+            if not due:
+                break
+            self.now = t
+            op_seq[conn] = self._seq
+            self._seq += 1
+            on_op(t, op)
             n += 1
+            t, conn, op = next(ops, _NO_OP)
+        self._ops = chain(((t, conn, op),), ops)  # the first op past t_end waits
         self.now = t_end
         return n
 
@@ -131,6 +170,11 @@ class Simulation:
         trace_writer: Callable[[tuple], None] | None = None,
         log_transitions: bool = False,
     ):
+        if estimator_kind not in cfg.estimators:
+            # its option is checked only for the kinds in cfg.estimators
+            raise ValueError(
+                f"estimator {estimator_kind!r} is not in cfg.estimators {cfg.estimators}"
+            )
         self.spec = spec = cfg.workload_spec(write_fraction)
         self.latency = cfg.latency
         self.trace_writer = trace_writer
@@ -141,16 +185,17 @@ class Simulation:
         self.agent_rng = np.random.default_rng(agent_ss)
 
         self.world = generate_world(spec, np.random.default_rng(world_ss))
-        self.ops = OpStream(spec, np.random.default_rng(ops_ss))
-        self.engine = Engine(self._dispatch)
+        arrivals = arrival_chunks(
+            [np.random.default_rng(s) for s in arrivals_ss.spawn(spec.connections)],
+            spec.connections / spec.target_throughput,
+        )
+        ops = iter(OpStream(spec, np.random.default_rng(ops_ss)))
+        # the n-th arrival carries the n-th op
+        timeline = chain.from_iterable(zip(times, conns, ops) for times, conns in arrivals)
+        self.engine = Engine(self._dispatch, timeline, self._handle_arrival, spec.connections)
         self.cache = CacheSystem(cfg.capacity)
         self.telemetry = Telemetry(cfg.telemetry_window)
 
-        self.mean_gap = spec.connections / spec.target_throughput
-        self._next_gap = [
-            block_draws(partial(rng.exponential, self.mean_gap), _GAP_BLOCK).__next__
-            for rng in map(np.random.default_rng, arrivals_ss.spawn(spec.connections))
-        ]
         self.op_arrivals = 0
         self.completed = 0
         self.latency_sum = 0.0
@@ -162,8 +207,6 @@ class Simulation:
         return target if op_kind == "query" else self.spec.query_count + target
 
     def run(self) -> "Simulation":
-        for conn in range(self.spec.connections):
-            self.engine.schedule(self._next_gap[conn](), "op", conn)
         self.engine.run_until(self.spec.duration)
         return self
 
@@ -171,23 +214,20 @@ class Simulation:
 
     def _dispatch(self, ev: SimEvent) -> None:
         kind = ev.kind
-        if kind == "op":
-            self._handle_arrival(ev.arg, ev.time)
-        elif kind == "inval":
+        if kind == "inval":
             self.cache.apply_invalidation(ev.arg, ev.time)
         elif kind == "dei":
             self.estimator.on_due(ev.arg, ev.time)
         else:
             raise RuntimeError(f"unknown event kind {kind!r}")
 
-    def _handle_arrival(self, conn: int, now: float) -> None:
-        self.engine.schedule(now + self._next_gap[conn](), "op", conn)
+    def _handle_arrival(self, now: float, op: tuple[str, int, float]) -> None:
         self.op_arrivals += 1
-        op = self.ops.next_op()
-        if op.kind == "update":
-            lat = self._handle_update(op.target, op.new_value, now)
+        kind, target, new_value = op
+        if kind == "update":
+            lat = self._handle_update(target, new_value, now)
         else:
-            lat = self._handle_request(op.kind, op.target, now)
+            lat = self._handle_request(kind, target, now)
         # The response lands at now + lat; it completes if that is inside the run.
         if now + lat <= self.spec.duration:
             self.completed += 1

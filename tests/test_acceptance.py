@@ -277,7 +277,7 @@ def test_criterion_07_determinism():
 
 @pytest.mark.slow
 def test_criterion_08_dei_beats_naive():
-    cfg = build_config(preset="desk")
+    cfg = build_config(preset="desk", overrides={"estimator.kind": "naf-dei,naf-naive"})
     means = {}
     for kind in ("naf-dei", "naf-naive"):
         rmses = []

@@ -9,7 +9,7 @@ import pytest
 
 from ttl_lab.config import build_config
 from ttl_lab.dei import DeiQueue, IncompleteTransition, RewardConfig, transition_reward
-from ttl_lab.simcore import Simulation
+from ttl_lab.simcore import Engine, Simulation
 
 # ---------------------------------------------------------------------------
 # reward
@@ -162,8 +162,12 @@ def test_queue_pop_unknown_raises():
 
 
 def _scripted_sim(cfg, kind, log_transitions=False):
-    """A simulation that never run()s: handlers are driven by hand."""
-    return Simulation(cfg, 0.1, kind, seed=1, log_transitions=log_transitions)
+    """A simulation that never run()s: handlers are driven by hand, and its
+    engine, with no op timeline, dispatches only the events they schedule."""
+    cfg = dataclasses.replace(cfg, estimators=(kind,))
+    sim = Simulation(cfg, 0.1, kind, seed=1, log_transitions=log_transitions)
+    sim.engine = Engine(sim._dispatch)
+    return sim
 
 
 def test_dei_completes_exactly_at_due_time(tiny_cfg):

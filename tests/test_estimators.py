@@ -15,6 +15,7 @@ from ttl_lab.estimators import (
     NafDeiEstimator,
     NafNaiveEstimator,
     PoissonEstimator,
+    make_estimator,
     poisson_ttl,
 )
 from ttl_lab.simcore import Simulation
@@ -151,17 +152,22 @@ def test_poisson_estimator_delegates_and_falls_back():
     assert est.decide(1, 0, [], now=0.0) == 300.0  # empty result: cap fallback
 
 
+def _all_kinds(cfg):
+    return dataclasses.replace(cfg, estimators=ESTIMATOR_KINDS)
+
+
 def test_make_estimator_kinds(tiny_cfg):
     # every kind the config accepts is one the simulation can build
     classes = {"fixed": FixedEstimator, "poisson": PoissonEstimator,
                "naf-dei": NafDeiEstimator, "naf-naive": NafNaiveEstimator}
     assert sorted(ESTIMATOR_KINDS) == sorted(classes)
+    cfg = _all_kinds(tiny_cfg)
     for kind in ESTIMATOR_KINDS:
-        assert type(Simulation(tiny_cfg, 0.1, kind, seed=0).estimator) is classes[kind]
+        assert type(Simulation(cfg, 0.1, kind, seed=0).estimator) is classes[kind]
 
 
 def test_estimator_options_come_from_cfg(tiny_cfg):
-    cfg = dataclasses.replace(tiny_cfg, fixed_ttl=12.0, poisson_max_ttl=77.0)
+    cfg = dataclasses.replace(_all_kinds(tiny_cfg), fixed_ttl=12.0, poisson_max_ttl=77.0)
     assert Simulation(cfg, 0.1, "fixed", seed=0).estimator.ttl == 12.0
     sim = Simulation(cfg, 0.1, "poisson", seed=0)
     assert sim.estimator.max_ttl == 77.0 and sim.estimator.telemetry is sim.telemetry
@@ -172,14 +178,17 @@ def test_estimator_options_come_from_cfg(tiny_cfg):
 
 
 def test_learner_load_threshold_is_one_minus_the_cells_write_fraction(tiny_cfg):
+    cfg = _all_kinds(tiny_cfg)
     for kind in ("naf-dei", "naf-naive"):
-        assert Simulation(tiny_cfg, 0.3, kind, seed=0).estimator.load_threshold == 0.7
-        assert Simulation(tiny_cfg, 0.0, kind, seed=0).estimator.load_threshold == 1.0
+        assert Simulation(cfg, 0.3, kind, seed=0).estimator.load_threshold == 0.7
+        assert Simulation(cfg, 0.0, kind, seed=0).estimator.load_threshold == 1.0
 
 
 def test_make_estimator_errors(tiny_cfg):
-    with pytest.raises(ValueError, match="unknown estimator kind 'lru'"):
+    with pytest.raises(ValueError, match="estimator 'lru' is not in cfg.estimators"):
         Simulation(tiny_cfg, 0.1, "lru", seed=0)
+    with pytest.raises(ValueError, match="unknown estimator kind 'lru'"):
+        make_estimator("lru", tiny_cfg, None)
     with pytest.raises(ValueError, match="unknown estimator 'lru'"):
         build_config(overrides={"estimator.kind": "lru"})
 
@@ -194,7 +203,7 @@ def test_injection_log_opt_in(tiny_cfg):
 def test_nan_agent_output_fails_the_run(tiny_cfg, kind):
     # A diverged learner must stop the run where its TTL enters the event heap
     # (naf-dei's due event) or the cache (naf-naive), not return a truncated run.
-    sim = Simulation(tiny_cfg, 0.1, kind, seed=6)
+    sim = Simulation(_all_kinds(tiny_cfg), 0.1, kind, seed=6)
     sim.estimator.agent.net.biases[-1][:] = np.nan
     with pytest.raises(ValueError, match="nan.*finite"):
         sim.run()
@@ -204,7 +213,7 @@ def test_nan_agent_output_fails_the_run(tiny_cfg, kind):
 def test_every_strategy_emits_valid_ttls(tiny_cfg, kind):
     # Whole-run property: every decided TTL is positive, finite, and within
     # the strategy's configured bound.
-    res, sim = run_single(tiny_cfg, 0.1, kind, seed=6)
+    res, sim = run_single(_all_kinds(tiny_cfg), 0.1, kind, seed=6)
     arr = np.array(sim.telemetry.oracle.actions)
     assert arr.size, "run produced no decisions"
     assert np.all(np.isfinite(arr)) and np.all(arr > 0.0)

@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import dataclasses
+import heapq
+from collections import defaultdict
+from itertools import chain
 
 import numpy as np
 import pytest
 
 from ttl_lab.benchcli import run_single
 from ttl_lab.config import build_config
-from ttl_lab.simcore import _GAP_BLOCK, Engine, LatencyModel, SimEvent, Simulation
+from ttl_lab.simcore import Engine, LatencyModel, SimEvent, Simulation
+from ttl_lab import workload
+from ttl_lab.workload import arrival_chunks
 
 # ---------------------------------------------------------------------------
 # engine
@@ -58,6 +63,15 @@ def test_engine_rejects_non_finite_times(bad):
     assert eng.run_until(10.0) == 1
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_engine_rejects_a_non_finite_end(bad):
+    eng = Engine(lambda ev: None)
+    eng.schedule(1.0, "x", 0)
+    with pytest.raises(ValueError, match=f"t_end {bad} is not finite"):
+        eng.run_until(bad)
+    assert eng.now == 0.0 and len(eng) == 1
+
+
 def test_engine_run_until_is_inclusive():
     seen = []
     eng = Engine(lambda ev: seen.append(ev.time))
@@ -68,6 +82,111 @@ def test_engine_run_until_is_inclusive():
     assert len(eng) == 1
     eng.run_until(2.0000001)
     assert seen == [2.0, 2.0000001]
+
+
+class _HeapEngine:
+    """The reference: every op is a heap event too, and dispatching an op
+    schedules its connection's next arrival first."""
+
+    def __init__(self, handler):
+        self.handler = handler
+        self.now = 0.0
+        self._heap: list[SimEvent] = []
+        self._seq = 0
+
+    def schedule(self, time: float, kind: str, arg: int) -> None:
+        assert self.now <= time
+        heapq.heappush(self._heap, SimEvent(time, self._seq, kind, arg))
+        self._seq += 1
+
+    def run_until(self, t_end: float) -> int:
+        n = 0
+        while self._heap and self._heap[0].time <= t_end:
+            ev = heapq.heappop(self._heap)
+            self.now = ev.time
+            self.handler(ev)
+            n += 1
+        self.now = t_end
+        return n
+
+
+class _GridGaps:
+    """A generator stand-in whose exponential(scale, size) draws are set gaps
+    in units of scale, in order."""
+
+    def __init__(self, gaps):
+        self.gaps = iter(gaps)
+
+    def exponential(self, scale, size):
+        return scale * np.array([next(self.gaps) for _ in range(size)])
+
+
+def _scripted_run(seed: int, engine_kind: str, stops=(7.0, 19.5, 40.0)) -> list[tuple]:
+    """The dispatch log of a scripted run on a 0.5 s grid, where ties are the
+    rule: each connection's gaps, and the events each op or event schedules
+    (zero to two, 0 to 1.5 s ahead), come from the seed alone."""
+    rng = np.random.default_rng(seed)
+    conns = 4
+    gaps = rng.choice([0.0, 0.5, 1.0, 1.5], size=(conns, 400), p=[0.1, 0.3, 0.3, 0.3])
+    plans = rng.choice([0.0, 0.5, 1.0, 1.5], size=(4000, 2)).tolist()
+    counts = rng.choice([0, 1, 2], size=4000, p=[0.4, 0.4, 0.2]).tolist()
+    log: list[tuple] = []
+    ids = iter(range(4000))
+
+    def react(time, cause):
+        # the k-th dispatch schedules counts[k] events
+        k = len(log)
+        log.append((time, *cause))
+        for d in plans[k][: counts[k]]:
+            eng.schedule(time + d, "inval" if k % 3 else "dei", next(ids))
+
+    if engine_kind == "heap":
+        next_gap = [iter(g.tolist()).__next__ for g in gaps]
+
+        def handler(ev):
+            if ev.kind == "op":
+                eng.schedule(ev.time + next_gap[ev.arg](), "op", ev.arg)
+                react(ev.time, ("op", ev.arg))
+            else:
+                react(ev.time, (ev.kind, ev.arg))
+
+        eng = _HeapEngine(handler)
+        for conn in range(conns):
+            eng.schedule(next_gap[conn](), "op", conn)
+    else:
+        arrivals = arrival_chunks([_GridGaps(g.tolist()) for g in gaps], 1.0)
+        timeline = chain.from_iterable(zip(t, c, c) for t, c in arrivals)
+        eng = Engine(lambda ev: react(ev.time, (ev.kind, ev.arg)), timeline,
+                     lambda t, conn: react(t, ("op", conn)), conns)
+    for stop in stops:
+        eng.run_until(stop)
+        assert eng.now == stop
+    return log
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_engine_matches_heap_only_reference(seed, monkeypatch):
+    # Ops walked from a timeline must dispatch where the heap put them when
+    # each op was a heap event: ties among ops and with heap events go by
+    # sequence number, an op's being the counter at its predecessor's dispatch.
+    # The smallest chunks, 16 arrivals per connection, end every 16 s.
+    monkeypatch.setattr(workload, "_ARRIVAL_CHUNK", 0)
+    ref = _scripted_run(seed, "heap")
+    assert _scripted_run(seed, "timeline") == ref
+    assert len(ref) > 300
+
+    # The script makes every tie order happen, so an engine that orders ops and
+    # events by time alone, either way round, or ties among ops by connection,
+    # would not match.
+    def tied(i, *kinds):
+        run = ref[i : i + len(kinds)]
+        return len(run) == len(kinds) and len({r[0] for r in run}) == 1 and all(
+            (r[1] == "op") == (k == "op") for r, k in zip(run, kinds))
+
+    assert any(tied(i, "op", "event") for i in range(len(ref)))
+    assert any(tied(i, "event", "op") for i in range(len(ref)))
+    assert any(tied(i, "op", "event", "op") and ref[i][2] != ref[i + 2][2] for i in range(len(ref)))
+    assert any(tied(i, "op", "op") and ref[i][2] > ref[i + 1][2] for i in range(len(ref)))
 
 
 def test_engine_handler_can_schedule_more():
@@ -105,7 +224,12 @@ def test_latency_model_rejects_negative():
 
 
 def _build_sim(cfg, seed=5, trace=None):
-    return Simulation(dataclasses.replace(cfg, fixed_ttl=5.0), 0.1, "fixed", seed, trace_writer=trace)
+    cfg = dataclasses.replace(cfg, estimators=("fixed",), fixed_ttl=5.0)
+    return Simulation(cfg, 0.1, "fixed", seed, trace_writer=trace)
+
+
+def _with_kinds(cfg, *kinds):
+    return dataclasses.replace(cfg, estimators=kinds)
 
 
 def test_unit_namespace_mapping(tiny_cfg):
@@ -137,7 +261,7 @@ def test_simulation_trace_and_latencies(tiny_cfg):
 
 
 def test_simulation_throughput_and_latency_bounds(tiny_cfg):
-    res, sim = run_single(tiny_cfg, 0.1, "fixed", seed=3)
+    res, sim = run_single(_with_kinds(tiny_cfg, "fixed"), 0.1, "fixed", seed=3)
     # 30 s x 120 ops/s -> Poisson(3600); 4 sigma is ~6.7%
     assert res.achieved_throughput == pytest.approx(120.0, rel=0.1)
     assert res.achieved_throughput == sim.op_arrivals / 30.0
@@ -146,7 +270,7 @@ def test_simulation_throughput_and_latency_bounds(tiny_cfg):
 
 def test_simulation_accounting_identities(tiny_cfg):
     rows = []
-    res, sim = run_single(tiny_cfg, 0.1, "fixed", seed=11, trace_writer=rows.append)
+    res, sim = run_single(_with_kinds(tiny_cfg, "fixed"), 0.1, "fixed", seed=11, trace_writer=rows.append)
     stats = sim.cache.stats
     assert len(rows) == sim.op_arrivals
     assert stats.requests == sum(kind != "update" for _, kind, *_ in rows)
@@ -190,8 +314,9 @@ def test_estimator_rng_does_not_perturb_workload(tiny_cfg):
     # kind and unit of every arrival) and the world's mutation history are
     # identical across estimators.
     rows_a, rows_b = [], []
-    res_a, sim_a = run_single(tiny_cfg, 0.1, "fixed", seed=7, trace_writer=rows_a.append)
-    res_b, sim_b = run_single(tiny_cfg, 0.1, "naf-dei", seed=7, trace_writer=rows_b.append)
+    cfg = _with_kinds(tiny_cfg, "fixed", "naf-dei")
+    res_a, sim_a = run_single(cfg, 0.1, "fixed", seed=7, trace_writer=rows_a.append)
+    res_b, sim_b = run_single(cfg, 0.1, "naf-dei", seed=7, trace_writer=rows_b.append)
     assert [r[:3] for r in rows_a] == [r[:3] for r in rows_b]
     assert sim_a.op_arrivals == sim_b.op_arrivals == len(rows_a)
     assert np.array_equal(sim_a.world.values, sim_b.world.values)
@@ -225,11 +350,12 @@ def test_stale_reads_happen_under_writes(tiny_cfg):
     # A lookup that lands between a write and its purge, 2 ms later by
     # default, serves the doomed entry as a stale read; with no delay there
     # is no such window.
+    cfg = _with_kinds(tiny_cfg, "fixed")
     instant = dataclasses.replace(
-        tiny_cfg, latency=dataclasses.replace(tiny_cfg.latency, invalidation_delay_ms=0.0))
+        cfg, latency=dataclasses.replace(cfg.latency, invalidation_delay_ms=0.0))
     for seed in (2, 3):
         trace = []
-        res, _ = run_single(tiny_cfg, 0.1, "fixed", seed, trace_writer=trace.append)
+        res, _ = run_single(cfg, 0.1, "fixed", seed, trace_writer=trace.append)
         assert 0 < res.invalidations <= res.inserts
         assert res.stale_reads > 0
         assert res.stale_reads == sum(row[3] == "stale_hit" for row in trace)
@@ -237,13 +363,47 @@ def test_stale_reads_happen_under_writes(tiny_cfg):
 
 
 def test_arrival_gaps_equal_per_call_draws(tiny_cfg):
-    # Each connection's gaps come in blocks; across block boundaries they must
-    # be the values of one exponential() call per arrival on its own generator.
-    sim = Simulation(tiny_cfg, 0.1, "fixed", seed=4)
-    spec = sim.spec
-    arrivals = np.random.SeedSequence(4).spawn(4)[2].spawn(spec.connections)
-    n = 3 * _GAP_BLOCK + 7
-    for conn in (0, 1, 17, spec.connections - 1):
-        rng = np.random.default_rng(arrivals[conn])
-        ref = [float(rng.exponential(sim.mean_gap)) for _ in range(n)]
-        assert [sim._next_gap[conn]() for _ in range(n)] == ref
+    # Each connection's arrival times, merged a chunk at a time, must be the
+    # running sums of one exponential() call per arrival on its own generator.
+    spec = tiny_cfg.workload
+    mean_gap = spec.connections / spec.target_throughput
+    seeds = np.random.SeedSequence(4).spawn(4)[2].spawn(spec.connections)
+    chunks = arrival_chunks([np.random.default_rng(s) for s in seeds], mean_gap)
+    got, last, sizes = defaultdict(list), 0.0, []
+    for times, conns in (next(chunks) for _ in range(6)):
+        assert times[0] >= last and times == sorted(times)
+        last = times[-1]
+        sizes.append(len(times))
+        for t, conn in zip(times, conns):
+            got[conn].append(t)
+    assert len(got) == spec.connections and min(sizes) > 500
+    for conn, times in got.items():
+        rng, now, ref = np.random.default_rng(seeds[conn]), 0.0, []
+        for _ in times:
+            now = now + float(rng.exponential(mean_gap))
+            ref.append(now)
+        assert times == ref
+
+
+def test_short_desk_counts_are_pinned():
+    # The integer counts of 60 s desk runs at seed 1, recorded before ops had a
+    # precomputed timeline. Neither estimator runs a learner, so no BLAS result
+    # enters them.
+    cfg = build_config("desk", overrides={"workload.duration": "60", "estimator.kind": "fixed,poisson"})
+    counts = {}
+    for kind in ("fixed", "poisson"):
+        res, sim = run_single(cfg, 0.1, kind, seed=1)
+        counts[kind] = (sim.op_arrivals, res.hits, res.misses, res.inserts, res.invalidations,
+                        res.stale_reads, res.resolved)
+    assert counts == {
+        "fixed": (11_994, 8_840, 1_965, 1_965, 1_598, 2, 1_780),
+        "poisson": (11_994, 8_845, 1_960, 1_960, 1_563, 2, 1_793),
+    }
+
+
+def test_simulation_rejects_a_kind_outside_the_grid():
+    # ExperimentConfig checks an estimator's option only when its kind is in
+    # cfg.estimators, so a simulation of any other kind would run unchecked.
+    cfg = dataclasses.replace(build_config(overrides={"estimator.kind": "poisson"}), fixed_ttl=0.0)
+    with pytest.raises(ValueError, match=r"estimator 'fixed' is not in cfg.estimators \('poisson',\)"):
+        Simulation(cfg, 0.1, "fixed", 1)

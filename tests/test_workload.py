@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
 
 from ttl_lab.benchcli import _check_zipf
 from ttl_lab.workload import (
-    Op,
     OpStream,
     WorkloadSpec,
     ZipfSampler,
@@ -50,7 +50,7 @@ def _all_reads(record_count: int, zipf_s: float) -> WorkloadSpec:
 
 def test_zipf_sample_range_and_hot_rank():
     stream = OpStream(_all_reads(30, 1.0), np.random.default_rng(5))
-    draws = np.array([stream.next_op().target for _ in range(5000)])
+    draws = np.array([target for _, target, _ in islice(stream, 5000)])
     assert draws.min() >= 0 and draws.max() <= 29
     counts = np.bincount(draws, minlength=30)
     assert counts.argmax() == 0  # key 0, rank 1, is the mode
@@ -76,12 +76,14 @@ def test_zipf_rank_equals_searchsorted_at_table_boundaries():
     zs = ZipfSampler(500, 0.8)
     cdf = np.cumsum(np.arange(1, 501, dtype=np.float64) ** -0.8)
     cdf /= cdf[-1]
-    assert zs.cdf == cdf.tolist()
-    us = [0.0] + [x for c in zs.cdf[:-1] for x in (math.nextafter(c, 0.0), c, math.nextafter(c, 1.0))]
-    # an all-reads op takes one uniform for its kind, then one for its rank
+    assert np.array_equal(zs.cdf, cdf)
+    us = [0.0] + [x for c in cdf[:-1].tolist() for x in (math.nextafter(c, 0.0), c, math.nextafter(c, 1.0))]
+    # an all-reads op takes one uniform for its kind, then one for its rank; the
+    # 2,996 uniforms span two blocks
     stream = OpStream(_all_reads(500, 0.8), _FixedUniforms(x for u in us for x in (0.5, u)))
-    for u in us:
-        assert stream.next_op() == Op("read", int(np.searchsorted(cdf, u, side="right")))
+    got = list(islice(stream, len(us)))
+    assert [op[:2] for op in got] == [("read", int(np.searchsorted(cdf, u, side="right"))) for u in us]
+    assert all(math.isnan(v) for *_, v in got)
 
 
 def test_zipf_validation():
@@ -168,18 +170,17 @@ def test_op_stream_mixture_fractions():
     stream = OpStream(spec, np.random.default_rng(13))
     n = 20_000
     kinds = {"update": 0, "query": 0, "read": 0}
-    for _ in range(n):
-        op = stream.next_op()
-        kinds[op.kind] += 1
-        if op.kind == "update":
-            assert 0 <= op.target < 400
-            assert 0.0 <= op.new_value < 400.0
-        elif op.kind == "query":
-            assert 0 <= op.target < 50
-            assert op.new_value is None
+    for kind, target, new_value in islice(stream, n):
+        kinds[kind] += 1
+        if kind == "update":
+            assert 0 <= target < 400
+            assert 0.0 <= new_value < 400.0
+        elif kind == "query":
+            assert 0 <= target < 50
+            assert math.isnan(new_value)
         else:
-            assert 0 <= op.target < 400
-            assert op.new_value is None
+            assert 0 <= target < 400
+            assert math.isnan(new_value)
     # binomial 4-sigma bands around the configured mixture
     for kind, frac in (("update", 0.2), ("query", 0.5), ("read", 0.3)):
         sigma = (frac * (1 - frac) / n) ** 0.5
@@ -190,22 +191,24 @@ def test_op_stream_zipf_popularity():
     spec = WorkloadSpec(record_count=200, query_count=30, write_fraction=1.0, query_fraction=0.0)
     stream = OpStream(spec, np.random.default_rng(29))
     counts = np.zeros(200)
-    for _ in range(8000):
-        counts[stream.next_op().target] += 1
+    for _, target, _ in islice(stream, 8000):
+        counts[target] += 1
     assert counts.argmax() == 0  # key 0 is rank 1, the hottest
 
 
 def test_op_stream_determinism():
     spec = WorkloadSpec(record_count=100, query_count=20)
-    a = OpStream(spec, np.random.default_rng(5))
-    b = OpStream(spec, np.random.default_rng(5))
-    for _ in range(200):
-        assert a.next_op() == b.next_op()
+    a = OpStream(spec, np.random.default_rng(5)).blocks()
+    b = OpStream(spec, np.random.default_rng(5)).blocks()
+    for _ in range(3):
+        (kinds_a, targets_a, values_a), (kinds_b, targets_b, values_b) = next(a), next(b)
+        assert kinds_a == kinds_b and targets_a == targets_b
+        assert np.array_equal(values_a, values_b, equal_nan=True)
 
 
-def _per_call_ops(spec: WorkloadSpec, rng: np.random.Generator, n: int) -> list[Op]:
-    """The op stream drawn with one numpy call per value: the reference the
-    block-drawn stream must equal op for op."""
+def _per_call_ops(spec: WorkloadSpec, rng: np.random.Generator, n: int) -> list[tuple]:
+    """The op stream drawn with one numpy call per value, as (kind, target,
+    new value or None): the reference the block decoder must equal op for op."""
 
     def cdf(count):
         c = np.cumsum(np.arange(1, count + 1, dtype=np.float64) ** -spec.zipf_s)
@@ -218,11 +221,11 @@ def _per_call_ops(spec: WorkloadSpec, rng: np.random.Generator, n: int) -> list[
         u = rng.random()
         if u < spec.write_fraction:
             key = int(np.searchsorted(keys, rng.random(), side="right"))
-            ops.append(Op("update", key, float(rng.uniform(0.0, float(spec.record_count)))))
+            ops.append(("update", key, float(rng.uniform(0.0, float(spec.record_count)))))
         elif u < spec.write_fraction + spec.query_fraction:
-            ops.append(Op("query", int(np.searchsorted(queries, rng.random(), side="right"))))
+            ops.append(("query", int(np.searchsorted(queries, rng.random(), side="right")), None))
         else:
-            ops.append(Op("read", int(np.searchsorted(keys, rng.random(), side="right"))))
+            ops.append(("read", int(np.searchsorted(keys, rng.random(), side="right")), None))
     return ops
 
 
@@ -230,17 +233,18 @@ def _per_call_ops(spec: WorkloadSpec, rng: np.random.Generator, n: int) -> list[
 def test_op_stream_equals_per_call_reference(w):
     spec = WorkloadSpec(record_count=900, query_count=70, write_fraction=w,
                         query_fraction=min(0.5, 1.0 - w))
-    stream = OpStream(spec, np.random.default_rng(61))
-    n = 20_000
-    got = [stream.next_op() for _ in range(n)]
-    assert got == _per_call_ops(spec, np.random.default_rng(61), n)
-    kinds = {op.kind for op in got}
-    assert kinds == ({"update"} if w == 1.0 else {"query", "read"} | ({"update"} if w else set()))
-
-
-def test_op_namedtuple_defaults():
-    op = Op("read", 7)
-    assert op.new_value is None
+    blocks = OpStream(spec, np.random.default_rng(61)).blocks()
+    kinds, targets, values = [], [], []
+    while len(kinds) < 20_000:  # 21 to 30 blocks; ops straddle their ends
+        k, t, v = next(blocks)
+        kinds += k
+        targets += t
+        values += v
+    got = [(k, t, v if k == "update" else None) for k, t, v in zip(kinds, targets, values)]
+    assert got == _per_call_ops(spec, np.random.default_rng(61), len(got))
+    assert all(math.isnan(v) for k, v in zip(kinds, values) if k != "update")
+    assert set(kinds) == ({"update"} if w == 1.0 else {"query", "read"} | ({"update"} if w else set()))
+    assert len({id(k) for k in kinds}) == len(set(kinds))  # one string object per kind
 
 
 # ---------------------------------------------------------------------------
