@@ -10,9 +10,9 @@ applies after a propagation delay; lookups in that window are stale reads.
 
 The cache keeps no range index: the true-TTL oracle (telemetry.py) resolves a
 serve at the first write touching its range, the write that marks its entry,
-so a write marks the live entries of the serves the oracle's range index
-returns. The cache speaks serve ids: origin_update takes the resolved ids and
-returns those it marked.
+so a write marks the live entries of the serves the oracle resolves through
+the world's fixed query index (workload.QueryIndex). The cache speaks serve
+ids: origin_update takes the resolved ids and returns those it marked.
 """
 
 from __future__ import annotations

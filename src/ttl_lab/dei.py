@@ -74,7 +74,7 @@ class IncompleteTransition:
     s: np.ndarray
     a: float
     decided_at: float
-    result_keys: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
+    result_keys: list[int] = field(repr=False, default=None)  # type: ignore[assignment]
     inval_at: float | None = None
 
     @property

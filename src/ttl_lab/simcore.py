@@ -159,6 +159,9 @@ class Simulation:
 
     Cacheable units share one id space: range query q is unit q, a point read
     of key k is unit query_count + k (a singleton range over k's value).
+    A query's miss serves a copy of its result keys from the world's
+    QueryIndex, which each update keeps current; a read's miss scans the
+    values (`evaluate_query`).
     """
 
     def __init__(
@@ -234,24 +237,24 @@ class Simulation:
             self.latency_sum += lat
 
     def _handle_request(self, op_kind: str, target: int, now: float) -> float:
-        values = self.world.values
         unit = self.unit_for(op_kind, target)
-        if op_kind == "query":
-            q = self.world.queries[target]
-            lo, hi = q.lo, q.hi
-        else:
-            lo, hi = read_range(values, target)
-
         outcome = self.cache.lookup(unit, now)
         self.telemetry.record_request(unit, now, miss=outcome is Lookup.MISS)
 
         if outcome is Lookup.MISS:
-            result_keys = evaluate_query(values, lo, hi)
             serve_id = self._serve_seq
             self._serve_seq += 1
+            if op_kind == "query":
+                # a copy: a pending NAF decision keeps the keys it was made on
+                result_keys = self.world.index.results[target][:]
+                query, value = target, None
+            else:
+                lo, hi = read_range(self.world.values, target)
+                result_keys = evaluate_query(self.world.values, lo, hi).tolist()
+                query, value = None, lo
             ttl = self.estimator.decide(serve_id, unit, result_keys, now)
-            # first: the oracle rejects a bad bound before the cache changes
-            self.telemetry.oracle.on_serve(serve_id, unit, lo, hi, now, ttl)
+            # first: the oracle rejects a non-finite read value before the cache changes
+            self.telemetry.oracle.on_serve(serve_id, unit, now, ttl, query, value)
             self.cache.insert(unit, serve_id, ttl, now)
             lat = self.latency.miss_latency
         else:
@@ -266,7 +269,8 @@ class Simulation:
         old = float(values[key])
         values[key] = new_value
         self.telemetry.record_write(key, now)
-        resolved = self.telemetry.oracle.on_write(old, new_value, now)
+        touched = self.world.index.move(key, old, new_value)
+        resolved = self.telemetry.oracle.on_write(touched, old, new_value, now)
         for serve_id in self.cache.origin_update(resolved, now):
             self.engine.schedule(now + self.latency.invalidation_delay, "inval", serve_id)
             self.estimator.on_invalidation_issued(serve_id, now)

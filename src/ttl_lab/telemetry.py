@@ -13,9 +13,11 @@ The oracle keeps four columns indexed by serve id (unit, serve time, action,
 true TTL) and resolves a serve's true TTL at the moment the first
 invalidating write is issued, including "shadow" resolutions that land after
 the entry's nominal expiry; serves never hit by a write stay censored (NaN)
-and are excluded from error metrics. Its RangeSet of unresolved serves is the
-run's only range index (see cachesys); a write's probe returns serve ids
-ascending, which is serve order.
+and are excluded from error metrics. Its unresolved serves wait under what
+they served: a range query's serves under its query id, a point read's under
+the value it read. A write resolves the serves of the queries it touches,
+which the world's QueryIndex finds, and of the reads of its old or new value,
+and returns their ids ascending, which is serve order (see cachesys).
 """
 
 from __future__ import annotations
@@ -79,72 +81,7 @@ class WindowCounter:
         self._advance(now)
         counts = self._counts
         n = len(counts)
-        return [counts[i] if 0 <= i < n else _unseen(i) for i in np.asarray(ids, dtype=np.intp).tolist()]
-
-
-# Bucket width in value units. Record values are uniform on [0, record_count),
-# one record per unit at every preset, and a range holds at most result_cap
-# (20) records, so it spans 1-3 buckets. Replaying the 100,200 index calls of a
-# paper-scale run (w = 0.3, 60 s, about 500 live ranges per index) on a 2-core
-# Xeon VM took, in CPU s (median of 11): width 4 0.32, 8 0.25, 16 0.23,
-# 32 0.23, 64 0.27; the numpy scan this replaced took 0.65. Narrow buckets
-# cost more entries per add, wide ones more ranges per probe.
-_WIDTH = 16.0
-
-
-class RangeSet:
-    """Dynamic set of id-tagged half-open intervals on a grid of value buckets.
-
-    Each range is registered in every bucket of width _WIDTH that its [lo, hi)
-    overlaps, so a probe visits only the bucket of its value, and an add or
-    discard visits the buckets the range spans. A probe returns ids ascending.
-    """
-
-    def __init__(self):
-        self._ranges: dict[int, tuple[float, float]] = {}  # rid -> (lo, hi)
-        self._buckets: dict[float, dict[int, tuple[float, float]]] = {}
-
-    def __len__(self) -> int:
-        return len(self._ranges)
-
-    def add(self, rid: int, lo: float, hi: float) -> None:
-        if not -math.inf < lo < math.inf:
-            raise ValueError(f"range bound lo {lo} is not finite")
-        if not -math.inf < hi < math.inf:
-            raise ValueError(f"range bound hi {hi} is not finite")
-        if hi <= lo:
-            raise ValueError(f"empty range [{lo}, {hi})")
-        if rid in self._ranges:
-            raise ValueError(f"range id {rid} already present")
-        rec = self._ranges[rid] = (lo, hi)
-        buckets, first = self._buckets, lo // _WIDTH
-        for i in range(int(hi // _WIDTH - first) + 1):
-            bucket = buckets.get(first + i)
-            if bucket is None:
-                bucket = buckets[first + i] = {}
-            bucket[rid] = rec
-
-    def discard(self, rid: int) -> bool:
-        rec = self._ranges.pop(rid, None)
-        if rec is None:
-            return False
-        buckets, first = self._buckets, rec[0] // _WIDTH
-        for i in range(int(rec[1] // _WIDTH - first) + 1):
-            del buckets[first + i][rid]
-        return True
-
-    def stab_either(self, v1: float, v2: float) -> list[int]:
-        """Ids of live ranges containing v1 or v2 (the write-invalidation
-        probe), ascending."""
-        hits = set()
-        get = self._buckets.get
-        for v in (v1, v2):
-            bucket = get(v // _WIDTH)  # every range holding v is in it
-            if bucket:
-                for rid, (lo, hi) in bucket.items():
-                    if lo <= v < hi:
-                        hits.add(rid)
-        return sorted(hits)
+        return [counts[i] if 0 <= i < n else _unseen(i) for i in ids]
 
 
 class TrueTtlOracle:
@@ -155,7 +92,9 @@ class TrueTtlOracle:
     Serves are columns indexed by serve id, which must be dense and in serve
     order: `units`, `served_at`, `actions`, and `true_ttl`, NaN while the
     serve is censored. A resolved serve is a shadow when true_ttl > action.
-    The pending ranges live only in the RangeSet.
+    The pending serve ids wait in lists, by query id or by read value. A
+    read's range [v, nextafter(v)) holds x only when x == v, so the read
+    serves a write resolves are those filed under its old or new value.
     """
 
     def __init__(self):
@@ -163,29 +102,65 @@ class TrueTtlOracle:
         self.served_at = array("d")
         self.actions = array("d")
         self.true_ttl = array("d")
-        self._pending = RangeSet()
+        self._by_query: dict[int, list[int]] = {}
+        self._by_value: dict[float, list[int]] = {}
 
-    def on_serve(self, serve_id: int, unit: int, lo: float, hi: float, now: float, action: float) -> None:
+    def on_serve(
+        self,
+        serve_id: int,
+        unit: int,
+        now: float,
+        action: float,
+        query: int | None = None,
+        value: float | None = None,
+    ) -> None:
+        """Record a serve of range query `query` or of a point read of `value`
+        (exactly one of them)."""
         if serve_id != len(self.units):
             raise ValueError(f"serve id {serve_id} is not the next one, {len(self.units)}")
-        self._pending.add(serve_id, lo, hi)  # before the columns: it rejects bad bounds
+        if (query is None) == (value is None):
+            raise ValueError(f"a serve is of a query or of a read value, got {query=} and {value=}")
+        if query is not None:
+            pending, at = self._by_query, query
+        elif not -math.inf < value < math.inf:
+            raise ValueError(f"read value {value} is not finite")
+        else:
+            pending, at = self._by_value, value
+        serves = pending.get(at)
+        if serves is None:
+            pending[at] = [serve_id]
+        else:
+            serves.append(serve_id)
         self.units.append(unit)
         self.served_at.append(now)
         self.actions.append(action)
         self.true_ttl.append(math.nan)
 
-    def on_write(self, old_value: float, new_value: float, now: float) -> list[int]:
-        """Resolve every pending serve the write invalidates, each at most
-        once; returns their serve ids, ascending."""
-        resolved = self._pending.stab_either(old_value, new_value)
+    def on_write(self, queries: list[int], old_value: float, new_value: float, now: float) -> list[int]:
+        """Resolve every pending serve of the `queries` the write touches (as
+        QueryIndex.move returns them) and of a read of its old or new value,
+        each at most once; returns their serve ids, ascending."""
+        resolved: list[int] = []
+        pop = self._by_query.pop
+        for q in queries:
+            serves = pop(q, None)
+            if serves is not None:
+                resolved += serves
+        if self._by_value:
+            pop = self._by_value.pop
+            for v in (old_value, new_value):
+                serves = pop(v, None)
+                if serves is not None:
+                    resolved += serves
+        resolved.sort()
+        true_ttl, served_at = self.true_ttl, self.served_at
         for serve_id in resolved:
-            self._pending.discard(serve_id)
-            self.true_ttl[serve_id] = now - self.served_at[serve_id]
+            true_ttl[serve_id] = now - served_at[serve_id]
         return resolved
 
     @property
     def pending_count(self) -> int:
-        return len(self._pending)
+        return sum(map(len, self._by_query.values())) + sum(map(len, self._by_value.values()))
 
     @property
     def records(self) -> array:

@@ -7,6 +7,11 @@ intervals [lo, hi) over that value, constructed so that each query initially
 matches an exact target cardinality. Updates resample a record's value, which
 is what moves records in and out of query results over time.
 
+The query set never changes, so one `QueryIndex` per world holds each
+query's result keys and a fixed grid of value buckets over the query ranges;
+each update moves its key between results through it, and the queries it
+returns are the ones the update touches.
+
 Neither the ops nor their arrival times depend on what the cache or the
 estimator does, so both are computed ahead, a block at a time, and each value
 is the one a per-value numpy call would give; only the generators' final
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import insort
 from collections import defaultdict, deque
 from dataclasses import dataclass, field, fields
 from itertools import chain
@@ -124,16 +130,80 @@ class QueryDef(NamedTuple):
     hi: float
 
 
+# Bucket width in value units. Record values are uniform on [0, record_count),
+# one record per unit at every preset, and a query holds at most result_cap
+# (20) records, so its range spans 1-3 buckets. Narrow buckets register a
+# range in more of them, wide ones hold more ranges to test per write. The
+# width was chosen for a per-serve index of the same ranges: replaying the
+# 100,200 index calls of a paper-scale run (w = 0.3, 60 s) on a 2-core Xeon
+# VM took, in CPU s (median of 11): width 4 0.32, 8 0.25, 16 0.23, 32 0.23,
+# 64 0.27.
+_WIDTH = 16.0
+
+
+class QueryIndex:
+    """Each fixed query's result keys, kept current as records move.
+
+    `results[q]` holds the keys whose value lies in query q's [lo, hi),
+    ascending. Each query is registered in every bucket of width _WIDTH that
+    its range overlaps, in query order, so the queries holding a value are
+    found in the bucket of that value alone. The grid is built once.
+    """
+
+    def __init__(self, queries: list[QueryDef], results: list[list[int]]):
+        if len(results) != len(queries):
+            raise ValueError(f"{len(queries)} queries but {len(results)} results")
+        # keyed by int: a float bucket number v // _WIDTH finds the same entry
+        buckets: dict[int, list[QueryDef]] = {}
+        for i, query in enumerate(queries):
+            q, lo, hi = query
+            if q != i:
+                raise ValueError(f"query {i} has id {q}: ids must be dense, in order")
+            if not -math.inf < lo < math.inf:
+                raise ValueError(f"query {q}: range bound lo {lo} is not finite")
+            if not -math.inf < hi < math.inf:
+                raise ValueError(f"query {q}: range bound hi {hi} is not finite")
+            if hi <= lo:
+                raise ValueError(f"query {q}: empty range [{lo}, {hi})")
+            for b in range(int(lo // _WIDTH), int(hi // _WIDTH) + 1):
+                bucket = buckets.get(b)
+                if bucket is None:
+                    buckets[b] = [query]
+                else:
+                    bucket.append(query)
+        self._buckets = buckets
+        self.results = results
+
+    def move(self, key: int, old: float, new: float) -> list[int]:
+        """Move `key` from value `old` to `new`: out of the results of every
+        query holding old, into those of every query holding new. Returns the
+        ids of the queries holding old or new, each once: the queries the
+        move touches."""
+        get, results = self._buckets.get, self.results
+        out = [q for q, lo, hi in get(old // _WIDTH, ()) if lo <= old < hi]
+        into = [q for q, lo, hi in get(new // _WIDTH, ()) if lo <= new < hi]
+        for q in out:
+            if q not in into:
+                results[q].remove(key)  # raises if key is not in the result
+        for q in into:
+            if q not in out:
+                insort(results[q], key)
+                out.append(q)
+        return out
+
+
 @dataclass
 class World:
-    """Mutable record store plus the fixed query set for one run."""
+    """Mutable record store plus the fixed query set and its index for one run."""
 
     values: np.ndarray
     queries: list[QueryDef]
+    index: QueryIndex
 
 
 def evaluate_query(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Keys whose current value lies in [lo, hi), ascending."""
+    """Keys whose current value lies in [lo, hi), ascending: a scan of every
+    value, which a point read's miss runs and QueryIndex is checked against."""
     return np.nonzero((values >= lo) & (values < hi))[0]
 
 
@@ -148,7 +218,8 @@ def generate_world(spec: WorkloadSpec, rng: np.random.Generator) -> World:
 
     Each query's target size is round(N(scan_mean, scan_std)) clamped to
     [1, result_cap]; the [lo, hi) bounds are cut from the sorted value array so
-    the query matches exactly that many records at t=0.
+    the query matches exactly that many records at t=0, and its result keys
+    are the keys of that cut.
     """
     n = spec.record_count
     values = rng.uniform(0.0, float(n), size=n)
@@ -161,8 +232,11 @@ def generate_world(spec: WorkloadSpec, rng: np.random.Generator) -> World:
     sizes = np.rint(rng.normal(spec.scan_mean, spec.scan_std, size=spec.query_count))
     sizes = np.clip(sizes, 1, spec.result_cap).astype(np.int64)
 
-    sorted_vals = np.sort(values)
+    order = np.argsort(values)
+    sorted_vals = values[order]
+    keys = order.tolist()
     queries: list[QueryDef] = []
+    results: list[list[int]] = []
     for qid in range(spec.query_count):
         size = int(sizes[qid])
         start = int(rng.integers(0, n - size + 1))
@@ -172,7 +246,10 @@ def generate_world(spec: WorkloadSpec, rng: np.random.Generator) -> World:
         else:
             hi = float(sorted_vals[-1]) + 1.0
         queries.append(QueryDef(qid, lo, hi))
-    return World(values=values, queries=queries)
+        cut = keys[start : start + size]
+        cut.sort()
+        results.append(cut)
+    return World(values=values, queries=queries, index=QueryIndex(queries, results))
 
 
 @dataclass

@@ -28,7 +28,15 @@ from ttl_lab.cachesys import CacheSystem
 from ttl_lab.config import build_config
 from ttl_lab.simcore import Simulation
 from ttl_lab.telemetry import TrueTtlOracle
-from ttl_lab.workload import WorkloadSpec, ZipfSampler, generate_world, read_range
+from ttl_lab.workload import (
+    QueryDef,
+    QueryIndex,
+    WorkloadSpec,
+    ZipfSampler,
+    evaluate_query,
+    generate_world,
+    read_range,
+)
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -87,12 +95,14 @@ def test_criterion_04_oracle_equivalence():
                 if rng.random() < 0.5:
                     q = world.queries[int(rng.integers(len(world.queries)))]
                     unit, lo, hi = q.id, q.lo, q.hi
+                    served = {"query": q.id}
                 else:
                     key = int(rng.integers(spec.record_count))
                     unit = spec.query_count + key
                     lo, hi = read_range(values, key)
+                    served = {"value": lo}
                 action = float(rng.uniform(0.5, 30.0))
-                oracle.on_serve(serves, unit, lo, hi, now, action)
+                oracle.on_serve(serves, unit, now, action, **served)
                 pending[serves] = (lo, hi, now, action)
                 serves += 1
             else:
@@ -100,7 +110,7 @@ def test_criterion_04_oracle_equivalence():
                 new = float(rng.uniform(0.0, spec.record_count))
                 old = float(values[key])
                 values[key] = new
-                got = oracle.on_write(old, new, now)
+                got = oracle.on_write(world.index.move(key, old, new), old, new, now)
                 hit = [s for s, (lo, hi, _, _) in pending.items()
                        if lo <= old < hi or lo <= new < hi]
                 if got != hit:  # both in serve order
@@ -139,8 +149,15 @@ def test_criterion_04_oracle_equivalence():
 
 
 def test_criterion_05_origin_update_brute_force():
+    # Serves are of 4,000 fixed ranges or, one in ten, point reads of a
+    # 2,000-record table; each write moves one record, one in ten onto
+    # another record's value.
     rng = np.random.default_rng(55)
     capacity = 250
+    values = rng.uniform(0.0, 2000.0, size=2000)
+    los = rng.uniform(0.0, 2000.0, size=4000).tolist()
+    queries = [QueryDef(q, lo, lo + w) for q, (lo, w) in enumerate(zip(los, rng.uniform(0.01, 50.0, 4000).tolist()))]
+    index = QueryIndex(queries, [evaluate_query(values, lo, hi).tolist() for _, lo, hi in queries])
     oracle, cache = TrueTtlOracle(), CacheSystem(capacity)
     # the cache's live entries, in serve order: sid -> [lo, hi, expires_at, pending]
     mirror: dict[int, list] = {}
@@ -154,10 +171,14 @@ def test_criterion_05_origin_update_brute_force():
 
     def serve():
         nonlocal next_id
-        lo = float(rng.uniform(0.0, 2000.0))
-        hi = lo + float(rng.uniform(0.01, 50.0))
         ttl = float(rng.uniform(0.005, 1.0))
-        oracle.on_serve(next_id, next_id, lo, hi, now, ttl)
+        if rng.random() < 0.9:
+            q, lo, hi = queries[int(rng.integers(4000))]
+            oracle.on_serve(next_id, next_id, now, ttl, query=q)
+        else:
+            lo = float(values[int(rng.integers(2000))])
+            hi = math.nextafter(lo, math.inf)
+            oracle.on_serve(next_id, next_id, now, ttl, value=lo)
         cache.insert(next_id, next_id, ttl, now)
         if len(mirror) >= capacity:  # evict the earliest expiry, ties by serve id
             del mirror[min(mirror, key=lambda s: (mirror[s][2], s))]
@@ -176,12 +197,17 @@ def test_criterion_05_origin_update_brute_force():
     fill()
     for _ in range(10_000):
         now += 0.001
-        old = float(rng.uniform(0.0, 2000.0))
-        new = float(rng.uniform(0.0, 2000.0))
+        key = int(rng.integers(2000))
+        old = float(values[key])
+        if rng.random() < 0.1:
+            new = float(values[int(rng.integers(2000))])
+        else:
+            new = float(rng.uniform(0.0, 2000.0))
+        values[key] = new
         reap()
         expected = [sid for sid, (lo, hi, _, p) in mirror.items()
                     if not p and (lo <= old < hi or lo <= new < hi)]
-        resolved = oracle.on_write(old, new, now)
+        resolved = oracle.on_write(index.move(key, old, new), old, new, now)
         got = cache.origin_update(resolved, now)
         if got != expected:
             mismatches += 1

@@ -1,116 +1,46 @@
-"""Range index and cache semantics, checked against brute-force reference models."""
+"""Cache semantics and the oracle-driven invalidation flow, checked against
+brute-force reference models."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 
 from ttl_lab.cachesys import CacheEntry, CacheStats, CacheSystem, Lookup
-from ttl_lab.telemetry import RangeSet, TrueTtlOracle
+from ttl_lab.telemetry import TrueTtlOracle
+from ttl_lab.workload import QueryDef, QueryIndex, evaluate_query
 
-# ---------------------------------------------------------------------------
-# RangeSet
+NON_FINITE = [float("nan"), float("inf"), -float("inf")]
 
 
 def test_rangeset_add_discard_contains():
-    rs = RangeSet()
-    rs.add(1, 0.0, 5.0)
-    rs.add(2, 3.0, 7.0)
-    assert len(rs) == 2
-    assert rs.stab_either(1.0, 6.0) == [1, 2]
-    assert rs.discard(3) is False  # never added
-    assert rs.discard(1) is True
-    assert rs.discard(1) is False
-    assert len(rs) == 1
-    assert rs.stab_either(1.0, 4.0) == [2]
-
-
-def test_rangeset_rejects_bad_adds():
-    rs = RangeSet()
-    with pytest.raises(ValueError, match="empty range"):
-        rs.add(1, 5.0, 5.0)
-    with pytest.raises(ValueError, match="empty range"):
-        rs.add(1, 5.0, 4.0)
-    rs.add(1, 0.0, 1.0)
-    with pytest.raises(ValueError, match="already present"):
-        rs.add(1, 2.0, 3.0)
-
-
-NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+    # The oracle's pending serves, keyed by query id and by read value, took
+    # over the range set's job: a serve is added by on_serve, counted while
+    # pending, and discarded exactly once by the first write that touches it.
+    oracle = TrueTtlOracle()
+    oracle.on_serve(0, unit=1, now=0.0, action=5.0, query=1)
+    oracle.on_serve(1, unit=2, now=0.0, action=5.0, query=2)
+    oracle.on_serve(2, unit=3, now=0.0, action=5.0, value=4.5)
+    assert oracle.pending_count == 3
+    assert oracle.on_write([3], 8.0, 9.0, 1.0) == []  # touches none of them
+    assert oracle.pending_count == 3
+    assert oracle.on_write([1, 2], 4.5, 9.0, 1.0) == [0, 1, 2]
+    assert oracle.pending_count == 0
+    assert oracle.on_write([1, 2], 9.0, 4.5, 2.0) == []  # already resolved
+    assert oracle.true_ttl.tolist() == [1.0, 1.0, 1.0]
 
 
 @pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
 @pytest.mark.parametrize("side", ["lo", "hi"])
 def test_rangeset_rejects_non_finite_bounds(side, bad):
-    rs = RangeSet()
+    # The set of ranges that writes are matched against is the world's fixed
+    # queries, indexed once by QueryIndex, which refuses a non-finite bound.
     bounds = {"lo": 1.0, "hi": 3.0, side: bad}
-    with pytest.raises(ValueError, match=f"range bound {side} .* is not finite"):
-        rs.add(1, bounds["lo"], bounds["hi"])
-    assert len(rs) == 0 and rs.discard(1) is False
-    assert rs.stab_either(2.0, bad) == []
-
-
-def test_rangeset_stab_is_half_open():
-    rs = RangeSet()
-    rs.add(7, 1.0, 2.0)
-    assert rs.stab_either(1.0, 1.0) == [7]
-    assert rs.stab_either(2.0, 2.0) == []
-    assert rs.stab_either(1.999999, 1.999999) == [7]
-
-
-def test_rangeset_stab_returns_ids_ascending():
-    rs = RangeSet()
-    for rid in (5, 3, 9, 1):  # added out of order
-        rs.add(rid, 0.0, 10.0)
-    assert rs.stab_either(4.0, 4.0) == [1, 3, 5, 9]
-    rs.discard(3)
-    assert rs.stab_either(4.0, 4.0) == [1, 5, 9]
-    rs.add(3, 2.0, 5.0)  # re-added last, still found in id order
-    assert rs.stab_either(4.0, 4.0) == [1, 3, 5, 9]
-
-
-def test_rangeset_stab_either_orders_hits_across_buckets():
-    rs = RangeSet()
-    rs.add(4, 1000.0, 1001.0)
-    rs.add(2, 0.0, 1.0)
-    rs.add(8, -5.0, 2000.0)
-    assert rs.stab_either(0.5, 1000.5) == [2, 4, 8]
-    assert rs.stab_either(1000.5, 0.5) == [2, 4, 8]
-
-
-def test_rangeset_matches_dict_oracle_under_churn():
-    # Heavy add/discard traffic to push through both compaction and growth.
-    rng = np.random.default_rng(31)
-    rs = RangeSet()
-    oracle: dict[int, tuple[float, float]] = {}
-    next_id = 0
-    for _ in range(3000):
-        u = rng.random()
-        if u < 0.55 or not oracle:
-            lo = float(rng.uniform(0.0, 100.0))
-            hi = lo + float(rng.uniform(0.01, 15.0))
-            rs.add(next_id, lo, hi)
-            oracle[next_id] = (lo, hi)
-            next_id += 1
-        elif u < 0.85:
-            rid = int(rng.choice(list(oracle)))
-            assert rs.discard(rid) is True
-            del oracle[rid]
-        else:
-            v1 = float(rng.uniform(-5.0, 105.0))
-            v2 = float(rng.uniform(-5.0, 105.0))
-            expect_one = sorted(r for r, (lo, hi) in oracle.items() if lo <= v1 < hi)
-            expect_two = sorted(
-                r for r, (lo, hi) in oracle.items()
-                if lo <= v1 < hi or lo <= v2 < hi
-            )
-            assert sorted(rs.stab_either(v1, v1)) == expect_one
-            assert sorted(rs.stab_either(v1, v2)) == expect_two
-        assert len(rs) == len(oracle)
-    # final full sweep
-    for v in np.linspace(-5.0, 105.0, 200):
-        expect = sorted(r for r, (lo, hi) in oracle.items() if lo <= v < hi)
-        assert sorted(rs.stab_either(float(v), float(v))) == expect
+    queries = [QueryDef(0, 0.0, 1.0), QueryDef(1, bounds["lo"], bounds["hi"])]
+    with pytest.raises(ValueError, match=f"query 1: range bound {side} .* is not finite"):
+        QueryIndex(queries, [[], []])
 
 
 # ---------------------------------------------------------------------------
@@ -194,27 +124,29 @@ def test_sweep_reaps_expired_and_counts():
 # invalidation flow
 
 
-def _serve(oracle, cache, unit, serve_id, lo, hi, ttl, now):
-    """A miss's fill, in the simulation's order: the oracle first."""
-    oracle.on_serve(serve_id, unit, lo, hi, now, ttl)
+def _serve(oracle, cache, unit, serve_id, ttl, now, **served):
+    """A miss's fill, in the simulation's order: the oracle first. `served`
+    is `query=q` or a read's `value=v`."""
+    oracle.on_serve(serve_id, unit, now, ttl, **served)
     cache.insert(unit, serve_id, ttl, now)
 
 
-def _write(oracle, cache, old, new, now):
-    """An origin write: the serves it resolves, then their live entries."""
-    return cache.origin_update(oracle.on_write(old, new, now), now)
+def _write(oracle, cache, touched, old, new, now):
+    """An origin write touching queries `touched`: the serves it resolves,
+    then their live entries."""
+    return cache.origin_update(oracle.on_write(touched, old, new, now), now)
 
 
 def test_origin_update_marks_pending_once():
     oracle, cache = TrueTtlOracle(), CacheSystem(4)
-    _serve(oracle, cache, 1, 0, 0.0, 5.0, ttl=60.0, now=0.0)
-    _serve(oracle, cache, 2, 1, 10.0, 15.0, ttl=60.0, now=0.0)
-    assert _write(oracle, cache, 3.0, 99.0, now=1.0) == [0]
+    _serve(oracle, cache, 1, 0, ttl=60.0, now=0.0, query=1)
+    _serve(oracle, cache, 2, 1, ttl=60.0, now=0.0, query=2)
+    assert _write(oracle, cache, [1], 3.0, 99.0, now=1.0) == [0]
     assert [e.pending for e in cache.live_entries()] == [True, False]
-    # same write region again: the serve is resolved, nothing newly touched
-    assert _write(oracle, cache, 3.0, 99.0, now=2.0) == []
-    # a write landing in the other range still finds it through the oracle
-    assert _write(oracle, cache, 98.0, 12.0, now=3.0) == [1]
+    # same query again: the serve is resolved, nothing newly touched
+    assert _write(oracle, cache, [1], 3.0, 99.0, now=2.0) == []
+    # a write touching the other query still finds it through the oracle
+    assert _write(oracle, cache, [2], 98.0, 12.0, now=3.0) == [1]
     assert [e.pending for e in cache.live_entries()] == [True, True]
 
 
@@ -233,8 +165,8 @@ def test_origin_update_marks_live_entries_in_the_order_given():
 
 def test_pending_window_serves_stale_hits():
     oracle, cache = TrueTtlOracle(), CacheSystem(4)
-    _serve(oracle, cache, 1, 0, 0.0, 5.0, ttl=60.0, now=0.0)
-    _write(oracle, cache, 2.0, 2.5, now=1.0)
+    _serve(oracle, cache, 1, 0, ttl=60.0, now=0.0, query=1)
+    _write(oracle, cache, [1], 2.0, 2.5, now=1.0)
     assert cache.lookup(1, 1.001) is Lookup.STALE_HIT
     assert cache.stats.stale_reads == 1
     assert cache.apply_invalidation(0, now=1.002) is True
@@ -244,8 +176,8 @@ def test_pending_window_serves_stale_hits():
 
 def test_apply_invalidation_noop_when_entry_already_gone():
     oracle, cache = TrueTtlOracle(), CacheSystem(4)
-    _serve(oracle, cache, 1, 0, 0.0, 5.0, ttl=1.0, now=0.0)
-    _write(oracle, cache, 2.0, 2.5, now=0.5)
+    _serve(oracle, cache, 1, 0, ttl=1.0, now=0.0, query=1)
+    _write(oracle, cache, [1], 2.0, 2.5, now=0.5)
     assert cache.lookup(1, 3.0) is Lookup.MISS  # expired before the purge landed
     assert cache.apply_invalidation(0, now=3.1) is False
     assert cache.stats.invalidations == 0
@@ -255,19 +187,23 @@ def test_apply_invalidation_noop_when_entry_already_gone():
 @pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
 @pytest.mark.parametrize("side", ["lo", "hi"])
 def test_insert_rejects_non_finite_bounds_and_changes_nothing(side, bad):
-    # a fill: TrueTtlOracle.on_serve rejects the bound before CacheSystem.insert runs
-    oracle, cache = TrueTtlOracle(), CacheSystem(1)
-    _serve(oracle, cache, 0, 0, 5.0, 6.0, ttl=10.0, now=0.0)
+    # A range query's bounds are checked once, when its world's index is
+    # built; a point read's range is its value, which TrueTtlOracle.on_serve
+    # rejects before CacheSystem.insert runs.
     bounds = {"lo": 1.0, "hi": 3.0, side: bad}
     with pytest.raises(ValueError, match=f"range bound {side} .* is not finite"):
-        _serve(oracle, cache, 1, 1, bounds["lo"], bounds["hi"], ttl=10.0, now=1.0)
+        QueryIndex([QueryDef(0, bounds["lo"], bounds["hi"])], [[]])
+    oracle, cache = TrueTtlOracle(), CacheSystem(1)
+    _serve(oracle, cache, 0, 0, ttl=10.0, now=0.0, query=0)
+    with pytest.raises(ValueError, match=f"read value {bad} is not finite"):
+        _serve(oracle, cache, 1, 1, ttl=10.0, now=1.0, value=bounds[side])
     cache.check_invariants()
     assert len(cache.live_entries()) == 1 and cache.stats.evictions == 0
     assert len(oracle.actions) == 1 and oracle.pending_count == 1
     assert cache.lookup(0, 2.0) is Lookup.HIT
     # the serve id and the unit were never taken
-    _serve(oracle, cache, 1, 1, 1.0, 3.0, ttl=10.0, now=2.0)
-    assert _write(oracle, cache, 2.0, 2.5, now=3.0) == [1]
+    _serve(oracle, cache, 1, 1, ttl=10.0, now=2.0, value=2.0)
+    assert _write(oracle, cache, [], 2.0, 2.5, now=3.0) == [1]
 
 
 def test_stats_rates():
@@ -350,7 +286,13 @@ class _RefCache:
 
 
 def test_cache_matches_reference_model_under_random_traffic():
+    # Units 0-19 are range queries over a fixed table, units 20-29 point reads
+    # of keys 0-9 of a 40-record table, as in the simulation's unit space.
     rng = np.random.default_rng(47)
+    values = rng.uniform(0.0, 100.0, size=40)
+    los = rng.uniform(0.0, 100.0, size=20).tolist()
+    queries = [QueryDef(q, lo, lo + w) for q, (lo, w) in enumerate(zip(los, rng.uniform(0.05, 12.0, 20).tolist()))]
+    index = QueryIndex(queries, [evaluate_query(values, lo, hi).tolist() for _, lo, hi in queries])
     oracle, cache = TrueTtlOracle(), CacheSystem(12)
     ref = _RefCache(12)
     now = 0.0
@@ -366,16 +308,25 @@ def test_cache_matches_reference_model_under_random_traffic():
             want = ref.lookup(unit, now)
             assert got is want, f"step {step}: lookup {got} != {want}"
             if got is Lookup.MISS:
-                lo = float(rng.uniform(0.0, 100.0))
-                hi = lo + float(rng.uniform(0.05, 12.0))
                 ttl = float(rng.uniform(0.3, 6.0))
-                _serve(oracle, cache, unit, next_serve, lo, hi, ttl, now)
+                if unit < 20:
+                    _, lo, hi = queries[unit]
+                    _serve(oracle, cache, unit, next_serve, ttl, now, query=unit)
+                else:
+                    lo = float(values[unit - 20])
+                    hi = math.nextafter(lo, math.inf)
+                    _serve(oracle, cache, unit, next_serve, ttl, now, value=lo)
                 ref.insert(unit, next_serve, lo, hi, ttl, now)
                 next_serve += 1
         elif u < 0.75:
-            old = float(rng.uniform(0.0, 100.0))
-            new = float(rng.uniform(0.0, 100.0))
-            got = _write(oracle, cache, old, new, now)
+            key = int(rng.integers(0, 40))
+            old = float(values[key])
+            if rng.random() < 0.1:  # onto a read's value
+                new = float(values[int(rng.integers(0, 10))])
+            else:
+                new = float(rng.uniform(0.0, 100.0))
+            values[key] = new
+            got = _write(oracle, cache, index.move(key, old, new), old, new, now)
             want = ref.origin_update(old, new, now)
             assert got == want, f"step {step}: pending {got} != {want}"
             purges.extend((now + 0.002, sid) for sid in got)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import math
 from collections import defaultdict
 from itertools import chain
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from ttl_lab.benchcli import run_single
+from ttl_lab.cachesys import Lookup
 from ttl_lab.config import build_config
 from ttl_lab.simcore import Engine, LatencyModel, SimEvent, Simulation
 from ttl_lab import workload
@@ -338,7 +340,8 @@ def test_hottest_missed_query_tiebreak(tiny_cfg):
         sim = _build_sim(tiny_cfg)
         oracle = sim.telemetry.oracle
         for sid, unit in enumerate(u for u, n in misses.items() for _ in range(n)):
-            oracle.on_serve(sid, unit, 0.0, 1.0, float(sid), 1.0)
+            served = {"query": unit} if unit < qc else {"value": 0.0}
+            oracle.on_serve(sid, unit, float(sid), 1.0, **served)
         return sim.hottest_missed_query()
 
     assert hottest({3: 5, 1: 5, 2: 4, qc + 9: 99}) == 1  # reads never win
@@ -399,6 +402,58 @@ def test_short_desk_counts_are_pinned():
         "fixed": (11_994, 8_840, 1_965, 1_965, 1_598, 2, 1_780),
         "poisson": (11_994, 8_845, 1_960, 1_960, 1_563, 2, 1_793),
     }
+
+
+def test_short_desk_counts_with_point_reads_are_pinned():
+    # No preset simulates point reads (each has query_fraction = 1 - w), so
+    # this pins the integer counts of 60 s desk runs at seed 1 with 30% reads
+    # (w 0.2, query_fraction 0.5), recorded while a read's serve still waited
+    # in a range index as [v, nextafter(v)).
+    cfg = build_config("desk", overrides={
+        "workload.duration": "60", "workload.write_fraction": "0.2",
+        "workload.query_fraction": "0.5", "estimator.kind": "fixed,poisson"})
+    counts = {}
+    for kind in ("fixed", "poisson"):
+        res, sim = run_single(cfg, 0.2, kind, seed=1)
+        counts[kind] = (sim.op_arrivals, res.hits, res.misses, res.inserts, res.invalidations,
+                        res.stale_reads, res.resolved)
+    assert counts == {
+        "fixed": (11_994, 3_081, 6_541, 6_541, 1_737, 1, 4_586),
+        "poisson": (11_994, 570, 9_052, 9_052, 223, 0, 7_005),
+    }
+
+
+def test_pending_naf_decision_keeps_its_result_keys(tiny_cfg):
+    # A NAF-DEI decision rebuilds its next state from the result keys it was
+    # decided on, so writes that move keys into and out of the query's result
+    # before the decision comes due must not change them.
+    sim = Simulation(_with_kinds(tiny_cfg, "naf-dei"), 0.1, "naf-dei", seed=5)
+    index, values = sim.world.index, sim.world.values
+    q = max(range(len(index.results)), key=lambda i: len(index.results[i]))
+    _, lo, hi = sim.world.queries[q]
+    decided_on = list(index.results[q])
+    sim._handle_request("query", q, 1.0)
+    outsider = next(k for k in range(len(values)) if not lo <= values[k] < hi)
+    sim._handle_update(outsider, lo, 1.5)
+    sim._handle_update(decided_on[0], hi, 2.0)
+    assert index.results[q] == sorted([*decided_on[1:], outsider])
+    assert sim.estimator.queue.pop_due(0).result_keys == decided_on
+
+
+def test_write_onto_a_read_value_resolves_the_read(tiny_cfg):
+    # A point read of key k serves the range [v, nextafter(v)) of k's value
+    # v; a write of another key whose new value is v lands in it.
+    sim = _build_sim(tiny_cfg)
+    values, qc = sim.world.values, tiny_cfg.workload.query_count
+    k, other = 3, 4
+    v = float(values[k])
+    sim._handle_request("read", k, 1.0)
+    sim._handle_update(other, math.nextafter(v, math.inf), 1.5)  # next to v: no effect
+    assert math.isnan(sim.telemetry.oracle.true_ttl[0])
+    sim._handle_update(other, v, 2.0)
+    assert sim.telemetry.oracle.true_ttl[0] == 1.0
+    assert sim.cache.lookup(qc + k, 2.001) is Lookup.STALE_HIT  # marked, purge in flight
+    assert len(sim.engine) == 1
 
 
 def test_simulation_rejects_a_kind_outside_the_grid():

@@ -12,6 +12,7 @@ import pytest
 from ttl_lab.estimators import poisson_ttl
 from ttl_lab.nafagent import build_state
 from ttl_lab.telemetry import Telemetry, TrueTtlOracle, WindowCounter
+from ttl_lab.workload import QueryDef, QueryIndex, evaluate_query
 
 # ---------------------------------------------------------------------------
 # write rates
@@ -257,7 +258,13 @@ def _brute_force(serves, writes):
 
 
 def test_oracle_matches_forward_scan_on_random_stream():
+    # Serves are of 30 fixed ranges or point reads of a 50-record table; each
+    # write moves one record, and the index returns the queries it touches.
     rng = np.random.default_rng(53)
+    values = rng.uniform(0.0, 50.0, size=50)
+    los = rng.uniform(0.0, 50.0, size=30).tolist()
+    queries = [QueryDef(q, lo, lo + w) for q, (lo, w) in enumerate(zip(los, rng.uniform(0.1, 8.0, 30).tolist()))]
+    index = QueryIndex(queries, [evaluate_query(values, lo, hi).tolist() for _, lo, hi in queries])
     oracle = TrueTtlOracle()
     serves = []  # (time, lo, hi, action)
     writes = []  # (time, old, new)
@@ -266,16 +273,25 @@ def test_oracle_matches_forward_scan_on_random_stream():
     for sid in range(400):
         now += float(rng.exponential(0.3))
         if rng.random() < 0.6:
-            lo = float(rng.uniform(0.0, 50.0))
-            hi = lo + float(rng.uniform(0.1, 8.0))
             action = float(rng.uniform(0.2, 5.0))  # short: shadows will occur
-            oracle.on_serve(len(serves), unit=len(serves) % 17, lo=lo, hi=hi,
-                            now=now, action=action)
+            if rng.random() < 0.75:
+                q, lo, hi = queries[int(rng.integers(30))]
+                served = {"query": q}
+            else:
+                lo = float(values[int(rng.integers(50))])
+                hi = math.nextafter(lo, math.inf)
+                served = {"value": lo}
+            oracle.on_serve(len(serves), unit=len(serves) % 17, now=now, action=action, **served)
             serves.append((now, lo, hi, action))
         else:
-            old = float(rng.uniform(0.0, 50.0))
-            new = float(rng.uniform(0.0, 50.0))
-            for s in oracle.on_write(old, new, now):
+            key = int(rng.integers(50))
+            old = float(values[key])
+            if rng.random() < 0.1:  # onto another record's value
+                new = float(values[int(rng.integers(50))])
+            else:
+                new = float(rng.uniform(0.0, 50.0))
+            values[key] = new
+            for s in oracle.on_write(index.move(key, old, new), old, new, now):
                 assert s not in resolved_by_write
                 resolved_by_write[s] = now
             writes.append((now, old, new))
@@ -294,42 +310,79 @@ def test_oracle_matches_forward_scan_on_random_stream():
         else:
             assert math.isnan(true_ttl)
     assert shadows > 0, "stream produced no shadow resolutions; weak test"
+    reads = [sid for sid, (_, lo, hi, _) in enumerate(serves) if hi == math.nextafter(lo, math.inf)]
+    assert any(sid in expected for sid in reads), "no read was resolved; weak test"
     assert oracle.pending_count == len(serves) - len(expected)
 
 
 def test_oracle_resolves_each_serve_once():
     oracle = TrueTtlOracle()
-    oracle.on_serve(0, unit=1, lo=0.0, hi=10.0, now=0.0, action=5.0)
-    assert oracle.on_write(3.0, 60.0, 2.0) == [0]
+    oracle.on_serve(0, unit=1, now=0.0, action=5.0, query=1)
+    assert oracle.on_write([1], 3.0, 60.0, 2.0) == [0]
     assert oracle.true_ttl[0] == 2.0
-    again = oracle.on_write(4.0, 61.0, 3.0)
+    again = oracle.on_write([1], 4.0, 61.0, 3.0)
     assert again == []  # already resolved, not re-stamped
     assert oracle.true_ttl[0] == 2.0
 
 
 def test_oracle_resolution_uses_old_or_new_value():
     oracle = TrueTtlOracle()
-    oracle.on_serve(0, unit=1, lo=0.0, hi=1.0, now=0.0, action=5.0)
-    oracle.on_serve(1, unit=2, lo=10.0, hi=11.0, now=0.0, action=5.0)
-    hit = oracle.on_write(0.5, 10.5, 1.0)  # old hits serve 0, new hits serve 1
-    assert sorted(hit) == [0, 1]
+    oracle.on_serve(0, unit=1, now=0.0, action=5.0, value=0.5)
+    oracle.on_serve(1, unit=2, now=0.0, action=5.0, value=10.5)
+    oracle.on_serve(2, unit=3, now=0.0, action=5.0, value=20.5)
+    hit = oracle.on_write([], 0.5, 10.5, 1.0)  # old hits serve 0, new hits serve 1
+    assert hit == [0, 1]
+    assert oracle.on_write([], 20.5, 20.5, 2.0) == [2]  # old == new: once
+
+
+def test_oracle_write_onto_a_read_value_resolves_the_read():
+    # A read's range [v, nextafter(v)) holds only v, so a write of another
+    # record whose new value is v resolves it, and its neighbours do not.
+    oracle = TrueTtlOracle()
+    v = 3.25
+    oracle.on_serve(0, unit=9, now=0.0, action=5.0, value=v)
+    oracle.on_serve(1, unit=9, now=1.0, action=5.0, value=v)  # the same value, served again
+    assert oracle.on_write([], 7.0, math.nextafter(v, math.inf), 1.5) == []
+    assert oracle.on_write([], 7.0, math.nextafter(v, -math.inf), 1.5) == []
+    assert oracle.on_write([], 7.0, v, 2.0) == [0, 1]
+    assert oracle.true_ttl.tolist() == [2.0, 1.0] and oracle.pending_count == 0
+
+
+def test_oracle_resolves_queries_and_reads_in_serve_order():
+    oracle = TrueTtlOracle()
+    for sid, served in enumerate(({"query": 4}, {"value": 1.5}, {"query": 2}, {"query": 4}, {"query": 7})):
+        oracle.on_serve(sid, unit=sid, now=0.0, action=1.0, **served)
+    assert oracle.on_write([4, 2], 1.5, 9.0, 1.0) == [0, 1, 2, 3]
+    assert oracle.pending_count == 1
+
+
+def test_oracle_serve_is_of_a_query_or_a_read():
+    oracle = TrueTtlOracle()
+    with pytest.raises(ValueError, match="got query=None and value=None"):
+        oracle.on_serve(0, unit=1, now=0.0, action=1.0)
+    with pytest.raises(ValueError, match="got query=1 and value=2.0"):
+        oracle.on_serve(0, unit=1, now=0.0, action=1.0, query=1, value=2.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="read value .* is not finite"):
+            oracle.on_serve(0, unit=1, now=0.0, action=1.0, value=bad)
+    assert len(oracle.actions) == 0 and oracle.pending_count == 0
 
 
 def test_oracle_shadow_flag():
     # a shadow resolution: the write comes after the entry's nominal expiry
     oracle = TrueTtlOracle()
-    oracle.on_serve(0, unit=1, lo=0.0, hi=1.0, now=0.0, action=2.0)
-    oracle.on_write(0.5, 99.0, 7.0)  # resolves well after the 2 s action
+    oracle.on_serve(0, unit=1, now=0.0, action=2.0, query=1)
+    oracle.on_write([1], 0.5, 99.0, 7.0)  # resolves well after the 2 s action
     assert oracle.true_ttl[0] == 7.0 and oracle.true_ttl[0] > oracle.actions[0]
     assert oracle.resolved_errors().tolist() == [-5.0]
 
 
 def test_oracle_accessors():
     oracle = TrueTtlOracle()
-    oracle.on_serve(0, unit=3, lo=0.0, hi=1.0, now=0.0, action=1.0)
-    oracle.on_serve(1, unit=4, lo=5.0, hi=6.0, now=1.0, action=1.5)
-    oracle.on_serve(2, unit=3, lo=7.0, hi=8.0, now=2.0, action=0.5)
-    oracle.on_write(0.5, 7.5, 4.0)
+    oracle.on_serve(0, unit=3, now=0.0, action=1.0, query=3)
+    oracle.on_serve(1, unit=4, now=1.0, action=1.5, query=4)
+    oracle.on_serve(2, unit=3, now=2.0, action=0.5, value=7.5)
+    oracle.on_write([3], 0.5, 7.5, 4.0)
     assert oracle.true_ttls().tolist() == [4.0, 2.0]
     assert oracle.resolved_errors().tolist() == [-3.0, -1.5]
     assert math.isnan(oracle.true_ttl[1])  # censored
@@ -341,32 +394,32 @@ def test_oracle_accessors():
 
 def test_oracle_rejects_out_of_order_serve_ids_and_changes_nothing():
     oracle = TrueTtlOracle()
-    oracle.on_serve(0, unit=3, lo=0.0, hi=1.0, now=0.0, action=1.0)
+    oracle.on_serve(0, unit=3, now=0.0, action=1.0, query=3)
     columns = (oracle.units, oracle.served_at, oracle.actions, oracle.true_ttl)
     before = [c.tobytes() for c in columns]
     for bad in (0, 2, -1):  # a repeat, a gap, and a negative id
         with pytest.raises(ValueError, match=f"serve id {bad} is not the next one, 1"):
-            oracle.on_serve(bad, unit=4, lo=5.0, hi=6.0, now=1.0, action=1.0)
+            oracle.on_serve(bad, unit=4, now=1.0, action=1.0, query=4)
     assert [c.tobytes() for c in columns] == before
     assert oracle.pending_count == 1
-    assert oracle.on_write(5.5, 99.0, 2.0) == []  # no range was added for it
-    oracle.on_serve(1, unit=4, lo=5.0, hi=6.0, now=1.0, action=1.0)
-    assert oracle.on_write(5.5, 99.0, 2.0) == [1]
+    assert oracle.on_write([4], 5.5, 99.0, 2.0) == []  # no serve was filed for it
+    oracle.on_serve(1, unit=4, now=1.0, action=1.0, query=4)
+    assert oracle.on_write([4], 5.5, 99.0, 2.0) == [1]
 
 
 def test_oracle_memory_per_resolved_serve():
-    # Every serve is resolved by the write that follows it, so the range index
-    # stays small and what remains is the four columns: 32 bytes a serve plus
-    # the arrays' spare capacity.
+    # Every serve is resolved by the write that follows it, so the pending
+    # lists stay small and what remains is the four columns: 32 bytes a serve
+    # plus the arrays' spare capacity.
     n = 100_000
     oracle = TrueTtlOracle()
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
         for sid in range(n):
-            lo = float(sid % 1000)
-            oracle.on_serve(sid, sid % 50, lo, lo + 1.0, float(sid), 5.0)
-            oracle.on_write(lo + 0.5, -1.0, sid + 0.5)
+            q = sid % 1000
+            oracle.on_serve(sid, sid % 50, float(sid), 5.0, query=q)
+            oracle.on_write([q], q + 0.5, -1.0, sid + 0.5)
         used, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -11,6 +11,8 @@ import pytest
 from ttl_lab.benchcli import _check_zipf
 from ttl_lab.workload import (
     OpStream,
+    QueryDef,
+    QueryIndex,
     WorkloadSpec,
     ZipfSampler,
     evaluate_query,
@@ -159,6 +161,97 @@ def test_generate_world_exact_cardinality_with_zero_std():
 def test_generate_world_query_ids_are_dense():
     world = generate_world(WorkloadSpec(record_count=300, query_count=40), np.random.default_rng(1))
     assert [q.id for q in world.queries] == list(range(40))
+
+
+# ---------------------------------------------------------------------------
+# the query index
+
+
+def _scan(values, queries):
+    return [evaluate_query(values, lo, hi).tolist() for _, lo, hi in queries]
+
+
+def _index(ranges, values):
+    """A QueryIndex over fixed (lo, hi) ranges, its results from a scan."""
+    queries = [QueryDef(q, lo, hi) for q, (lo, hi) in enumerate(ranges)]
+    return QueryIndex(queries, _scan(values, queries))
+
+
+@pytest.mark.parametrize("n, count, cap", [(10_000, 1000, 20), (2000, 200, 20), (10, 150, 10)])
+def test_world_index_results_equal_evaluate_query(n, count, cap):
+    # At n = 10 most queries are cut up to the largest value, whose hi is
+    # that value plus 1.
+    spec = WorkloadSpec(record_count=n, query_count=count, result_cap=cap)
+    world = generate_world(spec, np.random.default_rng(n))
+    assert world.index.results == _scan(world.values, world.queries)
+
+
+def test_query_index_rejects_empty_ranges_and_results_it_cannot_index():
+    with pytest.raises(ValueError, match=r"query 0: empty range \[5.0, 5.0\)"):
+        QueryIndex([QueryDef(0, 5.0, 5.0)], [[]])
+    with pytest.raises(ValueError, match="empty range"):
+        QueryIndex([QueryDef(0, 5.0, 4.0)], [[]])
+    with pytest.raises(ValueError, match="2 queries but 1 results"):
+        QueryIndex([QueryDef(0, 0.0, 1.0), QueryDef(1, 2.0, 3.0)], [[]])
+    with pytest.raises(ValueError, match="query 1 has id 2"):
+        QueryIndex([QueryDef(0, 0.0, 1.0), QueryDef(2, 2.0, 3.0)], [[], []])
+
+
+def test_query_index_move_is_half_open():
+    values = np.array([1.5, 7.0])
+    index = _index([(1.0, 2.0)], values)
+    assert index.results == [[0]]
+    assert index.move(0, 1.5, 2.0) == [0]  # out: hi is excluded
+    assert index.results == [[]]
+    assert index.move(0, 2.0, 1.0) == [0]  # in at lo
+    assert index.move(1, 7.0, 1.999999) == [0]
+    assert index.results == [[0, 1]]
+    assert index.move(1, 1.999999, 1.25) == [0]  # inside one query: no change
+    assert index.results == [[0, 1]]
+    assert index.move(1, 1.25, 1.25) == [0]  # old == new
+    assert index.move(0, 1.0, 0.999999) == [0]
+    assert index.move(0, 0.999999, 2.5) == []
+    assert index.results == [[1]]
+
+
+def test_query_index_move_keeps_results_ascending_and_touches_each_query_once():
+    # queries in different buckets, and one spanning every bucket touched
+    values = np.array([0.5, 1000.2, 0.7, 3.0, 1000.9])
+    index = _index([(1000.0, 1001.0), (0.0, 1.0), (-5.0, 2000.0)], values)
+    assert index.results == [[1, 4], [0, 2], [0, 1, 2, 3, 4]]
+    assert sorted(index.move(3, 3.0, 0.6)) == [1, 2]
+    assert index.results == [[1, 4], [0, 2, 3], [0, 1, 2, 3, 4]]
+    assert sorted(index.move(2, 0.7, 1000.5)) == [0, 1, 2]
+    assert index.results == [[1, 2, 4], [0, 3], [0, 1, 2, 3, 4]]
+    assert sorted(index.move(1, 1000.2, 0.1)) == [0, 1, 2]
+    assert index.results == [[2, 4], [0, 1, 3], [0, 1, 2, 3, 4]]
+
+
+def test_query_index_matches_evaluate_query_under_churn():
+    rng = np.random.default_rng(31)
+    values = rng.uniform(0.0, 100.0, size=60)
+    los = rng.uniform(0.0, 100.0, size=40)
+    ranges = [(lo, lo + w) for lo, w in zip(los.tolist(), rng.uniform(0.01, 15.0, 40).tolist())]
+    index = _index(ranges, values)
+    for step in range(3000):
+        key = int(rng.integers(60))
+        old = float(values[key])
+        u = rng.random()
+        if u < 0.1:
+            new = old
+        elif u < 0.3:
+            new = ranges[int(rng.integers(40))][int(rng.integers(2))]  # a query's lo or hi
+        else:
+            new = float(rng.uniform(-5.0, 105.0))
+        touched = index.move(key, old, new)
+        values[key] = new
+        assert sorted(touched) == [
+            q for q, (lo, hi) in enumerate(ranges) if lo <= old < hi or lo <= new < hi
+        ], step
+        assert len(set(touched)) == len(touched)
+        if step % 50 == 0:
+            assert index.results == [evaluate_query(values, lo, hi).tolist() for lo, hi in ranges]
+    assert index.results == [evaluate_query(values, lo, hi).tolist() for lo, hi in ranges]
 
 
 # ---------------------------------------------------------------------------
