@@ -5,19 +5,19 @@ estimator kind and a seed. It builds its estimator last, from the same config,
 so the estimator is bound from the start to the run's clock, cache, telemetry
 and agent RNG.
 
-Virtual time is a float starting at 0. Events are totally ordered by
-(time, sequence number), so simultaneous events dispatch in scheduling order
-and a run is a pure function of (config, seed). There are two kinds of event:
+Virtual time is a float starting at 0, and a run is a pure function of
+(config, seed). There are two kinds of event:
 - a client op, one of each of the `workload.connections` open-loop
   connections' arrivals. Ops never depend on the estimator, so the run's op
   timeline is computed ahead, a chunk at a time (`workload.arrival_chunks` and
   `workload.OpStream`), and each op goes to the simulation by a direct call.
-  An op's sequence number is the engine counter's value when the previous op
-  of its connection was dispatched (connection c's first op has c), the
-  number it would get if each arrival were scheduled when its predecessor is
-  dispatched.
+  Ops go by time alone: the n-th arrival carries the n-th op, so ops at equal
+  times are interchangeable.
 - a heap event, carrying one serve id: "inval" (the delayed purge) or "dei"
-  (a transition coming due).
+  (a transition coming due). Heap events go by (time, sequence number), so
+  simultaneous ones dispatch in scheduling order.
+At equal times a heap event goes before an op, so a purge scheduled with no
+delay lands before any op tied with the write that issued it.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ if TYPE_CHECKING:
     from .config import ExperimentConfig
 
 # What the timeline yields once it has no op left: a time no run reaches.
-_NO_OP = (math.inf, -1, None)
+_NO_OP = (math.inf, None)
 
 
 class SimEvent(NamedTuple):
@@ -59,28 +59,26 @@ class SimEvent(NamedTuple):
 class Engine:
     """Event loop over an op timeline and a binary heap of other events.
 
-    The timeline yields (time, connection, op) in dispatch order, and each op
-    goes to `on_op(time, op)`; the heap's events go to `handler`. Their
-    sequence numbers come from one counter, which advances once per op
-    dispatched and once per event scheduled. An engine built without a
-    timeline walks an empty one.
+    The timeline yields (time, op) in time order, and each op goes to
+    `on_op(time, op)`; the heap's events go to `handler`, in (time, sequence
+    number) order, the number counting the events scheduled. At equal times
+    a heap event goes before an op, so an event that an op schedules at its
+    own time lands before the next op at that time. An engine built without
+    a timeline walks an empty one.
     """
 
     def __init__(
         self,
         handler: Callable[[SimEvent], None] | None = None,
-        timeline: Iterable[tuple[float, int, object]] = (),
+        timeline: Iterable[tuple[float, object]] = (),
         on_op: Callable[[float, object], None] | None = None,
-        connections: int = 0,
     ):
         self.handler = handler
         self.now = 0.0
         self._heap: list[SimEvent] = []
         self._ops = iter(timeline)
         self._on_op = on_op
-        # the sequence number of each connection's next op
-        self._op_seq = list(range(connections))
-        self._seq = connections
+        self._seq = 0
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -99,28 +97,25 @@ class Engine:
             raise ValueError(f"t_end {t_end} is not finite")
         if t_end < self.now:
             raise ValueError(f"t_end {t_end} is in the past (now={self.now})")
-        heap, handler, on_op, op_seq, ops = self._heap, self.handler, self._on_op, self._op_seq, self._ops
+        heap, handler, on_op, ops = self._heap, self.handler, self._on_op, self._ops
         pop = heapq.heappop
         n = 0
-        t, conn, op = next(ops, _NO_OP)
+        t, op = next(ops, _NO_OP)
         while True:
-            due = t <= t_end
-            # the heap's events that come first go first
-            bound = (t, op_seq[conn]) if due else (t_end, math.inf)
-            while heap and heap[0] < bound:
+            # the heap's events up to the next op's time go first
+            limit = t if t < t_end else t_end
+            while heap and heap[0][0] <= limit:
                 ev = pop(heap)
                 self.now = ev.time
                 handler(ev)
                 n += 1
-            if not due:
+            if t > t_end:
                 break
             self.now = t
-            op_seq[conn] = self._seq
-            self._seq += 1
             on_op(t, op)
             n += 1
-            t, conn, op = next(ops, _NO_OP)
-        self._ops = chain(((t, conn, op),), ops)  # the first op past t_end waits
+            t, op = next(ops, _NO_OP)
+        self._ops = chain(((t, op),), ops)  # the first op past t_end waits
         self.now = t_end
         return n
 
@@ -194,8 +189,8 @@ class Simulation:
         )
         ops = iter(OpStream(spec, np.random.default_rng(ops_ss)))
         # the n-th arrival carries the n-th op
-        timeline = chain.from_iterable(zip(times, conns, ops) for times, conns in arrivals)
-        self.engine = Engine(self._dispatch, timeline, self._handle_arrival, spec.connections)
+        timeline = chain.from_iterable(zip(times, ops) for times in arrivals)
+        self.engine = Engine(self._dispatch, timeline, self._handle_arrival)
         self.cache = CacheSystem(cfg.capacity)
         self.telemetry = Telemetry(cfg.telemetry_window)
 

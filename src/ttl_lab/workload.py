@@ -19,15 +19,15 @@ states differ, because the last block is drawn past the run's end:
 - `OpStream` decodes a block of uniforms (`rng.random(n)`) into op columns,
   using the uniforms in draw order;
 - `arrival_chunks` merges the connections' arrival times, each connection
-  the running sum of its own `exponential` gaps, into one time-ordered column.
+  the running sum of its own `exponential` gaps, into one ascending column.
+  Ops are matched to arrivals by position alone, so arrivals at equal times
+  carry the same ops in either order.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import insort
-from collections import defaultdict, deque
 from dataclasses import dataclass, field, fields
 from itertools import chain
 from typing import Iterator, NamedTuple
@@ -304,11 +304,9 @@ class OpStream:
             u = u[p:]
 
 
-def arrival_chunks(
-    rngs: list[np.random.Generator], mean_gap: float
-) -> Iterator[tuple[list[float], list[int]]]:
-    """The arrivals of open-loop Poisson connections, one generator each, as
-    successive chunks of (times, connections) in dispatch order.
+def arrival_chunks(rngs: list[np.random.Generator], mean_gap: float) -> Iterator[list[float]]:
+    """The arrival times of open-loop Poisson connections, one generator each,
+    merged into successive ascending chunks.
 
     A connection's arrival times are the running sums of its exponential gaps
     (mean `mean_gap`) from 0, so the first arrival is the first gap. Chunk k
@@ -316,18 +314,15 @@ def arrival_chunks(
     whose last drawn time falls short of that bound draws blocks of gaps until
     it does not, so no later draw can precede the bound.
 
-    Arrivals at equal times go in the order of the connections' previous
-    arrivals, and the first arrivals in connection order: the order an event
-    heap gives when each arrival is scheduled at its predecessor's dispatch.
+    The n-th arrival carries the n-th op, whatever its connection, so arrivals
+    at equal times are interchangeable and their order needs no rule.
     """
     n = len(rngs)
     per_conn = max(16, _ARRIVAL_CHUNK // n)  # each connection's arrivals per chunk, on average
     block = 2 * per_conn
     span = per_conn * mean_gap
     last = np.zeros(n)  # each connection's last drawn time
-    times, conns = np.empty(0), np.empty(0, dtype=np.intp)
-    last_pos = np.arange(n) - n  # each connection's previous arrival's position
-    pos, bound = 0, 0.0
+    times, bound = np.empty(0), 0.0
     while True:
         bound += span
         while (short := np.flatnonzero(last < bound)).size:
@@ -339,42 +334,6 @@ def arrival_chunks(
             np.cumsum(sums, axis=1, out=sums)
             last[short] = sums[:, -1]
             times = np.concatenate((times, sums[:, 1:].ravel()))
-            conns = np.concatenate((conns, np.repeat(short, block)))
         ready = times < bound
-        t, c = times[ready], conns[ready]
-        times, conns = times[~ready], conns[~ready]
-        order = np.argsort(t)
-        t, c = t[order], c[order]
-        if len(t) > 1 and (t[1:] == t[:-1]).any():
-            order = _order_ties(t.tolist(), c.tolist(), last_pos, pos)
-            t, c = t[order], c[order]
-        np.maximum.at(last_pos, c, np.arange(pos, pos + len(c)))
-        pos += len(c)
-        yield t.tolist(), c.tolist()
-
-
-def _order_ties(times: list[float], conns: list[int], last_pos: np.ndarray, pos: int) -> list[int]:
-    """The dispatch order of a time-sorted chunk whose first arrival takes
-    position `pos`: within each run of equal times, the arrival whose
-    connection's previous arrival came first goes first."""
-    last = last_pos.tolist()
-    order: list[int] = []
-    i = 0
-    while i < len(times):
-        j = i + 1
-        while j < len(times) and times[j] == times[i]:
-            j += 1
-        tied: dict[int, deque[int]] = defaultdict(deque)
-        for k in range(i, j):
-            tied[conns[k]].append(k)
-        heap = [(last[conn], conn) for conn in tied]
-        heapq.heapify(heap)
-        while heap:
-            _, conn = heapq.heappop(heap)
-            order.append(tied[conn].popleft())
-            last[conn] = pos
-            pos += 1
-            if tied[conn]:  # a zero gap: its next arrival ties too
-                heapq.heappush(heap, (last[conn], conn))
-        i = j
-    return order
+        yield np.sort(times[ready]).tolist()
+        times = times[~ready]

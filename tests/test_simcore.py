@@ -5,8 +5,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import math
-from collections import defaultdict
-from itertools import chain
+from itertools import chain, count
 
 import numpy as np
 import pytest
@@ -86,25 +85,46 @@ def test_engine_run_until_is_inclusive():
     assert seen == [2.0, 2.0000001]
 
 
+def test_engine_ties_put_heap_events_before_ops():
+    # A heap event at an op's time goes first, and so does an event that an
+    # op schedules at its own time: it lands before the next op at that time.
+    seen = []
+
+    def on_op(t, op):
+        seen.append((t, op))
+        if op == "write":
+            eng.schedule(t, "inval", 0)
+
+    ops = [(1.0, "write"), (1.0, "read"), (2.0, "last")]
+    eng = Engine(lambda ev: seen.append((ev.time, ev.kind)), ops, on_op)
+    eng.schedule(1.0, "dei", 0)
+    eng.schedule(2.0, "dei", 1)
+    assert eng.run_until(2.0) == 6
+    assert seen == [(1.0, "dei"), (1.0, "write"), (1.0, "inval"), (1.0, "read"),
+                    (2.0, "dei"), (2.0, "last")]
+
+
 class _HeapEngine:
-    """The reference: every op is a heap event too, and dispatching an op
-    schedules its connection's next arrival first."""
+    """The reference: every op is a heap event too, scheduled when its
+    connection's previous op is dispatched. One heap keyed (time, 0 for an
+    event or 1 for an op, scheduling counter) puts heap events before ops at
+    equal times, each in scheduling order."""
 
     def __init__(self, handler):
         self.handler = handler
         self.now = 0.0
-        self._heap: list[SimEvent] = []
+        self._heap: list[tuple] = []
         self._seq = 0
 
     def schedule(self, time: float, kind: str, arg: int) -> None:
         assert self.now <= time
-        heapq.heappush(self._heap, SimEvent(time, self._seq, kind, arg))
+        heapq.heappush(self._heap, (time, kind == "op", self._seq, SimEvent(time, self._seq, kind, arg)))
         self._seq += 1
 
     def run_until(self, t_end: float) -> int:
         n = 0
-        while self._heap and self._heap[0].time <= t_end:
-            ev = heapq.heappop(self._heap)
+        while self._heap and self._heap[0][0] <= t_end:
+            ev = heapq.heappop(self._heap)[-1]
             self.now = ev.time
             self.handler(ev)
             n += 1
@@ -126,7 +146,8 @@ class _GridGaps:
 def _scripted_run(seed: int, engine_kind: str, stops=(7.0, 19.5, 40.0)) -> list[tuple]:
     """The dispatch log of a scripted run on a 0.5 s grid, where ties are the
     rule: each connection's gaps, and the events each op or event schedules
-    (zero to two, 0 to 1.5 s ahead), come from the seed alone."""
+    (zero to two, 0 to 1.5 s ahead), come from the seed alone. The n-th op
+    dispatched is logged as op n."""
     rng = np.random.default_rng(seed)
     conns = 4
     gaps = rng.choice([0.0, 0.5, 1.0, 1.5], size=(conns, 400), p=[0.1, 0.3, 0.3, 0.3])
@@ -144,11 +165,12 @@ def _scripted_run(seed: int, engine_kind: str, stops=(7.0, 19.5, 40.0)) -> list[
 
     if engine_kind == "heap":
         next_gap = [iter(g.tolist()).__next__ for g in gaps]
+        op_ids = count()
 
         def handler(ev):
             if ev.kind == "op":
                 eng.schedule(ev.time + next_gap[ev.arg](), "op", ev.arg)
-                react(ev.time, ("op", ev.arg))
+                react(ev.time, ("op", next(op_ids)))
             else:
                 react(ev.time, (ev.kind, ev.arg))
 
@@ -157,9 +179,9 @@ def _scripted_run(seed: int, engine_kind: str, stops=(7.0, 19.5, 40.0)) -> list[
             eng.schedule(next_gap[conn](), "op", conn)
     else:
         arrivals = arrival_chunks([_GridGaps(g.tolist()) for g in gaps], 1.0)
-        timeline = chain.from_iterable(zip(t, c, c) for t, c in arrivals)
+        timeline = zip(chain.from_iterable(arrivals), count())
         eng = Engine(lambda ev: react(ev.time, (ev.kind, ev.arg)), timeline,
-                     lambda t, conn: react(t, ("op", conn)), conns)
+                     lambda t, op: react(t, ("op", op)))
     for stop in stops:
         eng.run_until(stop)
         assert eng.now == stop
@@ -168,18 +190,17 @@ def _scripted_run(seed: int, engine_kind: str, stops=(7.0, 19.5, 40.0)) -> list[
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_engine_matches_heap_only_reference(seed, monkeypatch):
-    # Ops walked from a timeline must dispatch where the heap put them when
-    # each op was a heap event: ties among ops and with heap events go by
-    # sequence number, an op's being the counter at its predecessor's dispatch.
+    # Ops walked from a timeline must dispatch where one heap of ops and
+    # events puts them when ties go to events first.
     # The smallest chunks, 16 arrivals per connection, end every 16 s.
     monkeypatch.setattr(workload, "_ARRIVAL_CHUNK", 0)
     ref = _scripted_run(seed, "heap")
     assert _scripted_run(seed, "timeline") == ref
     assert len(ref) > 300
 
-    # The script makes every tie order happen, so an engine that orders ops and
-    # events by time alone, either way round, or ties among ops by connection,
-    # would not match.
+    # The script makes every kind of tie happen, so an engine that put a tied
+    # op first, or dropped an op or an event at a chunk's end or a stop, would
+    # not match.
     def tied(i, *kinds):
         run = ref[i : i + len(kinds)]
         return len(run) == len(kinds) and len({r[0] for r in run}) == 1 and all(
@@ -187,8 +208,9 @@ def test_engine_matches_heap_only_reference(seed, monkeypatch):
 
     assert any(tied(i, "op", "event") for i in range(len(ref)))
     assert any(tied(i, "event", "op") for i in range(len(ref)))
-    assert any(tied(i, "op", "event", "op") and ref[i][2] != ref[i + 2][2] for i in range(len(ref)))
-    assert any(tied(i, "op", "op") and ref[i][2] > ref[i + 1][2] for i in range(len(ref)))
+    # an event scheduled by a tied op, with no delay, goes before the next op
+    assert any(tied(i, "op", "event", "op") for i in range(len(ref)))
+    assert any(tied(i, "op", "op") for i in range(len(ref)))
 
 
 def test_engine_handler_can_schedule_more():
@@ -366,26 +388,24 @@ def test_stale_reads_happen_under_writes(tiny_cfg):
 
 
 def test_arrival_gaps_equal_per_call_draws(tiny_cfg):
-    # Each connection's arrival times, merged a chunk at a time, must be the
-    # running sums of one exponential() call per arrival on its own generator.
+    # The chunks, joined, must be ascending and hold exactly the running sums
+    # of one exponential() call per arrival on each connection's own
+    # generator, up to the last time yielded.
     spec = tiny_cfg.workload
     mean_gap = spec.connections / spec.target_throughput
     seeds = np.random.SeedSequence(4).spawn(4)[2].spawn(spec.connections)
     chunks = arrival_chunks([np.random.default_rng(s) for s in seeds], mean_gap)
-    got, last, sizes = defaultdict(list), 0.0, []
-    for times, conns in (next(chunks) for _ in range(6)):
-        assert times[0] >= last and times == sorted(times)
-        last = times[-1]
+    got, sizes = [], []
+    for times in (next(chunks) for _ in range(6)):
         sizes.append(len(times))
-        for t, conn in zip(times, conns):
-            got[conn].append(t)
-    assert len(got) == spec.connections and min(sizes) > 500
-    for conn, times in got.items():
-        rng, now, ref = np.random.default_rng(seeds[conn]), 0.0, []
-        for _ in times:
-            now = now + float(rng.exponential(mean_gap))
+        got += times
+    assert got == sorted(got) and min(sizes) > 500
+    ref = []
+    for seed in seeds:
+        rng, now = np.random.default_rng(seed), 0.0
+        while (now := now + float(rng.exponential(mean_gap))) <= got[-1]:
             ref.append(now)
-        assert times == ref
+    assert got == sorted(ref)
 
 
 def test_short_desk_counts_are_pinned():

@@ -10,9 +10,16 @@ mu_k = w Lambda p_k. Key k's reads then hit with probability
 h_k = lam_k E[L_k] / (1 + lam_k E[L_k]), with E[L_k] = (1 - e^{-mu_k T}) / mu_k
 (Jung, Berger & Balakrishnan, INFOCOM 2003), and the predicted hit ratio is
 sum lam_k h_k / sum lam_k.
+
+Each cycle starts with one insert and lasts E[L_k] + 1/lam_k on average, so
+key k's entry is inserted c_k = 1 / (E[L_k] + 1/lam_k) times a second, and a
+write ends its life before the TTL with probability 1 - e^{-mu_k T}. The
+predicted invalidations per insert are sum c_k (1 - e^{-mu_k T}) / sum c_k.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 import numpy as np
 import pytest
@@ -26,6 +33,10 @@ RECORDS, QUERIES, RATE, ZIPF_S, TTL = 100, 10, 200.0, 0.6, 5.0
 # Seeds 1-5 of each cell, 1,000 s: single-seed gaps at most 0.0015; the
 # mean gap over the five seeds is at most 0.0004 in size.
 TOLERANCE = 0.003
+# The same runs' invalidations per insert, seeds 1-5 (about 27,000 and 44,500
+# inserts): gaps -0.0041 to +0.0011 at w 0.1 and -0.0018 to +0.0005 at
+# w 0.3; the tolerance is about twice the largest.
+INVALIDATION_TOLERANCE = 0.008
 
 
 def predicted_hit_ratio(w: float, ttl: float, mean_life=None) -> float:
@@ -36,8 +47,15 @@ def predicted_hit_ratio(w: float, ttl: float, mean_life=None) -> float:
     return float(np.sum(lam * h) / np.sum(lam))
 
 
-@pytest.mark.parametrize("w", [0.1, 0.3])
-def test_fixed_ttl_hit_ratio_matches_renewal_theory(w):
+def predicted_invalidation_rate(w: float, ttl: float) -> float:
+    p = ZipfSampler(RECORDS, ZIPF_S).pmf()
+    lam, mu = (1.0 - w) * RATE * p, w * RATE * p
+    inserts = 1.0 / ((1.0 - np.exp(-mu * ttl)) / mu + 1.0 / lam)
+    return float(np.sum(inserts * (1.0 - np.exp(-mu * ttl))) / np.sum(inserts))
+
+
+@cache
+def fixed_ttl_run(w: float):
     cfg = build_config(overrides={
         "workload.record_count": str(RECORDS),
         "workload.query_count": str(QUERIES),
@@ -53,10 +71,22 @@ def test_fixed_ttl_hit_ratio_matches_renewal_theory(w):
     })
     res, _ = run_single(cfg, w, "fixed", seed=1)
     assert res.evictions == 0 and res.stale_reads == 0
+    return res
 
+
+@pytest.mark.parametrize("w", [0.1, 0.3])
+def test_fixed_ttl_hit_ratio_matches_renewal_theory(w):
+    res = fixed_ttl_run(w)
     expected = predicted_hit_ratio(w, TTL)
     assert expected < (1.0 - w) - 0.01  # below the plateau an unbounded TTL reaches
     assert res.hit_rate == pytest.approx(expected, abs=TOLERANCE)
     # an entry that lived its whole TTL, ignoring writes, is far off
     no_writes = predicted_hit_ratio(w, TTL, mean_life=lambda mu, ttl: np.full_like(mu, ttl))
     assert abs(res.hit_rate - no_writes) > 10 * TOLERANCE
+
+
+@pytest.mark.parametrize("w", [0.1, 0.3])
+def test_fixed_ttl_invalidation_rate_matches_renewal_theory(w):
+    res = fixed_ttl_run(w)
+    assert res.invalidation_rate == pytest.approx(
+        predicted_invalidation_rate(w, TTL), abs=INVALIDATION_TOLERANCE)
