@@ -260,8 +260,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None, ech
                         cell_best = best_default_ttl(true_ttls)
                     if log_tr:
                         replay_rows += [(w, est_kind, *row) for row in sim.estimator.injection_log]
-                    if wi != 0 or cfg.estimators.index(est_kind) != ei:
-                        continue  # a repeated write fraction or estimator feeds nothing more
+                    if wi != 0:
+                        continue
                     for label in cdf_series.get(est_kind, ()):
                         values = true_ttls if label == "optimal" else oracle.actions
                         cdf_fh.writelines(CDF_ROW % (label, v, f) for v, f in emit_cdf(values))

@@ -1,7 +1,7 @@
 """Edge cache with TTL expiry and asynchronous invalidation.
 
-The cache maps cacheable units (query ids, or singleton ranges for point
-reads) to served result entries. Expiry is half-open: an entry whose
+The cache maps cacheable units (range queries and point reads, in one id
+space) to served result entries. Expiry is half-open: an entry whose
 expires_at <= now is already dead at now. Expired entries are reaped lazily at
 lookup and via a lazy-deletion heap that also drives capacity eviction (the
 live entry with the earliest expiry goes first). Invalidation is asynchronous:
@@ -9,10 +9,11 @@ an origin update marks the touched entries pending immediately and the purge
 applies after a propagation delay; lookups in that window are stale reads.
 
 The cache keeps no range index: the true-TTL oracle (telemetry.py) resolves a
-serve at the first write touching its range, the write that marks its entry,
-so a write marks the live entries of the serves the oracle resolves through
-the world's fixed query index (workload.QueryIndex). The cache speaks serve
-ids: origin_update takes the resolved ids and returns those it marked.
+serve at the first write touching its unit, the write that marks its entry,
+so a write marks the live entries of the serves the oracle resolves: those of
+the queries the world's fixed query index (workload.QueryIndex) finds, and
+of the read of the written record. The cache speaks serve ids: origin_update
+takes the resolved ids and returns those it marked.
 """
 
 from __future__ import annotations

@@ -134,6 +134,11 @@ class ExperimentConfig:
     out_dir: str = "results"
 
     def __post_init__(self) -> None:
+        # a repeat would rerun the same seeds and write a second summary row
+        for name, entries in (("estimator.kind", self.estimators),
+                              ("workload.write_fraction", self.write_fractions)):
+            if len(set(entries)) != len(entries):
+                raise ValueError(f"{name} repeats an entry: {entries}")
         for est in self.estimators:
             if est not in ESTIMATOR_KINDS:
                 raise ValueError(f"unknown estimator {est!r}; choose from {ESTIMATOR_KINDS}")

@@ -9,8 +9,8 @@ Virtual time is a float starting at 0, and a run is a pure function of
 (config, seed). There are two kinds of event:
 - a client op, one of each of the `workload.connections` open-loop
   connections' arrivals. Ops never depend on the estimator, so the run's op
-  timeline is computed ahead, a chunk at a time (`workload.arrival_chunks` and
-  `workload.OpStream`), and each op goes to the simulation by a direct call.
+  timeline is computed ahead, a chunk at a time (`workload.op_timeline`), and
+  each op goes to the simulation by a direct call.
   Ops go by time alone: the n-th arrival carries the n-th op, so ops at equal
   times are interchangeable.
 - a heap event, carrying one serve id: "inval" (the delayed purge) or "dei"
@@ -33,14 +33,7 @@ import numpy as np
 from .cachesys import CacheSystem, Lookup
 from .estimators import make_estimator
 from .telemetry import Telemetry
-from .workload import (
-    OpStream,
-    arrival_chunks,
-    evaluate_query,
-    generate_world,
-    read_range,
-    require_finite,
-)
+from .workload import generate_world, op_timeline, require_finite
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
@@ -153,10 +146,10 @@ class Simulation:
     TTLs come from the run's own estimator, `estimator`.
 
     Cacheable units share one id space: range query q is unit q, a point read
-    of key k is unit query_count + k (a singleton range over k's value).
-    A query's miss serves a copy of its result keys from the world's
-    QueryIndex, which each update keeps current; a read's miss scans the
-    values (`evaluate_query`).
+    of key k is unit query_count + k. A query's miss serves a copy of its
+    result keys from the world's QueryIndex, which each update keeps current;
+    a read's miss serves [k]. A write of k touches the queries whose range
+    holds its old or new value, and the read of k.
     """
 
     def __init__(
@@ -183,13 +176,7 @@ class Simulation:
         self.agent_rng = np.random.default_rng(agent_ss)
 
         self.world = generate_world(spec, np.random.default_rng(world_ss))
-        arrivals = arrival_chunks(
-            [np.random.default_rng(s) for s in arrivals_ss.spawn(spec.connections)],
-            spec.connections / spec.target_throughput,
-        )
-        ops = iter(OpStream(spec, np.random.default_rng(ops_ss)))
-        # the n-th arrival carries the n-th op
-        timeline = chain.from_iterable(zip(times, ops) for times in arrivals)
+        timeline = op_timeline(spec, ops_ss, arrivals_ss)
         self.engine = Engine(self._dispatch, timeline, self._handle_arrival)
         self.cache = CacheSystem(cfg.capacity)
         self.telemetry = Telemetry(cfg.telemetry_window)
@@ -242,14 +229,10 @@ class Simulation:
             if op_kind == "query":
                 # a copy: a pending NAF decision keeps the keys it was made on
                 result_keys = self.world.index.results[target][:]
-                query, value = target, None
             else:
-                lo, hi = read_range(self.world.values, target)
-                result_keys = evaluate_query(self.world.values, lo, hi).tolist()
-                query, value = None, lo
+                result_keys = [target]
             ttl = self.estimator.decide(serve_id, unit, result_keys, now)
-            # first: the oracle rejects a non-finite read value before the cache changes
-            self.telemetry.oracle.on_serve(serve_id, unit, now, ttl, query, value)
+            self.telemetry.oracle.on_serve(serve_id, unit, now, ttl)
             self.cache.insert(unit, serve_id, ttl, now)
             lat = self.latency.miss_latency
         else:
@@ -265,7 +248,8 @@ class Simulation:
         values[key] = new_value
         self.telemetry.record_write(key, now)
         touched = self.world.index.move(key, old, new_value)
-        resolved = self.telemetry.oracle.on_write(touched, old, new_value, now)
+        touched.append(self.unit_for("read", key))
+        resolved = self.telemetry.oracle.on_write(touched, now)
         for serve_id in self.cache.origin_update(resolved, now):
             self.engine.schedule(now + self.latency.invalidation_delay, "inval", serve_id)
             self.estimator.on_invalidation_issued(serve_id, now)

@@ -13,11 +13,11 @@ The oracle keeps four columns indexed by serve id (unit, serve time, action,
 true TTL) and resolves a serve's true TTL at the moment the first
 invalidating write is issued, including "shadow" resolutions that land after
 the entry's nominal expiry; serves never hit by a write stay censored (NaN)
-and are excluded from error metrics. Its unresolved serves wait under what
-they served: a range query's serves under its query id, a point read's under
-the value it read. A write resolves the serves of the queries it touches,
-which the world's QueryIndex finds, and of the reads of its old or new value,
-and returns their ids ascending, which is serve order (see cachesys).
+and are excluded from error metrics. Its unresolved serves wait under their
+unit. A write resolves the serves of the units it touches: the queries whose
+range holds its old or new value, which the world's QueryIndex finds, and the
+point read of its own record. It returns their ids ascending, which is serve
+order (see cachesys).
 """
 
 from __future__ import annotations
@@ -85,16 +85,14 @@ class WindowCounter:
 
 
 class TrueTtlOracle:
-    """Ground truth: a serve's true TTL ends at the first write whose old or
-    new value lands in the served range. Resolution happens at write issue
-    time; propagation delay is a cache artifact, not part of the interval.
+    """Ground truth: a serve's true TTL ends at the first write that touches
+    its unit. Resolution happens at write issue time; propagation delay is a
+    cache artifact, not part of the interval.
 
     Serves are columns indexed by serve id, which must be dense and in serve
     order: `units`, `served_at`, `actions`, and `true_ttl`, NaN while the
     serve is censored. A resolved serve is a shadow when true_ttl > action.
-    The pending serve ids wait in lists, by query id or by read value. A
-    read's range [v, nextafter(v)) holds x only when x == v, so the read
-    serves a write resolves are those filed under its old or new value.
+    The pending serve ids wait in lists, by unit.
     """
 
     def __init__(self):
@@ -102,33 +100,15 @@ class TrueTtlOracle:
         self.served_at = array("d")
         self.actions = array("d")
         self.true_ttl = array("d")
-        self._by_query: dict[int, list[int]] = {}
-        self._by_value: dict[float, list[int]] = {}
+        self._pending: dict[int, list[int]] = {}
 
-    def on_serve(
-        self,
-        serve_id: int,
-        unit: int,
-        now: float,
-        action: float,
-        query: int | None = None,
-        value: float | None = None,
-    ) -> None:
-        """Record a serve of range query `query` or of a point read of `value`
-        (exactly one of them)."""
+    def on_serve(self, serve_id: int, unit: int, now: float, action: float) -> None:
+        """Record a serve of `unit`, pending until a write touches the unit."""
         if serve_id != len(self.units):
             raise ValueError(f"serve id {serve_id} is not the next one, {len(self.units)}")
-        if (query is None) == (value is None):
-            raise ValueError(f"a serve is of a query or of a read value, got {query=} and {value=}")
-        if query is not None:
-            pending, at = self._by_query, query
-        elif not -math.inf < value < math.inf:
-            raise ValueError(f"read value {value} is not finite")
-        else:
-            pending, at = self._by_value, value
-        serves = pending.get(at)
+        serves = self._pending.get(unit)
         if serves is None:
-            pending[at] = [serve_id]
+            self._pending[unit] = [serve_id]
         else:
             serves.append(serve_id)
         self.units.append(unit)
@@ -136,22 +116,15 @@ class TrueTtlOracle:
         self.actions.append(action)
         self.true_ttl.append(math.nan)
 
-    def on_write(self, queries: list[int], old_value: float, new_value: float, now: float) -> list[int]:
-        """Resolve every pending serve of the `queries` the write touches (as
-        QueryIndex.move returns them) and of a read of its old or new value,
-        each at most once; returns their serve ids, ascending."""
+    def on_write(self, units: list[int], now: float) -> list[int]:
+        """Resolve every pending serve of the `units` a write touches, each
+        serve once; returns their serve ids, ascending."""
         resolved: list[int] = []
-        pop = self._by_query.pop
-        for q in queries:
-            serves = pop(q, None)
+        pop = self._pending.pop
+        for unit in units:
+            serves = pop(unit, None)
             if serves is not None:
                 resolved += serves
-        if self._by_value:
-            pop = self._by_value.pop
-            for v in (old_value, new_value):
-                serves = pop(v, None)
-                if serves is not None:
-                    resolved += serves
         resolved.sort()
         true_ttl, served_at = self.true_ttl, self.served_at
         for serve_id in resolved:
@@ -160,7 +133,7 @@ class TrueTtlOracle:
 
     @property
     def pending_count(self) -> int:
-        return sum(map(len, self._by_query.values())) + sum(map(len, self._by_value.values()))
+        return sum(map(len, self._pending.values()))
 
     @property
     def records(self) -> array:

@@ -13,9 +13,10 @@ each update moves its key between results through it, and the queries it
 returns are the ones the update touches.
 
 Neither the ops nor their arrival times depend on what the cache or the
-estimator does, so both are computed ahead, a block at a time, and each value
-is the one a per-value numpy call would give; only the generators' final
-states differ, because the last block is drawn past the run's end:
+estimator does, so `op_timeline` computes a run's (time, op) pairs ahead, a
+block at a time, and each value is the one a per-value numpy call would
+give; only the generators' final states differ, because the last block is
+drawn past the run's end:
 - `OpStream` decodes a block of uniforms (`rng.random(n)`) into op columns,
   using the uniforms in draw order;
 - `arrival_chunks` merges the connections' arrival times, each connection
@@ -203,14 +204,8 @@ class World:
 
 def evaluate_query(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Keys whose current value lies in [lo, hi), ascending: a scan of every
-    value, which a point read's miss runs and QueryIndex is checked against."""
+    value, the reference QueryIndex is checked against. No run calls it."""
     return np.nonzero((values >= lo) & (values < hi))[0]
-
-
-def read_range(values: np.ndarray, key: int) -> tuple[float, float]:
-    """The singleton range a point read of `key` maps to."""
-    v = float(values[key])
-    return v, math.nextafter(v, math.inf)
 
 
 def generate_world(spec: WorkloadSpec, rng: np.random.Generator) -> World:
@@ -337,3 +332,24 @@ def arrival_chunks(rngs: list[np.random.Generator], mean_gap: float) -> Iterator
         ready = times < bound
         yield np.sort(times[ready]).tolist()
         times = times[~ready]
+
+
+def op_timeline(
+    spec: WorkloadSpec,
+    ops_seed: np.random.SeedSequence,
+    arrivals_seed: np.random.SeedSequence,
+) -> Iterator[tuple[float, tuple[str, int, float]]]:
+    """A run's ops in time order, as (time, (kind, target, new value)).
+
+    The ops are `OpStream`'s, drawn from `ops_seed`; connection i's arrivals
+    are drawn from the i-th of `spec.connections` children spawned from
+    `arrivals_seed`, and the n-th arrival carries the n-th op. Spawning is
+    stateful, so the same timeline needs an `arrivals_seed` that has not
+    spawned before.
+    """
+    arrivals = arrival_chunks(
+        [np.random.default_rng(s) for s in arrivals_seed.spawn(spec.connections)],
+        spec.connections / spec.target_throughput,
+    )
+    ops = iter(OpStream(spec, np.random.default_rng(ops_seed)))
+    return chain.from_iterable(zip(times, ops) for times in arrivals)

@@ -35,7 +35,6 @@ from ttl_lab.workload import (
     ZipfSampler,
     evaluate_query,
     generate_world,
-    read_range,
 )
 
 
@@ -84,7 +83,8 @@ def test_criterion_04_oracle_equivalence():
         world = generate_world(spec, rng)
         values = world.values
         oracle = TrueTtlOracle()
-        pending: dict[int, tuple[float, float, float, float]] = {}
+        # sid -> (a query's (lo, hi) or a read's key, serve time, action)
+        pending: dict[int, tuple[tuple[float, float] | int, float, float]] = {}
         expect: dict[int, tuple[float, bool]] = {}  # sid -> (true TTL, shadow)
         serves = 0
 
@@ -94,29 +94,30 @@ def test_criterion_04_oracle_equivalence():
             if rng.random() < 0.6:
                 if rng.random() < 0.5:
                     q = world.queries[int(rng.integers(len(world.queries)))]
-                    unit, lo, hi = q.id, q.lo, q.hi
-                    served = {"query": q.id}
+                    unit, served = q.id, (q.lo, q.hi)
                 else:
                     key = int(rng.integers(spec.record_count))
-                    unit = spec.query_count + key
-                    lo, hi = read_range(values, key)
-                    served = {"value": lo}
+                    unit, served = spec.query_count + key, key
                 action = float(rng.uniform(0.5, 30.0))
-                oracle.on_serve(serves, unit, now, action, **served)
-                pending[serves] = (lo, hi, now, action)
+                oracle.on_serve(serves, unit, now, action)
+                pending[serves] = (served, now, action)
                 serves += 1
             else:
                 key = int(rng.integers(spec.record_count))
                 new = float(rng.uniform(0.0, spec.record_count))
                 old = float(values[key])
                 values[key] = new
-                got = oracle.on_write(world.index.move(key, old, new), old, new, now)
-                hit = [s for s, (lo, hi, _, _) in pending.items()
-                       if lo <= old < hi or lo <= new < hi]
+                touched = world.index.move(key, old, new) + [spec.query_count + key]
+                got = oracle.on_write(touched, now)
+                # a query is touched when either value lands in its range, a
+                # read when its record is written
+                hit = [s for s, (served, _, _) in pending.items()
+                       if (served == key if isinstance(served, int)
+                           else served[0] <= old < served[1] or served[0] <= new < served[1])]
                 if got != hit:  # both in serve order
                     mismatches += 1
                 for s in hit:
-                    _, _, served_at, act = pending.pop(s)
+                    _, served_at, act = pending.pop(s)
                     ttl = now - served_at
                     expect[s] = (ttl, ttl > act)
 
@@ -149,9 +150,11 @@ def test_criterion_04_oracle_equivalence():
 
 
 def test_criterion_05_origin_update_brute_force():
-    # Serves are of 4,000 fixed ranges or, one in ten, point reads of a
-    # 2,000-record table; each write moves one record, one in ten onto
-    # another record's value.
+    # Serves are of 4,000 fixed ranges (units 0-3999) or, one in ten, point
+    # reads of a 2,000-record table (unit 4000 + key), each to a unit with no
+    # live entry; each write moves one record, one in ten onto another
+    # record's value, and touches the queries whose range holds its old or
+    # new value and the read of its record.
     rng = np.random.default_rng(55)
     capacity = 250
     values = rng.uniform(0.0, 2000.0, size=2000)
@@ -159,30 +162,37 @@ def test_criterion_05_origin_update_brute_force():
     queries = [QueryDef(q, lo, lo + w) for q, (lo, w) in enumerate(zip(los, rng.uniform(0.01, 50.0, 4000).tolist()))]
     index = QueryIndex(queries, [evaluate_query(values, lo, hi).tolist() for _, lo, hi in queries])
     oracle, cache = TrueTtlOracle(), CacheSystem(capacity)
-    # the cache's live entries, in serve order: sid -> [lo, hi, expires_at, pending]
+    # the cache's live entries, in serve order: sid -> [unit, expires_at, pending]
     mirror: dict[int, list] = {}
     next_id = 0
     now = 0.0
     mismatches = marked_total = filtered = 0
 
+    def touched(unit, key, old, new):
+        if unit >= 4000:
+            return unit - 4000 == key
+        _, lo, hi = queries[unit]
+        return lo <= old < hi or lo <= new < hi
+
     def reap():
-        for sid in [s for s, e in mirror.items() if e[2] <= now]:
+        for sid in [s for s, e in mirror.items() if e[1] <= now]:
             del mirror[sid]
 
     def serve():
         nonlocal next_id
         ttl = float(rng.uniform(0.005, 1.0))
-        if rng.random() < 0.9:
-            q, lo, hi = queries[int(rng.integers(4000))]
-            oracle.on_serve(next_id, next_id, now, ttl, query=q)
-        else:
-            lo = float(values[int(rng.integers(2000))])
-            hi = math.nextafter(lo, math.inf)
-            oracle.on_serve(next_id, next_id, now, ttl, value=lo)
-        cache.insert(next_id, next_id, ttl, now)
+        live = {e[0] for e in mirror.values()}
+        unit = None
+        while unit is None or unit in live:
+            if rng.random() < 0.9:
+                unit = int(rng.integers(4000))
+            else:
+                unit = 4000 + int(rng.integers(2000))
+        oracle.on_serve(next_id, unit, now, ttl)
+        cache.insert(unit, next_id, ttl, now)
         if len(mirror) >= capacity:  # evict the earliest expiry, ties by serve id
-            del mirror[min(mirror, key=lambda s: (mirror[s][2], s))]
-        mirror[next_id] = [lo, hi, now + ttl, False]
+            del mirror[min(mirror, key=lambda s: (mirror[s][1], s))]
+        mirror[next_id] = [unit, now + ttl, False]
         next_id += 1
 
     def fill():
@@ -205,9 +215,9 @@ def test_criterion_05_origin_update_brute_force():
             new = float(rng.uniform(0.0, 2000.0))
         values[key] = new
         reap()
-        expected = [sid for sid, (lo, hi, _, p) in mirror.items()
-                    if not p and (lo <= old < hi or lo <= new < hi)]
-        resolved = oracle.on_write(index.move(key, old, new), old, new, now)
+        expected = [sid for sid, (unit, _, p) in mirror.items()
+                    if not p and touched(unit, key, old, new)]
+        resolved = oracle.on_write(index.move(key, old, new) + [4000 + key], now)
         got = cache.origin_update(resolved, now)
         if got != expected:
             mismatches += 1
@@ -218,9 +228,9 @@ def test_criterion_05_origin_update_brute_force():
                 assert cache.apply_invalidation(sid, now)
                 del mirror[sid]
             else:
-                mirror[sid][3] = True
+                mirror[sid][2] = True
         # drain lingerers so pendings never crowd out the live population
-        for sid in [s for s, e in mirror.items() if e[3]]:
+        for sid in [s for s, e in mirror.items() if e[2]]:
             if rng.random() < 0.3:
                 assert cache.apply_invalidation(sid, now)
                 del mirror[sid]

@@ -216,6 +216,17 @@ def test_config_validation_errors():
     build_config(overrides={"bench.trace_query": "5"})  # a real query id is fine
 
 
+def test_config_rejects_a_repeated_cell():
+    # A repeated estimator or write fraction would rerun the same seeds and
+    # write a second summary row for the same cell.
+    for key, raw in (("estimator.kind", "poisson,fixed,poisson"),
+                     ("workload.write_fraction", "0.1,0.3,0.10")):
+        with pytest.raises(ValueError, match=f"{key} repeats an entry"):
+            build_config(overrides={key: raw})
+    with pytest.raises(ValueError, match="estimator.kind repeats an entry"):
+        dataclasses.replace(build_config(), estimators=("fixed", "fixed"))
+
+
 def test_reward_threshold_is_one_minus_w_and_not_a_key():
     cfg = build_config(overrides={"workload.write_fraction": "0.1,0.3"})
     thresholds = [Simulation(cfg, w, "naf-dei", seed=1).estimator.load_threshold

@@ -1,22 +1,21 @@
-"""The true-TTL oracle and the cache as a pair, against a dict model with ranges.
+"""The true-TTL oracle and the cache as a pair, against a dict model of units.
 
 The simulation finds the entries a write makes stale through the oracle: the
 serves `TrueTtlOracle.on_write` resolves, of the queries `QueryIndex.move`
-returns and of the reads of the write's old or new value, go to
+returns and of the read of the written record, go to
 `CacheSystem.origin_update`, which marks those still live. Units 0-3 are
 range queries over a table drawn per example, units 4-5 point reads of
 records 0-1 of a six-record table. The model keeps every live entry with its
-range and marks each live, unmarked entry whose range holds the write's old
-or new value, in serve order, as a scan of the cache would. A small
-capacity, TTLs on the same grid as the clock steps, and purge delays up to
-several seconds make entries expire before the first write that touches them
-and be evicted while their purge is in flight, so the oracle hands the cache
-serves it no longer holds.
+unit and marks each live, unmarked entry that the write touches, in serve
+order, as a scan of the cache would: a query's whose range holds the write's
+old or new value, a read's whose record it writes. A small capacity, TTLs on
+the same grid as the clock steps, and purge delays up to several seconds
+make entries expire before the first write that touches them and be evicted
+while their purge is in flight, so the oracle hands the cache serves it no
+longer holds.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 import pytest
@@ -49,9 +48,9 @@ class CacheOracleModel(RuleBasedStateMachine):
         self.now = 0.0
         self.next_serve = 0
         self.purges: list[tuple[float, int]] = []
-        # live entries in serve order: sid -> [unit, lo, hi, expires_at, pending]
+        # live entries in serve order: sid -> [unit, expires_at, pending]
         self.live: dict[int, list] = {}
-        self.unresolved: dict[int, tuple[float, float]] = {}  # the oracle's serves
+        self.unresolved: dict[int, int] = {}  # the oracle's serves: sid -> unit
         self.stats = CacheStats()
 
     @initialize(
@@ -70,7 +69,7 @@ class CacheOracleModel(RuleBasedStateMachine):
         self.now += dt
 
     def reap(self) -> int:
-        dead = [sid for sid, e in self.live.items() if e[3] <= self.now]
+        dead = [sid for sid, e in self.live.items() if e[1] <= self.now]
         for sid in dead:
             del self.live[sid]
         self.stats.expirations += len(dead)
@@ -78,7 +77,7 @@ class CacheOracleModel(RuleBasedStateMachine):
 
     def model_lookup(self, unit: int) -> Lookup:
         sid = next((s for s, e in self.live.items() if e[0] == unit), None)
-        if sid is not None and self.live[sid][3] <= self.now:
+        if sid is not None and self.live[sid][1] <= self.now:
             del self.live[sid]
             self.stats.expirations += 1
             sid = None
@@ -86,7 +85,7 @@ class CacheOracleModel(RuleBasedStateMachine):
             self.stats.misses += 1
             return Lookup.MISS
         self.stats.hits += 1
-        if self.live[sid][4]:
+        if self.live[sid][2]:
             self.stats.stale_reads += 1
             return Lookup.STALE_HIT
         return Lookup.HIT
@@ -106,20 +105,14 @@ class CacheOracleModel(RuleBasedStateMachine):
             return
         sid = self.next_serve
         self.next_serve += 1
-        if unit < QUERIES:
-            _, lo, hi = self.queries[unit]
-            self.oracle.on_serve(sid, unit, self.now, ttl, query=unit)
-        else:
-            lo = float(self.values[unit - QUERIES])
-            hi = math.nextafter(lo, math.inf)
-            self.oracle.on_serve(sid, unit, self.now, ttl, value=lo)
+        self.oracle.on_serve(sid, unit, self.now, ttl)
         self.cache.insert(unit, sid, ttl, self.now)
-        self.unresolved[sid] = (lo, hi)
+        self.unresolved[sid] = unit
         self.reap()
         if len(self.live) >= CAPACITY:  # the earliest expiry goes, ties by serve id
-            del self.live[min(self.live, key=lambda s: (self.live[s][3], s))]
+            del self.live[min(self.live, key=lambda s: (self.live[s][1], s))]
             self.stats.evictions += 1
-        self.live[sid] = [unit, lo, hi, self.now + ttl, False]
+        self.live[sid] = [unit, self.now + ttl, False]
         self.stats.inserts += 1
 
     @rule(key=keys, new=values, delay=delays, dt=steps)
@@ -128,7 +121,8 @@ class CacheOracleModel(RuleBasedStateMachine):
 
     @rule(key=keys, other=keys, delay=delays, dt=steps)
     def write_onto_a_record(self, key, other, delay, dt):
-        """A write whose new value is another record's, which a read may hold."""
+        """A write whose new value is another record's, which a read of that
+        record does not see."""
         self.write_value(key, float(self.values[other]), delay, dt)
 
     def write_value(self, key, new, delay, dt):
@@ -136,19 +130,22 @@ class CacheOracleModel(RuleBasedStateMachine):
         old = float(self.values[key])
         self.values[key] = new
 
-        def hit(lo, hi):
+        def hit(unit):
+            if unit >= QUERIES:
+                return unit - QUERIES == key
+            _, lo, hi = self.queries[unit]
             return lo <= old < hi or lo <= new < hi
 
-        resolved = self.oracle.on_write(self.index.move(key, old, new), old, new, self.now)
-        assert resolved == [sid for sid, (lo, hi) in self.unresolved.items() if hit(lo, hi)]
+        resolved = self.oracle.on_write(self.index.move(key, old, new) + [QUERIES + key], self.now)
+        assert resolved == [sid for sid, unit in self.unresolved.items() if hit(unit)]
         for sid in resolved:
             del self.unresolved[sid]
         marked = self.cache.origin_update(resolved, self.now)
         self.reap()
-        expected = [sid for sid, e in self.live.items() if not e[4] and hit(e[1], e[2])]
+        expected = [sid for sid, e in self.live.items() if not e[2] and hit(e[0])]
         assert marked == expected
         for sid in marked:
-            self.live[sid][4] = True
+            self.live[sid][2] = True
             self.purges.append((self.now + delay, sid))
 
     @rule(dt=steps)

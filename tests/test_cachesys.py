@@ -3,7 +3,6 @@ brute-force reference models."""
 
 from __future__ import annotations
 
-import math
 
 import numpy as np
 import pytest
@@ -16,19 +15,19 @@ NON_FINITE = [float("nan"), float("inf"), -float("inf")]
 
 
 def test_rangeset_add_discard_contains():
-    # The oracle's pending serves, keyed by query id and by read value, took
-    # over the range set's job: a serve is added by on_serve, counted while
-    # pending, and discarded exactly once by the first write that touches it.
+    # The oracle's pending serves, keyed by unit, took over the range set's
+    # job: a serve is added by on_serve, counted while pending, and discarded
+    # exactly once by the first write that touches its unit.
     oracle = TrueTtlOracle()
-    oracle.on_serve(0, unit=1, now=0.0, action=5.0, query=1)
-    oracle.on_serve(1, unit=2, now=0.0, action=5.0, query=2)
-    oracle.on_serve(2, unit=3, now=0.0, action=5.0, value=4.5)
+    oracle.on_serve(0, unit=1, now=0.0, action=5.0)
+    oracle.on_serve(1, unit=2, now=0.0, action=5.0)
+    oracle.on_serve(2, unit=3, now=0.0, action=5.0)
     assert oracle.pending_count == 3
-    assert oracle.on_write([3], 8.0, 9.0, 1.0) == []  # touches none of them
+    assert oracle.on_write([4], 1.0) == []  # touches none of them
     assert oracle.pending_count == 3
-    assert oracle.on_write([1, 2], 4.5, 9.0, 1.0) == [0, 1, 2]
+    assert oracle.on_write([1, 2, 3], 1.0) == [0, 1, 2]
     assert oracle.pending_count == 0
-    assert oracle.on_write([1, 2], 9.0, 4.5, 2.0) == []  # already resolved
+    assert oracle.on_write([1, 2, 3], 2.0) == []  # already resolved
     assert oracle.true_ttl.tolist() == [1.0, 1.0, 1.0]
 
 
@@ -124,29 +123,28 @@ def test_sweep_reaps_expired_and_counts():
 # invalidation flow
 
 
-def _serve(oracle, cache, unit, serve_id, ttl, now, **served):
-    """A miss's fill, in the simulation's order: the oracle first. `served`
-    is `query=q` or a read's `value=v`."""
-    oracle.on_serve(serve_id, unit, now, ttl, **served)
+def _serve(oracle, cache, unit, serve_id, ttl, now):
+    """A miss's fill, in the simulation's order: the oracle first."""
+    oracle.on_serve(serve_id, unit, now, ttl)
     cache.insert(unit, serve_id, ttl, now)
 
 
-def _write(oracle, cache, touched, old, new, now):
-    """An origin write touching queries `touched`: the serves it resolves,
+def _write(oracle, cache, touched, now):
+    """An origin write touching units `touched`: the serves it resolves,
     then their live entries."""
-    return cache.origin_update(oracle.on_write(touched, old, new, now), now)
+    return cache.origin_update(oracle.on_write(touched, now), now)
 
 
 def test_origin_update_marks_pending_once():
     oracle, cache = TrueTtlOracle(), CacheSystem(4)
-    _serve(oracle, cache, 1, 0, ttl=60.0, now=0.0, query=1)
-    _serve(oracle, cache, 2, 1, ttl=60.0, now=0.0, query=2)
-    assert _write(oracle, cache, [1], 3.0, 99.0, now=1.0) == [0]
+    _serve(oracle, cache, 1, 0, ttl=60.0, now=0.0)
+    _serve(oracle, cache, 2, 1, ttl=60.0, now=0.0)
+    assert _write(oracle, cache, [1], now=1.0) == [0]
     assert [e.pending for e in cache.live_entries()] == [True, False]
     # same query again: the serve is resolved, nothing newly touched
-    assert _write(oracle, cache, [1], 3.0, 99.0, now=2.0) == []
+    assert _write(oracle, cache, [1], now=2.0) == []
     # a write touching the other query still finds it through the oracle
-    assert _write(oracle, cache, [2], 98.0, 12.0, now=3.0) == [1]
+    assert _write(oracle, cache, [2], now=3.0) == [1]
     assert [e.pending for e in cache.live_entries()] == [True, True]
 
 
@@ -165,8 +163,8 @@ def test_origin_update_marks_live_entries_in_the_order_given():
 
 def test_pending_window_serves_stale_hits():
     oracle, cache = TrueTtlOracle(), CacheSystem(4)
-    _serve(oracle, cache, 1, 0, ttl=60.0, now=0.0, query=1)
-    _write(oracle, cache, [1], 2.0, 2.5, now=1.0)
+    _serve(oracle, cache, 1, 0, ttl=60.0, now=0.0)
+    _write(oracle, cache, [1], now=1.0)
     assert cache.lookup(1, 1.001) is Lookup.STALE_HIT
     assert cache.stats.stale_reads == 1
     assert cache.apply_invalidation(0, now=1.002) is True
@@ -176,8 +174,8 @@ def test_pending_window_serves_stale_hits():
 
 def test_apply_invalidation_noop_when_entry_already_gone():
     oracle, cache = TrueTtlOracle(), CacheSystem(4)
-    _serve(oracle, cache, 1, 0, ttl=1.0, now=0.0, query=1)
-    _write(oracle, cache, [1], 2.0, 2.5, now=0.5)
+    _serve(oracle, cache, 1, 0, ttl=1.0, now=0.0)
+    _write(oracle, cache, [1], now=0.5)
     assert cache.lookup(1, 3.0) is Lookup.MISS  # expired before the purge landed
     assert cache.apply_invalidation(0, now=3.1) is False
     assert cache.stats.invalidations == 0
@@ -188,22 +186,17 @@ def test_apply_invalidation_noop_when_entry_already_gone():
 @pytest.mark.parametrize("side", ["lo", "hi"])
 def test_insert_rejects_non_finite_bounds_and_changes_nothing(side, bad):
     # A range query's bounds are checked once, when its world's index is
-    # built; a point read's range is its value, which TrueTtlOracle.on_serve
-    # rejects before CacheSystem.insert runs.
+    # built, so no serve of a bad range reaches the oracle or the cache; a
+    # point read's serve carries only its unit.
     bounds = {"lo": 1.0, "hi": 3.0, side: bad}
+    oracle, cache = TrueTtlOracle(), CacheSystem(1)
+    _serve(oracle, cache, 0, 0, ttl=10.0, now=0.0)
     with pytest.raises(ValueError, match=f"range bound {side} .* is not finite"):
         QueryIndex([QueryDef(0, bounds["lo"], bounds["hi"])], [[]])
-    oracle, cache = TrueTtlOracle(), CacheSystem(1)
-    _serve(oracle, cache, 0, 0, ttl=10.0, now=0.0, query=0)
-    with pytest.raises(ValueError, match=f"read value {bad} is not finite"):
-        _serve(oracle, cache, 1, 1, ttl=10.0, now=1.0, value=bounds[side])
     cache.check_invariants()
     assert len(cache.live_entries()) == 1 and cache.stats.evictions == 0
     assert len(oracle.actions) == 1 and oracle.pending_count == 1
     assert cache.lookup(0, 2.0) is Lookup.HIT
-    # the serve id and the unit were never taken
-    _serve(oracle, cache, 1, 1, ttl=10.0, now=2.0, value=2.0)
-    assert _write(oracle, cache, [], 2.0, 2.5, now=3.0) == [1]
 
 
 def test_stats_rates():
@@ -219,8 +212,9 @@ def test_stats_rates():
 
 
 class _RefCache:
-    """Dict-of-entries mirror of the cache, with each entry's range: a write
-    marks every live, unmarked entry whose range holds its old or new value."""
+    """Dict-of-entries mirror of the cache, with what each entry served: a
+    query's range, or a read's record. A write marks every live, unmarked
+    entry whose range holds its old or new value, or that read its record."""
 
     def __init__(self, capacity):
         self.capacity = capacity
@@ -251,23 +245,30 @@ class _RefCache:
             return Lookup.STALE_HIT
         return Lookup.HIT
 
-    def insert(self, unit, serve_id, lo, hi, ttl, now):
+    def insert(self, unit, serve_id, served, ttl, now):
+        """`served` is a query's (lo, hi), or a read's key."""
         self.sweep(now)
         if len(self._live()) >= self.capacity:
             victim = min(self._live(), key=lambda e: (e["expires_at"], e["serve_id"]))
             victim["alive"] = False
             self.stats.evictions += 1
         self.entries[serve_id] = {
-            "serve_id": serve_id, "unit": unit, "lo": lo, "hi": hi,
+            "serve_id": serve_id, "unit": unit, "served": served,
             "expires_at": now + ttl, "pending": None, "alive": True,
         }
         self.stats.inserts += 1
 
-    def origin_update(self, old, new, now):
+    def origin_update(self, key, old, new, now):
         self.sweep(now)
         touched = []
         for e in self._live():
-            if e["pending"] is None and (e["lo"] <= old < e["hi"] or e["lo"] <= new < e["hi"]):
+            served = e["served"]
+            if isinstance(served, int):
+                hit = served == key
+            else:
+                lo, hi = served
+                hit = lo <= old < hi or lo <= new < hi
+            if e["pending"] is None and hit:
                 e["pending"] = now
                 touched.append(e["serve_id"])
         return touched
@@ -309,25 +310,20 @@ def test_cache_matches_reference_model_under_random_traffic():
             assert got is want, f"step {step}: lookup {got} != {want}"
             if got is Lookup.MISS:
                 ttl = float(rng.uniform(0.3, 6.0))
-                if unit < 20:
-                    _, lo, hi = queries[unit]
-                    _serve(oracle, cache, unit, next_serve, ttl, now, query=unit)
-                else:
-                    lo = float(values[unit - 20])
-                    hi = math.nextafter(lo, math.inf)
-                    _serve(oracle, cache, unit, next_serve, ttl, now, value=lo)
-                ref.insert(unit, next_serve, lo, hi, ttl, now)
+                _serve(oracle, cache, unit, next_serve, ttl, now)
+                served = queries[unit][1:] if unit < 20 else unit - 20
+                ref.insert(unit, next_serve, served, ttl, now)
                 next_serve += 1
         elif u < 0.75:
             key = int(rng.integers(0, 40))
             old = float(values[key])
-            if rng.random() < 0.1:  # onto a read's value
+            if rng.random() < 0.1:  # onto a read's value: the read stays valid
                 new = float(values[int(rng.integers(0, 10))])
             else:
                 new = float(rng.uniform(0.0, 100.0))
             values[key] = new
-            got = _write(oracle, cache, index.move(key, old, new), old, new, now)
-            want = ref.origin_update(old, new, now)
+            got = _write(oracle, cache, index.move(key, old, new) + [20 + key], now)
+            want = ref.origin_update(key, old, new, now)
             assert got == want, f"step {step}: pending {got} != {want}"
             purges.extend((now + 0.002, sid) for sid in got)
         else:

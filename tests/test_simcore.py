@@ -5,7 +5,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import math
-from itertools import chain, count
+from itertools import chain, count, islice
 
 import numpy as np
 import pytest
@@ -362,8 +362,7 @@ def test_hottest_missed_query_tiebreak(tiny_cfg):
         sim = _build_sim(tiny_cfg)
         oracle = sim.telemetry.oracle
         for sid, unit in enumerate(u for u, n in misses.items() for _ in range(n)):
-            served = {"query": unit} if unit < qc else {"value": 0.0}
-            oracle.on_serve(sid, unit, float(sid), 1.0, **served)
+            oracle.on_serve(sid, unit, float(sid), 1.0)
         return sim.hottest_missed_query()
 
     assert hottest({3: 5, 1: 5, 2: 4, qc + 9: 99}) == 1  # reads never win
@@ -388,24 +387,26 @@ def test_stale_reads_happen_under_writes(tiny_cfg):
 
 
 def test_arrival_gaps_equal_per_call_draws(tiny_cfg):
-    # The chunks, joined, must be ascending and hold exactly the running sums
+    # A run's timeline must be ascending and hold exactly the running sums
     # of one exponential() call per arrival on each connection's own
-    # generator, up to the last time yielded.
+    # generator, up to the last time taken, over several arrival chunks; the
+    # n-th arrival carries the n-th op of the op stream.
     spec = tiny_cfg.workload
     mean_gap = spec.connections / spec.target_throughput
-    seeds = np.random.SeedSequence(4).spawn(4)[2].spawn(spec.connections)
-    chunks = arrival_chunks([np.random.default_rng(s) for s in seeds], mean_gap)
-    got, sizes = [], []
-    for times in (next(chunks) for _ in range(6)):
-        sizes.append(len(times))
-        got += times
-    assert got == sorted(got) and min(sizes) > 500
+    n = 6 * workload._ARRIVAL_CHUNK
+    timeline = workload.op_timeline(spec, np.random.SeedSequence(3), np.random.SeedSequence(4))
+    got, ops = zip(*islice(timeline, n))
+    got = list(got)
+    assert len(got) == n and got == sorted(got)
     ref = []
-    for seed in seeds:
+    for seed in np.random.SeedSequence(4).spawn(spec.connections):
         rng, now = np.random.default_rng(seed), 0.0
         while (now := now + float(rng.exponential(mean_gap))) <= got[-1]:
             ref.append(now)
     assert got == sorted(ref)
+    want = list(islice(workload.OpStream(spec, np.random.default_rng(np.random.SeedSequence(3))), n))
+    assert [op[:2] for op in ops] == [op[:2] for op in want]
+    np.testing.assert_array_equal([op[2] for op in ops], [op[2] for op in want])  # NaN == NaN
 
 
 def test_short_desk_counts_are_pinned():
@@ -460,9 +461,27 @@ def test_pending_naf_decision_keeps_its_result_keys(tiny_cfg):
     assert sim.estimator.queue.pop_due(0).result_keys == decided_on
 
 
+def test_a_read_is_resolved_by_writes_of_its_own_record_alone(tiny_cfg):
+    # A point read of key k depends on k's record: a write of another record
+    # onto k's exact value leaves it valid, and a write of k resolves it.
+    sim = _build_sim(tiny_cfg)
+    values, qc = sim.world.values, tiny_cfg.workload.query_count
+    k, other = 3, 4
+    v = float(values[k])
+    sim._handle_request("read", k, 1.0)
+    sim._handle_update(other, v, 1.5)
+    assert math.isnan(sim.telemetry.oracle.true_ttl[0])
+    assert sim.cache.lookup(qc + k, 1.501) is Lookup.HIT and len(sim.engine) == 0
+    sim._handle_update(k, v + 1.0, 2.0)
+    assert sim.telemetry.oracle.true_ttl[0] == 1.0
+    assert sim.cache.lookup(qc + k, 2.001) is Lookup.STALE_HIT  # marked, purge in flight
+    assert len(sim.engine) == 1
+
+
 def test_write_onto_a_read_value_resolves_the_read(tiny_cfg):
-    # A point read of key k serves the range [v, nextafter(v)) of k's value
-    # v; a write of another key whose new value is v lands in it.
+    # A point read of key k depends on k's record, so a write of k resolves
+    # it even when it puts k's own value v back; a write of another key next
+    # to v does not.
     sim = _build_sim(tiny_cfg)
     values, qc = sim.world.values, tiny_cfg.workload.query_count
     k, other = 3, 4
@@ -470,7 +489,7 @@ def test_write_onto_a_read_value_resolves_the_read(tiny_cfg):
     sim._handle_request("read", k, 1.0)
     sim._handle_update(other, math.nextafter(v, math.inf), 1.5)  # next to v: no effect
     assert math.isnan(sim.telemetry.oracle.true_ttl[0])
-    sim._handle_update(other, v, 2.0)
+    sim._handle_update(k, v, 2.0)
     assert sim.telemetry.oracle.true_ttl[0] == 1.0
     assert sim.cache.lookup(qc + k, 2.001) is Lookup.STALE_HIT  # marked, purge in flight
     assert len(sim.engine) == 1

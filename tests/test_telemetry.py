@@ -231,10 +231,20 @@ def test_requests_and_miss_rates_cannot_go_back():
 # oracle
 
 
+def _touches(served, key, old, new):
+    """Whether a write of `key` from `old` to `new` touches a serve: of a
+    query's (lo, hi), when either value lands in it; of a read's key, when
+    it is that key."""
+    if isinstance(served, int):
+        return served == key
+    lo, hi = served
+    return lo <= old < hi or lo <= new < hi
+
+
 def _brute_force(serves, writes):
-    """Forward scan: each serve resolves at the first later write whose old or
-    new value lands inside the served range. Timestamps are distinct by
-    construction, so a plain merge by time is a total order."""
+    """Forward scan: each serve resolves at the first later write that
+    touches it. Timestamps are distinct by construction, so a plain merge by
+    time is a total order."""
     events = sorted(
         [(serves[i][0], "serve", i) for i in range(len(serves))]
         + [(writes[j][0], "write", j) for j in range(len(writes))]
@@ -245,11 +255,10 @@ def _brute_force(serves, writes):
         if kind == "serve":
             pending.append(idx)
             continue
-        _, old, new = writes[idx]
+        _, key, old, new = writes[idx]
         still = []
         for sid in pending:
-            _, lo, hi, _action = serves[sid]
-            if lo <= old < hi or lo <= new < hi:
+            if _touches(serves[sid][2], key, old, new):
                 resolution[sid] = t
             else:
                 still.append(sid)
@@ -258,16 +267,18 @@ def _brute_force(serves, writes):
 
 
 def test_oracle_matches_forward_scan_on_random_stream():
-    # Serves are of 30 fixed ranges or point reads of a 50-record table; each
-    # write moves one record, and the index returns the queries it touches.
+    # Serves are of 30 fixed ranges (units 0-29) or point reads of a
+    # 50-record table (units 30-79); each write moves one record, one in ten
+    # onto another record's value, and touches the queries the index returns
+    # and the read of its record.
     rng = np.random.default_rng(53)
     values = rng.uniform(0.0, 50.0, size=50)
     los = rng.uniform(0.0, 50.0, size=30).tolist()
     queries = [QueryDef(q, lo, lo + w) for q, (lo, w) in enumerate(zip(los, rng.uniform(0.1, 8.0, 30).tolist()))]
     index = QueryIndex(queries, [evaluate_query(values, lo, hi).tolist() for _, lo, hi in queries])
     oracle = TrueTtlOracle()
-    serves = []  # (time, lo, hi, action)
-    writes = []  # (time, old, new)
+    serves = []  # (time, unit, query (lo, hi) or read key, action)
+    writes = []  # (time, key, old, new)
     resolved_by_write = {}  # sid -> time of the write whose on_write returned it
     now = 0.0
     for sid in range(400):
@@ -276,13 +287,12 @@ def test_oracle_matches_forward_scan_on_random_stream():
             action = float(rng.uniform(0.2, 5.0))  # short: shadows will occur
             if rng.random() < 0.75:
                 q, lo, hi = queries[int(rng.integers(30))]
-                served = {"query": q}
+                unit, served = q, (lo, hi)
             else:
-                lo = float(values[int(rng.integers(50))])
-                hi = math.nextafter(lo, math.inf)
-                served = {"value": lo}
-            oracle.on_serve(len(serves), unit=len(serves) % 17, now=now, action=action, **served)
-            serves.append((now, lo, hi, action))
+                key = int(rng.integers(50))
+                unit, served = 30 + key, key
+            oracle.on_serve(len(serves), unit=unit, now=now, action=action)
+            serves.append((now, unit, served, action))
         else:
             key = int(rng.integers(50))
             old = float(values[key])
@@ -291,17 +301,17 @@ def test_oracle_matches_forward_scan_on_random_stream():
             else:
                 new = float(rng.uniform(0.0, 50.0))
             values[key] = new
-            for s in oracle.on_write(index.move(key, old, new), old, new, now):
+            for s in oracle.on_write(index.move(key, old, new) + [30 + key], now):
                 assert s not in resolved_by_write
                 resolved_by_write[s] = now
-            writes.append((now, old, new))
+            writes.append((now, key, old, new))
 
     expected = _brute_force(serves, writes)
     assert resolved_by_write == expected
     assert len(oracle.actions) == len(serves)
     shadows = 0
-    for sid, (t_serve, lo, hi, action) in enumerate(serves):
-        assert oracle.units[sid] == sid % 17
+    for sid, (t_serve, unit, _, action) in enumerate(serves):
+        assert oracle.units[sid] == unit
         assert oracle.served_at[sid] == t_serve and oracle.actions[sid] == action
         true_ttl = oracle.true_ttl[sid]
         if sid in expected:
@@ -310,79 +320,67 @@ def test_oracle_matches_forward_scan_on_random_stream():
         else:
             assert math.isnan(true_ttl)
     assert shadows > 0, "stream produced no shadow resolutions; weak test"
-    reads = [sid for sid, (_, lo, hi, _) in enumerate(serves) if hi == math.nextafter(lo, math.inf)]
+    reads = [sid for sid, (_, unit, _, _) in enumerate(serves) if unit >= 30]
     assert any(sid in expected for sid in reads), "no read was resolved; weak test"
     assert oracle.pending_count == len(serves) - len(expected)
 
 
 def test_oracle_resolves_each_serve_once():
     oracle = TrueTtlOracle()
-    oracle.on_serve(0, unit=1, now=0.0, action=5.0, query=1)
-    assert oracle.on_write([1], 3.0, 60.0, 2.0) == [0]
+    oracle.on_serve(0, unit=1, now=0.0, action=5.0)
+    assert oracle.on_write([1], 2.0) == [0]
     assert oracle.true_ttl[0] == 2.0
-    again = oracle.on_write([1], 4.0, 61.0, 3.0)
+    again = oracle.on_write([1], 3.0)
     assert again == []  # already resolved, not re-stamped
     assert oracle.true_ttl[0] == 2.0
 
 
-def test_oracle_resolution_uses_old_or_new_value():
+def test_oracle_resolves_the_units_a_write_touches():
     oracle = TrueTtlOracle()
-    oracle.on_serve(0, unit=1, now=0.0, action=5.0, value=0.5)
-    oracle.on_serve(1, unit=2, now=0.0, action=5.0, value=10.5)
-    oracle.on_serve(2, unit=3, now=0.0, action=5.0, value=20.5)
-    hit = oracle.on_write([], 0.5, 10.5, 1.0)  # old hits serve 0, new hits serve 1
-    assert hit == [0, 1]
-    assert oracle.on_write([], 20.5, 20.5, 2.0) == [2]  # old == new: once
+    for sid, unit in enumerate((1, 2, 3)):
+        oracle.on_serve(sid, unit=unit, now=0.0, action=5.0)
+    assert oracle.on_write([2, 1, 9], 1.0) == [0, 1]  # unit 9 has no serve
+    assert oracle.on_write([3, 3], 2.0) == [2]  # a unit given twice: once
+    assert oracle.true_ttl.tolist() == [1.0, 1.0, 2.0] and oracle.pending_count == 0
 
 
 def test_oracle_write_onto_a_read_value_resolves_the_read():
-    # A read's range [v, nextafter(v)) holds only v, so a write of another
-    # record whose new value is v resolves it, and its neighbours do not.
+    # A read of key 9 in a 10-query world is unit 19: a write of record 9,
+    # even one onto its own value, touches that unit and resolves every
+    # pending serve of it; writes of the neighbouring records do not.
     oracle = TrueTtlOracle()
-    v = 3.25
-    oracle.on_serve(0, unit=9, now=0.0, action=5.0, value=v)
-    oracle.on_serve(1, unit=9, now=1.0, action=5.0, value=v)  # the same value, served again
-    assert oracle.on_write([], 7.0, math.nextafter(v, math.inf), 1.5) == []
-    assert oracle.on_write([], 7.0, math.nextafter(v, -math.inf), 1.5) == []
-    assert oracle.on_write([], 7.0, v, 2.0) == [0, 1]
+    oracle.on_serve(0, unit=19, now=0.0, action=5.0)
+    oracle.on_serve(1, unit=19, now=1.0, action=5.0)  # the same record, served again
+    assert oracle.on_write([18], 1.5) == []
+    assert oracle.on_write([20], 1.5) == []
+    assert oracle.on_write([19], 2.0) == [0, 1]
     assert oracle.true_ttl.tolist() == [2.0, 1.0] and oracle.pending_count == 0
 
 
 def test_oracle_resolves_queries_and_reads_in_serve_order():
+    # units 2, 4 and 7 are queries, 11 a read, as in a 10-query world
     oracle = TrueTtlOracle()
-    for sid, served in enumerate(({"query": 4}, {"value": 1.5}, {"query": 2}, {"query": 4}, {"query": 7})):
-        oracle.on_serve(sid, unit=sid, now=0.0, action=1.0, **served)
-    assert oracle.on_write([4, 2], 1.5, 9.0, 1.0) == [0, 1, 2, 3]
+    for sid, unit in enumerate((4, 11, 2, 4, 7)):
+        oracle.on_serve(sid, unit=unit, now=0.0, action=1.0)
+    assert oracle.on_write([4, 2, 11], 1.0) == [0, 1, 2, 3]
     assert oracle.pending_count == 1
-
-
-def test_oracle_serve_is_of_a_query_or_a_read():
-    oracle = TrueTtlOracle()
-    with pytest.raises(ValueError, match="got query=None and value=None"):
-        oracle.on_serve(0, unit=1, now=0.0, action=1.0)
-    with pytest.raises(ValueError, match="got query=1 and value=2.0"):
-        oracle.on_serve(0, unit=1, now=0.0, action=1.0, query=1, value=2.0)
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="read value .* is not finite"):
-            oracle.on_serve(0, unit=1, now=0.0, action=1.0, value=bad)
-    assert len(oracle.actions) == 0 and oracle.pending_count == 0
 
 
 def test_oracle_shadow_flag():
     # a shadow resolution: the write comes after the entry's nominal expiry
     oracle = TrueTtlOracle()
-    oracle.on_serve(0, unit=1, now=0.0, action=2.0, query=1)
-    oracle.on_write([1], 0.5, 99.0, 7.0)  # resolves well after the 2 s action
+    oracle.on_serve(0, unit=1, now=0.0, action=2.0)
+    oracle.on_write([1], 7.0)  # resolves well after the 2 s action
     assert oracle.true_ttl[0] == 7.0 and oracle.true_ttl[0] > oracle.actions[0]
     assert oracle.resolved_errors().tolist() == [-5.0]
 
 
 def test_oracle_accessors():
     oracle = TrueTtlOracle()
-    oracle.on_serve(0, unit=3, now=0.0, action=1.0, query=3)
-    oracle.on_serve(1, unit=4, now=1.0, action=1.5, query=4)
-    oracle.on_serve(2, unit=3, now=2.0, action=0.5, value=7.5)
-    oracle.on_write([3], 0.5, 7.5, 4.0)
+    oracle.on_serve(0, unit=3, now=0.0, action=1.0)
+    oracle.on_serve(1, unit=4, now=1.0, action=1.5)
+    oracle.on_serve(2, unit=3, now=2.0, action=0.5)
+    oracle.on_write([3], 4.0)
     assert oracle.true_ttls().tolist() == [4.0, 2.0]
     assert oracle.resolved_errors().tolist() == [-3.0, -1.5]
     assert math.isnan(oracle.true_ttl[1])  # censored
@@ -394,17 +392,17 @@ def test_oracle_accessors():
 
 def test_oracle_rejects_out_of_order_serve_ids_and_changes_nothing():
     oracle = TrueTtlOracle()
-    oracle.on_serve(0, unit=3, now=0.0, action=1.0, query=3)
+    oracle.on_serve(0, unit=3, now=0.0, action=1.0)
     columns = (oracle.units, oracle.served_at, oracle.actions, oracle.true_ttl)
     before = [c.tobytes() for c in columns]
     for bad in (0, 2, -1):  # a repeat, a gap, and a negative id
         with pytest.raises(ValueError, match=f"serve id {bad} is not the next one, 1"):
-            oracle.on_serve(bad, unit=4, now=1.0, action=1.0, query=4)
+            oracle.on_serve(bad, unit=4, now=1.0, action=1.0)
     assert [c.tobytes() for c in columns] == before
     assert oracle.pending_count == 1
-    assert oracle.on_write([4], 5.5, 99.0, 2.0) == []  # no serve was filed for it
-    oracle.on_serve(1, unit=4, now=1.0, action=1.0, query=4)
-    assert oracle.on_write([4], 5.5, 99.0, 2.0) == [1]
+    assert oracle.on_write([4], 2.0) == []  # no serve was filed for it
+    oracle.on_serve(1, unit=4, now=1.0, action=1.0)
+    assert oracle.on_write([4], 2.0) == [1]
 
 
 def test_oracle_memory_per_resolved_serve():
@@ -418,8 +416,8 @@ def test_oracle_memory_per_resolved_serve():
         base, _ = tracemalloc.get_traced_memory()
         for sid in range(n):
             q = sid % 1000
-            oracle.on_serve(sid, sid % 50, float(sid), 5.0, query=q)
-            oracle.on_write([q], q + 0.5, -1.0, sid + 0.5)
+            oracle.on_serve(sid, q, float(sid), 5.0)
+            oracle.on_write([q], sid + 0.5)
         used, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

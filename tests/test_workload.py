@@ -17,7 +17,6 @@ from ttl_lab.workload import (
     ZipfSampler,
     evaluate_query,
     generate_world,
-    read_range,
 )
 
 
@@ -115,19 +114,12 @@ def test_evaluate_query_is_half_open():
     assert evaluate_query(values, 3.0, 3.0).tolist() == []  # empty interval
 
 
-def test_read_range_matches_exactly_one_record():
-    rng = np.random.default_rng(23)
-    spec = WorkloadSpec(record_count=500, query_count=10)
-    world = generate_world(spec, rng)
-    for key in rng.integers(0, 500, size=40):
-        lo, hi = read_range(world.values, int(key))
-        assert evaluate_query(world.values, lo, hi).tolist() == [int(key)]
-
-
-def test_read_range_equals_numpy_nextafter():
+def test_a_read_value_matches_exactly_one_record():
+    # A world's values are distinct, so a read of a record, whose result is
+    # that record alone, is what a scan of its exact value would return.
     world = generate_world(WorkloadSpec(record_count=3000, query_count=10), np.random.default_rng(31))
     for key, v in enumerate(world.values.tolist()):
-        assert read_range(world.values, key) == (v, float(np.nextafter(v, np.inf)))
+        assert evaluate_query(world.values, v, math.nextafter(v, math.inf)).tolist() == [key]
 
 
 def test_generate_world_shapes_and_determinism():
