@@ -8,12 +8,12 @@ live entry with the earliest expiry goes first). Invalidation is asynchronous:
 an origin update marks the touched entries pending immediately and the purge
 applies after a propagation delay; lookups in that window are stale reads.
 
-The cache keeps no range index: the true-TTL oracle (telemetry.py) resolves a
-serve at the first write touching its unit, the write that marks its entry,
-so a write marks the live entries of the serves the oracle resolves: those of
-the queries the world's fixed query index (workload.QueryIndex) finds, and
-of the read of the written record. The cache speaks serve ids: origin_update
-takes the resolved ids and returns those it marked.
+The cache keeps one index, its live entries by unit. A write marks the live,
+unmarked entry of each unit it touches (the queries workload.QueryIndex finds
+and the read of the written record): the entry of the serve the true-TTL
+oracle (telemetry.py) resolves at that write, as an earlier write touching
+the unit would have marked it. A purge holds its entry and removes it only
+while it is still its unit's live entry.
 """
 
 from __future__ import annotations
@@ -62,7 +62,8 @@ class CacheStats:
 
 
 class CacheSystem:
-    """Edge cache: the live entries by unit and by serve id, and a lazy expiry heap."""
+    """Edge cache: the live entries by unit, and a lazy expiry heap of
+    (expires_at, serve_id, entry), whose records of dead entries are skipped."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
@@ -70,28 +71,22 @@ class CacheSystem:
         self.capacity = capacity
         self.stats = CacheStats()
         self._by_unit: dict[int, CacheEntry] = {}
-        self._by_serve: dict[int, CacheEntry] = {}
-        self._expiry: list[tuple[float, int]] = []
+        self._expiry: list[tuple[float, int, CacheEntry]] = []
 
     def current_load(self, now: float) -> float:
         self.sweep(now)
-        return len(self._by_serve) / self.capacity
+        return len(self._by_unit) / self.capacity
 
     def live_entries(self) -> list[CacheEntry]:
         return list(self._by_unit.values())
-
-    def _remove(self, entry: CacheEntry) -> None:
-        del self._by_unit[entry.unit]
-        del self._by_serve[entry.serve_id]
 
     def sweep(self, now: float) -> int:
         """Reap entries whose expiry has passed; returns how many died."""
         reaped = 0
         while self._expiry and self._expiry[0][0] <= now:
-            expires_at, serve_id = heapq.heappop(self._expiry)
-            entry = self._by_serve.get(serve_id)
-            if entry is not None:
-                self._remove(entry)
+            entry = heapq.heappop(self._expiry)[2]
+            if self._by_unit.get(entry.unit) is entry:
+                del self._by_unit[entry.unit]
                 self.stats.expirations += 1
                 reaped += 1
         return reaped
@@ -99,7 +94,7 @@ class CacheSystem:
     def lookup(self, unit: int, now: float) -> Lookup:
         entry = self._by_unit.get(unit)
         if entry is not None and entry.expires_at <= now:
-            self._remove(entry)
+            del self._by_unit[unit]
             self.stats.expirations += 1
             entry = None
         if entry is None:
@@ -115,54 +110,50 @@ class CacheSystem:
         """Cache a fresh serve. Pre: the unit has no live entry (lookup missed)."""
         if not (0.0 < ttl < math.inf):
             raise ValueError(f"ttl {ttl} is not a positive finite number")
-        if serve_id in self._by_serve:
-            raise ValueError(f"serve id {serve_id} reused")
         self.sweep(now)
         if unit in self._by_unit:
             raise ValueError(f"unit {unit} already has a live entry")
-        if len(self._by_serve) >= self.capacity:
+        if len(self._by_unit) >= self.capacity:
             self._evict_earliest()
         entry = CacheEntry(unit, serve_id, expires_at=now + ttl)
         self._by_unit[unit] = entry
-        self._by_serve[serve_id] = entry
-        heapq.heappush(self._expiry, (entry.expires_at, serve_id))
+        heapq.heappush(self._expiry, (entry.expires_at, serve_id, entry))
         self.stats.inserts += 1
 
     def _evict_earliest(self) -> None:
         while self._expiry:
-            expires_at, serve_id = heapq.heappop(self._expiry)
-            entry = self._by_serve.get(serve_id)
-            if entry is not None:
-                self._remove(entry)
+            entry = heapq.heappop(self._expiry)[2]
+            if self._by_unit.get(entry.unit) is entry:
+                del self._by_unit[entry.unit]
                 self.stats.evictions += 1
                 return
         raise RuntimeError("cache full but expiry heap empty")
 
-    def origin_update(self, serve_ids: list[int], now: float) -> list[int]:
-        """Mark pending, in the order given, the live entries of the serves a
-        write resolves (TrueTtlOracle.on_write, which resolves a serve once);
-        returns the ids marked, skipping serves whose entry expired or was
-        evicted. The caller schedules the delayed purges."""
+    def origin_update(self, units: list[int], now: float) -> list[CacheEntry]:
+        """Mark pending, in the order given, the live, unmarked entry of each
+        unit a write touches, and return those entries. A unit with no live
+        entry, or one already marked, is skipped. The caller schedules the
+        delayed purges."""
         self.sweep(now)
         marked = []
-        for serve_id in serve_ids:
-            entry = self._by_serve.get(serve_id)
-            if entry is not None:
+        for unit in units:
+            entry = self._by_unit.get(unit)
+            if entry is not None and not entry.pending:
                 entry.pending = True
-                marked.append(serve_id)
+                marked.append(entry)
         return marked
 
-    def apply_invalidation(self, serve_id: int, now: float) -> bool:
-        """The delayed purge. No-op if the entry already expired or was evicted."""
+    def apply_invalidation(self, entry: CacheEntry, now: float) -> bool:
+        """The delayed purge of a marked entry. No-op if the entry already
+        expired or was evicted, whether or not its unit was cached again."""
         self.sweep(now)
-        entry = self._by_serve.get(serve_id)
-        if entry is None:
+        if self._by_unit.get(entry.unit) is not entry:
             return False
-        self._remove(entry)
+        del self._by_unit[entry.unit]
         self.stats.invalidations += 1
         return True
 
     def check_invariants(self) -> None:
-        assert len(self._by_serve) == len(self._by_unit) <= self.capacity
-        for serve_id, entry in self._by_serve.items():
-            assert entry.serve_id == serve_id and self._by_unit[entry.unit] is entry
+        assert len(self._by_unit) <= self.capacity
+        for unit, entry in self._by_unit.items():
+            assert entry.unit == unit

@@ -2,8 +2,8 @@
 
 Each Simulation builds one estimator with make_estimator, bound to that run:
 it answers decide() on every cache miss and may react to invalidation issues
-and DEI due events. A new kind is one name in ESTIMATOR_KINDS and one branch
-of make_estimator; its options are checked once, by ExperimentConfig. The
+and DEI due events. A new kind is one entry of _BUILDERS, whose keys are
+ESTIMATOR_KINDS; its options are checked once, by ExperimentConfig. The
 Poisson baseline treats result-key writes as independent Poisson processes
 and bets on the minimum expected gap; the NAF estimators learn the TTL
 online, differing only in when unfinished transitions are completed.
@@ -160,18 +160,16 @@ class NafNaiveEstimator(_NafEstimator):
         return a
 
 
-ESTIMATOR_KINDS = ("poisson", "naf-dei", "naf-naive", "fixed")
+# kind -> builder(cfg, sim, log_transitions), reading its options from cfg
+_BUILDERS = {
+    "poisson": lambda cfg, sim, log: PoissonEstimator(sim.telemetry, cfg.poisson_max_ttl),
+    "naf-dei": lambda cfg, sim, log: NafDeiEstimator(sim, cfg.naf, cfg.reward, log),
+    "naf-naive": lambda cfg, sim, log: NafNaiveEstimator(sim, cfg.naf, cfg.reward, log),
+    "fixed": lambda cfg, sim, log: FixedEstimator(cfg.fixed_ttl),
+}
+ESTIMATOR_KINDS = tuple(_BUILDERS)
 
 
 def make_estimator(kind: str, cfg, sim, log_transitions: bool = False) -> TtlEstimator:
-    """The estimator of one kind for `sim`, its options read from `cfg` (an
-    ExperimentConfig, which checked them)."""
-    if kind == "fixed":
-        return FixedEstimator(cfg.fixed_ttl)
-    if kind == "poisson":
-        return PoissonEstimator(sim.telemetry, cfg.poisson_max_ttl)
-    if kind == "naf-dei":
-        return NafDeiEstimator(sim, cfg.naf, cfg.reward, log_transitions)
-    if kind == "naf-naive":
-        return NafNaiveEstimator(sim, cfg.naf, cfg.reward, log_transitions)
-    raise ValueError(f"unknown estimator kind {kind!r}")
+    """The estimator of one kind for `sim`, built by its entry in _BUILDERS."""
+    return _BUILDERS[kind](cfg, sim, log_transitions)

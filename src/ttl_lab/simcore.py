@@ -7,15 +7,16 @@ and agent RNG.
 
 Virtual time is a float starting at 0, and a run is a pure function of
 (config, seed). There are two kinds of event:
-- a client op, one of each of the `workload.connections` open-loop
+- a client op, one of each of the `workload.CONNECTIONS` open-loop
   connections' arrivals. Ops never depend on the estimator, so the run's op
   timeline is computed ahead, a chunk at a time (`workload.op_timeline`), and
   each op goes to the simulation by a direct call.
   Ops go by time alone: the n-th arrival carries the n-th op, so ops at equal
   times are interchangeable.
-- a heap event, carrying one serve id: "inval" (the delayed purge) or "dei"
-  (a transition coming due). Heap events go by (time, sequence number), so
-  simultaneous ones dispatch in scheduling order.
+- a heap event: "inval", the delayed purge, carrying the cache entry a write
+  marked, or "dei", a transition coming due, carrying its serve id. Heap
+  events go by (time, sequence number), so simultaneous ones dispatch in
+  scheduling order.
 At equal times a heap event goes before an op, so a purge scheduled with no
 delay lands before any op tied with the write that issued it.
 """
@@ -46,7 +47,7 @@ class SimEvent(NamedTuple):
     time: float
     seq: int
     kind: str
-    arg: int  # the serve id of an "inval" or "dei"
+    arg: object  # an "inval"'s CacheEntry, a "dei"'s serve id
 
 
 class Engine:
@@ -76,7 +77,8 @@ class Engine:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def schedule(self, time: float, kind: str, arg: int) -> None:
+    def schedule(self, time: float, kind: str, arg: object) -> None:
+        """Push event `kind` with its payload `arg` (see SimEvent) at `time`."""
         if not (self.now <= time < math.inf):
             raise ValueError(
                 f"cannot schedule {kind!r} at {time}: not finite or before now={self.now}"
@@ -249,10 +251,10 @@ class Simulation:
         self.telemetry.record_write(key, now)
         touched = self.world.index.move(key, old, new_value)
         touched.append(self.unit_for("read", key))
-        resolved = self.telemetry.oracle.on_write(touched, now)
-        for serve_id in self.cache.origin_update(resolved, now):
-            self.engine.schedule(now + self.latency.invalidation_delay, "inval", serve_id)
-            self.estimator.on_invalidation_issued(serve_id, now)
+        self.telemetry.oracle.on_write(touched, now)
+        for entry in self.cache.origin_update(touched, now):
+            self.engine.schedule(now + self.latency.invalidation_delay, "inval", entry)
+            self.estimator.on_invalidation_issued(entry.serve_id, now)
         if self.trace_writer is not None:
             self.trace_writer((now, "update", self.unit_for("update", key), "write", self.latency.miss_latency))
         return self.latency.miss_latency

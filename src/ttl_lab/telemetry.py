@@ -16,8 +16,8 @@ the entry's nominal expiry; serves never hit by a write stay censored (NaN)
 and are excluded from error metrics. Its unresolved serves wait under their
 unit. A write resolves the serves of the units it touches: the queries whose
 range holds its old or new value, which the world's QueryIndex finds, and the
-point read of its own record. It returns their ids ascending, which is serve
-order (see cachesys).
+point read of its own record. The cache marks the entries of the same units
+itself (see cachesys), so a write only fills the true TTL column.
 """
 
 from __future__ import annotations
@@ -92,7 +92,9 @@ class TrueTtlOracle:
     Serves are columns indexed by serve id, which must be dense and in serve
     order: `units`, `served_at`, `actions`, and `true_ttl`, NaN while the
     serve is censored. A resolved serve is a shadow when true_ttl > action.
-    The pending serve ids wait in lists, by unit.
+    The pending serve ids wait in lists, by unit; a write resolves those of
+    the units it touches and reports nothing, since which serves it resolved
+    is in the true_ttl column.
     """
 
     def __init__(self):
@@ -116,20 +118,14 @@ class TrueTtlOracle:
         self.actions.append(action)
         self.true_ttl.append(math.nan)
 
-    def on_write(self, units: list[int], now: float) -> list[int]:
+    def on_write(self, units: list[int], now: float) -> None:
         """Resolve every pending serve of the `units` a write touches, each
-        serve once; returns their serve ids, ascending."""
-        resolved: list[int] = []
+        serve once."""
         pop = self._pending.pop
-        for unit in units:
-            serves = pop(unit, None)
-            if serves is not None:
-                resolved += serves
-        resolved.sort()
         true_ttl, served_at = self.true_ttl, self.served_at
-        for serve_id in resolved:
-            true_ttl[serve_id] = now - served_at[serve_id]
-        return resolved
+        for unit in units:
+            for serve_id in pop(unit, ()):
+                true_ttl[serve_id] = now - served_at[serve_id]
 
     @property
     def pending_count(self) -> int:

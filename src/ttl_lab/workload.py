@@ -39,6 +39,10 @@ import numpy as np
 _OP_BLOCK = 2048
 # Arrivals merged per chunk, summed over the connections.
 _ARRIVAL_CHUNK = 2048
+# Open-loop Poisson connections sharing target_throughput. Their merged
+# arrivals are one Poisson process of that rate whatever their number, so
+# the count changes only which draws a run uses, not the workload it models.
+CONNECTIONS = 60
 # The op kinds by the code the op decoder gives them; indexing an object
 # array hands out these three strings, not copies.
 _KINDS = np.array(["update", "query", "read"], dtype=object)
@@ -69,7 +73,6 @@ class WorkloadSpec:
     scan_std: float = 5.0
     result_cap: int = 20
     target_throughput: float = 200.0
-    connections: int = 60  # open-loop Poisson streams sharing target_throughput
     duration: float = 300.0
 
     def __post_init__(self) -> None:
@@ -94,8 +97,6 @@ class WorkloadSpec:
             raise ValueError("result_cap must be in [1, record_count]")
         if self.target_throughput <= 0.0:
             raise ValueError("target_throughput must be positive")
-        if self.connections < 1:
-            raise ValueError("connections must be >= 1")
         if self.duration <= 0.0:
             raise ValueError("duration must be positive")
 
@@ -134,11 +135,12 @@ class QueryDef(NamedTuple):
 # Bucket width in value units. Record values are uniform on [0, record_count),
 # one record per unit at every preset, and a query holds at most result_cap
 # (20) records, so its range spans 1-3 buckets. Narrow buckets register a
-# range in more of them, wide ones hold more ranges to test per write. The
-# width was chosen for a per-serve index of the same ranges: replaying the
-# 100,200 index calls of a paper-scale run (w = 0.3, 60 s) on a 2-core Xeon
-# VM took, in CPU s (median of 11): width 4 0.32, 8 0.25, 16 0.23, 32 0.23,
-# 64 0.27.
+# range in more of them, wide ones hold more ranges to test per write. Any
+# width gives the same touched lists, since a bucket lists its queries in id
+# order. Replaying the 17,885 `move` calls of a paper-scale run (w = 0.3,
+# 60 s, seed 1) on a shared 2-core Xeon VM took, in ms (median of 41
+# interleaved replays, quartiles): width 4 49 (44-60), 8 47 (44-58),
+# 16 49 (47-51), 32 54 (52-59), 64 62 (61-86); 4 to 16 are within the spread.
 _WIDTH = 16.0
 
 
@@ -342,14 +344,14 @@ def op_timeline(
     """A run's ops in time order, as (time, (kind, target, new value)).
 
     The ops are `OpStream`'s, drawn from `ops_seed`; connection i's arrivals
-    are drawn from the i-th of `spec.connections` children spawned from
+    are drawn from the i-th of CONNECTIONS children spawned from
     `arrivals_seed`, and the n-th arrival carries the n-th op. Spawning is
     stateful, so the same timeline needs an `arrivals_seed` that has not
     spawned before.
     """
     arrivals = arrival_chunks(
-        [np.random.default_rng(s) for s in arrivals_seed.spawn(spec.connections)],
-        spec.connections / spec.target_throughput,
+        [np.random.default_rng(s) for s in arrivals_seed.spawn(CONNECTIONS)],
+        CONNECTIONS / spec.target_throughput,
     )
     ops = iter(OpStream(spec, np.random.default_rng(ops_seed)))
     return chain.from_iterable(zip(times, ops) for times in arrivals)

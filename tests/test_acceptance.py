@@ -108,7 +108,10 @@ def test_criterion_04_oracle_equivalence():
                 old = float(values[key])
                 values[key] = new
                 touched = world.index.move(key, old, new) + [spec.query_count + key]
-                got = oracle.on_write(touched, now)
+                # the serves this write resolved: their true TTLs turn from NaN
+                before = np.isnan(oracle.true_ttl)
+                oracle.on_write(touched, now)
+                got = np.flatnonzero(before & ~np.isnan(oracle.true_ttl)).tolist()
                 # a query is touched when either value lands in its range, a
                 # read when its record is written
                 hit = [s for s, (served, _, _) in pending.items()
@@ -154,7 +157,10 @@ def test_criterion_05_origin_update_brute_force():
     # reads of a 2,000-record table (unit 4000 + key), each to a unit with no
     # live entry; each write moves one record, one in ten onto another
     # record's value, and touches the queries whose range holds its old or
-    # new value and the read of its record.
+    # new value and the read of its record. The oracle and the cache each get
+    # the touched units; the cache must mark, in touched order, the entries a
+    # scan finds, and exactly the live entries of the serves the oracle
+    # resolves at that write.
     rng = np.random.default_rng(55)
     capacity = 250
     values = rng.uniform(0.0, 2000.0, size=2000)
@@ -162,13 +168,14 @@ def test_criterion_05_origin_update_brute_force():
     queries = [QueryDef(q, lo, lo + w) for q, (lo, w) in enumerate(zip(los, rng.uniform(0.01, 50.0, 4000).tolist()))]
     index = QueryIndex(queries, [evaluate_query(values, lo, hi).tolist() for _, lo, hi in queries])
     oracle, cache = TrueTtlOracle(), CacheSystem(capacity)
-    # the cache's live entries, in serve order: sid -> [unit, expires_at, pending]
+    true_ttl, served_at = oracle.true_ttl, oracle.served_at
+    # the cache's live entries, in serve order: sid -> [unit, expires_at, marked entry or None]
     mirror: dict[int, list] = {}
     next_id = 0
     now = 0.0
-    mismatches = marked_total = filtered = 0
+    mismatches = marked_total = skipped = 0
 
-    def touched(unit, key, old, new):
+    def touches(unit, key, old, new):
         if unit >= 4000:
             return unit - 4000 == key
         _, lo, hi = queries[unit]
@@ -192,7 +199,7 @@ def test_criterion_05_origin_update_brute_force():
         cache.insert(unit, next_id, ttl, now)
         if len(mirror) >= capacity:  # evict the earliest expiry, ties by serve id
             del mirror[min(mirror, key=lambda s: (mirror[s][1], s))]
-        mirror[next_id] = [unit, now + ttl, False]
+        mirror[next_id] = [unit, now + ttl, None]
         next_id += 1
 
     def fill():
@@ -215,35 +222,42 @@ def test_criterion_05_origin_update_brute_force():
             new = float(rng.uniform(0.0, 2000.0))
         values[key] = new
         reap()
-        expected = [sid for sid, (unit, _, p) in mirror.items()
-                    if not p and touched(unit, key, old, new)]
-        resolved = oracle.on_write(index.move(key, old, new) + [4000 + key], now)
-        got = cache.origin_update(resolved, now)
-        if got != expected:
+        scan = [sid for sid, (unit, _, p) in mirror.items()
+                if p is None and touches(unit, key, old, new)]
+        touched = index.move(key, old, new) + [4000 + key]
+        unmarked = {e[0]: sid for sid, e in mirror.items() if e[2] is None}
+        expected = [unmarked[unit] for unit in touched if unit in unmarked]
+        open_live = [sid for sid in mirror if math.isnan(true_ttl[sid])]
+        oracle.on_write(touched, now)
+        got = cache.origin_update(touched, now)
+        if [e.serve_id for e in got] != expected or sorted(expected) != scan:
+            mismatches += 1
+        # the paths agree: each marked entry's serve is resolved by this write,
+        # and each live entry of a serve it resolves is marked
+        if ({sid for sid in open_live if not math.isnan(true_ttl[sid])} != set(expected)
+                or any(true_ttl[e.serve_id] != now - served_at[e.serve_id] for e in got)):
             mismatches += 1
         marked_total += len(expected)
-        filtered += len(resolved) - len(got)  # expired or evicted before this write
-        for sid in expected:
+        skipped += len(touched) - len(got)  # no live, unmarked entry
+        for entry in got:
+            mirror[entry.serve_id][2] = entry
+        for sid in scan:  # purge decisions in serve order
             if rng.random() < 0.8:  # purge arrives; 20% linger pending
-                assert cache.apply_invalidation(sid, now)
-                del mirror[sid]
-            else:
-                mirror[sid][2] = True
+                assert cache.apply_invalidation(mirror.pop(sid)[2], now)
         # drain lingerers so pendings never crowd out the live population
-        for sid in [s for s, e in mirror.items() if e[2]]:
+        for sid in [s for s, e in mirror.items() if e[2] is not None]:
             if rng.random() < 0.3:
-                assert cache.apply_invalidation(sid, now)
-                del mirror[sid]
+                assert cache.apply_invalidation(mirror.pop(sid)[2], now)
         fill()
     cache.check_invariants()
     if sorted(e.serve_id for e in cache.live_entries()) != sorted(mirror):
         mismatches += 1
 
     stats = cache.stats
-    ok = (mismatches == 0 and marked_total > 10_000 and filtered > 0
+    ok = (mismatches == 0 and marked_total > 10_000 and skipped > 0
           and stats.evictions > 0 and stats.expirations > 0)
     _verdict(5, "origin_update vs brute force", ok,
-             f"10000 updates, {marked_total} entries marked, {filtered} dead serves "
+             f"10000 updates, {marked_total} entries marked, {skipped} touched units "
              f"skipped, {stats.evictions} evictions, {stats.expirations} expirations, "
              f"{mismatches} mismatches")
 

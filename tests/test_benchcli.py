@@ -238,7 +238,7 @@ def test_reward_threshold_is_one_minus_w_and_not_a_key():
                      ("reward.above_threshold_form", "literal")):
         with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
             build_config(overrides={key: raw})
-    assert len(SCHEMA) == 40
+    assert len(SCHEMA) == 39
 
 
 RUN_FAILING_SETTINGS = [

@@ -1,18 +1,19 @@
 """The true-TTL oracle and the cache as a pair, against a dict model of units.
 
-The simulation finds the entries a write makes stale through the oracle: the
-serves `TrueTtlOracle.on_write` resolves, of the queries `QueryIndex.move`
-returns and of the read of the written record, go to
-`CacheSystem.origin_update`, which marks those still live. Units 0-3 are
-range queries over a table drawn per example, units 4-5 point reads of
-records 0-1 of a six-record table. The model keeps every live entry with its
-unit and marks each live, unmarked entry that the write touches, in serve
-order, as a scan of the cache would: a query's whose range holds the write's
-old or new value, a read's whose record it writes. A small capacity, TTLs on
-the same grid as the clock steps, and purge delays up to several seconds
-make entries expire before the first write that touches them and be evicted
-while their purge is in flight, so the oracle hands the cache serves it no
-longer holds.
+A write touches the queries `QueryIndex.move` returns and the read of the
+written record; the simulation hands those units to
+`TrueTtlOracle.on_write`, which resolves their pending serves, and to
+`CacheSystem.origin_update`, which marks their live, unmarked entries, in
+the order given. Units 0-3 are range queries over a table drawn per example,
+units 4-5 point reads of records 0-1 of a six-record table. The model keeps
+every live entry with its unit and marks each live, unmarked entry that the
+write touches, as a scan of the cache would: a query's whose range holds the
+write's old or new value, a read's whose record it writes. The two paths
+must agree: every entry a write marks is of a serve that write resolves,
+and every live entry of a serve it resolves is marked. A small capacity,
+TTLs on the same grid as the clock steps, and purge delays up to several
+seconds make entries expire before the first write that touches them and be
+evicted while their purge is in flight.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from hypothesis import settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule  # noqa: E402
 
-from ttl_lab.cachesys import CacheStats, CacheSystem, Lookup  # noqa: E402
+from ttl_lab.cachesys import CacheEntry, CacheStats, CacheSystem, Lookup  # noqa: E402
 from ttl_lab.telemetry import TrueTtlOracle  # noqa: E402
 from ttl_lab.workload import QueryDef, QueryIndex, evaluate_query  # noqa: E402
 
@@ -47,7 +48,7 @@ class CacheOracleModel(RuleBasedStateMachine):
         self.oracle, self.cache = TrueTtlOracle(), CacheSystem(CAPACITY)
         self.now = 0.0
         self.next_serve = 0
-        self.purges: list[tuple[float, int]] = []
+        self.purges: list[tuple[float, int, CacheEntry]] = []
         # live entries in serve order: sid -> [unit, expires_at, pending]
         self.live: dict[int, list] = {}
         self.unresolved: dict[int, int] = {}  # the oracle's serves: sid -> unit
@@ -136,25 +137,36 @@ class CacheOracleModel(RuleBasedStateMachine):
             _, lo, hi = self.queries[unit]
             return lo <= old < hi or lo <= new < hi
 
-        resolved = self.oracle.on_write(self.index.move(key, old, new) + [QUERIES + key], self.now)
+        touched = self.index.move(key, old, new) + [QUERIES + key]
+        true_ttl = self.oracle.true_ttl
+        self.oracle.on_write(touched, self.now)
+        resolved = [sid for sid in self.unresolved if not np.isnan(true_ttl[sid])]
         assert resolved == [sid for sid, unit in self.unresolved.items() if hit(unit)]
         for sid in resolved:
             del self.unresolved[sid]
-        marked = self.cache.origin_update(resolved, self.now)
+        marked = self.cache.origin_update(touched, self.now)
         self.reap()
-        expected = [sid for sid, e in self.live.items() if not e[2] and hit(e[0])]
-        assert marked == expected
-        for sid in marked:
-            self.live[sid][2] = True
-            self.purges.append((self.now + delay, sid))
+        # the live, unmarked entry of each touched unit, in touched order
+        unmarked = {e[0]: sid for sid, e in self.live.items() if not e[2]}
+        expected = [unmarked[unit] for unit in touched if unit in unmarked]
+        assert sorted(expected) == [sid for sid, e in self.live.items() if not e[2] and hit(e[0])]
+        assert [e.serve_id for e in marked] == expected
+        # the paths agree: a marked entry's serve is one this write resolved,
+        # and a live entry of a serve it resolved is marked
+        for entry in marked:
+            assert true_ttl[entry.serve_id] == self.now - self.oracle.served_at[entry.serve_id]
+        assert {sid for sid in resolved if sid in self.live} == set(expected)
+        for entry in marked:
+            self.live[entry.serve_id][2] = True
+            self.purges.append((self.now + delay, entry.serve_id, entry))
 
     @rule(dt=steps)
     def purge_due(self, dt):
         self.tick(dt)
         due = sorted(p for p in self.purges if p[0] <= self.now)
         self.purges = [p for p in self.purges if p[0] > self.now]
-        for _, sid in due:
-            got = self.cache.apply_invalidation(sid, self.now)
+        for _, sid, entry in due:
+            got = self.cache.apply_invalidation(entry, self.now)
             self.reap()
             want = self.live.pop(sid, None) is not None
             self.stats.invalidations += want

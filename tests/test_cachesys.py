@@ -23,11 +23,11 @@ def test_rangeset_add_discard_contains():
     oracle.on_serve(1, unit=2, now=0.0, action=5.0)
     oracle.on_serve(2, unit=3, now=0.0, action=5.0)
     assert oracle.pending_count == 3
-    assert oracle.on_write([4], 1.0) == []  # touches none of them
-    assert oracle.pending_count == 3
-    assert oracle.on_write([1, 2, 3], 1.0) == [0, 1, 2]
+    oracle.on_write([4], 1.0)  # touches none of them
+    assert oracle.pending_count == 3 and np.isnan(oracle.true_ttl).all()
+    oracle.on_write([1, 2, 3], 1.0)
     assert oracle.pending_count == 0
-    assert oracle.on_write([1, 2, 3], 2.0) == []  # already resolved
+    oracle.on_write([1, 2, 3], 2.0)  # already resolved
     assert oracle.true_ttl.tolist() == [1.0, 1.0, 1.0]
 
 
@@ -66,8 +66,6 @@ def test_insert_validations():
     with pytest.raises(ValueError, match="ttl"):
         cache.insert(1, 0, 0.0, now=0.0)
     cache.insert(1, 0, 5.0, now=0.0)
-    with pytest.raises(ValueError, match="reused"):
-        cache.insert(2, 0, 5.0, now=0.0)
     with pytest.raises(ValueError, match="live entry"):
         cache.insert(1, 1, 5.0, now=0.0)
 
@@ -130,9 +128,11 @@ def _serve(oracle, cache, unit, serve_id, ttl, now):
 
 
 def _write(oracle, cache, touched, now):
-    """An origin write touching units `touched`: the serves it resolves,
-    then their live entries."""
-    return cache.origin_update(oracle.on_write(touched, now), now)
+    """An origin write touching units `touched`, in the simulation's order:
+    the oracle resolves their serves, then the cache marks their live,
+    unmarked entries; returns the marked serve ids."""
+    oracle.on_write(touched, now)
+    return [e.serve_id for e in cache.origin_update(touched, now)]
 
 
 def test_origin_update_marks_pending_once():
@@ -143,7 +143,7 @@ def test_origin_update_marks_pending_once():
     assert [e.pending for e in cache.live_entries()] == [True, False]
     # same query again: the serve is resolved, nothing newly touched
     assert _write(oracle, cache, [1], now=2.0) == []
-    # a write touching the other query still finds it through the oracle
+    # a write touching the other query marks its entry
     assert _write(oracle, cache, [2], now=3.0) == [1]
     assert [e.pending for e in cache.live_entries()] == [True, True]
 
@@ -155,7 +155,8 @@ def test_origin_update_marks_live_entries_in_the_order_given():
     cache.insert(3, 2, ttl=10.0, now=0.0)
     cache.insert(4, 3, ttl=60.0, now=0.5)  # evicts serve 0, the earliest expiry
     cache.insert(5, 4, ttl=70.0, now=0.5)  # evicts serve 2
-    assert cache.origin_update([4, 2, 0, 1, 99], now=2.0) == [4, 1]
+    marked = cache.origin_update([5, 3, 1, 2, 99, 5], now=2.0)
+    assert [e.serve_id for e in marked] == [4, 1]  # a unit given twice: once
     assert {e.serve_id: e.pending for e in cache.live_entries()} == {1: True, 3: False, 4: True}
     assert len(cache.live_entries()) == 3 and cache.stats.evictions == 2
     assert cache.origin_update([], now=2.0) == []
@@ -164,10 +165,11 @@ def test_origin_update_marks_live_entries_in_the_order_given():
 def test_pending_window_serves_stale_hits():
     oracle, cache = TrueTtlOracle(), CacheSystem(4)
     _serve(oracle, cache, 1, 0, ttl=60.0, now=0.0)
-    _write(oracle, cache, [1], now=1.0)
+    oracle.on_write([1], now=1.0)
+    [entry] = cache.origin_update([1], now=1.0)
     assert cache.lookup(1, 1.001) is Lookup.STALE_HIT
     assert cache.stats.stale_reads == 1
-    assert cache.apply_invalidation(0, now=1.002) is True
+    assert cache.apply_invalidation(entry, now=1.002) is True
     assert cache.stats.invalidations == 1
     assert cache.lookup(1, 1.003) is Lookup.MISS
 
@@ -175,11 +177,35 @@ def test_pending_window_serves_stale_hits():
 def test_apply_invalidation_noop_when_entry_already_gone():
     oracle, cache = TrueTtlOracle(), CacheSystem(4)
     _serve(oracle, cache, 1, 0, ttl=1.0, now=0.0)
-    _write(oracle, cache, [1], now=0.5)
+    oracle.on_write([1], now=0.5)
+    [entry] = cache.origin_update([1], now=0.5)
     assert cache.lookup(1, 3.0) is Lookup.MISS  # expired before the purge landed
-    assert cache.apply_invalidation(0, now=3.1) is False
+    assert cache.apply_invalidation(entry, now=3.1) is False
     assert cache.stats.invalidations == 0
-    assert cache.apply_invalidation(12345, now=3.2) is False
+    never_cached = CacheEntry(unit=1, serve_id=12345, expires_at=9.0, pending=True)
+    assert cache.apply_invalidation(never_cached, now=3.2) is False
+
+
+@pytest.mark.parametrize("gone", ["expired", "evicted"])
+def test_purge_of_a_dead_entry_leaves_its_units_new_entry(gone):
+    # The marked entry dies inside the purge delay and a miss caches the same
+    # unit again: the old purge is a no-op that counts nothing, and the new
+    # entry stays live and fresh.
+    cache = CacheSystem(1)
+    cache.insert(1, 0, ttl=1.0, now=0.0)
+    [old] = cache.origin_update([1], now=0.5)
+    if gone == "expired":
+        assert cache.lookup(1, 1.0) is Lookup.MISS
+        assert cache.stats.expirations == 1
+    else:
+        cache.insert(2, 1, ttl=5.0, now=0.6)  # capacity 1: evicts the marked entry
+        assert cache.stats.evictions == 1
+        assert cache.lookup(1, 0.7) is Lookup.MISS
+    cache.insert(1, 2, ttl=5.0, now=1.0)
+    assert cache.apply_invalidation(old, now=1.2) is False
+    assert cache.stats.invalidations == 0
+    assert [(e.unit, e.serve_id, e.pending) for e in cache.live_entries()] == [(1, 2, False)]
+    assert cache.lookup(1, 1.3) is Lookup.HIT
 
 
 @pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
@@ -298,7 +324,7 @@ def test_cache_matches_reference_model_under_random_traffic():
     ref = _RefCache(12)
     now = 0.0
     next_serve = 0
-    purges: list[tuple[float, int]] = []
+    purges: list[tuple[float, CacheEntry]] = []
 
     for step in range(4000):
         now += float(rng.exponential(0.4))
@@ -322,17 +348,21 @@ def test_cache_matches_reference_model_under_random_traffic():
             else:
                 new = float(rng.uniform(0.0, 100.0))
             values[key] = new
-            got = _write(oracle, cache, index.move(key, old, new) + [20 + key], now)
+            touched = index.move(key, old, new) + [20 + key]
+            oracle.on_write(touched, now)
+            got = cache.origin_update(touched, now)
             want = ref.origin_update(key, old, new, now)
-            assert got == want, f"step {step}: pending {got} != {want}"
-            purges.extend((now + 0.002, sid) for sid in got)
+            # marks go in touched order, the reference's in serve order
+            assert sorted(e.serve_id for e in got) == want, f"step {step}: pending {got} != {want}"
+            purges.extend((now + 0.002, e) for e in got)
         else:
             remaining = []
-            for due, sid in purges:
+            for due, entry in purges:
                 if due <= now:
-                    assert cache.apply_invalidation(sid, now) == ref.apply_invalidation(sid, now)
+                    got = cache.apply_invalidation(entry, now)
+                    assert got == ref.apply_invalidation(entry.serve_id, now)
                 else:
-                    remaining.append((due, sid))
+                    remaining.append((due, entry))
             purges = remaining
         if step % 200 == 0:
             cache.check_invariants()
@@ -350,8 +380,9 @@ def test_check_invariants_after_basic_churn():
     cache = CacheSystem(2)
     cache.insert(1, 0, 5.0, now=0.0)
     cache.insert(2, 1, 6.0, now=0.0)
-    cache.insert(3, 2, 7.0, now=0.0)  # evicts
-    assert cache.origin_update([0, 1], now=1.0) == [1]
-    cache.apply_invalidation(1, now=1.2)
+    cache.insert(3, 2, 7.0, now=0.0)  # evicts unit 1's entry
+    [entry] = cache.origin_update([1, 2], now=1.0)
+    assert entry.serve_id == 1
+    cache.apply_invalidation(entry, now=1.2)
     cache.check_invariants()
     assert isinstance(cache.live_entries()[0], CacheEntry)

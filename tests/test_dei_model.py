@@ -69,8 +69,12 @@ class DeiQueueModel(RuleBasedStateMachine):
                                                     decided_at=self.now))
 
     def live_ids(self):
+        return list(self.live())
+
+    def live(self):
+        """The live entries by serve id, which is also their unit."""
         self.cache.sweep(self.now)  # as every cache call does first
-        return [e.serve_id for e in self.cache.live_entries()]
+        return {e.serve_id: e for e in self.cache.live_entries()}
 
     @precondition(lambda self: self.live_ids())
     @rule(i=picks)
@@ -79,13 +83,14 @@ class DeiQueueModel(RuleBasedStateMachine):
         # transition stamped at issue time
         sid = self.pick(self.live_ids(), i)
         for marked in self.cache.origin_update([sid], self.now):
-            self.stamp(marked)
+            self.stamp(marked.serve_id)
 
     @precondition(lambda self: self.live_ids())
     @rule(i=picks)
     def purge(self, i):
         # the delayed invalidation: the entry leaves the cache, the queue is untouched
-        assert self.cache.apply_invalidation(self.pick(self.live_ids(), i), self.now)
+        live = self.live()
+        assert self.cache.apply_invalidation(live[self.pick(live, i)], self.now)
 
     def stamp(self, sid):
         expected = sid in self.model and self.model[sid][2] is None

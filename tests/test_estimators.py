@@ -15,7 +15,6 @@ from ttl_lab.estimators import (
     NafDeiEstimator,
     NafNaiveEstimator,
     PoissonEstimator,
-    make_estimator,
     poisson_ttl,
 )
 from ttl_lab.simcore import Simulation
@@ -187,8 +186,6 @@ def test_learner_load_threshold_is_one_minus_the_cells_write_fraction(tiny_cfg):
 def test_make_estimator_errors(tiny_cfg):
     with pytest.raises(ValueError, match="estimator 'lru' is not in cfg.estimators"):
         Simulation(tiny_cfg, 0.1, "lru", seed=0)
-    with pytest.raises(ValueError, match="unknown estimator kind 'lru'"):
-        make_estimator("lru", tiny_cfg, None)
     with pytest.raises(ValueError, match="unknown estimator 'lru'"):
         build_config(overrides={"estimator.kind": "lru"})
 

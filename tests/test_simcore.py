@@ -392,14 +392,14 @@ def test_arrival_gaps_equal_per_call_draws(tiny_cfg):
     # generator, up to the last time taken, over several arrival chunks; the
     # n-th arrival carries the n-th op of the op stream.
     spec = tiny_cfg.workload
-    mean_gap = spec.connections / spec.target_throughput
+    mean_gap = workload.CONNECTIONS / spec.target_throughput
     n = 6 * workload._ARRIVAL_CHUNK
     timeline = workload.op_timeline(spec, np.random.SeedSequence(3), np.random.SeedSequence(4))
     got, ops = zip(*islice(timeline, n))
     got = list(got)
     assert len(got) == n and got == sorted(got)
     ref = []
-    for seed in np.random.SeedSequence(4).spawn(spec.connections):
+    for seed in np.random.SeedSequence(4).spawn(workload.CONNECTIONS):
         rng, now = np.random.default_rng(seed), 0.0
         while (now := now + float(rng.exponential(mean_gap))) <= got[-1]:
             ref.append(now)

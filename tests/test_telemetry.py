@@ -266,6 +266,14 @@ def _brute_force(serves, writes):
     return resolution
 
 
+def _resolve(oracle, units, now):
+    """oracle.on_write(units, now); returns the serve ids it resolved, read
+    from the true_ttl column, ascending."""
+    before = np.isnan(oracle.true_ttl)
+    oracle.on_write(units, now)
+    return np.flatnonzero(before & ~np.isnan(oracle.true_ttl)).tolist()
+
+
 def test_oracle_matches_forward_scan_on_random_stream():
     # Serves are of 30 fixed ranges (units 0-29) or point reads of a
     # 50-record table (units 30-79); each write moves one record, one in ten
@@ -279,7 +287,7 @@ def test_oracle_matches_forward_scan_on_random_stream():
     oracle = TrueTtlOracle()
     serves = []  # (time, unit, query (lo, hi) or read key, action)
     writes = []  # (time, key, old, new)
-    resolved_by_write = {}  # sid -> time of the write whose on_write returned it
+    resolved_by_write = {}  # sid -> time of the write that resolved it
     now = 0.0
     for sid in range(400):
         now += float(rng.exponential(0.3))
@@ -301,7 +309,7 @@ def test_oracle_matches_forward_scan_on_random_stream():
             else:
                 new = float(rng.uniform(0.0, 50.0))
             values[key] = new
-            for s in oracle.on_write(index.move(key, old, new) + [30 + key], now):
+            for s in _resolve(oracle, index.move(key, old, new) + [30 + key], now):
                 assert s not in resolved_by_write
                 resolved_by_write[s] = now
             writes.append((now, key, old, new))
@@ -328,9 +336,9 @@ def test_oracle_matches_forward_scan_on_random_stream():
 def test_oracle_resolves_each_serve_once():
     oracle = TrueTtlOracle()
     oracle.on_serve(0, unit=1, now=0.0, action=5.0)
-    assert oracle.on_write([1], 2.0) == [0]
+    assert oracle.on_write([1], 2.0) is None
     assert oracle.true_ttl[0] == 2.0
-    again = oracle.on_write([1], 3.0)
+    again = _resolve(oracle, [1], 3.0)
     assert again == []  # already resolved, not re-stamped
     assert oracle.true_ttl[0] == 2.0
 
@@ -339,8 +347,8 @@ def test_oracle_resolves_the_units_a_write_touches():
     oracle = TrueTtlOracle()
     for sid, unit in enumerate((1, 2, 3)):
         oracle.on_serve(sid, unit=unit, now=0.0, action=5.0)
-    assert oracle.on_write([2, 1, 9], 1.0) == [0, 1]  # unit 9 has no serve
-    assert oracle.on_write([3, 3], 2.0) == [2]  # a unit given twice: once
+    assert _resolve(oracle, [2, 1, 9], 1.0) == [0, 1]  # unit 9 has no serve
+    assert _resolve(oracle, [3, 3], 2.0) == [2]  # a unit given twice: once
     assert oracle.true_ttl.tolist() == [1.0, 1.0, 2.0] and oracle.pending_count == 0
 
 
@@ -351,9 +359,9 @@ def test_oracle_write_onto_a_read_value_resolves_the_read():
     oracle = TrueTtlOracle()
     oracle.on_serve(0, unit=19, now=0.0, action=5.0)
     oracle.on_serve(1, unit=19, now=1.0, action=5.0)  # the same record, served again
-    assert oracle.on_write([18], 1.5) == []
-    assert oracle.on_write([20], 1.5) == []
-    assert oracle.on_write([19], 2.0) == [0, 1]
+    assert _resolve(oracle, [18], 1.5) == []
+    assert _resolve(oracle, [20], 1.5) == []
+    assert _resolve(oracle, [19], 2.0) == [0, 1]
     assert oracle.true_ttl.tolist() == [2.0, 1.0] and oracle.pending_count == 0
 
 
@@ -362,7 +370,7 @@ def test_oracle_resolves_queries_and_reads_in_serve_order():
     oracle = TrueTtlOracle()
     for sid, unit in enumerate((4, 11, 2, 4, 7)):
         oracle.on_serve(sid, unit=unit, now=0.0, action=1.0)
-    assert oracle.on_write([4, 2, 11], 1.0) == [0, 1, 2, 3]
+    assert _resolve(oracle, [4, 2, 11], 1.0) == [0, 1, 2, 3]
     assert oracle.pending_count == 1
 
 
@@ -400,9 +408,9 @@ def test_oracle_rejects_out_of_order_serve_ids_and_changes_nothing():
             oracle.on_serve(bad, unit=4, now=1.0, action=1.0)
     assert [c.tobytes() for c in columns] == before
     assert oracle.pending_count == 1
-    assert oracle.on_write([4], 2.0) == []  # no serve was filed for it
+    assert _resolve(oracle, [4], 2.0) == []  # no serve was filed for it
     oracle.on_serve(1, unit=4, now=1.0, action=1.0)
-    assert oracle.on_write([4], 2.0) == [1]
+    assert _resolve(oracle, [4], 2.0) == [1]
 
 
 def test_oracle_memory_per_resolved_serve():

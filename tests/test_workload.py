@@ -10,6 +10,7 @@ import pytest
 
 from ttl_lab.benchcli import _check_zipf
 from ttl_lab.workload import (
+    CONNECTIONS,
     OpStream,
     QueryDef,
     QueryIndex,
@@ -339,7 +340,7 @@ def test_op_stream_equals_per_call_reference(w):
 def test_spec_derived_fields():
     spec = WorkloadSpec(write_fraction=0.25, query_fraction=0.6)
     assert 1.0 - spec.write_fraction - spec.query_fraction == pytest.approx(0.15)
-    assert spec.connections == 60
+    assert CONNECTIONS == 60
 
 
 @pytest.mark.parametrize(
@@ -356,7 +357,7 @@ def test_spec_derived_fields():
         ({"result_cap": 0}, "result_cap"),
         ({"result_cap": 5000}, "result_cap"),
         ({"target_throughput": 0.0}, "target_throughput"),
-        ({"connections": 0}, "connection"),
+        ({"scan_mean": -1.0}, "scan_mean"),
         ({"duration": 0.0}, "duration"),
     ],
 )
