@@ -21,16 +21,19 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 
-class Lookup(Enum):
+class Lookup:
+    """A lookup's outcome: one of three strings, which trace.csv writes as
+    they are. Plain constants, not an Enum: a request reads its outcome on
+    every op, and an Enum member's value is a Python-level property."""
+
     HIT = "hit"
     STALE_HIT = "stale_hit"
     MISS = "miss"
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheEntry:
     unit: int
     serve_id: int
@@ -91,7 +94,8 @@ class CacheSystem:
                 reaped += 1
         return reaped
 
-    def lookup(self, unit: int, now: float) -> Lookup:
+    def lookup(self, unit: int, now: float) -> str:
+        """The unit's outcome at now, a Lookup constant; an expired entry is reaped."""
         entry = self._by_unit.get(unit)
         if entry is not None and entry.expires_at <= now:
             del self._by_unit[unit]

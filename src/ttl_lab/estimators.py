@@ -1,12 +1,13 @@
 """TTL estimators: the policies a simulation builds for itself.
 
 Each Simulation builds one estimator with make_estimator, bound to that run:
-it answers decide() on every cache miss and may react to invalidation issues
-and DEI due events. A new kind is one entry of _BUILDERS, whose keys are
-ESTIMATOR_KINDS; its options are checked once, by ExperimentConfig. The
-Poisson baseline treats result-key writes as independent Poisson processes
-and bets on the minimum expected gap; the NAF estimators learn the TTL
-online, differing only in when unfinished transitions are completed.
+it answers decide() on every cache miss and may react to each request's
+outcome, to invalidation issues and to DEI due events. A new kind is one
+entry of _BUILDERS, whose keys are ESTIMATOR_KINDS; its options are checked
+once, by ExperimentConfig. The Poisson baseline treats result-key writes as
+independent Poisson processes and bets on the minimum expected gap; the NAF
+estimators learn the TTL online, differing only in when unfinished
+transitions are completed.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from .dei import DeiQueue, IncompleteTransition, RewardConfig, transition_reward
 from .nafagent import NafAgent, NafConfig, build_state
+from .telemetry import MissRateWindow
 
 
 def poisson_ttl(result_keys, telemetry, now: float, max_ttl: float) -> float:
@@ -48,6 +50,10 @@ def poisson_ttl(result_keys, telemetry, now: float, max_ttl: float) -> float:
 
 class TtlEstimator:
     """Base: a policy bound to one simulation."""
+
+    def on_request(self, unit: int, now: float, miss: bool) -> None:
+        """Each request's outcome, before a miss's decide; only the learners
+        count them."""
 
     def decide(self, serve_id: int, unit: int, result_keys, now: float) -> float:
         raise NotImplementedError
@@ -83,10 +89,11 @@ class InjectionRow(NamedTuple):
 
 
 class _NafEstimator(TtlEstimator):
-    """Shared plumbing for the learning estimators: the agent, and the queue
-    of decisions waiting for their reward, which an invalidation issued
-    before completion stamps. The flat reward's load threshold is 1 - w, the
-    simulated cell's write fraction."""
+    """Shared plumbing for the learning estimators: the agent, each unit's
+    requests and misses over the telemetry window (the state's miss-rate
+    delta), and the queue of decisions waiting for their reward, which an
+    invalidation issued before completion stamps. The flat reward's load
+    threshold is 1 - w, the simulated cell's write fraction."""
 
     def __init__(self, sim, naf_cfg: NafConfig, reward_cfg: RewardConfig, log_transitions: bool):
         self.sim = sim
@@ -95,12 +102,17 @@ class _NafEstimator(TtlEstimator):
         self.load_threshold = 1.0 - sim.spec.write_fraction
         self.injection_log: list[InjectionRow] | None = [] if log_transitions else None
         self.queue = DeiQueue()
+        self.miss_rates = MissRateWindow(sim.telemetry.window)
+
+    def on_request(self, unit, now, miss):
+        self.miss_rates.record(unit, now, miss)
 
     def on_invalidation_issued(self, serve_id, now):
         self.queue.stamp_invalidation(serve_id, now)
 
     def _state(self, result_keys, unit: int, now: float) -> np.ndarray:
-        return build_state(result_keys, self.sim.telemetry, unit, now, self.agent.cfg.rate_inputs)
+        return build_state(result_keys, self.sim.telemetry, self.miss_rates, unit, now,
+                           self.agent.cfg.rate_inputs)
 
     def _inject(self, it: IncompleteTransition, reward: float, s_next: np.ndarray, now: float) -> None:
         self.agent.replay.push(it.s, it.a, reward, s_next)

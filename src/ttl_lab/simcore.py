@@ -152,6 +152,12 @@ class Simulation:
     result keys from the world's QueryIndex, which each update keeps current;
     a read's miss serves [k]. A write of k touches the queries whose range
     holds its old or new value, and the read of k.
+
+    A query or read is served in one frame, `_handle_arrival`: the cache
+    lookup, the estimator's `on_request` (a no-op unless it is a learner),
+    and on a miss the estimator's TTL, the oracle's record and the insert.
+    The latencies, the run's end and the first key unit are read once, when
+    the simulation is built.
     """
 
     def __init__(
@@ -169,8 +175,13 @@ class Simulation:
                 f"estimator {estimator_kind!r} is not in cfg.estimators {cfg.estimators}"
             )
         self.spec = spec = cfg.workload_spec(write_fraction)
-        self.latency = cfg.latency
         self.trace_writer = trace_writer
+        lat = cfg.latency
+        self._hit_latency = lat.hit_latency
+        self._miss_latency = lat.miss_latency
+        self._invalidation_delay = lat.invalidation_delay
+        self._duration = spec.duration
+        self._first_key_unit = spec.query_count
 
         ss = np.random.SeedSequence(seed)
         world_ss, ops_ss, arrivals_ss, agent_ss = ss.spawn(4)
@@ -190,9 +201,6 @@ class Simulation:
         # last: the estimator reads the parts above
         self.estimator = make_estimator(estimator_kind, cfg, self, log_transitions)
 
-    def unit_for(self, op_kind: str, target: int) -> int:
-        return target if op_kind == "query" else self.spec.query_count + target
-
     def run(self) -> "Simulation":
         self.engine.run_until(self.spec.duration)
         return self
@@ -211,53 +219,47 @@ class Simulation:
     def _handle_arrival(self, now: float, op: tuple[str, int, float]) -> None:
         self.op_arrivals += 1
         kind, target, new_value = op
+        # the id rule: query q is unit q; a read or write of key k, unit query_count + k
+        unit = target if kind == "query" else self._first_key_unit + target
         if kind == "update":
-            lat = self._handle_update(target, new_value, now)
+            lat = self._handle_update(target, unit, new_value, now)
         else:
-            lat = self._handle_request(kind, target, now)
+            outcome = self.cache.lookup(unit, now)
+            miss = outcome is Lookup.MISS
+            self.estimator.on_request(unit, now, miss)
+            if miss:
+                serve_id = self._serve_seq
+                self._serve_seq += 1
+                # a copy: a pending NAF decision keeps the keys it was made on
+                result_keys = self.world.index.results[target][:] if kind == "query" else [target]
+                ttl = self.estimator.decide(serve_id, unit, result_keys, now)
+                self.telemetry.oracle.on_serve(serve_id, unit, now, ttl)
+                self.cache.insert(unit, serve_id, ttl, now)
+                lat = self._miss_latency
+            else:
+                lat = self._hit_latency
+            if self.trace_writer is not None:
+                self.trace_writer((now, kind, unit, outcome, lat))
         # The response lands at now + lat; it completes if that is inside the run.
-        if now + lat <= self.spec.duration:
+        if now + lat <= self._duration:
             self.completed += 1
             self.latency_sum += lat
 
-    def _handle_request(self, op_kind: str, target: int, now: float) -> float:
-        unit = self.unit_for(op_kind, target)
-        outcome = self.cache.lookup(unit, now)
-        self.telemetry.record_request(unit, now, miss=outcome is Lookup.MISS)
-
-        if outcome is Lookup.MISS:
-            serve_id = self._serve_seq
-            self._serve_seq += 1
-            if op_kind == "query":
-                # a copy: a pending NAF decision keeps the keys it was made on
-                result_keys = self.world.index.results[target][:]
-            else:
-                result_keys = [target]
-            ttl = self.estimator.decide(serve_id, unit, result_keys, now)
-            self.telemetry.oracle.on_serve(serve_id, unit, now, ttl)
-            self.cache.insert(unit, serve_id, ttl, now)
-            lat = self.latency.miss_latency
-        else:
-            lat = self.latency.hit_latency
-
-        if self.trace_writer is not None:
-            self.trace_writer((now, op_kind, unit, outcome.value, lat))
-        return lat
-
-    def _handle_update(self, key: int, new_value: float, now: float) -> float:
+    def _handle_update(self, key: int, unit: int, new_value: float, now: float) -> float:
+        """Write key's new value; `unit` is the key's read unit, which the write touches."""
         values = self.world.values
         old = float(values[key])
         values[key] = new_value
         self.telemetry.record_write(key, now)
         touched = self.world.index.move(key, old, new_value)
-        touched.append(self.unit_for("read", key))
+        touched.append(unit)
         self.telemetry.oracle.on_write(touched, now)
         for entry in self.cache.origin_update(touched, now):
-            self.engine.schedule(now + self.latency.invalidation_delay, "inval", entry)
+            self.engine.schedule(now + self._invalidation_delay, "inval", entry)
             self.estimator.on_invalidation_issued(entry.serve_id, now)
         if self.trace_writer is not None:
-            self.trace_writer((now, "update", self.unit_for("update", key), "write", self.latency.miss_latency))
-        return self.latency.miss_latency
+            self.trace_writer((now, "update", unit, "write", self._miss_latency))
+        return self._miss_latency
 
     # -- results -----------------------------------------------------------
 

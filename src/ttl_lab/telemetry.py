@@ -1,12 +1,13 @@
 """Run-time measurement: windowed counts and the true-TTL oracle.
 
-Estimators read two measurements, both over a sliding window (now - W, now]:
-each key's write count and each unit's miss rate. Both come from
-WindowCounter: Telemetry holds three, which count writes per key and requests
-and misses per unit. A key's write rate is its count / W; a key with no
-writes in the window has no rate ("unavailable"), which is distinct from a
-rate of zero, and a unit with no requests in it has no miss rate. Each
-counter keeps one monotone clock: a `now` earlier than its last raises
+Every count is over a sliding window (now - W, now] and comes from a
+WindowCounter. Telemetry, which every run keeps, holds one: writes per key,
+which both estimators read as rates. A key's write rate is its count / W; a
+key with no writes in the window has no rate ("unavailable"), which is
+distinct from a rate of zero. The NAF learners alone also read each unit's
+miss rate, so each builds its own MissRateWindow, which counts requests and
+misses per unit; a unit with no requests in the window has no miss rate.
+Each counter keeps one monotone clock: a `now` earlier than its last raises
 ValueError instead of silently under-counting.
 
 The oracle keeps four columns indexed by serve id (unit, serve time, action,
@@ -152,9 +153,8 @@ class TrueTtlOracle:
         return [i for i, u in enumerate(self.units) if u == unit]
 
 
-class Telemetry:
-    """What estimators read: write counts per key, and request and miss counts
-    per unit, each over the same window, plus the true-TTL oracle.
+class MissRateWindow:
+    """Requests and misses per unit over one window, for the NAF state.
 
     miss_rate_delta reports the change in a unit's miss rate since the last
     value reported for it, then makes that value the baseline; the first
@@ -163,24 +163,14 @@ class Telemetry:
     """
 
     def __init__(self, window: float):
-        self.writes = WindowCounter(window)
         self.requests = WindowCounter(window)
         self.misses = WindowCounter(window)
-        self.window = window
-        self.oracle = TrueTtlOracle()
         self._last_miss_rate: dict[int, float] = {}
 
-    def record_write(self, key: int, now: float) -> None:
-        self.writes.record(key, now)
-
-    def record_request(self, unit: int, now: float, miss: bool) -> None:
+    def record(self, unit: int, now: float, miss: bool) -> None:
         self.requests.record(unit, now)  # first: it rejects an earlier now
         if miss:
             self.misses.record(unit, now)
-
-    def write_counts(self, keys, now: float) -> list[int]:
-        """Each key's writes in the window; its rate is count / window, none if 0."""
-        return self.writes.counts(keys, now)
 
     def miss_rate(self, unit: int, now: float) -> float | None:
         """The unit's misses / requests in the window; None if none is in it."""
@@ -194,3 +184,21 @@ class Telemetry:
         prev = self._last_miss_rate.get(unit)
         self._last_miss_rate[unit] = cur
         return 0.0 if prev is None else cur - prev
+
+
+class Telemetry:
+    """What every run measures: write counts per key over the window, which
+    the estimators read, and the true-TTL oracle. The learners' miss rates
+    are their own (MissRateWindow)."""
+
+    def __init__(self, window: float):
+        self.writes = WindowCounter(window)
+        self.window = window
+        self.oracle = TrueTtlOracle()
+
+    def record_write(self, key: int, now: float) -> None:
+        self.writes.record(key, now)
+
+    def write_counts(self, keys, now: float) -> list[int]:
+        """Each key's writes in the window; its rate is count / window, none if 0."""
+        return self.writes.counts(keys, now)

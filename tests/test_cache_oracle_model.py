@@ -13,7 +13,8 @@ must agree: every entry a write marks is of a serve that write resolves,
 and every live entry of a serve it resolves is marked. A small capacity,
 TTLs on the same grid as the clock steps, and purge delays up to several
 seconds make entries expire before the first write that touches them and be
-evicted while their purge is in flight.
+evicted while their purge is in flight. One rule serves such a unit again
+before the purge lands, so the purge must leave the unit's new entry alone.
 """
 
 from __future__ import annotations
@@ -25,7 +26,13 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule  # noqa: E402
+from hypothesis.stateful import (  # noqa: E402
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from ttl_lab.cachesys import CacheEntry, CacheStats, CacheSystem, Lookup  # noqa: E402
 from ttl_lab.telemetry import TrueTtlOracle  # noqa: E402
@@ -98,8 +105,11 @@ class CacheOracleModel(RuleBasedStateMachine):
 
     @rule(unit=units, ttl=ttls, dt=steps)
     def serve(self, unit, ttl, dt):
-        """A request: on a miss, the oracle records the serve and the cache fills."""
         self.tick(dt)
+        self.serve_unit(unit, ttl)
+
+    def serve_unit(self, unit: int, ttl: float) -> None:
+        """A request: on a miss, the oracle records the serve and the cache fills."""
         outcome = self.cache.lookup(unit, self.now)
         assert outcome is self.model_lookup(unit)
         if outcome is not Lookup.MISS:
@@ -159,6 +169,24 @@ class CacheOracleModel(RuleBasedStateMachine):
         for entry in marked:
             self.live[entry.serve_id][2] = True
             self.purges.append((self.now + delay, entry.serve_id, entry))
+
+    def dies_before_its_purge(self, purge) -> bool:
+        """The marked entry expired or was evicted, or expires before the purge lands."""
+        due, sid, _ = purge
+        return sid not in self.live or self.live[sid][1] < due
+
+    @precondition(lambda self: any(map(self.dies_before_its_purge, self.purges)))
+    @rule(i=st.integers(0, 10_000), ttl=ttls)
+    def serve_again_before_the_purge(self, i, ttl):
+        """Serve the unit of a marked entry that died inside the purge delay
+        again, with a TTL that outlives the purge, and then land the purge."""
+        dying = [p for p in self.purges if self.dies_before_its_purge(p)]
+        due, sid, entry = dying[i % len(dying)]
+        if sid in self.live:
+            self.now = max(self.now, self.live[sid][1])  # to its expiry
+        self.serve_unit(entry.unit, max(due - self.now, 0.0) + ttl)
+        self.now = max(self.now, due)
+        self.purge_due(0.0)
 
     @rule(dt=steps)
     def purge_due(self, dt):

@@ -13,7 +13,9 @@ import pytest
 from ttl_lab.benchcli import run_single
 from ttl_lab.cachesys import Lookup
 from ttl_lab.config import build_config
+from ttl_lab.estimators import TtlEstimator
 from ttl_lab.simcore import Engine, LatencyModel, SimEvent, Simulation
+from ttl_lab.telemetry import MissRateWindow, WindowCounter
 from ttl_lab import workload
 from ttl_lab.workload import arrival_chunks
 
@@ -257,10 +259,12 @@ def _with_kinds(cfg, *kinds):
 
 
 def test_unit_namespace_mapping(tiny_cfg):
-    sim = _build_sim(tiny_cfg)
-    assert sim.unit_for("query", 7) == 7
-    assert sim.unit_for("read", 7) == tiny_cfg.workload.query_count + 7
-    assert sim.unit_for("update", 0) == tiny_cfg.workload.query_count
+    rows = []
+    sim = _build_sim(tiny_cfg, trace=rows.append)
+    for op in (("query", 7, math.nan), ("read", 7, math.nan), ("update", 0, 0.5)):
+        sim._handle_arrival(1.0, op)
+    assert [r[2] for r in rows] == [7, tiny_cfg.workload.query_count + 7,
+                                    tiny_cfg.workload.query_count]
 
 
 def test_simulation_trace_and_latencies(tiny_cfg):
@@ -453,10 +457,10 @@ def test_pending_naf_decision_keeps_its_result_keys(tiny_cfg):
     q = max(range(len(index.results)), key=lambda i: len(index.results[i]))
     _, lo, hi = sim.world.queries[q]
     decided_on = list(index.results[q])
-    sim._handle_request("query", q, 1.0)
+    sim._handle_arrival(1.0, ("query", q, math.nan))
     outsider = next(k for k in range(len(values)) if not lo <= values[k] < hi)
-    sim._handle_update(outsider, lo, 1.5)
-    sim._handle_update(decided_on[0], hi, 2.0)
+    sim._handle_arrival(1.5, ("update", outsider, lo))
+    sim._handle_arrival(2.0, ("update", decided_on[0], hi))
     assert index.results[q] == sorted([*decided_on[1:], outsider])
     assert sim.estimator.queue.pop_due(0).result_keys == decided_on
 
@@ -468,11 +472,11 @@ def test_a_read_is_resolved_by_writes_of_its_own_record_alone(tiny_cfg):
     values, qc = sim.world.values, tiny_cfg.workload.query_count
     k, other = 3, 4
     v = float(values[k])
-    sim._handle_request("read", k, 1.0)
-    sim._handle_update(other, v, 1.5)
+    sim._handle_arrival(1.0, ("read", k, math.nan))
+    sim._handle_arrival(1.5, ("update", other, v))
     assert math.isnan(sim.telemetry.oracle.true_ttl[0])
     assert sim.cache.lookup(qc + k, 1.501) is Lookup.HIT and len(sim.engine) == 0
-    sim._handle_update(k, v + 1.0, 2.0)
+    sim._handle_arrival(2.0, ("update", k, v + 1.0))
     assert sim.telemetry.oracle.true_ttl[0] == 1.0
     assert sim.cache.lookup(qc + k, 2.001) is Lookup.STALE_HIT  # marked, purge in flight
     assert len(sim.engine) == 1
@@ -486,13 +490,34 @@ def test_write_onto_a_read_value_resolves_the_read(tiny_cfg):
     values, qc = sim.world.values, tiny_cfg.workload.query_count
     k, other = 3, 4
     v = float(values[k])
-    sim._handle_request("read", k, 1.0)
-    sim._handle_update(other, math.nextafter(v, math.inf), 1.5)  # next to v: no effect
+    sim._handle_arrival(1.0, ("read", k, math.nan))
+    sim._handle_arrival(1.5, ("update", other, math.nextafter(v, math.inf)))  # next to v: no effect
     assert math.isnan(sim.telemetry.oracle.true_ttl[0])
-    sim._handle_update(k, v, 2.0)
+    sim._handle_arrival(2.0, ("update", k, v))
     assert sim.telemetry.oracle.true_ttl[0] == 1.0
     assert sim.cache.lookup(qc + k, 2.001) is Lookup.STALE_HIT  # marked, purge in flight
     assert len(sim.engine) == 1
+
+
+def test_learner_window_counts_every_request_and_miss(tiny_cfg):
+    # The learner's window is longer than the run, so no request has left it:
+    # its requests and misses, summed over units, are the cache's.
+    cfg = dataclasses.replace(_with_kinds(tiny_cfg, "naf-dei"),
+                              telemetry_window=2 * tiny_cfg.workload.duration)
+    sim = Simulation(cfg, 0.1, "naf-dei", seed=5).run()
+    spec, stats, window = sim.spec, sim.cache.stats, sim.estimator.miss_rates
+    units = range(spec.query_count + spec.record_count)
+    assert stats.misses > 0 and stats.hits > 0
+    assert sum(window.requests.counts(units, spec.duration)) == stats.requests
+    assert sum(window.misses.counts(units, spec.duration)) == stats.misses
+
+
+def test_poisson_estimator_holds_no_request_window(tiny_cfg):
+    sim = Simulation(_with_kinds(tiny_cfg, "poisson"), 0.1, "poisson", seed=5)
+    assert type(sim.estimator).on_request is TtlEstimator.on_request  # the no-op
+    held = [*vars(sim.estimator).values(), *vars(sim.telemetry).values()]
+    assert not any(isinstance(v, MissRateWindow) for v in held)
+    assert [v for v in held if isinstance(v, WindowCounter)] == [sim.telemetry.writes]
 
 
 def test_simulation_rejects_a_kind_outside_the_grid():

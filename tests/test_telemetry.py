@@ -11,7 +11,7 @@ import pytest
 
 from ttl_lab.estimators import poisson_ttl
 from ttl_lab.nafagent import build_state
-from ttl_lab.telemetry import Telemetry, TrueTtlOracle, WindowCounter
+from ttl_lab.telemetry import MissRateWindow, Telemetry, TrueTtlOracle, WindowCounter
 from ttl_lab.workload import QueryDef, QueryIndex, evaluate_query
 
 # ---------------------------------------------------------------------------
@@ -45,13 +45,13 @@ def test_write_rate_none_is_not_zero():
 
 
 def test_write_rate_rejects_bad_window():
-    for make in (WindowCounter, Telemetry):
+    for make in (WindowCounter, Telemetry, MissRateWindow):
         with pytest.raises(ValueError, match="window"):
             make(0.0)
 
 
 @pytest.mark.parametrize("window", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("make", [Telemetry, WindowCounter])
+@pytest.mark.parametrize("make", [Telemetry, WindowCounter, MissRateWindow])
 def test_windows_reject_non_finite(make, window):
     with pytest.raises(ValueError, match="window must be a positive finite number"):
         make(window)
@@ -104,7 +104,7 @@ def test_write_counts_match_per_key_deque_reference():
     # exactly on the window edge of some write (which must have left it).
     window = 10.0
     rng = np.random.default_rng(12)
-    tel, ref = Telemetry(window), _DequeWriteRates(window)
+    tel, ref, no_requests = Telemetry(window), _DequeWriteRates(window), MissRateWindow(window)
     write_times = set()
     edge_queries = 0
     now = 0.0
@@ -120,7 +120,8 @@ def test_write_counts_match_per_key_deque_reference():
         edge_queries += (now - window) in write_times
         assert tel.write_counts(keys, now) == [ref.count(int(k), now) for k in keys]
         assert poisson_ttl(keys, tel, now, 300.0) == _reference_poisson_ttl(keys, ref, now, 300.0)
-        assert build_state(keys, tel, 0, now, 6).tolist() == _reference_state(keys, ref, now, 6)
+        state = build_state(keys, tel, no_requests, 0, now, 6)
+        assert state.tolist() == _reference_state(keys, ref, now, 6)
     assert edge_queries > 100
     with pytest.raises(ValueError, match="cannot go back"):
         tel.write_counts([0], now - 0.25)
@@ -155,54 +156,54 @@ def test_window_counter_rejects_negative_ids():
 
 
 def test_miss_rate_fraction_over_window():
-    tr = Telemetry(10.0)
-    tr.record_request(1, 1.0, miss=True)
-    tr.record_request(1, 2.0, miss=False)
-    tr.record_request(1, 3.0, miss=False)
-    tr.record_request(1, 4.0, miss=True)
+    tr = MissRateWindow(10.0)
+    tr.record(1, 1.0, miss=True)
+    tr.record(1, 2.0, miss=False)
+    tr.record(1, 3.0, miss=False)
+    tr.record(1, 4.0, miss=True)
     assert tr.miss_rate(1, 5.0) == pytest.approx(0.5)
 
 
 def test_miss_rate_none_when_window_empty():
-    tr = Telemetry(10.0)
+    tr = MissRateWindow(10.0)
     assert tr.miss_rate(1, 0.0) is None
-    tr.record_request(1, 0.0, miss=True)
+    tr.record(1, 0.0, miss=True)
     assert tr.miss_rate(1, 9.0) == pytest.approx(1.0)
     assert tr.miss_rate(1, 10.0) is None  # the one event just slid out
 
 
 def test_miss_rate_prunes_miss_counts():
-    tr = Telemetry(10.0)
-    tr.record_request(1, 0.0, miss=True)
-    tr.record_request(1, 8.0, miss=False)
-    tr.record_request(1, 12.0, miss=False)
+    tr = MissRateWindow(10.0)
+    tr.record(1, 0.0, miss=True)
+    tr.record(1, 8.0, miss=False)
+    tr.record(1, 12.0, miss=False)
     # the t=0 miss left the window; 1 miss-free pair remains plus the miss at none
     assert tr.miss_rate(1, 12.0) == pytest.approx(0.0)
 
 
 def test_miss_rate_delta_semantics():
-    tr = Telemetry(100.0)
-    tr.record_request(1, 1.0, miss=True)
+    tr = MissRateWindow(100.0)
+    tr.record(1, 1.0, miss=True)
     assert tr.miss_rate_delta(1, 2.0) == 0.0  # first report seeds the baseline
-    tr.record_request(1, 3.0, miss=False)
+    tr.record(1, 3.0, miss=False)
     # rate moved 1.0 -> 0.5
     assert tr.miss_rate_delta(1, 4.0) == pytest.approx(-0.5)
     assert tr.miss_rate_delta(1, 5.0) == 0.0  # unchanged since last report
 
 
 def test_miss_rate_delta_empty_window_keeps_baseline():
-    tr = Telemetry(10.0)
-    tr.record_request(1, 0.0, miss=True)
+    tr = MissRateWindow(10.0)
+    tr.record(1, 0.0, miss=True)
     assert tr.miss_rate_delta(1, 1.0) == 0.0  # baseline = 1.0
     assert tr.miss_rate_delta(1, 50.0) == 0.0  # empty window, baseline untouched
-    tr.record_request(1, 60.0, miss=True)
-    tr.record_request(1, 61.0, miss=False)
+    tr.record(1, 60.0, miss=True)
+    tr.record(1, 61.0, miss=False)
     # 0.5 against the surviving 1.0 baseline
     assert tr.miss_rate_delta(1, 62.0) == pytest.approx(-0.5)
 
 
 def test_miss_rate_delta_unknown_unit():
-    tr = Telemetry(10.0)
+    tr = MissRateWindow(10.0)
     assert tr.miss_rate_delta(99, 5.0) == 0.0
 
 
@@ -210,21 +211,21 @@ def test_requests_and_miss_rates_cannot_go_back():
     # A request recorded at an earlier now would be counted as if it were
     # still in the window after newer ones left it; it fails where it enters
     # and changes nothing.
-    tel = Telemetry(10.0)
-    tel.record_request(1, 5.0, miss=True)
-    tel.record_request(2, 6.0, miss=False)
-    for go_back in (lambda: tel.record_request(1, 4.0, miss=True),
-                    lambda: tel.record_request(3, 5.5, miss=False),
-                    lambda: tel.miss_rate(1, 5.0),
-                    lambda: tel.miss_rate_delta(1, 5.0),
-                    lambda: tel.record_request(1, math.nan, miss=True)):
+    win = MissRateWindow(10.0)
+    win.record(1, 5.0, miss=True)
+    win.record(2, 6.0, miss=False)
+    for go_back in (lambda: win.record(1, 4.0, miss=True),
+                    lambda: win.record(3, 5.5, miss=False),
+                    lambda: win.miss_rate(1, 5.0),
+                    lambda: win.miss_rate_delta(1, 5.0),
+                    lambda: win.record(1, math.nan, miss=True)):
         with pytest.raises(ValueError, match="cannot go back"):
             go_back()
-    assert tel.miss_rate_delta(1, 6.0) == 0.0  # seeds the baseline at 1.0
-    assert (tel.miss_rate(1, 14.0), tel.miss_rate(2, 14.0)) == (1.0, 0.0)
-    assert tel.miss_rate(1, 15.0) is None  # the t=5 miss left the window
+    assert win.miss_rate_delta(1, 6.0) == 0.0  # seeds the baseline at 1.0
+    assert (win.miss_rate(1, 14.0), win.miss_rate(2, 14.0)) == (1.0, 0.0)
+    assert win.miss_rate(1, 15.0) is None  # the t=5 miss left the window
     with pytest.raises(ValueError, match="cannot go back"):
-        tel.miss_rate_delta(1, 14.5)
+        win.miss_rate_delta(1, 14.5)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +366,7 @@ def test_oracle_write_onto_a_read_value_resolves_the_read():
     assert oracle.true_ttl.tolist() == [2.0, 1.0] and oracle.pending_count == 0
 
 
-def test_oracle_resolves_queries_and_reads_in_serve_order():
+def test_oracle_resolves_every_serve_of_the_queries_and_read_a_write_touches():
     # units 2, 4 and 7 are queries, 11 a read, as in a 10-query world
     oracle = TrueTtlOracle()
     for sid, unit in enumerate((4, 11, 2, 4, 7)):
@@ -435,11 +436,12 @@ def test_oracle_memory_per_resolved_serve():
 
 
 def test_telemetry_facade_wiring():
-    tel = Telemetry(window=20.0)
+    tel, learner = Telemetry(window=20.0), MissRateWindow(20.0)
     tel.record_write(5, 1.0)
-    tel.record_request(2, 1.0, miss=True)
+    learner.record(2, 1.0, miss=True)
     assert tel.write_counts([5, 6], 2.0) == [1, 0]
-    assert tel.miss_rate(2, 2.0) == 1.0
-    assert tel.miss_rate_delta(2, 2.0) == 0.0
-    assert tel.window == tel.writes.window == tel.requests.window == tel.misses.window == 20.0
+    assert learner.miss_rate(2, 2.0) == 1.0
+    assert learner.miss_rate_delta(2, 2.0) == 0.0
+    assert tel.window == tel.writes.window == 20.0
+    assert learner.requests.window == learner.misses.window == 20.0
     assert len(tel.oracle.actions) == 0

@@ -1,5 +1,5 @@
-"""Telemetry against per-key and per-unit deque models, driven by a hypothesis
-state machine.
+"""Telemetry's write counts and a learner's MissRateWindow against per-key
+and per-unit deque models, driven by a hypothesis state machine.
 
 The models keep every event time in a deque per key (writes) or per unit
 (requests, with their outcome) and prune on read, so each count, miss rate
@@ -23,7 +23,7 @@ from hypothesis import settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule  # noqa: E402
 
-from ttl_lab.telemetry import Telemetry  # noqa: E402
+from ttl_lab.telemetry import MissRateWindow, Telemetry  # noqa: E402
 
 WINDOW = 2.0
 steps = st.sampled_from([0.0, 0.25, 0.5, 1.75, WINDOW, 2.25])
@@ -35,7 +35,7 @@ back = st.sampled_from([0.25, 1.0, WINDOW, math.inf])
 class TelemetryModel(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.tel = Telemetry(WINDOW)
+        self.tel, self.win = Telemetry(WINDOW), MissRateWindow(WINDOW)
         self.now = 0.0
         # key -> (time,) of its writes; unit -> (time, miss) of its requests
         self.writes: dict[int, deque[tuple[float]]] = {}
@@ -77,7 +77,7 @@ class TelemetryModel(RuleBasedStateMachine):
 
     @rule(unit=units, miss=st.booleans())
     def record_request(self, unit, miss):
-        self.tel.record_request(unit, self.now, miss)
+        self.win.record(unit, self.now, miss)
         self.requests.setdefault(unit, deque()).append((self.now, miss))
         self.event_times.append(self.now)
         self.request_clock = self.now
@@ -90,7 +90,7 @@ class TelemetryModel(RuleBasedStateMachine):
 
     @rule(unit=units)
     def miss_rate(self, unit):
-        assert self.tel.miss_rate(unit, self.now) == self.expected_miss_rate(unit)
+        assert self.win.miss_rate(unit, self.now) == self.expected_miss_rate(unit)
         self.request_clock = self.now
 
     @rule(unit=units)
@@ -101,7 +101,7 @@ class TelemetryModel(RuleBasedStateMachine):
             prev = self.baseline.get(unit)
             self.baseline[unit] = cur
             expected = 0.0 if prev is None else cur - prev
-        assert self.tel.miss_rate_delta(unit, self.now) == expected
+        assert self.win.miss_rate_delta(unit, self.now) == expected
         self.request_clock = self.now
 
     @precondition(lambda self: self.write_clock > -math.inf)
@@ -118,18 +118,18 @@ class TelemetryModel(RuleBasedStateMachine):
     def request_goes_back(self, unit, miss, by):
         t = self.request_clock - by
         with pytest.raises(ValueError, match="cannot go back"):
-            self.tel.record_request(unit, t, miss)
+            self.win.record(unit, t, miss)
         with pytest.raises(ValueError, match="cannot go back"):
-            self.tel.miss_rate_delta(unit, t)
+            self.win.miss_rate_delta(unit, t)
         with pytest.raises(ValueError, match="cannot go back"):
-            self.tel.miss_rate(unit, t)
+            self.win.miss_rate(unit, t)
 
     @rule()
     def read_everything(self):
         expected = [self.expected_count(k) for k in range(10)]
         assert self.tel.write_counts(range(10), self.now) == expected
         for unit in range(4):
-            assert self.tel.miss_rate(unit, self.now) == self.expected_miss_rate(unit)
+            assert self.win.miss_rate(unit, self.now) == self.expected_miss_rate(unit)
         self.write_clock = self.request_clock = self.now
 
     @invariant()
