@@ -314,9 +314,8 @@ def check_poisson_exact() -> tuple[bool, str]:
     tel = Telemetry(window=100.0)
     for key in (0, 0, 1, 1, 1):  # 2 and 3 writes in the window: 0.02 and 0.03 per second
         tel.record_write(key, 0.0)
-    a = poisson_ttl([0, 1], tel, 0.0, 300.0)
-    b = poisson_ttl([5, 6, 7], tel, 0.0, 300.0)
-    c = poisson_ttl([9], tel, 0.0, 300.0)
+    a, b, c = (poisson_ttl(tel.write_rates(keys, 0.0), len(keys), 300.0)
+               for keys in ([0, 1], [5, 6, 7], [9]))
     ok = a == 20.0 and b == 100.0 and c == 300.0
     return ok, f"got {a}, {b}, {c}"
 

@@ -74,7 +74,7 @@ class IncompleteTransition:
     s: np.ndarray
     a: float
     decided_at: float
-    result_keys: list[int] = field(repr=False, default=None)  # type: ignore[assignment]
+    result_keys: list[int] | None = field(repr=False, default=None)  # naf-dei's s_next reads them
     inval_at: float | None = None
 
     @property

@@ -21,27 +21,24 @@ from .nafagent import NafAgent, NafConfig, build_state
 from .telemetry import MissRateWindow
 
 
-def poisson_ttl(result_keys, telemetry, now: float, max_ttl: float) -> float:
-    """TTL = 1 / sum of result-key write rates, capped at max_ttl.
+def poisson_ttl(rates, key_count: int, max_ttl: float) -> float:
+    """TTL = 1 / sum of the write rates of a result's `key_count` keys, capped
+    at max_ttl; `rates` are the known ones, in key order (Telemetry.write_rates).
 
     The first invalidating write is the minimum over per-key exponential
-    waits, itself exponential with the summed rate. Keys with no observed
-    writes contribute the default rate 1/max_ttl, aggregated as one division
-    so an all-unknown result stays exact (k unknowns -> max_ttl / k). An
-    empty result carries no rate information and gets the cap.
+    waits, itself exponential with the summed rate. The key_count - len(rates)
+    keys with no observed writes contribute the default rate 1/max_ttl,
+    aggregated as one division so an all-unknown result stays exact (k
+    unknowns -> max_ttl / k). An empty result gets the cap.
     """
-    if len(result_keys) == 0:
+    if key_count == 0:
         return max_ttl
-    window = telemetry.window
     known = 0.0
-    unknown = 0
     # One rate at a time in key order: np.sum sums pairwise and sum() compensates,
     # and either can move the last bit of the TTL.
-    for n in telemetry.write_counts(result_keys, now):
-        if n:
-            known += n / window
-        else:
-            unknown += 1
+    for rate in rates:
+        known += rate
+    unknown = key_count - len(rates)
     if known == 0.0:
         return max_ttl / unknown
     lam = known + unknown / max_ttl
@@ -56,6 +53,8 @@ class TtlEstimator:
         count them."""
 
     def decide(self, serve_id: int, unit: int, result_keys, now: float) -> float:
+        """The TTL of a miss of `unit`. `result_keys` is the world's live list:
+        never mutate it, nor keep it past the call; copy the keys to keep."""
         raise NotImplementedError
 
     def on_invalidation_issued(self, serve_id: int, now: float) -> None:
@@ -76,7 +75,8 @@ class PoissonEstimator(TtlEstimator):
         self.max_ttl = max_ttl
 
     def decide(self, serve_id, unit, result_keys, now):
-        return poisson_ttl(result_keys, self.telemetry, now, self.max_ttl)
+        rates = self.telemetry.write_rates(result_keys, now)
+        return poisson_ttl(rates, len(result_keys), self.max_ttl)
 
 
 class InjectionRow(NamedTuple):
@@ -102,7 +102,7 @@ class _NafEstimator(TtlEstimator):
         self.load_threshold = 1.0 - sim.spec.write_fraction
         self.injection_log: list[InjectionRow] | None = [] if log_transitions else None
         self.queue = DeiQueue()
-        self.miss_rates = MissRateWindow(sim.telemetry.window)
+        self.miss_rates = MissRateWindow(sim.telemetry.writes.window)
 
     def on_request(self, unit, now, miss):
         self.miss_rates.record(unit, now, miss)
@@ -111,8 +111,16 @@ class _NafEstimator(TtlEstimator):
         self.queue.stamp_invalidation(serve_id, now)
 
     def _state(self, result_keys, unit: int, now: float) -> np.ndarray:
-        return build_state(result_keys, self.sim.telemetry, self.miss_rates, unit, now,
+        # rates first: the delta moves its own baseline
+        rates = self.sim.telemetry.write_rates(result_keys, now)
+        return build_state(rates, self.miss_rates.miss_rate_delta(unit, now),
                            self.agent.cfg.rate_inputs)
+
+    def _reward(self, it: IncompleteTransition, now: float) -> float:
+        # the load is read for every form: current_load sweeps expired entries
+        load = self.sim.cache.current_load(now)
+        return transition_reward(it.inval_at, it.due_at, load, self.load_threshold,
+                                 self.reward_cfg, it.decided_at)
 
     def _inject(self, it: IncompleteTransition, reward: float, s_next: np.ndarray, now: float) -> None:
         self.agent.replay.push(it.s, it.a, reward, s_next)
@@ -131,17 +139,14 @@ class NafDeiEstimator(_NafEstimator):
     def decide(self, serve_id, unit, result_keys, now):
         s = self._state(result_keys, unit, now)
         a = self.agent.act(s)
-        self.queue.enqueue(
-            IncompleteTransition(serve_id, unit, s, a, decided_at=now, result_keys=result_keys)
-        )
+        keys = list(result_keys)  # a copy: the transition outlives the call
+        self.queue.enqueue(IncompleteTransition(serve_id, unit, s, a, now, result_keys=keys))
         self.sim.engine.schedule(now + a, "dei", serve_id)
         return a
 
     def on_due(self, serve_id, now):
         it = self.queue.pop_due(serve_id)
-        load = self.sim.cache.current_load(now)
-        r = transition_reward(it.inval_at, it.due_at, load, self.load_threshold,
-                              self.reward_cfg, it.decided_at)
+        r = self._reward(it, now)
         s_next = self._state(it.result_keys, it.unit, now)
         self._inject(it, r, s_next, now)
 
@@ -159,13 +164,10 @@ class NafNaiveEstimator(_NafEstimator):
     def decide(self, serve_id, unit, result_keys, now):
         s = self._state(result_keys, unit, now)
         a = self.agent.act(s)
-        it = IncompleteTransition(serve_id, unit, s, a, decided_at=now, result_keys=result_keys)
+        it = IncompleteTransition(serve_id, unit, s, a, decided_at=now)  # no keys: never read
         prev_id = self._last_serve.get(unit)
         if prev_id is not None:
-            prev = self.queue.pop_due(prev_id)
-            load = self.sim.cache.current_load(now)
-            r = transition_reward(prev.inval_at, prev.due_at, load, self.load_threshold,
-                                  self.reward_cfg, prev.decided_at)
+            r = self._reward(self.queue.pop_due(prev_id), now)
             self._inject(it, r, s, now)
         self.queue.enqueue(it)
         self._last_serve[unit] = serve_id

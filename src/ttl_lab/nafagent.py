@@ -83,20 +83,14 @@ def naf_loss_and_grads(
     return loss, backward(net, ws, ws.dout)
 
 
-def build_state(
-    result_keys, telemetry, miss_rates, unit: int, now: float, rate_inputs: int
-) -> np.ndarray:
-    """Feature vector: top-n available write rates (desc, clipped to [0,1],
-    zero-padded) plus the unit's miss-rate delta, read from the learner's
-    own `miss_rates` (a telemetry.MissRateWindow). A key with no write in the
-    telemetry window has no rate and takes no slot."""
-    window = telemetry.window
-    rates = [min(n / window, 1.0) for n in telemetry.write_counts(result_keys, now) if n]
-    rates.sort(reverse=True)
+def build_state(rates, miss_rate_delta: float, rate_inputs: int) -> np.ndarray:
+    """Feature vector: the top-n of a result's known write `rates` (desc,
+    clipped to [0,1], zero-padded; Telemetry.write_rates) plus the unit's
+    miss-rate delta (MissRateWindow.miss_rate_delta)."""
+    top = sorted((min(r, 1.0) for r in rates), reverse=True)[:rate_inputs]
     s = np.zeros(rate_inputs + 1)
-    top = rates[:rate_inputs]
     s[: len(top)] = top
-    s[rate_inputs] = miss_rates.miss_rate_delta(unit, now)
+    s[rate_inputs] = miss_rate_delta
     return s
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -71,6 +70,7 @@ class Engine:
         self.now = 0.0
         self._heap: list[SimEvent] = []
         self._ops = iter(timeline)
+        self._next_op: tuple[float, object] | None = None  # pulled by run_until, not here
         self._on_op = on_op
         self._seq = 0
 
@@ -87,7 +87,9 @@ class Engine:
         self._seq += 1
 
     def run_until(self, t_end: float) -> int:
-        """Dispatch every op and event with time <= t_end; clock lands on t_end."""
+        """Dispatch every op and event with time <= t_end; clock lands on t_end.
+        The first op past t_end waits for the next call, so a run made of many
+        short calls walks the timeline once, as one call does."""
         if not t_end < math.inf:  # inf or NaN: the end of the timeline is no bound
             raise ValueError(f"t_end {t_end} is not finite")
         if t_end < self.now:
@@ -95,7 +97,7 @@ class Engine:
         heap, handler, on_op, ops = self._heap, self.handler, self._on_op, self._ops
         pop = heapq.heappop
         n = 0
-        t, op = next(ops, _NO_OP)
+        t, op = next(ops, _NO_OP) if self._next_op is None else self._next_op
         while True:
             # the heap's events up to the next op's time go first
             limit = t if t < t_end else t_end
@@ -110,7 +112,7 @@ class Engine:
             on_op(t, op)
             n += 1
             t, op = next(ops, _NO_OP)
-        self._ops = chain(((t, op),), ops)  # the first op past t_end waits
+        self._next_op = (t, op)
         self.now = t_end
         return n
 
@@ -148,10 +150,10 @@ class Simulation:
     TTLs come from the run's own estimator, `estimator`.
 
     Cacheable units share one id space: range query q is unit q, a point read
-    of key k is unit query_count + k. A query's miss serves a copy of its
-    result keys from the world's QueryIndex, which each update keeps current;
-    a read's miss serves [k]. A write of k touches the queries whose range
-    holds its old or new value, and the read of k.
+    of key k is unit query_count + k. A query's miss hands the estimator its
+    result keys, the world's QueryIndex list itself, which each update keeps
+    current; a read's miss hands it [k]. A write of k touches the queries
+    whose range holds its old or new value, and the read of k.
 
     A query or read is served in one frame, `_handle_arrival`: the cache
     lookup, the estimator's `on_request` (a no-op unless it is a learner),
@@ -230,8 +232,7 @@ class Simulation:
             if miss:
                 serve_id = self._serve_seq
                 self._serve_seq += 1
-                # a copy: a pending NAF decision keeps the keys it was made on
-                result_keys = self.world.index.results[target][:] if kind == "query" else [target]
+                result_keys = self.world.index.results[target] if kind == "query" else [target]
                 ttl = self.estimator.decide(serve_id, unit, result_keys, now)
                 self.telemetry.oracle.on_serve(serve_id, unit, now, ttl)
                 self.cache.insert(unit, serve_id, ttl, now)

@@ -1,10 +1,11 @@
 """Run-time measurement: windowed counts and the true-TTL oracle.
 
 Every count is over a sliding window (now - W, now] and comes from a
-WindowCounter. Telemetry, which every run keeps, holds one: writes per key,
-which both estimators read as rates. A key's write rate is its count / W; a
-key with no writes in the window has no rate ("unavailable"), which is
-distinct from a rate of zero. The NAF learners alone also read each unit's
+WindowCounter. Telemetry, which every run keeps, holds one: writes per key.
+It alone turns them into rates (write_rates), which both estimators take as
+plain numbers: a key's write rate is its count / W, and a key with no writes
+in the window has no rate ("unavailable"), which is distinct from a rate of
+zero, so it is left out. The NAF learners alone also read each unit's
 miss rate, so each builds its own MissRateWindow, which counts requests and
 misses per unit; a unit with no requests in the window has no miss rate.
 Each counter keeps one monotone clock: a `now` earlier than its last raises
@@ -187,18 +188,19 @@ class MissRateWindow:
 
 
 class Telemetry:
-    """What every run measures: write counts per key over the window, which
-    the estimators read, and the true-TTL oracle. The learners' miss rates
-    are their own (MissRateWindow)."""
+    """What every run measures: writes per key over the window, which the
+    estimators read as rates, and the true-TTL oracle. The learners' miss
+    rates are their own (MissRateWindow), over `writes.window`."""
 
     def __init__(self, window: float):
         self.writes = WindowCounter(window)
-        self.window = window
         self.oracle = TrueTtlOracle()
 
     def record_write(self, key: int, now: float) -> None:
         self.writes.record(key, now)
 
-    def write_counts(self, keys, now: float) -> list[int]:
-        """Each key's writes in the window; its rate is count / window, none if 0."""
-        return self.writes.counts(keys, now)
+    def write_rates(self, keys, now: float) -> list[float]:
+        """count / window of each key of `keys` with a write in the window, in
+        key order; a key with none has no rate and is left out."""
+        window = self.writes.window
+        return [n / window for n in self.writes.counts(keys, now) if n]

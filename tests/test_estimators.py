@@ -19,69 +19,55 @@ from ttl_lab.estimators import (
 )
 from ttl_lab.simcore import Simulation
 from ttl_lab.telemetry import Telemetry
-
-
-def _telemetry(counts, window=100.0):
-    """A Telemetry holding counts[key] writes of each key at t = 0; key k's
-    rate at t = 0 is counts[k] / window."""
-    tel = Telemetry(window)
-    for key, n in counts.items():
-        for _ in range(n):
-            tel.record_write(key, 0.0)
-    return tel
-
+from ttl_lab.workload import evaluate_query
 
 # ---------------------------------------------------------------------------
-# poisson math
+# poisson math: rates are writes / window, here a 100 s window
 
 
 def test_poisson_ttl_known_rates_exact():
-    tel = _telemetry({0: 2, 1: 3})  # 0.02 and 0.03 writes per second
-    assert poisson_ttl([0, 1], tel, 0.0, 300.0) == 20.0
+    assert poisson_ttl([0.02, 0.03], 2, 300.0) == 20.0  # 2 and 3 writes in 100 s
 
 
 def test_poisson_ttl_all_unknown_exact():
-    assert poisson_ttl([5, 6, 7], _telemetry({}), 0.0, 300.0) == 100.0
-    assert poisson_ttl([5], _telemetry({}), 0.0, 300.0) == 300.0
+    assert poisson_ttl([], 3, 300.0) == 100.0
+    assert poisson_ttl([], 1, 300.0) == 300.0
 
 
 def test_poisson_ttl_mixed_known_unknown():
     # lam = 0.02 + 2/300; ttl = 1/lam = 37.5
-    tel = _telemetry({0: 2})
-    assert poisson_ttl([0, 1, 2], tel, 0.0, 300.0) == pytest.approx(37.5, rel=1e-12)
+    assert poisson_ttl([0.02], 3, 300.0) == pytest.approx(37.5, rel=1e-12)
 
 
 def test_poisson_ttl_cap_binds():
-    tel = _telemetry({0: 1}, window=400.0)
-    assert poisson_ttl([0], tel, 0.0, 300.0) == 300.0
+    assert poisson_ttl([1 / 400.0], 1, 300.0) == 300.0
 
 
 def test_poisson_ttl_known_rates_are_exact_inverse():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        counts = {k: int(rng.integers(1, 200)) for k in range(int(rng.integers(1, 6)))}
-        got = poisson_ttl(list(counts), _telemetry(counts), 0.0, 1e9)
-        assert got == pytest.approx(1.0 / sum(n / 100.0 for n in counts.values()), rel=1e-12)
+        rates = [int(n) / 100.0 for n in rng.integers(1, 200, size=int(rng.integers(1, 6)))]
+        got = poisson_ttl(rates, len(rates), 1e9)
+        assert got == pytest.approx(1.0 / sum(rates), rel=1e-12)
 
 
 def test_poisson_ttl_monotone_in_rates_and_cardinality():
     rng = np.random.default_rng(4)
     for _ in range(50):
         n = int(rng.integers(1, 6))
-        counts = {k: int(rng.integers(1, 100)) for k in range(n)}
-        base = poisson_ttl(list(range(n)), _telemetry(counts), 0.0, 300.0)
+        counts = [int(c) for c in rng.integers(1, 100, size=n)]
+        base = poisson_ttl([c / 100.0 for c in counts], n, 300.0)
         # raising any one rate never raises the ttl
-        k = int(rng.integers(0, n))
-        bumped = dict(counts)
-        bumped[k] += int(rng.integers(10, 100))
-        assert poisson_ttl(list(range(n)), _telemetry(bumped), 0.0, 300.0) <= base
+        bumped = list(counts)
+        bumped[int(rng.integers(0, n))] += int(rng.integers(10, 100))
+        assert poisson_ttl([c / 100.0 for c in bumped], n, 300.0) <= base
         # adding a key (even unknown) never raises the ttl
-        assert poisson_ttl(list(range(n + 1)), _telemetry(counts), 0.0, 300.0) <= base
+        assert poisson_ttl([c / 100.0 for c in counts], n + 1, 300.0) <= base
 
 
 def test_poisson_ttl_errors():
     # an empty result is no error: it carries no rate, so it gets the cap
-    assert poisson_ttl([], _telemetry({}), 0.0, 300.0) == 300.0
+    assert poisson_ttl([], 0, 300.0) == 300.0
     # a bad cap fails where it enters, in the config
     with pytest.raises(ValueError, match="max_ttl"):
         build_config(overrides={"estimator.kind": "poisson", "estimator.max_ttl": "0"})
@@ -146,9 +132,28 @@ def test_fixed_estimator():
 
 
 def test_poisson_estimator_delegates_and_falls_back():
-    est = PoissonEstimator(_telemetry({0: 2, 1: 3}), max_ttl=300.0)
+    tel = Telemetry(window=100.0)
+    for key in (0, 0, 1, 1, 1):  # 0.02 and 0.03 writes per second
+        tel.record_write(key, 0.0)
+    est = PoissonEstimator(tel, max_ttl=300.0)
     assert est.decide(0, 0, [0, 1], now=0.0) == 20.0
-    assert est.decide(1, 0, [], now=0.0) == 300.0  # empty result: cap fallback
+    # key 2 has no write: it counts as unknown, at the default rate 1 / max_ttl
+    assert est.decide(1, 0, [0, 2], now=0.0) == pytest.approx(1.0 / (0.02 + 1.0 / 300.0))
+    assert est.decide(2, 0, [], now=0.0) == 300.0  # empty result: cap fallback
+
+
+@pytest.mark.parametrize("query_fraction", [None, 0.5], ids=["queries", "point-reads"])
+@pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+def test_no_estimator_changes_the_world_index(tiny_cfg, kind, query_fraction):
+    # A query's miss hands the estimator the index's own result list, which
+    # writes keep moving; an estimator that changed it would leave a result
+    # that no longer matches a scan of the values.
+    cfg = dataclasses.replace(tiny_cfg, estimators=(kind,), query_fraction=query_fraction)
+    sim = Simulation(cfg, 0.3, kind, seed=2).run()
+    assert sim.cache.stats.misses > 0 and sim.cache.stats.invalidations > 0
+    values = sim.world.values
+    for q, lo, hi in sim.world.queries:
+        assert sim.world.index.results[q] == evaluate_query(values, lo, hi).tolist()
 
 
 def _all_kinds(cfg):

@@ -103,46 +103,21 @@ def test_gradients_scalar_action_vs_finite_differences():
 # state features
 
 
-class _StubTelemetry:
-    """counts[key] writes per key in a 10 s window."""
-
-    window = 10.0
-
-    def __init__(self, counts):
-        self.counts = counts
-
-    def write_counts(self, keys, now):
-        return [self.counts.get(k, 0) for k in keys]
-
-
-class _StubMissRates:
-    """A learner's MissRateWindow with a fixed miss-rate delta, for `unit` alone."""
-
-    def __init__(self, unit, delta):
-        self.unit = unit
-        self.delta = delta
-
-    def miss_rate_delta(self, unit, now):
-        assert unit == self.unit
-        return self.delta
-
-
 def test_build_state_sorts_clips_and_pads():
-    tel = _StubTelemetry({1: 3, 2: 0, 3: 50, 4: 1})  # 0.3, none, 5.0, 0.1 per s
-    s = build_state([1, 2, 3, 4, 9], tel, _StubMissRates(7, -0.25), unit=7, now=0.0, rate_inputs=3)
-    # 5.0 clips to 1.0; key 2 and 9 have no rate; sorted descending
+    rates = [0.3, 5.0, 0.1]
+    s = build_state(rates, -0.25, rate_inputs=3)
+    # 5.0 clips to 1.0; sorted descending; the input is left as it was
     assert s.tolist() == [1.0, 0.3, 0.1, -0.25]
+    assert rates == [0.3, 5.0, 0.1]
 
 
 def test_build_state_truncates_to_top_rates():
-    tel = _StubTelemetry({k: k for k in range(1, 6)})  # k / 10 per s
-    s = build_state([1, 2, 3, 4, 5], tel, _StubMissRates(0, 0.0), unit=0, now=0.0, rate_inputs=2)
+    s = build_state([0.1, 0.2, 0.3, 0.4, 0.5], 0.0, rate_inputs=2)
     assert s.tolist() == [0.5, 0.4, 0.0]
 
 
 def test_build_state_empty_keys_is_zero_vector():
-    tel = _StubTelemetry({})
-    s = build_state([], tel, _StubMissRates(0, 0.0), unit=0, now=0.0, rate_inputs=4)
+    s = build_state([], 0.0, rate_inputs=4)
     assert s.tolist() == [0.0] * 5
 
 

@@ -215,6 +215,31 @@ def test_engine_matches_heap_only_reference(seed, monkeypatch):
     assert any(tied(i, "op", "op") for i in range(len(ref)))
 
 
+def _stepped_log(stops) -> list[tuple]:
+    """The dispatch log of one op per ms for 10 s, where every seventh op
+    schedules an event 0.25 ms later, run to each of `stops` in turn."""
+    log: list[tuple] = []
+
+    def on_op(t, op):
+        log.append((t, op))
+        if op % 7 == 0:
+            eng.schedule(t + 0.00025, "inval", op)
+
+    timeline = (((i + 1) * 0.001, i) for i in range(10_000))
+    eng = Engine(lambda ev: log.append((ev.time, ev.kind, ev.arg)), timeline, on_op)
+    for stop in stops:
+        eng.run_until(stop)
+    return log
+
+
+def test_engine_run_until_in_steps_matches_one_call():
+    # Each call keeps the first op past its end for the next; 20,000 calls
+    # must neither lose nor repeat an op, nor reorder one with an event.
+    stepped = _stepped_log([k * 0.0005 for k in range(1, 20_001)])
+    assert stepped == _stepped_log([10.0])
+    assert len(stepped) == 10_000 + 1_429
+
+
 def test_engine_handler_can_schedule_more():
     seen = []
 

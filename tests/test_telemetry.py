@@ -118,13 +118,15 @@ def test_write_counts_match_per_key_deque_reference():
             continue
         keys = rng.choice(60, size=int(rng.integers(1, 25)), replace=False)  # 40-59 never written
         edge_queries += (now - window) in write_times
-        assert tel.write_counts(keys, now) == [ref.count(int(k), now) for k in keys]
-        assert poisson_ttl(keys, tel, now, 300.0) == _reference_poisson_ttl(keys, ref, now, 300.0)
-        state = build_state(keys, tel, no_requests, 0, now, 6)
+        assert tel.writes.counts(keys, now) == [ref.count(int(k), now) for k in keys]
+        rates = tel.write_rates(keys, now)
+        assert rates == [r for k in keys if (r := ref.rate(int(k), now)) is not None]
+        assert poisson_ttl(rates, len(keys), 300.0) == _reference_poisson_ttl(keys, ref, now, 300.0)
+        state = build_state(rates, no_requests.miss_rate_delta(0, now), 6)
         assert state.tolist() == _reference_state(keys, ref, now, 6)
     assert edge_queries > 100
     with pytest.raises(ValueError, match="cannot go back"):
-        tel.write_counts([0], now - 0.25)
+        tel.write_rates([0], now - 0.25)
 
 
 def test_write_tracker_clock_cannot_go_back():
@@ -439,9 +441,9 @@ def test_telemetry_facade_wiring():
     tel, learner = Telemetry(window=20.0), MissRateWindow(20.0)
     tel.record_write(5, 1.0)
     learner.record(2, 1.0, miss=True)
-    assert tel.write_counts([5, 6], 2.0) == [1, 0]
+    assert tel.write_rates([5, 6], 2.0) == [1 / 20.0]  # key 6 has no write: no rate
     assert learner.miss_rate(2, 2.0) == 1.0
     assert learner.miss_rate_delta(2, 2.0) == 0.0
-    assert tel.window == tel.writes.window == 20.0
+    assert tel.writes.window == 20.0
     assert learner.requests.window == learner.misses.window == 20.0
     assert len(tel.oracle.actions) == 0

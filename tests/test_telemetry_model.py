@@ -1,13 +1,13 @@
-"""Telemetry's write counts and a learner's MissRateWindow against per-key
+"""Telemetry's write rates and a learner's MissRateWindow against per-key
 and per-unit deque models, driven by a hypothesis state machine.
 
 The models keep every event time in a deque per key (writes) or per unit
-(requests, with their outcome) and prune on read, so each count, miss rate
-and miss-rate delta has a plain expected value. Times are multiples of 0.25
-and the window is 2.0, all exact in binary, so events land at equal times and
-exactly on the window edge (now - window) of earlier events. Each counter's
-clock is the last time it was used; a call before it must raise and change
-nothing.
+(requests, with their outcome) and prune on read, so each write rate, miss
+rate and miss-rate delta has a plain expected value. Times are multiples of
+0.25 and the window is 2.0, all exact in binary, so events land at equal
+times and exactly on the window edge (now - window) of earlier events. Each
+counter's clock is the last time it was used; a call before it must raise
+and change nothing.
 """
 
 from __future__ import annotations
@@ -82,10 +82,14 @@ class TelemetryModel(RuleBasedStateMachine):
         self.event_times.append(self.now)
         self.request_clock = self.now
 
+    def expected_rates(self, ks):
+        # a key with no write in the window has no rate
+        return [n / WINDOW for k in ks if (n := self.expected_count(k))]
+
     @rule(ks=st.lists(st.integers(0, 9), max_size=8))
-    def write_counts(self, ks):
-        # keys 6-9 are never written and count 0
-        assert self.tel.write_counts(ks, self.now) == [self.expected_count(k) for k in ks]
+    def write_rates(self, ks):
+        # keys 6-9 are never written and have no rate
+        assert self.tel.write_rates(ks, self.now) == self.expected_rates(ks)
         self.write_clock = self.now
 
     @rule(unit=units)
@@ -111,7 +115,7 @@ class TelemetryModel(RuleBasedStateMachine):
         with pytest.raises(ValueError, match="cannot go back"):
             self.tel.record_write(key, t)
         with pytest.raises(ValueError, match="cannot go back"):
-            self.tel.write_counts([key], t)
+            self.tel.write_rates([key], t)
 
     @precondition(lambda self: self.request_clock > -math.inf)
     @rule(unit=units, miss=st.booleans(), by=back)
@@ -126,8 +130,7 @@ class TelemetryModel(RuleBasedStateMachine):
 
     @rule()
     def read_everything(self):
-        expected = [self.expected_count(k) for k in range(10)]
-        assert self.tel.write_counts(range(10), self.now) == expected
+        assert self.tel.write_rates(range(10), self.now) == self.expected_rates(range(10))
         for unit in range(4):
             assert self.win.miss_rate(unit, self.now) == self.expected_miss_rate(unit)
         self.write_clock = self.request_clock = self.now
