@@ -1,13 +1,11 @@
-"""TTL estimators: the policies a simulation builds for itself.
+"""TTL estimators: the policies that set each cache miss's TTL.
 
-Each Simulation builds one estimator with make_estimator, bound to that run:
-it answers decide() on every cache miss and may react to each request's
-outcome, to invalidation issues and to DEI due events. A new kind is one
-entry of _BUILDERS, whose keys are ESTIMATOR_KINDS; its options are checked
-once, by ExperimentConfig. The Poisson baseline treats result-key writes as
-independent Poisson processes and bets on the minimum expected gap; the NAF
-estimators learn the TTL online, differing only in when unfinished
-transitions are completed.
+make_estimator builds one from its options in the config and the parts it
+reads, as values and callables. A new kind is one entry of _BUILDERS, whose
+keys are ESTIMATOR_KINDS; its options are checked once, by ExperimentConfig.
+The Poisson baseline treats result-key writes as independent Poisson
+processes and bets on the minimum expected gap; the NAF estimators learn the
+TTL online, differing only in when unfinished transitions are completed.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ def poisson_ttl(rates, key_count: int, max_ttl: float) -> float:
 
 
 class TtlEstimator:
-    """Base: a policy bound to one simulation."""
+    """Base: a TTL policy."""
 
     def on_request(self, unit: int, now: float, miss: bool) -> None:
         """Each request's outcome, before a miss's decide; only the learners
@@ -70,12 +68,12 @@ class FixedEstimator(TtlEstimator):
 
 
 class PoissonEstimator(TtlEstimator):
-    def __init__(self, telemetry, max_ttl: float):
-        self.telemetry = telemetry
+    def __init__(self, write_rates, max_ttl: float):
+        self.write_rates = write_rates
         self.max_ttl = max_ttl
 
     def decide(self, serve_id, unit, result_keys, now):
-        rates = self.telemetry.write_rates(result_keys, now)
+        rates = self.write_rates(result_keys, now)
         return poisson_ttl(rates, len(result_keys), self.max_ttl)
 
 
@@ -89,20 +87,24 @@ class InjectionRow(NamedTuple):
 
 
 class _NafEstimator(TtlEstimator):
-    """Shared plumbing for the learning estimators: the agent, each unit's
-    requests and misses over the telemetry window (the state's miss-rate
-    delta), and the queue of decisions waiting for their reward, which an
-    invalidation issued before completion stamps. The flat reward's load
-    threshold is 1 - w, the simulated cell's write fraction."""
+    """Shared plumbing for the learning estimators: the agent, drawing from
+    `rng`, each unit's requests and misses over `window` (the state's miss-rate
+    delta), and the queue of decisions waiting for their reward. It reads
+    `write_rates(keys, now)` and `current_load(now)`, and books each due event
+    with `schedule(time, "dei", serve_id)` for on_due. A simulation sets the
+    flat reward's `load_threshold` to 1 - w, its cell's write fraction."""
 
-    def __init__(self, sim, naf_cfg: NafConfig, reward_cfg: RewardConfig, log_transitions: bool):
-        self.sim = sim
-        self.agent = NafAgent(naf_cfg, sim.agent_rng)
+    def __init__(self, naf_cfg: NafConfig, reward_cfg: RewardConfig, log_transitions: bool, *,
+                 rng, window, load_threshold, write_rates, current_load, schedule):
+        self.agent = NafAgent(naf_cfg, rng)
         self.reward_cfg = reward_cfg
-        self.load_threshold = 1.0 - sim.spec.write_fraction
+        self.load_threshold = load_threshold
+        self.write_rates = write_rates
+        self.current_load = current_load
+        self.schedule = schedule
         self.injection_log: list[InjectionRow] | None = [] if log_transitions else None
         self.queue = DeiQueue()
-        self.miss_rates = MissRateWindow(sim.telemetry.writes.window)
+        self.miss_rates = MissRateWindow(window)
 
     def on_request(self, unit, now, miss):
         self.miss_rates.record(unit, now, miss)
@@ -112,13 +114,13 @@ class _NafEstimator(TtlEstimator):
 
     def _state(self, result_keys, unit: int, now: float) -> np.ndarray:
         # rates first: the delta moves its own baseline
-        rates = self.sim.telemetry.write_rates(result_keys, now)
+        rates = self.write_rates(result_keys, now)
         return build_state(rates, self.miss_rates.miss_rate_delta(unit, now),
                            self.agent.cfg.rate_inputs)
 
     def _reward(self, it: IncompleteTransition, now: float) -> float:
         # the load is read for every form: current_load sweeps expired entries
-        load = self.sim.cache.current_load(now)
+        load = self.current_load(now)
         return transition_reward(it.inval_at, it.due_at, load, self.load_threshold,
                                  self.reward_cfg, it.decided_at)
 
@@ -141,7 +143,7 @@ class NafDeiEstimator(_NafEstimator):
         a = self.agent.act(s)
         keys = list(result_keys)  # a copy: the transition outlives the call
         self.queue.enqueue(IncompleteTransition(serve_id, unit, s, a, now, result_keys=keys))
-        self.sim.engine.schedule(now + a, "dei", serve_id)
+        self.schedule(now + a, "dei", serve_id)
         return a
 
     def on_due(self, serve_id, now):
@@ -157,8 +159,8 @@ class NafNaiveEstimator(_NafEstimator):
     (s, a) is injected immediately with that stale reward and s_next = s; the
     misattribution is the point."""
 
-    def __init__(self, sim, naf_cfg, reward_cfg, log_transitions):
-        super().__init__(sim, naf_cfg, reward_cfg, log_transitions)
+    def __init__(self, naf_cfg, reward_cfg, log_transitions, **parts):
+        super().__init__(naf_cfg, reward_cfg, log_transitions, **parts)
         self._last_serve: dict[int, int] = {}  # unit -> serve id of its queued episode
 
     def decide(self, serve_id, unit, result_keys, now):
@@ -174,16 +176,16 @@ class NafNaiveEstimator(_NafEstimator):
         return a
 
 
-# kind -> builder(cfg, sim, log_transitions), reading its options from cfg
+# kind -> builder(cfg, log_transitions, parts), reading its options from cfg
 _BUILDERS = {
-    "poisson": lambda cfg, sim, log: PoissonEstimator(sim.telemetry, cfg.poisson_max_ttl),
-    "naf-dei": lambda cfg, sim, log: NafDeiEstimator(sim, cfg.naf, cfg.reward, log),
-    "naf-naive": lambda cfg, sim, log: NafNaiveEstimator(sim, cfg.naf, cfg.reward, log),
-    "fixed": lambda cfg, sim, log: FixedEstimator(cfg.fixed_ttl),
+    "poisson": lambda cfg, log, parts: PoissonEstimator(parts["write_rates"], cfg.poisson_max_ttl),
+    "naf-dei": lambda cfg, log, parts: NafDeiEstimator(cfg.naf, cfg.reward, log, **parts),
+    "naf-naive": lambda cfg, log, parts: NafNaiveEstimator(cfg.naf, cfg.reward, log, **parts),
+    "fixed": lambda cfg, log, parts: FixedEstimator(cfg.fixed_ttl),
 }
 ESTIMATOR_KINDS = tuple(_BUILDERS)
 
 
-def make_estimator(kind: str, cfg, sim, log_transitions: bool = False) -> TtlEstimator:
-    """The estimator of one kind for `sim`, built by its entry in _BUILDERS."""
-    return _BUILDERS[kind](cfg, sim, log_transitions)
+def make_estimator(kind: str, cfg, log_transitions: bool = False, **parts) -> TtlEstimator:
+    """The estimator of one kind from `cfg` and the `parts` it reads (see _NafEstimator)."""
+    return _BUILDERS[kind](cfg, log_transitions, parts)

@@ -9,6 +9,7 @@ hand and flow into the shared trunk backprop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,6 +230,8 @@ class NafAgent:
             a = self.rng.uniform(cfg.ttl_min, cfg.ttl_max)
         else:
             mu = naf_head(self.net, s, self._act_ws)[0]
+            if not math.isfinite(mu):  # the clip below would pass a NaN on
+                raise ValueError(f"policy mean {mu} is not finite")
             a = mu + self.sigma() * self.rng.standard_normal()
         self.act_count += 1
         return float(min(max(a, cfg.ttl_min), cfg.ttl_max))

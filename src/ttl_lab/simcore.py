@@ -1,9 +1,9 @@
 """Discrete-event core and the simulation that wires everything together.
 
 A Simulation is one run, built from an ExperimentConfig, a write fraction, an
-estimator kind and a seed. It builds its estimator last, from the same config,
-so the estimator is bound from the start to the run's clock, cache, telemetry
-and agent RNG.
+estimator kind and a seed, the one place that wires a run's parts: its
+estimator gets the run's write rates, cache load and scheduler, and an RNG of
+its own, so policy noise never perturbs the workload.
 
 Virtual time is a float starting at 0, and a run is a pure function of
 (config, seed). There are two kinds of event:
@@ -187,9 +187,6 @@ class Simulation:
 
         ss = np.random.SeedSequence(seed)
         world_ss, ops_ss, arrivals_ss, agent_ss = ss.spawn(4)
-        # Handed to the estimator so policy noise never perturbs the workload.
-        self.agent_rng = np.random.default_rng(agent_ss)
-
         self.world = generate_world(spec, np.random.default_rng(world_ss))
         timeline = op_timeline(spec, ops_ss, arrivals_ss)
         self.engine = Engine(self._dispatch, timeline, self._handle_arrival)
@@ -200,8 +197,11 @@ class Simulation:
         self.completed = 0
         self.latency_sum = 0.0
         self._serve_seq = 0
-        # last: the estimator reads the parts above
-        self.estimator = make_estimator(estimator_kind, cfg, self, log_transitions)
+        self.estimator = make_estimator(
+            estimator_kind, cfg, log_transitions, rng=np.random.default_rng(agent_ss),
+            window=cfg.telemetry_window, load_threshold=1.0 - spec.write_fraction,
+            write_rates=self.telemetry.write_rates, current_load=self.cache.current_load,
+            schedule=self.engine.schedule)
 
     def run(self) -> "Simulation":
         self.engine.run_until(self.spec.duration)

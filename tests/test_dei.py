@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from ttl_lab.cachesys import CacheSystem
 from ttl_lab.config import build_config
 from ttl_lab.dei import DeiQueue, IncompleteTransition, RewardConfig, transition_reward
-from ttl_lab.simcore import Engine, Simulation
+from ttl_lab.estimators import NafDeiEstimator, make_estimator
+from ttl_lab.simcore import Engine
+from ttl_lab.telemetry import Telemetry
 
 # ---------------------------------------------------------------------------
 # reward
@@ -162,12 +166,17 @@ def test_queue_pop_unknown_raises():
 
 
 def _scripted_sim(cfg, kind, log_transitions=False):
-    """A simulation that never run()s: handlers are driven by hand, and its
-    engine, with no op timeline, dispatches only the events they schedule."""
-    cfg = dataclasses.replace(cfg, estimators=(kind,))
-    sim = Simulation(cfg, 0.1, kind, seed=1, log_transitions=log_transitions)
-    sim.engine = Engine(sim._dispatch)
-    return sim
+    """A learner of `kind` driven by hand, with no Simulation: a bare engine,
+    with no op timeline, hands its due events back, and an empty cache and
+    telemetry give its load and rates. The load threshold is w 0.1's."""
+    engine = Engine(lambda ev: est.on_due(ev.arg, ev.time))  # "dei" is all it schedules
+    cache = CacheSystem(cfg.capacity)
+    telemetry = Telemetry(cfg.telemetry_window)
+    est = make_estimator(kind, cfg, log_transitions, rng=np.random.default_rng(1),
+                         window=cfg.telemetry_window, load_threshold=0.9,
+                         write_rates=telemetry.write_rates, current_load=cache.current_load,
+                         schedule=engine.schedule)
+    return SimpleNamespace(engine=engine, cache=cache, estimator=est)
 
 
 def test_dei_completes_exactly_at_due_time(tiny_cfg):
@@ -266,3 +275,49 @@ def test_naive_tracks_units_independently(tiny_cfg):
     est.decide(serve_id=2, unit=1, result_keys=np.array([0]), now=3.0)
     assert len(est.agent.replay) == 1
     est.on_invalidation_issued(0, 4.0)  # finished episode: stamp is a no-op
+
+
+# ---------------------------------------------------------------------------
+# a bandit drives the real learner
+
+
+def test_a_bandit_drives_the_dei_learner_with_no_simulation():
+    """Three states whose invalidations come at T ~ Exp(mu): the learner sees
+    each state's rate as its one result key's write rate, and a bare engine
+    hands back its due events and the bandit's invalidations. Every decision
+    is injected once, scored as transition_reward scores its draw."""
+    paper = build_config(preset="paper")
+    mu = [0.02, 0.05, 0.2]
+    draws = np.random.default_rng(7)
+    t_inv: dict[int, float | None] = {}
+
+    def handler(ev):
+        if ev.kind == "dei":
+            est.on_due(ev.arg, ev.time)
+        else:
+            est.on_invalidation_issued(ev.arg, ev.time)
+
+    engine = Engine(handler)
+    est = NafDeiEstimator(paper.naf, paper.reward, True, rng=np.random.default_rng(1),
+                          window=paper.telemetry_window, load_threshold=1.0,
+                          write_rates=lambda keys, now: [mu[k] for k in keys],
+                          current_load=lambda now: 0.0, schedule=engine.schedule)
+    steps = 3000
+    for serve_id in range(steps):
+        now = float(serve_id)
+        engine.run_until(now)
+        k = serve_id % len(mu)
+        a = est.decide(serve_id, k, [k], now)
+        t = now + draws.exponential(1.0 / mu[k])
+        t_inv[serve_id] = t if t < now + a else None
+        if t_inv[serve_id] is not None:
+            engine.schedule(t, "inval", serve_id)
+    engine.run_until(steps + paper.naf.ttl_max)
+
+    log = est.injection_log
+    assert sorted(row.serve_id for row in log) == list(range(steps))
+    assert len(est.queue) == 0 and len(engine) == 0
+    for row in log:
+        expected = transition_reward(t_inv[row.serve_id], row.due_at, 0.0, 1.0,
+                                     paper.reward, row.decided_at)
+        assert row.reward == expected, row

@@ -135,7 +135,7 @@ def test_poisson_estimator_delegates_and_falls_back():
     tel = Telemetry(window=100.0)
     for key in (0, 0, 1, 1, 1):  # 0.02 and 0.03 writes per second
         tel.record_write(key, 0.0)
-    est = PoissonEstimator(tel, max_ttl=300.0)
+    est = PoissonEstimator(tel.write_rates, max_ttl=300.0)
     assert est.decide(0, 0, [0, 1], now=0.0) == 20.0
     # key 2 has no write: it counts as unknown, at the default rate 1 / max_ttl
     assert est.decide(1, 0, [0, 2], now=0.0) == pytest.approx(1.0 / (0.02 + 1.0 / 300.0))
@@ -174,11 +174,16 @@ def test_estimator_options_come_from_cfg(tiny_cfg):
     cfg = dataclasses.replace(_all_kinds(tiny_cfg), fixed_ttl=12.0, poisson_max_ttl=77.0)
     assert Simulation(cfg, 0.1, "fixed", seed=0).estimator.ttl == 12.0
     sim = Simulation(cfg, 0.1, "poisson", seed=0)
-    assert sim.estimator.max_ttl == 77.0 and sim.estimator.telemetry is sim.telemetry
+    assert sim.estimator.max_ttl == 77.0 and sim.estimator.write_rates == sim.telemetry.write_rates
     for kind in ("naf-dei", "naf-naive"):
         sim = Simulation(cfg, 0.1, kind, seed=0)
         est = sim.estimator
-        assert est.sim is sim and est.agent.cfg is cfg.naf and est.reward_cfg is cfg.reward
+        assert est.agent.cfg is cfg.naf and est.reward_cfg is cfg.reward
+        # the run's own parts, bound to its telemetry, cache and engine
+        assert est.write_rates == sim.telemetry.write_rates
+        assert est.current_load == sim.cache.current_load
+        assert est.schedule == sim.engine.schedule
+        assert est.miss_rates.requests.window == cfg.telemetry_window
 
 
 def test_learner_load_threshold_is_one_minus_the_cells_write_fraction(tiny_cfg):

@@ -404,3 +404,12 @@ def test_train_step_is_bit_equal_to_an_allocating_reference():
     assert steps >= 250 and agent.train_count == steps
     assert np.isfinite(agent.net.params).all()
     assert ref["clipped"] > 1000  # the clip fired on many elements
+
+
+def test_act_rejects_a_non_finite_policy_mean():
+    # min/max would clip a NaN mean to NaN, not to [ttl_min, ttl_max]
+    agent = _agent(explore_steps=1)
+    agent.net.biases[-1][:] = np.nan
+    agent.act(np.zeros(3))  # exploring: the policy is not read
+    with pytest.raises(ValueError, match="nan.*finite"):
+        agent.act(np.zeros(3))
