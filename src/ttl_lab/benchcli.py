@@ -13,7 +13,7 @@ import sys
 import tempfile
 import time
 from dataclasses import astuple, dataclass, fields
-from itertools import islice
+from itertools import islice, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from .nafagent import HEAD_WIDTH, NafWorkspace, naf_head, naf_loss_and_grads, na
 from .neural import Workspace, forward, init_mlp
 from .simcore import Simulation
 from .telemetry import Telemetry
-from .workload import OpStream, WorkloadSpec, ZipfSampler
+from .workload import OpStream, WorkloadSpec, ZipfSampler, op_timeline
 
 # ---------------------------------------------------------------------------
 # metrics
@@ -423,15 +423,9 @@ def _check_zipf() -> tuple[bool, str]:
 
 
 def _check_arrivals() -> tuple[bool, str]:
-    cfg = build_config(overrides={
-        **CHECK_OVERRIDES,
-        "workload.duration": "60",
-        "workload.target_throughput": "150",
-        "estimator.kind": "fixed",
-    })
-    times = []
-    writer = lambda row: times.append(row[0])  # noqa: E731
-    run_single(cfg, 0.1, "fixed", 9, trace_writer=writer)
+    # arrival times depend on the throughput and the seed alone
+    timeline = op_timeline(WorkloadSpec(target_throughput=150.0), 9)
+    times = [t for t, _ in takewhile(lambda arrival: arrival[0] <= 60.0, timeline)]
     gaps = np.diff(np.array(times))
     gaps = gaps[gaps > 0]
     lam = 1.0 / gaps.mean()
@@ -471,7 +465,7 @@ def cmd_check(_args) -> int:
 def cmd_run(args) -> int:
     file_kv = parse_kv_file(args.config) if args.config else {}
     overrides: dict[str, str] = {}
-    if args.estimator:
+    if args.estimator is not None:
         overrides["estimator.kind"] = args.estimator
     if args.seed is not None:
         overrides["bench.base_seed"] = str(args.seed)

@@ -185,8 +185,10 @@ class ExperimentConfig:
 
 
 def parse_kv_file(path: str | Path) -> dict[str, str]:
-    """Read a key=value config; '#' starts a comment, blank lines are skipped."""
+    """Read a key=value config; '#' starts a comment, blank lines are skipped.
+    A key may appear once: a second line setting it raises, naming both lines."""
     out: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -194,8 +196,11 @@ def parse_kv_file(path: str | Path) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+            key, val = (part.strip() for part in line.split("=", 1))
+            if key in first_line:
+                raise ValueError(f"{path}:{lineno}: {key} is set again (first on line {first_line[key]})")
+            first_line[key] = lineno
+            out[key] = val
     return out
 
 

@@ -2,15 +2,18 @@
 
 A Simulation is one run, built from an ExperimentConfig, a write fraction, an
 estimator kind and a seed, the one place that wires a run's parts: its
-estimator gets the run's write rates, cache load and scheduler, and an RNG of
-its own, so policy noise never perturbs the workload.
+estimator gets the run's write rates, cache load and scheduler, and the run's
+AGENT stream (`workload.run_stream`), so policy noise never perturbs the
+workload. A write goes to the world's own rule, `World.write`, which returns
+the units it touches for the oracle and the cache.
 
 Virtual time is a float starting at 0, and a run is a pure function of
 (config, seed). There are two kinds of event:
 - a client op, one of each of the `workload.CONNECTIONS` open-loop
   connections' arrivals. Ops never depend on the estimator, so the run's op
-  timeline is computed ahead, a chunk at a time (`workload.op_timeline`), and
-  each op goes to the simulation by a direct call.
+  timeline is computed ahead from the run seed, a chunk at a time
+  (`workload.op_timeline`), and each op goes to the simulation by a direct
+  call.
   Ops go by time alone: the n-th arrival carries the n-th op, so ops at equal
   times are interchangeable.
 - a heap event: "inval", the delayed purge, carrying the cache entry a write
@@ -33,7 +36,7 @@ import numpy as np
 from .cachesys import CacheSystem, Lookup
 from .estimators import make_estimator
 from .telemetry import Telemetry
-from .workload import generate_world, op_timeline, require_finite
+from .workload import AGENT, WORLD, generate_world, op_timeline, require_finite, run_stream
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
@@ -149,11 +152,12 @@ class Simulation:
     """One seeded run: open-loop Poisson clients against an edge cache whose
     TTLs come from the run's own estimator, `estimator`.
 
-    Cacheable units share one id space: range query q is unit q, a point read
-    of key k is unit query_count + k. A query's miss hands the estimator its
-    result keys, the world's QueryIndex list itself, which each update keeps
-    current; a read's miss hands it [k]. A write of k touches the queries
-    whose range holds its old or new value, and the read of k.
+    Cacheable units share the world's id space: range query q is unit q, a
+    point read of key k is unit `World.first_key_unit` + k. A query's miss
+    hands the estimator its result keys, the world's QueryIndex list itself,
+    which each update keeps current; a read's miss hands it [k]. An update
+    applies the world's write rule, `World.write`, and hands the units it
+    touches to the oracle and the cache.
 
     A query or read is served in one frame, `_handle_arrival`: the cache
     lookup, the estimator's `on_request` (a no-op unless it is a learner),
@@ -183,12 +187,10 @@ class Simulation:
         self._miss_latency = lat.miss_latency
         self._invalidation_delay = lat.invalidation_delay
         self._duration = spec.duration
-        self._first_key_unit = spec.query_count
 
-        ss = np.random.SeedSequence(seed)
-        world_ss, ops_ss, arrivals_ss, agent_ss = ss.spawn(4)
-        self.world = generate_world(spec, np.random.default_rng(world_ss))
-        timeline = op_timeline(spec, ops_ss, arrivals_ss)
+        self.world = generate_world(spec, run_stream(seed, WORLD))
+        self._first_key_unit = self.world.first_key_unit
+        timeline = op_timeline(spec, seed)
         self.engine = Engine(self._dispatch, timeline, self._handle_arrival)
         self.cache = CacheSystem(cfg.capacity)
         self.telemetry = Telemetry(cfg.telemetry_window)
@@ -198,7 +200,7 @@ class Simulation:
         self.latency_sum = 0.0
         self._serve_seq = 0
         self.estimator = make_estimator(
-            estimator_kind, cfg, log_transitions, rng=np.random.default_rng(agent_ss),
+            estimator_kind, cfg, log_transitions, rng=run_stream(seed, AGENT),
             window=cfg.telemetry_window, load_threshold=1.0 - spec.write_fraction,
             write_rates=self.telemetry.write_rates, current_load=self.cache.current_load,
             schedule=self.engine.schedule)
@@ -221,11 +223,11 @@ class Simulation:
     def _handle_arrival(self, now: float, op: tuple[str, int, float]) -> None:
         self.op_arrivals += 1
         kind, target, new_value = op
-        # the id rule: query q is unit q; a read or write of key k, unit query_count + k
-        unit = target if kind == "query" else self._first_key_unit + target
         if kind == "update":
-            lat = self._handle_update(target, unit, new_value, now)
+            lat = self._handle_update(target, new_value, now)
         else:
+            # the id rule: query q is unit q; a read of key k, unit first_key_unit + k
+            unit = target if kind == "query" else self._first_key_unit + target
             outcome = self.cache.lookup(unit, now)
             miss = outcome is Lookup.MISS
             self.estimator.on_request(unit, now, miss)
@@ -246,20 +248,16 @@ class Simulation:
             self.completed += 1
             self.latency_sum += lat
 
-    def _handle_update(self, key: int, unit: int, new_value: float, now: float) -> float:
-        """Write key's new value; `unit` is the key's read unit, which the write touches."""
-        values = self.world.values
-        old = float(values[key])
-        values[key] = new_value
+    def _handle_update(self, key: int, new_value: float, now: float) -> float:
+        """Write key's new value; the last unit it touches is the key's read unit."""
+        touched = self.world.write(key, new_value)
         self.telemetry.record_write(key, now)
-        touched = self.world.index.move(key, old, new_value)
-        touched.append(unit)
         self.telemetry.oracle.on_write(touched, now)
         for entry in self.cache.origin_update(touched, now):
             self.engine.schedule(now + self._invalidation_delay, "inval", entry)
             self.estimator.on_invalidation_issued(entry.serve_id, now)
         if self.trace_writer is not None:
-            self.trace_writer((now, "update", unit, "write", self._miss_latency))
+            self.trace_writer((now, "update", touched[-1], "write", self._miss_latency))
         return self._miss_latency
 
     # -- results -----------------------------------------------------------

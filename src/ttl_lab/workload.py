@@ -8,9 +8,15 @@ matches an exact target cardinality. Updates resample a record's value, which
 is what moves records in and out of query results over time.
 
 The query set never changes, so one `QueryIndex` per world holds each
-query's result keys and a fixed grid of value buckets over the query ranges;
-each update moves its key between results through it, and the queries it
-returns are the ones the update touches.
+query's result keys and a fixed grid of value buckets over the query ranges.
+`World.write` is the one write rule: it sets the record's value, moves its
+key between results through the index and returns the cacheable units the
+write touches, the queries holding its old or new value and then the point
+read of the record itself.
+
+A run's random streams are named by role (`WORLD`, `OPS`, `ARRIVALS`,
+`AGENT`) and built from the run seed alone by `run_stream`, so any of them
+can be drawn again, in any order, without the rest of the run.
 
 Neither the ops nor their arrival times depend on what the cache or the
 estimator does, so `op_timeline` computes a run's (time, op) pairs ahead, a
@@ -46,6 +52,18 @@ CONNECTIONS = 60
 # The op kinds by the code the op decoder gives them; indexing an object
 # array hands out these three strings, not copies.
 _KINDS = np.array(["update", "query", "read"], dtype=object)
+# The roles of a run's random streams: the world's values and queries, the
+# op stream, the connections' arrivals and the estimator's own draws.
+WORLD, OPS, ARRIVALS, AGENT = range(4)
+
+
+def run_stream(seed: int, *key: int) -> np.random.Generator:
+    """The generator of a run's stream `key`: a role, and for ARRIVALS a
+    connection. Stream (role,) is the role-th child that
+    `SeedSequence(seed).spawn(4)` gives and (ARRIVALS, c) the c-th child of
+    that child's `spawn(CONNECTIONS)`, but no sequence is spawned from, so
+    the same key always gives the same stream."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 def require_finite(section) -> None:
@@ -197,11 +215,28 @@ class QueryIndex:
 
 @dataclass
 class World:
-    """Mutable record store plus the fixed query set and its index for one run."""
+    """Mutable record store plus the fixed query set and its index for one run.
+
+    Cacheable units share one id space: range query q is unit q, and the
+    point read of key k is unit `first_key_unit + k`, after every query.
+    """
 
     values: np.ndarray
     queries: list[QueryDef]
     index: QueryIndex
+
+    def __post_init__(self) -> None:
+        self.first_key_unit = len(self.queries)
+
+    def write(self, key: int, new: float) -> list[int]:
+        """Set `key`'s value to `new` and move the key through the index.
+        Returns the units the write touches, each once: the queries holding
+        the old or the new value, then the read unit of `key`."""
+        old = float(self.values[key])
+        self.values[key] = new
+        touched = self.index.move(key, old, new)
+        touched.append(self.first_key_unit + key)
+        return touched
 
 
 def evaluate_query(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -336,22 +371,14 @@ def arrival_chunks(rngs: list[np.random.Generator], mean_gap: float) -> Iterator
         times = times[~ready]
 
 
-def op_timeline(
-    spec: WorkloadSpec,
-    ops_seed: np.random.SeedSequence,
-    arrivals_seed: np.random.SeedSequence,
-) -> Iterator[tuple[float, tuple[str, int, float]]]:
-    """A run's ops in time order, as (time, (kind, target, new value)).
+def op_timeline(spec: WorkloadSpec, seed: int) -> Iterator[tuple[float, tuple[str, int, float]]]:
+    """Run `seed`'s ops in time order, as (time, (kind, target, new value)).
 
-    The ops are `OpStream`'s, drawn from `ops_seed`; connection i's arrivals
-    are drawn from the i-th of CONNECTIONS children spawned from
-    `arrivals_seed`, and the n-th arrival carries the n-th op. Spawning is
-    stateful, so the same timeline needs an `arrivals_seed` that has not
-    spawned before.
+    The ops are `OpStream`'s, drawn from the run's OPS stream; connection c's
+    arrivals are drawn from stream (ARRIVALS, c), and the n-th arrival
+    carries the n-th op.
     """
-    arrivals = arrival_chunks(
-        [np.random.default_rng(s) for s in arrivals_seed.spawn(CONNECTIONS)],
-        CONNECTIONS / spec.target_throughput,
-    )
-    ops = iter(OpStream(spec, np.random.default_rng(ops_seed)))
+    rngs = [run_stream(seed, ARRIVALS, c) for c in range(CONNECTIONS)]
+    arrivals = arrival_chunks(rngs, CONNECTIONS / spec.target_throughput)
+    ops = iter(OpStream(spec, run_stream(seed, OPS)))
     return chain.from_iterable(zip(times, ops) for times in arrivals)

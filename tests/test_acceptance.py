@@ -106,8 +106,7 @@ def test_criterion_04_oracle_equivalence():
                 key = int(rng.integers(spec.record_count))
                 new = float(rng.uniform(0.0, spec.record_count))
                 old = float(values[key])
-                values[key] = new
-                touched = world.index.move(key, old, new) + [spec.query_count + key]
+                touched = world.write(key, new)
                 # the serves this write resolved: their true TTLs turn from NaN
                 before = np.isnan(oracle.true_ttl)
                 oracle.on_write(touched, now)

@@ -184,6 +184,12 @@ def test_parse_kv_file(tmp_path):
     with pytest.raises(ValueError, match="bad.cfg:1"):
         parse_kv_file(bad)
 
+    # a key set twice in one file is an error, not a silent last-wins
+    twice = tmp_path / "twice.cfg"
+    twice.write_text("bench.runs = 1\nworkload.duration = 60\nbench.runs= 2\n")
+    with pytest.raises(ValueError, match=r"twice.cfg:3: bench.runs is set again \(first on line 1\)"):
+        parse_kv_file(twice)
+
 
 def test_config_list_valued_keys():
     cfg = build_config(overrides={
@@ -675,6 +681,11 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     missing = tmp_path / "nope.cfg"
     assert main(["run", "--config", str(missing)]) == 2
     assert "error:" in capsys.readouterr().err
+
+    # an empty --estimator is rejected, not dropped in favour of the default grid
+    assert main(["run", "--estimator", "", "--out-dir", str(tmp_path / "out")]) == 2
+    assert "bad value for estimator.kind: expected at least one name" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_package_exports_only_build_config():

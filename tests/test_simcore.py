@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import math
+from bisect import bisect_right
 from itertools import chain, count, islice
 
 import numpy as np
@@ -419,21 +420,24 @@ def test_arrival_gaps_equal_per_call_draws(tiny_cfg):
     # A run's timeline must be ascending and hold exactly the running sums
     # of one exponential() call per arrival on each connection's own
     # generator, up to the last time taken, over several arrival chunks; the
-    # n-th arrival carries the n-th op of the op stream.
-    spec = tiny_cfg.workload
+    # n-th arrival carries the n-th op of the op stream. The generators are
+    # those of the spawn tree the run's streams are named after: the OPS-th
+    # of SeedSequence(seed).spawn(4), and the ARRIVALS-th one's
+    # spawn(CONNECTIONS).
+    spec, seed = tiny_cfg.workload, 3
     mean_gap = workload.CONNECTIONS / spec.target_throughput
     n = 6 * workload._ARRIVAL_CHUNK
-    timeline = workload.op_timeline(spec, np.random.SeedSequence(3), np.random.SeedSequence(4))
-    got, ops = zip(*islice(timeline, n))
+    got, ops = zip(*islice(workload.op_timeline(spec, seed), n))
     got = list(got)
     assert len(got) == n and got == sorted(got)
+    roles = np.random.SeedSequence(seed).spawn(4)
     ref = []
-    for seed in np.random.SeedSequence(4).spawn(workload.CONNECTIONS):
-        rng, now = np.random.default_rng(seed), 0.0
+    for conn in roles[workload.ARRIVALS].spawn(workload.CONNECTIONS):
+        rng, now = np.random.default_rng(conn), 0.0
         while (now := now + float(rng.exponential(mean_gap))) <= got[-1]:
             ref.append(now)
     assert got == sorted(ref)
-    want = list(islice(workload.OpStream(spec, np.random.default_rng(np.random.SeedSequence(3))), n))
+    want = list(islice(workload.OpStream(spec, np.random.default_rng(roles[workload.OPS])), n))
     assert [op[:2] for op in ops] == [op[:2] for op in want]
     np.testing.assert_array_equal([op[2] for op in ops], [op[2] for op in want])  # NaN == NaN
 
@@ -471,6 +475,39 @@ def test_short_desk_counts_with_point_reads_are_pinned():
         "fixed": (11_994, 3_081, 6_541, 6_541, 1_737, 1, 4_586),
         "poisson": (11_994, 570, 9_052, 9_052, 223, 0, 7_005),
     }
+
+
+@pytest.mark.parametrize("w, kind, extra", [
+    (0.1, "poisson", {}),
+    (0.2, "fixed", {"workload.duration": "120", "workload.query_fraction": "0.5"}),
+], ids=["desk-poisson", "desk-point-reads"])
+def test_a_seed_replays_every_true_ttl_with_no_cache(w, kind, extra):
+    # The hindsight pre-pass: the seed's world, its op timeline and the
+    # world's write rule alone, with no cache, estimator or engine, give each
+    # unit's write-touch times; every serve's true TTL is then its unit's next
+    # touch after the serve, less the serve time, or NaN with none in the run.
+    cfg = build_config("desk", overrides={"workload.write_fraction": str(w),
+                                          "estimator.kind": kind, **extra})
+    seed = 4
+    sim = Simulation(cfg, w, kind, seed).run()
+    spec = cfg.workload_spec(w)
+    world = workload.generate_world(spec, workload.run_stream(seed, workload.WORLD))
+    touches: dict[int, list[float]] = {}
+    for t, (op_kind, key, new) in workload.op_timeline(spec, seed):
+        if t > spec.duration:
+            break
+        if op_kind == "update":
+            for unit in world.write(key, new):
+                touches.setdefault(unit, []).append(t)
+    oracle = sim.telemetry.oracle
+    assert len(oracle.units) > 5_000
+    want = []
+    for unit, served_at in zip(oracle.units, oracle.served_at):
+        times = touches.get(unit, [])
+        i = bisect_right(times, served_at)
+        want.append(times[i] - served_at if i < len(times) else math.nan)
+    np.testing.assert_array_equal(np.array(oracle.true_ttl), want)  # NaN == NaN
+    assert np.array_equal(world.values, sim.world.values)
 
 
 def test_pending_naf_decision_keeps_its_result_keys(tiny_cfg):

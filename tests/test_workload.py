@@ -10,7 +10,11 @@ import pytest
 
 from ttl_lab.benchcli import _check_zipf
 from ttl_lab.workload import (
+    AGENT,
+    ARRIVALS,
     CONNECTIONS,
+    OPS,
+    WORLD,
     OpStream,
     QueryDef,
     QueryIndex,
@@ -18,6 +22,7 @@ from ttl_lab.workload import (
     ZipfSampler,
     evaluate_query,
     generate_world,
+    run_stream,
 )
 
 
@@ -176,6 +181,24 @@ def test_world_index_results_equal_evaluate_query(n, count, cap):
     # that value plus 1.
     spec = WorkloadSpec(record_count=n, query_count=count, result_cap=cap)
     world = generate_world(spec, np.random.default_rng(n))
+    assert world.index.results == _scan(world.values, world.queries)
+
+
+def test_world_write_moves_the_key_and_touches_its_read_unit():
+    # A write sets the value, moves the key between results and returns the
+    # queries holding the old or new value, then the key's read unit, which
+    # comes after every query.
+    spec = WorkloadSpec(record_count=300, query_count=40)
+    world = generate_world(spec, np.random.default_rng(5))
+    assert world.first_key_unit == 40
+    key = world.index.results[0][0]
+    _, lo, hi = world.queries[0]
+    old, new = float(world.values[key]), next(float(v) for v in range(300) if not lo <= v < hi)
+    touched = world.write(key, new)
+    assert touched[-1] == 40 + key
+    assert 0 in touched and sorted(touched[:-1]) == [
+        q for q, a, b in world.queries if a <= old < b or a <= new < b]
+    assert world.values[key] == new
     assert world.index.results == _scan(world.values, world.queries)
 
 
@@ -364,3 +387,22 @@ def test_spec_derived_fields():
 def test_spec_validation_errors(kwargs, match):
     with pytest.raises(ValueError, match=match):
         WorkloadSpec(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# a run's random streams
+
+
+def test_run_streams_are_the_children_of_the_spawn_tree():
+    # Stream (role,) is the role-th child of SeedSequence(seed).spawn(4) and
+    # (ARRIVALS, c) the c-th child of that child's spawn(CONNECTIONS), however
+    # many times and in whatever order the streams are built.
+    seed = 11
+    roles = np.random.SeedSequence(seed).spawn(4)
+    conns = roles[ARRIVALS].spawn(CONNECTIONS)
+    for c in (CONNECTIONS - 1, 0, 7):
+        got = run_stream(seed, ARRIVALS, c).random(4)
+        np.testing.assert_array_equal(got, np.random.default_rng(conns[c]).random(4))
+    for role in (AGENT, OPS, WORLD, ARRIVALS, AGENT):
+        got = run_stream(seed, role).random(4)
+        np.testing.assert_array_equal(got, np.random.default_rng(roles[role]).random(4))
