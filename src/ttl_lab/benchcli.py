@@ -24,7 +24,7 @@ from .nafagent import HEAD_WIDTH, NafWorkspace, naf_head, naf_loss_and_grads, na
 from .neural import Workspace, forward, init_mlp
 from .simcore import Simulation
 from .telemetry import Telemetry
-from .workload import OpStream, WorkloadSpec, ZipfSampler, op_timeline
+from .workload import WorkloadSpec, op_stream, op_timeline, zipf_cdf
 
 # ---------------------------------------------------------------------------
 # metrics
@@ -192,13 +192,20 @@ LEARNED_KINDS = ("naf-dei", "naf-naive")
 
 
 def _query_trace_rows(sim: Simulation, trace_query: str) -> list[tuple]:
-    """querytrace.csv rows: every serve of one query unit, in order."""
-    unit = sim.hottest_missed_query() if trace_query == "auto" else int(trace_query)
-    if unit is None:
-        return []
+    """querytrace.csv rows: every serve of one unit, in order. For "auto" the
+    unit is the query with the most misses, each miss being one serve; ties
+    go to the smallest id, and a run with no query miss has no rows."""
     oracle = sim.telemetry.oracle
+    units = np.asarray(oracle.units)
+    if trace_query == "auto":
+        misses = np.bincount(units[units < sim.world.first_key_unit], minlength=1)
+        unit = int(misses.argmax())
+        if not misses[unit]:
+            return []
+    else:
+        unit = int(trace_query)
     rows = []
-    for i, sid in enumerate(oracle.serves_of_unit(unit)):
+    for i, sid in enumerate(np.flatnonzero(units == unit).tolist()):
         true_ttl = oracle.true_ttl[sid]
         rows.append((unit, i, oracle.served_at[sid], oracle.actions[sid],
                      "" if math.isnan(true_ttl) else _fmt(true_ttl)))
@@ -397,26 +404,46 @@ CHECK_OVERRIDES = {
 }
 
 
+# check_determinism's grids, both writing replay_log.csv: CHECK_OVERRIDES, and
+# one run per cell of what that grid leaves out: point reads (w 0.2, query
+# share 0.5), the naf-naive and fixed kinds and the survival reward.
+DETERMINISM_GRIDS = (
+    {**CHECK_OVERRIDES, "bench.replay_log": "true"},
+    {
+        **CHECK_OVERRIDES,
+        "workload.write_fraction": "0.2",
+        "workload.query_fraction": "0.5",
+        "estimator.kind": "poisson,naf-dei,naf-naive,fixed",
+        "reward.form": "survival",
+        "bench.replay_log": "true",
+        "bench.runs": "1",
+    },
+)
+
+
 def check_determinism() -> tuple[bool, str]:
-    """Two runs of one config write the same files, byte for byte."""
-    outs = []
+    """Two runs of each of DETERMINISM_GRIDS write the same files, byte for
+    byte."""
+    same, details = [], []
     with tempfile.TemporaryDirectory() as tmp:
-        for sub in ("first", "second"):
-            cfg = build_config(overrides=CHECK_OVERRIDES)
-            out = Path(tmp) / sub
-            run_experiment(cfg, out_dir=out, echo=lambda *a: None)
-            outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-    ok = outs[0] == outs[1]
-    return ok, ", ".join(f"{name} {len(data)} bytes" for name, data in outs[0].items())
+        for g, overrides in enumerate(DETERMINISM_GRIDS):
+            outs = []
+            for sub in ("first", "second"):
+                out = Path(tmp) / f"{g}-{sub}"
+                run_experiment(build_config(overrides=overrides), out_dir=out, echo=lambda *a: None)
+                outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+            same.append(outs[0] == outs[1])
+            details.append(", ".join(f"{name} {len(data)} bytes" for name, data in outs[0].items()))
+    return all(same), "; ".join(details)
 
 
 def _check_zipf() -> tuple[bool, str]:
-    """Chi-square of the key ranks a run draws: the OpStream decoder, all reads."""
+    """Chi-square of the key ranks a run draws: the op decoder, all reads."""
     spec = WorkloadSpec(record_count=100, write_fraction=0.0, query_fraction=0.0, zipf_s=0.6)
-    ops = OpStream(spec, np.random.default_rng(11))
+    ops = op_stream(spec, np.random.default_rng(11))
     n = 20000
     counts = np.bincount([target for _, target, _ in islice(ops, n)], minlength=100)
-    expected = ZipfSampler(100, 0.6).pmf() * n
+    expected = np.diff(zipf_cdf(100, 0.6), prepend=0.0) * n
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
     # upper 1% critical value for chi-square with 99 degrees of freedom
     return chi2 < 134.642, f"chi2 = {chi2:.1f} (df=99, crit 134.6)"
@@ -462,19 +489,21 @@ def cmd_check(_args) -> int:
 # CLI
 
 
+# `ttl-lab run`'s flags, by argument name, and the config key each one sets
+RUN_FLAG_KEYS = {
+    "estimator": "estimator.kind",
+    "seed": "bench.base_seed",
+    "runs": "bench.runs",
+    "out_dir": "bench.out_dir",
+    "trace_query": "bench.trace_query",
+}
+
+
 def cmd_run(args) -> int:
     file_kv = parse_kv_file(args.config) if args.config else {}
-    overrides: dict[str, str] = {}
-    if args.estimator is not None:
-        overrides["estimator.kind"] = args.estimator
-    if args.seed is not None:
-        overrides["bench.base_seed"] = str(args.seed)
-    if args.runs is not None:
-        overrides["bench.runs"] = str(args.runs)
-    if args.out_dir is not None:
-        overrides["bench.out_dir"] = str(args.out_dir)
-    if args.trace_query is not None:
-        overrides["bench.trace_query"] = args.trace_query
+    flags = vars(args)
+    overrides = {key: str(flags[flag]) for flag, key in RUN_FLAG_KEYS.items()
+                 if flags[flag] is not None}
     cfg = build_config(args.preset, file_kv, overrides)
     run_experiment(cfg)
     return 0

@@ -31,8 +31,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
-import numpy as np
-
 from .cachesys import CacheSystem, Lookup
 from .estimators import make_estimator
 from .telemetry import Telemetry
@@ -269,11 +267,3 @@ class Simulation:
     @property
     def mean_latency(self) -> float:
         return self.latency_sum / self.completed if self.completed else 0.0
-
-    def hottest_missed_query(self) -> int | None:
-        """Query unit with the most cache misses (for --trace-query auto);
-        ties break toward the smallest id. Each miss is one serve."""
-        units = np.asarray(self.telemetry.oracle.units)
-        misses = np.bincount(units[units < self.spec.query_count], minlength=1)
-        best = int(misses.argmax())
-        return best if misses[best] else None

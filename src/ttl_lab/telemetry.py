@@ -149,10 +149,6 @@ class TrueTtlOracle:
         true_ttl = np.array(self.true_ttl)
         return true_ttl[~np.isnan(true_ttl)]
 
-    def serves_of_unit(self, unit: int) -> list[int]:
-        """The serve ids of one unit, in serve order."""
-        return [i for i, u in enumerate(self.units) if u == unit]
-
 
 class MissRateWindow:
     """Requests and misses per unit over one window, for the NAF state.

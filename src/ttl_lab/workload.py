@@ -23,10 +23,12 @@ estimator does, so `op_timeline` computes a run's (time, op) pairs ahead, a
 block at a time, and each value is the one a per-value numpy call would
 give; only the generators' final states differ, because the last block is
 drawn past the run's end:
-- `OpStream` decodes a block of uniforms (`rng.random(n)`) into op columns,
-  using the uniforms in draw order;
+- `op_blocks` decodes a block of uniforms (`rng.random(n)`) into op columns,
+  using the uniforms in draw order; `op_stream` gives its ops one at a time;
 - `arrival_chunks` merges the connections' arrival times, each connection
-  the running sum of its own `exponential` gaps, into one ascending column.
+  the running sum of its own `exponential` gaps, into one ascending column:
+  each round every connection draws one block of gaps, and every time below
+  the slowest connection's last one goes out, the rest carrying over.
   Ops are matched to arrivals by position alone, so arrivals at equal times
   carry the same ops in either order.
 """
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import chain
 from typing import Iterator, NamedTuple
 
@@ -43,8 +45,8 @@ import numpy as np
 
 # Uniforms the op stream draws per numpy call; an op uses two or three.
 _OP_BLOCK = 2048
-# Arrivals merged per chunk, summed over the connections.
-_ARRIVAL_CHUNK = 2048
+# Gaps each connection draws per numpy call.
+_GAP_BLOCK = 68
 # Open-loop Poisson connections sharing target_throughput. Their merged
 # arrivals are one Poisson process of that rate whatever their number, so
 # the count changes only which draws a run uses, not the workload it models.
@@ -119,29 +121,19 @@ class WorkloadSpec:
             raise ValueError("duration must be positive")
 
 
-class ZipfSampler:
-    """Zipf(s) ranks over {1..n} via a precomputed cumulative table.
-
-    P(rank = k) is proportional to k**-s; s = 0 degenerates to uniform.
-    OpStream draws a rank as one uniform u and takes
-    `np.searchsorted(cdf, u, side="right")`: the count of table entries <= u.
-    """
-
-    def __init__(self, n: int, s: float):
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        if s < 0.0:
-            raise ValueError("s must be >= 0")
-        self.n = n
-        self.s = s
-        weights = np.arange(1, n + 1, dtype=np.float64) ** -s
-        cdf = np.cumsum(weights)
-        cdf /= cdf[-1]
-        self.cdf = cdf
-
-    def pmf(self) -> np.ndarray:
-        """Exact probabilities, index k-1 holds P(rank = k)."""
-        return np.diff(self.cdf, prepend=0.0)
+def zipf_cdf(n: int, s: float) -> np.ndarray:
+    """The cumulative table of Zipf(s) ranks over {1..n}: entry k-1 is
+    P(rank <= k), where P(rank = k) is proportional to k**-s; s = 0
+    degenerates to uniform. `op_blocks` draws a rank as one uniform u and
+    takes `np.searchsorted(cdf, u, side="right")`, the count of entries <= u,
+    which is the rank's id; `np.diff(cdf, prepend=0.0)` is the pmf."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if s < 0.0:
+        raise ValueError("s must be >= 0")
+    cdf = np.cumsum(np.arange(1, n + 1, dtype=np.float64) ** -s)
+    cdf /= cdf[-1]
+    return cdf
 
 
 class QueryDef(NamedTuple):
@@ -284,56 +276,47 @@ def generate_world(spec: WorkloadSpec, rng: np.random.Generator) -> World:
     return World(values=values, queries=queries, index=QueryIndex(queries, results))
 
 
-@dataclass
-class OpStream:
-    """Draws the operation mixture; key and query popularity are Zipfian.
+def op_blocks(spec: WorkloadSpec,
+              rng: np.random.Generator) -> Iterator[tuple[list[str], list[int], list[float]]]:
+    """The operation mixture in successive blocks of ops, as columns: the
+    kinds ("update", "query" or "read"), the targets (a key, or a query id for
+    a query) and the new values (NaN for an op that is not an update).
 
-    Rank r maps to id r-1, so id 0 is the hottest key/query. Each op takes one
-    uniform for its kind, one for its Zipf rank and, for an update, one for the
-    new value, in that order from a stream of `_OP_BLOCK`-sized blocks. An op
-    whose uniforms straddle the end of a block is decoded with the next one.
+    Key and query popularity are Zipfian: rank r maps to id r-1, so id 0 is
+    the hottest key/query. Each op takes one uniform for its kind, one for its
+    Zipf rank and, for an update, one for the new value, in that order from a
+    stream of `_OP_BLOCK`-sized blocks. An op whose uniforms straddle the end
+    of a block is decoded with the next one.
     """
+    keys = zipf_cdf(spec.record_count, spec.zipf_s)
+    queries = zipf_cdf(spec.query_count, spec.zipf_s)
+    w, wq = spec.write_fraction, spec.write_fraction + spec.query_fraction
+    u = np.empty(0)
+    while True:
+        u = np.concatenate((u, rng.random(_OP_BLOCK)))
+        # An op starts where the previous one ended: 3 uniforms after an
+        # update's start, 2 after any other. Every start found here has
+        # three uniforms left in the block; the rest carry over.
+        update = (u < w).tobytes()
+        starts, p, last = [], 0, len(u) - 3
+        while p <= last:
+            starts.append(p)
+            p += 2 + update[p]
+        s = np.fromiter(starts, np.intp, len(starts))
+        kind_u, rank_u = u[s], u[s + 1]
+        code = (kind_u >= w).astype(np.intp) + (kind_u >= wq)  # 0 update, 1 query, 2 read
+        targets = np.searchsorted(keys, rank_u, side="right")
+        query = code == 1
+        targets[query] = np.searchsorted(queries, rank_u[query], side="right")
+        # rng.uniform(0.0, n) computes 0.0 + n * rng.random(): the same float
+        values = np.where(code == 0, spec.record_count * u[s + 2], np.nan)
+        yield _KINDS[code].tolist(), targets.tolist(), values.tolist()
+        u = u[p:]
 
-    spec: WorkloadSpec
-    rng: np.random.Generator
-    _keys: ZipfSampler = field(init=False)
-    _queries: ZipfSampler = field(init=False)
 
-    def __post_init__(self) -> None:
-        self._keys = ZipfSampler(self.spec.record_count, self.spec.zipf_s)
-        self._queries = ZipfSampler(self.spec.query_count, self.spec.zipf_s)
-
-    def __iter__(self) -> Iterator[tuple[str, int, float]]:
-        """Every op in draw order, as (kind, target, new value)."""
-        return chain.from_iterable(zip(*cols) for cols in self.blocks())
-
-    def blocks(self) -> Iterator[tuple[list[str], list[int], list[float]]]:
-        """Successive blocks of ops as columns: the kinds ("update", "query" or
-        "read"), the targets (a key, or a query id for a query) and the new
-        values (NaN for an op that is not an update)."""
-        spec = self.spec
-        w, wq = spec.write_fraction, spec.write_fraction + spec.query_fraction
-        u = np.empty(0)
-        while True:
-            u = np.concatenate((u, self.rng.random(_OP_BLOCK)))
-            # An op starts where the previous one ended: 3 uniforms after an
-            # update's start, 2 after any other. Every start found here has
-            # three uniforms left in the block; the rest carry over.
-            update = (u < w).tobytes()
-            starts, p, last = [], 0, len(u) - 3
-            while p <= last:
-                starts.append(p)
-                p += 2 + update[p]
-            s = np.fromiter(starts, np.intp, len(starts))
-            kind_u, rank_u = u[s], u[s + 1]
-            code = (kind_u >= w).astype(np.intp) + (kind_u >= wq)  # 0 update, 1 query, 2 read
-            targets = np.searchsorted(self._keys.cdf, rank_u, side="right")
-            query = code == 1
-            targets[query] = np.searchsorted(self._queries.cdf, rank_u[query], side="right")
-            # rng.uniform(0.0, n) computes 0.0 + n * rng.random(): the same float
-            values = np.where(code == 0, spec.record_count * u[s + 2], np.nan)
-            yield _KINDS[code].tolist(), targets.tolist(), values.tolist()
-            u = u[p:]
+def op_stream(spec: WorkloadSpec, rng: np.random.Generator) -> Iterator[tuple[str, int, float]]:
+    """Every op of `op_blocks` in draw order, as (kind, target, new value)."""
+    return chain.from_iterable(zip(*cols) for cols in op_blocks(spec, rng))
 
 
 def arrival_chunks(rngs: list[np.random.Generator], mean_gap: float) -> Iterator[list[float]]:
@@ -341,32 +324,25 @@ def arrival_chunks(rngs: list[np.random.Generator], mean_gap: float) -> Iterator
     merged into successive ascending chunks.
 
     A connection's arrival times are the running sums of its exponential gaps
-    (mean `mean_gap`) from 0, so the first arrival is the first gap. Chunk k
-    holds the arrivals before k times a fixed span: first, each connection
-    whose last drawn time falls short of that bound draws blocks of gaps until
-    it does not, so no later draw can precede the bound.
+    (mean `mean_gap`) from 0, so the first arrival is the first gap. Each
+    round every connection draws `_GAP_BLOCK` more gaps. No later time can
+    fall below the smallest of the connections' last times, so the round's
+    chunk is every time drawn and not yet given that lies below it; the rest
+    carry over to the next round.
 
     The n-th arrival carries the n-th op, whatever its connection, so arrivals
     at equal times are interchangeable and their order needs no rule.
     """
-    n = len(rngs)
-    per_conn = max(16, _ARRIVAL_CHUNK // n)  # each connection's arrivals per chunk, on average
-    block = 2 * per_conn
-    span = per_conn * mean_gap
-    last = np.zeros(n)  # each connection's last drawn time
-    times, bound = np.empty(0), 0.0
+    sums = np.zeros((len(rngs), _GAP_BLOCK + 1))  # column 0: each connection's last time
+    times = np.empty(0)
     while True:
-        bound += span
-        while (short := np.flatnonzero(last < bound)).size:
-            sums = np.empty((short.size, block + 1))
-            sums[:, 0] = last[short]
-            for row, i in zip(sums, short.tolist()):
-                row[1:] = rngs[i].exponential(mean_gap, block)
-            # add.accumulate adds left to right: each time is the last one plus a gap
-            np.cumsum(sums, axis=1, out=sums)
-            last[short] = sums[:, -1]
-            times = np.concatenate((times, sums[:, 1:].ravel()))
-        ready = times < bound
+        sums[:, 0] = sums[:, -1]
+        for row, rng in zip(sums, rngs):
+            row[1:] = rng.exponential(mean_gap, _GAP_BLOCK)
+        # add.accumulate adds left to right: each time is the last one plus a gap
+        np.cumsum(sums, axis=1, out=sums)
+        times = np.concatenate((times, sums[:, 1:].ravel()))
+        ready = times < sums[:, -1].min()
         yield np.sort(times[ready]).tolist()
         times = times[~ready]
 
@@ -374,11 +350,11 @@ def arrival_chunks(rngs: list[np.random.Generator], mean_gap: float) -> Iterator
 def op_timeline(spec: WorkloadSpec, seed: int) -> Iterator[tuple[float, tuple[str, int, float]]]:
     """Run `seed`'s ops in time order, as (time, (kind, target, new value)).
 
-    The ops are `OpStream`'s, drawn from the run's OPS stream; connection c's
+    The ops are `op_stream`'s, drawn from the run's OPS stream; connection c's
     arrivals are drawn from stream (ARRIVALS, c), and the n-th arrival
     carries the n-th op.
     """
     rngs = [run_stream(seed, ARRIVALS, c) for c in range(CONNECTIONS)]
     arrivals = arrival_chunks(rngs, CONNECTIONS / spec.target_throughput)
-    ops = iter(OpStream(spec, run_stream(seed, OPS)))
+    ops = op_stream(spec, run_stream(seed, OPS))
     return chain.from_iterable(zip(times, ops) for times in arrivals)

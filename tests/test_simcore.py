@@ -11,7 +11,7 @@ from itertools import chain, count, islice
 import numpy as np
 import pytest
 
-from ttl_lab.benchcli import run_single
+from ttl_lab.benchcli import _query_trace_rows, run_single
 from ttl_lab.cachesys import Lookup
 from ttl_lab.config import build_config
 from ttl_lab.estimators import TtlEstimator
@@ -195,8 +195,8 @@ def _scripted_run(seed: int, engine_kind: str, stops=(7.0, 19.5, 40.0)) -> list[
 def test_engine_matches_heap_only_reference(seed, monkeypatch):
     # Ops walked from a timeline must dispatch where one heap of ops and
     # events puts them when ties go to events first.
-    # The smallest chunks, 16 arrivals per connection, end every 16 s.
-    monkeypatch.setattr(workload, "_ARRIVAL_CHUNK", 0)
+    # Blocks of 8 gaps, about 7 s per connection, end chunks all through the run.
+    monkeypatch.setattr(workload, "_GAP_BLOCK", 8)
     ref = _scripted_run(seed, "heap")
     assert _scripted_run(seed, "timeline") == ref
     assert len(ref) > 300
@@ -385,7 +385,8 @@ def test_unknown_event_kind_raises(tiny_cfg):
 
 
 def test_hottest_missed_query_tiebreak(tiny_cfg):
-    # Each miss is one serve, so the misses are counted from the oracle.
+    # --trace-query auto traces the query unit with the most misses; each miss
+    # is one serve, so the misses are counted from the oracle.
     qc = tiny_cfg.workload.query_count
 
     def hottest(misses):
@@ -393,7 +394,10 @@ def test_hottest_missed_query_tiebreak(tiny_cfg):
         oracle = sim.telemetry.oracle
         for sid, unit in enumerate(u for u, n in misses.items() for _ in range(n)):
             oracle.on_serve(sid, unit, float(sid), 1.0)
-        return sim.hottest_missed_query()
+        rows = _query_trace_rows(sim, "auto")
+        unit = rows[0][0] if rows else None
+        assert [row[:2] for row in rows] == [(unit, i) for i in range(misses.get(unit, 0))]
+        return unit
 
     assert hottest({3: 5, 1: 5, 2: 4, qc + 9: 99}) == 1  # reads never win
     assert hottest({qc + 9: 99}) is None
@@ -416,28 +420,34 @@ def test_stale_reads_happen_under_writes(tiny_cfg):
         assert run_single(instant, 0.1, "fixed", seed)[0].stale_reads == 0
 
 
-def test_arrival_gaps_equal_per_call_draws(tiny_cfg):
+@pytest.mark.parametrize("preset", ["desk", "paper"])
+def test_arrival_gaps_equal_per_call_draws(tiny_cfg, preset):
     # A run's timeline must be ascending and hold exactly the running sums
     # of one exponential() call per arrival on each connection's own
-    # generator, up to the last time taken, over several arrival chunks; the
-    # n-th arrival carries the n-th op of the op stream. The generators are
-    # those of the spawn tree the run's streams are named after: the OPS-th
-    # of SeedSequence(seed).spawn(4), and the ARRIVALS-th one's
-    # spawn(CONNECTIONS).
-    spec, seed = tiny_cfg.workload, 3
+    # generator, up to the last time taken; the n-th arrival carries the n-th
+    # op of the op stream. The generators are those of the spawn tree the
+    # run's streams are named after: the OPS-th of SeedSequence(seed).spawn(4),
+    # and the ARRIVALS-th one's spawn(CONNECTIONS). A round of the merge gives
+    # at most one block of gaps per connection, so n arrivals take 20 rounds
+    # or more, by when the connections have drifted more than a block apart.
+    throughput = build_config(preset).workload.target_throughput  # 200/s and 1,000/s
+    spec, seed = dataclasses.replace(tiny_cfg.workload, target_throughput=throughput), 3
     mean_gap = workload.CONNECTIONS / spec.target_throughput
-    n = 6 * workload._ARRIVAL_CHUNK
+    n = 20 * workload.CONNECTIONS * workload._GAP_BLOCK
     got, ops = zip(*islice(workload.op_timeline(spec, seed), n))
     got = list(got)
     assert len(got) == n and got == sorted(got)
     roles = np.random.SeedSequence(seed).spawn(4)
-    ref = []
+    ref, per_conn = [], []
     for conn in roles[workload.ARRIVALS].spawn(workload.CONNECTIONS):
-        rng, now = np.random.default_rng(conn), 0.0
+        rng, now, k = np.random.default_rng(conn), 0.0, 0
         while (now := now + float(rng.exponential(mean_gap))) <= got[-1]:
             ref.append(now)
+            k += 1
+        per_conn.append(k)
     assert got == sorted(ref)
-    want = list(islice(workload.OpStream(spec, np.random.default_rng(roles[workload.OPS])), n))
+    assert max(per_conn) - min(per_conn) > workload._GAP_BLOCK
+    want = list(islice(workload.op_stream(spec, np.random.default_rng(roles[workload.OPS])), n))
     assert [op[:2] for op in ops] == [op[:2] for op in want]
     np.testing.assert_array_equal([op[2] for op in ops], [op[2] for op in want])  # NaN == NaN
 

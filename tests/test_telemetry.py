@@ -5,10 +5,12 @@ from __future__ import annotations
 import math
 import tracemalloc
 from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from ttl_lab.benchcli import _query_trace_rows
 from ttl_lab.estimators import poisson_ttl
 from ttl_lab.nafagent import build_state
 from ttl_lab.telemetry import MissRateWindow, Telemetry, TrueTtlOracle, WindowCounter
@@ -395,9 +397,11 @@ def test_oracle_accessors():
     assert oracle.true_ttls().tolist() == [4.0, 2.0]
     assert oracle.resolved_errors().tolist() == [-3.0, -1.5]
     assert math.isnan(oracle.true_ttl[1])  # censored
-    assert oracle.serves_of_unit(3) == [0, 2]
-    assert oracle.serves_of_unit(4) == [1]
-    assert oracle.serves_of_unit(99) == []
+    # querytrace.csv's rows of a unit: its serves in order, a censored one blank
+    sim = SimpleNamespace(telemetry=SimpleNamespace(oracle=oracle))
+    assert _query_trace_rows(sim, "3") == [(3, 0, 0.0, 1.0, "4"), (3, 1, 2.0, 0.5, "2")]
+    assert _query_trace_rows(sim, "4") == [(4, 0, 1.0, 1.5, "")]
+    assert _query_trace_rows(sim, "99") == []
     assert oracle.records is oracle.actions
 
 

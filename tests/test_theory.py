@@ -26,7 +26,7 @@ import pytest
 
 from ttl_lab.benchcli import run_single
 from ttl_lab.config import build_config
-from ttl_lab.workload import ZipfSampler
+from ttl_lab.workload import zipf_cdf
 
 RECORDS, QUERIES, RATE, ZIPF_S, TTL = 100, 10, 200.0, 0.6, 5.0
 
@@ -40,7 +40,7 @@ INVALIDATION_TOLERANCE = 0.008
 
 
 def predicted_hit_ratio(w: float, ttl: float, mean_life=None) -> float:
-    p = ZipfSampler(RECORDS, ZIPF_S).pmf()
+    p = np.diff(zipf_cdf(RECORDS, ZIPF_S), prepend=0.0)
     lam, mu = (1.0 - w) * RATE * p, w * RATE * p
     life = (1.0 - np.exp(-mu * ttl)) / mu if mean_life is None else mean_life(mu, ttl)
     h = lam * life / (1.0 + lam * life)
@@ -48,7 +48,7 @@ def predicted_hit_ratio(w: float, ttl: float, mean_life=None) -> float:
 
 
 def predicted_invalidation_rate(w: float, ttl: float) -> float:
-    p = ZipfSampler(RECORDS, ZIPF_S).pmf()
+    p = np.diff(zipf_cdf(RECORDS, ZIPF_S), prepend=0.0)
     lam, mu = (1.0 - w) * RATE * p, w * RATE * p
     inserts = 1.0 / ((1.0 - np.exp(-mu * ttl)) / mu + 1.0 / lam)
     return float(np.sum(inserts * (1.0 - np.exp(-mu * ttl))) / np.sum(inserts))

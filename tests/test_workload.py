@@ -15,19 +15,25 @@ from ttl_lab.workload import (
     CONNECTIONS,
     OPS,
     WORLD,
-    OpStream,
     QueryDef,
     QueryIndex,
     WorkloadSpec,
-    ZipfSampler,
     evaluate_query,
     generate_world,
+    op_blocks,
+    op_stream,
     run_stream,
+    zipf_cdf,
 )
 
 
 # ---------------------------------------------------------------------------
-# ZipfSampler
+# Zipf ranks
+
+
+def _pmf(n: int, s: float) -> np.ndarray:
+    """Index k-1 holds P(rank = k)."""
+    return np.diff(zipf_cdf(n, s), prepend=0.0)
 
 
 def test_zipf_pmf_matches_direct_summation():
@@ -35,18 +41,18 @@ def test_zipf_pmf_matches_direct_summation():
     n, s = 40, 0.6
     h = sum(k**-s for k in range(1, n + 1))
     expected = np.array([k**-s / h for k in range(1, n + 1)])
-    got = ZipfSampler(n, s).pmf()
+    got = _pmf(n, s)
     assert np.allclose(got, expected, atol=1e-14, rtol=0.0)
     assert got.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_zipf_s_zero_is_uniform():
-    p = ZipfSampler(25, 0.0).pmf()
+    p = _pmf(25, 0.0)
     assert np.allclose(p, 1.0 / 25, atol=1e-14)
 
 
 def test_zipf_pmf_is_decreasing_for_positive_s():
-    p = ZipfSampler(100, 0.9).pmf()
+    p = _pmf(100, 0.9)
     assert np.all(np.diff(p) < 0)
 
 
@@ -56,7 +62,7 @@ def _all_reads(record_count: int, zipf_s: float) -> WorkloadSpec:
 
 
 def test_zipf_sample_range_and_hot_rank():
-    stream = OpStream(_all_reads(30, 1.0), np.random.default_rng(5))
+    stream = op_stream(_all_reads(30, 1.0), np.random.default_rng(5))
     draws = np.array([target for _, target, _ in islice(stream, 5000)])
     assert draws.min() >= 0 and draws.max() <= 29
     counts = np.bincount(draws, minlength=30)
@@ -80,14 +86,13 @@ class _FixedUniforms:
 
 
 def test_zipf_rank_equals_searchsorted_at_table_boundaries():
-    zs = ZipfSampler(500, 0.8)
     cdf = np.cumsum(np.arange(1, 501, dtype=np.float64) ** -0.8)
     cdf /= cdf[-1]
-    assert np.array_equal(zs.cdf, cdf)
+    assert np.array_equal(zipf_cdf(500, 0.8), cdf)
     us = [0.0] + [x for c in cdf[:-1].tolist() for x in (math.nextafter(c, 0.0), c, math.nextafter(c, 1.0))]
     # an all-reads op takes one uniform for its kind, then one for its rank; the
     # 2,996 uniforms span two blocks
-    stream = OpStream(_all_reads(500, 0.8), _FixedUniforms(x for u in us for x in (0.5, u)))
+    stream = op_stream(_all_reads(500, 0.8), _FixedUniforms(x for u in us for x in (0.5, u)))
     got = list(islice(stream, len(us)))
     assert [op[:2] for op in got] == [("read", int(np.searchsorted(cdf, u, side="right"))) for u in us]
     assert all(math.isnan(v) for *_, v in got)
@@ -95,9 +100,9 @@ def test_zipf_rank_equals_searchsorted_at_table_boundaries():
 
 def test_zipf_validation():
     with pytest.raises(ValueError, match="n must be"):
-        ZipfSampler(0, 0.6)
+        zipf_cdf(0, 0.6)
     with pytest.raises(ValueError, match="s must be"):
-        ZipfSampler(10, -0.1)
+        zipf_cdf(10, -0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +281,7 @@ def test_query_index_matches_evaluate_query_under_churn():
 
 def test_op_stream_mixture_fractions():
     spec = WorkloadSpec(record_count=400, query_count=50, write_fraction=0.2, query_fraction=0.5)
-    stream = OpStream(spec, np.random.default_rng(13))
+    stream = op_stream(spec, np.random.default_rng(13))
     n = 20_000
     kinds = {"update": 0, "query": 0, "read": 0}
     for kind, target, new_value in islice(stream, n):
@@ -298,7 +303,7 @@ def test_op_stream_mixture_fractions():
 
 def test_op_stream_zipf_popularity():
     spec = WorkloadSpec(record_count=200, query_count=30, write_fraction=1.0, query_fraction=0.0)
-    stream = OpStream(spec, np.random.default_rng(29))
+    stream = op_stream(spec, np.random.default_rng(29))
     counts = np.zeros(200)
     for _, target, _ in islice(stream, 8000):
         counts[target] += 1
@@ -307,8 +312,8 @@ def test_op_stream_zipf_popularity():
 
 def test_op_stream_determinism():
     spec = WorkloadSpec(record_count=100, query_count=20)
-    a = OpStream(spec, np.random.default_rng(5)).blocks()
-    b = OpStream(spec, np.random.default_rng(5)).blocks()
+    a = op_blocks(spec, np.random.default_rng(5))
+    b = op_blocks(spec, np.random.default_rng(5))
     for _ in range(3):
         (kinds_a, targets_a, values_a), (kinds_b, targets_b, values_b) = next(a), next(b)
         assert kinds_a == kinds_b and targets_a == targets_b
@@ -342,7 +347,7 @@ def _per_call_ops(spec: WorkloadSpec, rng: np.random.Generator, n: int) -> list[
 def test_op_stream_equals_per_call_reference(w):
     spec = WorkloadSpec(record_count=900, query_count=70, write_fraction=w,
                         query_fraction=min(0.5, 1.0 - w))
-    blocks = OpStream(spec, np.random.default_rng(61)).blocks()
+    blocks = op_blocks(spec, np.random.default_rng(61))
     kinds, targets, values = [], [], []
     while len(kinds) < 20_000:  # 21 to 30 blocks; ops straddle their ends
         k, t, v = next(blocks)
