@@ -12,6 +12,7 @@ import math
 import sys
 import tempfile
 import time
+from contextlib import nullcontext
 from dataclasses import astuple, dataclass, fields
 from itertools import islice, takewhile
 from pathlib import Path
@@ -61,11 +62,16 @@ def best_default_ttl(true_ttls, candidates=DEFAULT_TTL_GRID) -> tuple[float, flo
     return float(best_c), float(best_err)
 
 
-def emit_cdf(values) -> list[tuple[float, float]]:
-    """(value, cumulative fraction) pairs, one per sample, sorted ascending."""
+def emit_cdf(values) -> tuple[np.ndarray, np.ndarray]:
+    """The empirical CDF of n samples as two new float64 arrays of n entries:
+    the values sorted ascending, and the cumulative fraction (i + 1) / n of
+    the i-th, the same float as Python's int division gives. They hold 16
+    bytes a sample and no Python object per sample; n = 0 gives two empty
+    arrays."""
     vals = np.sort(np.asarray(values, dtype=np.float64))
-    n = vals.size
-    return [(float(v), (i + 1) / n) for i, v in enumerate(vals)]
+    fracs = np.arange(1, vals.size + 1, dtype=np.float64)
+    fracs /= vals.size  # empty when n = 0, so nothing is divided
+    return vals, fracs
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +164,9 @@ TRACE_ROW = "%.10g,%s,%s,%s,%.10g\r\n"
 
 CDF_HEADER = ["series", "value", "cum_fraction"]
 CDF_ROW = "%s,%.10g,%.10g\r\n"
+# cdf.csv rows are formatted this many at a time, so writing a series holds
+# its two emit_cdf columns (16 B a sample) and one chunk of Python objects.
+CDF_CHUNK = 4096
 
 # true_ttl is blank for a censored serve
 QUERYTRACE_HEADER = ["unit", "observation", "time", "action", "true_ttl"]
@@ -191,6 +200,14 @@ PAPER_REFERENCE = {
 LEARNED_KINDS = ("naf-dei", "naf-naive")
 
 
+def _write_cdf_series(fh, label: str, values) -> None:
+    """Write one cdf.csv series, `label` on every row, CDF_CHUNK rows at a time."""
+    vals, fracs = emit_cdf(values)
+    for i in range(0, vals.size, CDF_CHUNK):
+        chunk = zip(vals[i:i + CDF_CHUNK].tolist(), fracs[i:i + CDF_CHUNK].tolist())
+        fh.writelines(CDF_ROW % (label, v, f) for v, f in chunk)
+
+
 def _query_trace_rows(sim: Simulation, trace_query: str) -> list[tuple]:
     """querytrace.csv rows: every serve of one unit, in order. For "auto" the
     unit is the query with the most misses, each miss being one serve; ties
@@ -220,7 +237,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None, ech
     write fraction, with the learned series from naf-dei (else naf-naive),
     the poisson series from Poisson, `optimal` from the learned run (else
     the Poisson run) and the query trace from the learned run (else the
-    first cell); replay_log.csv from every learned cell.
+    first cell); replay_log.csv from every learned cell, each run's rows
+    written when it ends. A run's simulation is released before the next one
+    is built, so the grid holds one at a time.
     """
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -235,12 +254,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None, ech
 
     results: list[RunResult] = []
     summary_rows: list[tuple] = []
-    replay_rows: list[tuple] = []
     querytrace_rows: list[tuple] = []
     with open(out / "trace.csv", "w", newline="") as trace_fh, \
-            open(out / "cdf.csv", "w", newline="") as cdf_fh:
+            open(out / "cdf.csv", "w", newline="") as cdf_fh, \
+            (open(out / "replay_log.csv", "w", newline="") if cfg.replay_log
+             else nullcontext()) as replay_fh:
         trace_fh.write(TRACE_HEADER)
         cdf_fh.write(",".join(CDF_HEADER) + "\r\n")
+        if replay_fh is not None:
+            replay_fh.write(",".join(REPLAY_HEADER) + "\r\n")
         for wi, w in enumerate(cfg.write_fractions):
             cell_best: tuple[float, float] | None = None
             for ei, est_kind in enumerate(cfg.estimators):
@@ -259,21 +281,22 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None, ech
                         f"rmse={res.truncated_rmse:.3f} hit={res.hit_rate:.3f} "
                         f"inval={res.invalidation_rate:.3f} thr={res.achieved_throughput:.1f}"
                     )
-                    if rep != 0:
-                        continue
-                    oracle = sim.telemetry.oracle
-                    true_ttls = oracle.true_ttls()
-                    if cell_best is None and len(true_ttls):
-                        cell_best = best_default_ttl(true_ttls)
-                    if log_tr:
-                        replay_rows += [(w, est_kind, *row) for row in sim.estimator.injection_log]
-                    if wi != 0:
-                        continue
-                    for label in cdf_series.get(est_kind, ()):
-                        values = true_ttls if label == "optimal" else oracle.actions
-                        cdf_fh.writelines(CDF_ROW % (label, v, f) for v, f in emit_cdf(values))
-                    if est_kind == query_kind and cfg.trace_query != "none":
-                        querytrace_rows = _query_trace_rows(sim, cfg.trace_query)
+                    if rep == 0:
+                        oracle = sim.telemetry.oracle
+                        true_ttls = oracle.true_ttls()
+                        if cell_best is None and len(true_ttls):
+                            cell_best = best_default_ttl(true_ttls)
+                        if log_tr:
+                            replay_fh.writelines(REPLAY_ROW % (w, est_kind, *row)
+                                                 for row in sim.estimator.injection_log)
+                        if wi == 0:
+                            for label in cdf_series.get(est_kind, ()):
+                                _write_cdf_series(cdf_fh, label, true_ttls if label == "optimal"
+                                                  else oracle.actions)
+                            if est_kind == query_kind and cfg.trace_query != "none":
+                                querytrace_rows = _query_trace_rows(sim, cfg.trace_query)
+                        del oracle, true_ttls
+                    del sim  # the run is freed here, before the next one is built
 
                 rs = np.array([r.truncated_rmse for r in cell])
                 # a cell with no resolved serve has only NaN RMSEs, whose nanmean warns
@@ -304,8 +327,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None, ech
     _write_csv(out / "summary.csv", SUMMARY_HEADER, SUMMARY_ROW, summary_rows)
     if cfg.trace_query != "none":
         _write_csv(out / "querytrace.csv", QUERYTRACE_HEADER, QUERYTRACE_ROW, querytrace_rows)
-    if cfg.replay_log:
-        _write_csv(out / "replay_log.csv", REPLAY_HEADER, REPLAY_ROW, replay_rows)
     echo(f"wrote {out / 'summary.csv'}")
     return results
 

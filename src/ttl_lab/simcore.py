@@ -204,7 +204,16 @@ class Simulation:
             schedule=self.engine.schedule)
 
     def run(self) -> "Simulation":
-        self.engine.run_until(self.spec.duration)
+        """Run to the end of the workload, once. When this returns or raises,
+        the engine holds no callback into the simulation, so nothing refers
+        back to it: a finished run is freed by reference counting as soon as
+        its last name goes, with no wait for the cyclic collector. Its
+        results stay readable."""
+        engine = self.engine
+        try:
+            engine.run_until(self.spec.duration)
+        finally:
+            engine.handler = engine._on_op = None
         return self
 
     # -- event handlers ----------------------------------------------------

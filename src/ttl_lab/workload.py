@@ -246,18 +246,20 @@ def generate_world(spec: WorkloadSpec, rng: np.random.Generator) -> World:
     are the keys of that cut.
     """
     n = spec.record_count
-    values = rng.uniform(0.0, float(n), size=n)
-    if len(np.unique(values)) != n:
-        # One collision in ~2^53/n draws; regenerating keeps cardinalities exact.
+    # A collision comes once in ~2^53/n draws; one redraw keeps the
+    # cardinalities exact, and a second collision means the RNG is suspect.
+    for _ in range(2):
         values = rng.uniform(0.0, float(n), size=n)
-        if len(np.unique(values)) != n:
-            raise RuntimeError("record values collided twice; RNG is suspect")
+        order = np.argsort(values)
+        sorted_vals = values[order]
+        if not (sorted_vals[1:] == sorted_vals[:-1]).any():  # equal values sort side by side
+            break
+    else:
+        raise RuntimeError("record values collided twice; RNG is suspect")
 
     sizes = np.rint(rng.normal(spec.scan_mean, spec.scan_std, size=spec.query_count))
     sizes = np.clip(sizes, 1, spec.result_cap).astype(np.int64)
 
-    order = np.argsort(values)
-    sorted_vals = values[order]
     keys = order.tolist()
     queries: list[QueryDef] = []
     results: list[list[int]] = []

@@ -11,12 +11,15 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
+from array import array
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ttl_lab
+from ttl_lab import benchcli
 from ttl_lab.benchcli import (
     CDF_HEADER,
     CDF_ROW,
@@ -32,6 +35,7 @@ from ttl_lab.benchcli import (
     TRACE_ROW,
     RunResult,
     _fmt,
+    _write_cdf_series,
     emit_cdf,
     main,
     run_experiment,
@@ -98,12 +102,45 @@ def test_truncated_rmse_empty_raises():
 
 
 def test_emit_cdf():
-    assert emit_cdf([3.0, 1.0, 2.0]) == [
-        (1.0, pytest.approx(1 / 3)),
-        (2.0, pytest.approx(2 / 3)),
-        (3.0, pytest.approx(1.0)),
-    ]
-    assert emit_cdf([7.5]) == [(7.5, 1.0)]
+    vals, fracs = emit_cdf([3.0, 1.0, 2.0])
+    assert vals.dtype == fracs.dtype == np.float64
+    assert vals.tolist() == [1.0, 2.0, 3.0]
+    assert fracs.tolist() == [1 / 3, 2 / 3, 1.0]
+    assert [a.tolist() for a in emit_cdf([7.5])] == [[7.5], [1.0]]
+    assert [a.tolist() for a in emit_cdf([])] == [[], []]
+
+
+def _old_cdf_rows(label, values):
+    """cdf.csv rows by the per-row formula: one (value, (i + 1) / n) pair per sample."""
+    vals = sorted(float(v) for v in values)
+    return "".join(CDF_ROW % (label, v, (i + 1) / len(vals)) for i, v in enumerate(vals))
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 5, 6, 17])
+def test_cdf_series_written_in_chunks_equals_the_per_row_formula(n, tmp_path, monkeypatch):
+    # chunk 5: n = 0, 1, chunk - 1, chunk, chunk + 1 and 3 * chunk + 2
+    monkeypatch.setattr(benchcli, "CDF_CHUNK", 5)
+    # rounded, so that larger series repeat values, as clipped actions do
+    values = array("d", np.random.default_rng(n).exponential(30.0, n).round(1).tolist())
+    path = tmp_path / "cdf.csv"
+    with open(path, "w", newline="") as fh:
+        _write_cdf_series(fh, "learned", values)
+    assert path.read_bytes() == _old_cdf_rows("learned", values).encode()
+
+
+def test_a_cdf_series_holds_no_python_object_per_sample(tmp_path):
+    n = 200_000
+    values = array("d", np.random.default_rng(3).exponential(30.0, n).tolist())
+    with open(tmp_path / "cdf.csv", "w", newline="") as fh:
+        tracemalloc.start()
+        try:
+            _write_cdf_series(fh, "learned", values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # the sorted column and the fractions are 16 bytes a sample; a list of
+    # (value, fraction) tuples would hold about 112
+    assert peak < 40 * n
 
 
 # ---------------------------------------------------------------------------
@@ -701,6 +738,24 @@ def test_module_entry_point_runs_without_warnings():
     proc = subprocess.run([sys.executable, "-W", "error", "-m", "ttl_lab.benchcli", "--help"],
                           env=env, capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_a_run_does_not_import_numpy_ma(tmp_path):
+    # numpy.ma costs an import of about 16 ms and 1.2 MB; np.unique loads it
+    script = f"""
+import sys
+from ttl_lab.benchcli import CHECK_OVERRIDES, run_experiment
+from ttl_lab.config import build_config
+cfg = build_config(overrides={{**CHECK_OVERRIDES, "bench.runs": "1", "bench.replay_log": "true"}})
+run_experiment(cfg, {str(tmp_path)!r}, echo=lambda *a: None)
+print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(ttl_lab.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", script],
+                          env=env, capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert (tmp_path / "cdf.csv").exists()
 
 
 def test_cli_check_passes():

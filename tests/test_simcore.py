@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import heapq
 import math
+import weakref
 from bisect import bisect_right
 from itertools import chain, count, islice
 
 import numpy as np
 import pytest
 
-from ttl_lab.benchcli import _query_trace_rows, run_single
+from ttl_lab import benchcli
+from ttl_lab.benchcli import CHECK_OVERRIDES, _query_trace_rows, run_experiment, run_single
 from ttl_lab.cachesys import Lookup
 from ttl_lab.config import build_config
 from ttl_lab.estimators import TtlEstimator
@@ -598,3 +601,63 @@ def test_simulation_rejects_a_kind_outside_the_grid():
     cfg = dataclasses.replace(build_config(overrides={"estimator.kind": "poisson"}), fixed_ttl=0.0)
     with pytest.raises(ValueError, match=r"estimator 'fixed' is not in cfg.estimators \('poisson',\)"):
         Simulation(cfg, 0.1, "fixed", 1)
+
+
+# ---------------------------------------------------------------------------
+# the run's lifecycle: with the cyclic collector off, what reference counting
+# frees is all that goes
+
+
+@pytest.fixture
+def no_cyclic_gc():
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("kind", ["naf-dei", "poisson"])
+def test_a_finished_simulation_is_freed_by_reference_counting(kind, no_cyclic_gc):
+    # 20 desk seconds: the naf-dei learner trains and injects transitions
+    cfg = build_config("desk", overrides={"estimator.kind": kind, "workload.duration": "20"})
+    sim = Simulation(cfg, 0.1, kind, 1).run()
+    assert sim.completed > 0
+    refs = [weakref.ref(obj) for obj in (sim, sim.engine, sim.estimator, sim.telemetry, sim.cache)]
+    del sim
+    assert [r() for r in refs] == [None] * len(refs)
+
+
+def test_a_simulation_that_raises_is_freed_too(tiny_cfg, no_cyclic_gc):
+    sim = Simulation(tiny_cfg, 0.1, "poisson", 1)
+    assert sim.engine.handler == sim._dispatch  # what a run's observers read when it starts
+    sim.engine.schedule(0.5, "bogus", 0)
+    try:  # no `as`: an exception kept by name holds the run's frames
+        sim.run()
+    except RuntimeError:
+        pass
+    else:
+        pytest.fail("the bogus event did not raise")
+    assert sim.engine.handler is None
+    ref = weakref.ref(sim)
+    del sim
+    assert ref() is None
+
+
+def test_run_experiment_holds_one_simulation_at_a_time(tmp_path, monkeypatch, no_cyclic_gc):
+    built: list[weakref.ref] = []
+    alive_at_build: list[int] = []
+
+    class Observed(Simulation):
+        def __init__(self, *args, **kwargs):
+            alive_at_build.append(sum(r() is not None for r in built))
+            super().__init__(*args, **kwargs)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(benchcli, "Simulation", Observed)
+    cfg = build_config(overrides={**CHECK_OVERRIDES, "estimator.kind": "poisson,naf-dei",
+                                  "bench.runs": "2", "bench.replay_log": "true"})
+    run_experiment(cfg, tmp_path, echo=lambda *a: None)
+    assert alive_at_build == [0, 0, 0, 0]
+    assert [r() for r in built] == [None] * 4

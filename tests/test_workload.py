@@ -166,6 +166,45 @@ def test_generate_world_query_ids_are_dense():
     assert [q.id for q in world.queries] == list(range(40))
 
 
+class _RepeatingUniforms:
+    """A generator whose first `repeats` uniform draws end with a copy of
+    their first value; every other call goes to `rng` unchanged."""
+
+    def __init__(self, rng: np.random.Generator, repeats: int):
+        self._rng, self._repeats = rng, repeats
+
+    def uniform(self, *args, **kwargs):
+        values = self._rng.uniform(*args, **kwargs)
+        if self._repeats:
+            self._repeats -= 1
+            values[-1] = values[0]
+        return values
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def test_generate_world_redraws_colliding_values():
+    # A collision costs one redraw of the values; the queries are then drawn
+    # from the stream after it, as if the first draw had been thrown away.
+    spec = WorkloadSpec(record_count=500, query_count=60, scan_mean=7.0, scan_std=0.0)
+    world = generate_world(spec, _RepeatingUniforms(np.random.default_rng(8), repeats=1))
+    rng = np.random.default_rng(8)
+    rng.uniform(0.0, 500.0, size=500)
+    reference = generate_world(spec, rng)
+    assert np.array_equal(world.values, reference.values)
+    assert world.queries == reference.queries
+    assert len(np.unique(world.values)) == 500
+    assert world.index.results == _scan(world.values, world.queries)
+    assert all(len(keys) == 7 for keys in world.index.results)
+
+
+def test_generate_world_raises_when_values_collide_twice():
+    spec = WorkloadSpec(record_count=500, query_count=60)
+    with pytest.raises(RuntimeError, match="collided twice"):
+        generate_world(spec, _RepeatingUniforms(np.random.default_rng(8), repeats=2))
+
+
 # ---------------------------------------------------------------------------
 # the query index
 
