@@ -12,15 +12,15 @@ import math
 import sys
 import tempfile
 import time
-from contextlib import nullcontext
-from dataclasses import astuple, dataclass, fields
+from contextlib import ExitStack
+from dataclasses import asdict, astuple, dataclass, fields
 from itertools import islice, takewhile
 from pathlib import Path
 
 import numpy as np
 
 from .config import PRESETS, ExperimentConfig, build_config, parse_kv_file
-from .estimators import poisson_ttl
+from .estimators import LEARNED_KINDS, poisson_ttl
 from .nafagent import HEAD_WIDTH, NafWorkspace, naf_head, naf_loss_and_grads, naf_q
 from .neural import Workspace, forward, init_mlp
 from .simcore import Simulation
@@ -125,15 +125,9 @@ def run_single(
         truncated_rmse=truncated_rmse(errors) if len(errors) else float("nan"),
         resolved=len(errors),
         censored=len(oracle.actions) - len(errors),
-        hits=stats.hits,
-        misses=stats.misses,
         hit_rate=stats.hit_rate,
-        inserts=stats.inserts,
-        invalidations=stats.invalidations,
         invalidation_rate=stats.invalidation_rate,
-        stale_reads=stats.stale_reads,
-        evictions=stats.evictions,
-        expirations=stats.expirations,
+        **asdict(stats),  # the cache's seven counts
         achieved_throughput=sim.achieved_throughput,
         mean_latency=sim.mean_latency,
     )
@@ -146,20 +140,13 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Path, header: list[str], row_format: str, rows) -> None:
-    """One header line, then `row_format % row` for each row (a tuple)."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(row_format % row for row in rows)
-
-
 # Each CSV's rows in one %-format: the bytes csv.writer writes for
 # [_fmt(c) for c in row], as no cell needs quoting. A float cell is %.10g, any
 # other %s; a cell that may be blank is passed through _fmt first and is %s.
 PER_RUN_HEADER = [f.name for f in fields(RunResult)]
 PER_RUN_ROW = ",".join("%.10g" if f.type == "float" else "%s" for f in fields(RunResult)) + "\r\n"
 
-TRACE_HEADER = "time,kind,unit,outcome,latency_s\r\n"
+TRACE_HEADER = ["time", "kind", "unit", "outcome", "latency_s"]
 TRACE_ROW = "%.10g,%s,%s,%s,%.10g\r\n"
 
 CDF_HEADER = ["series", "value", "cum_fraction"]
@@ -197,8 +184,6 @@ PAPER_REFERENCE = {
     (0.3, "poisson"): (0.626, 0.156),
 }
 
-LEARNED_KINDS = ("naf-dei", "naf-naive")
-
 
 def _write_cdf_series(fh, label: str, values) -> None:
     """Write one cdf.csv series, `label` on every row, CDF_CHUNK rows at a time."""
@@ -229,17 +214,37 @@ def _query_trace_rows(sim: Simulation, trace_query: str) -> list[tuple]:
     return rows
 
 
+def _open_csv(files: ExitStack, path: Path, header: list[str], written: bool = True):
+    """`path` opened on `files` with its header written, truncating any older
+    file there; or, if the grid does not write it, None and no file there."""
+    if not written:
+        path.unlink(missing_ok=True)
+        return None
+    fh = files.enter_context(open(path, "w", newline=""))
+    fh.write(",".join(header) + "\r\n")
+    return fh
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None, echo=print) -> list[RunResult]:
-    """Execute the whole grid and write the CSV artifacts.
+    """Execute the whole grid, write the CSV artifacts and return the runs'
+    RunResults.
+
+    When the grid starts it opens every file it writes, truncating any older
+    file of that name, and writes each header; replay_log.csv (off without
+    `bench.replay_log`) and querytrace.csv (off with `bench.trace_query =
+    none`) are deleted when the grid does not write them. Rows are written as
+    soon as they are known: a per_run.csv row, and a run's querytrace.csv and
+    replay_log.csv rows, when the run ends; a summary.csv row when its cell
+    ends. So every file in the directory is this grid's, and a grid that
+    raises leaves the rows of what it finished.
 
     Every single-run artifact comes from run 0 of cells chosen up front:
     trace.csv from the first cell; cdf.csv and querytrace.csv from the first
     write fraction, with the learned series from naf-dei (else naf-naive),
     the poisson series from Poisson, `optimal` from the learned run (else
     the Poisson run) and the query trace from the learned run (else the
-    first cell); replay_log.csv from every learned cell, each run's rows
-    written when it ends. A run's simulation is released before the next one
-    is built, so the grid holds one at a time.
+    first cell); replay_log.csv from every learned cell. A run's simulation
+    is released before the next one is built, so the grid holds one at a time.
     """
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -253,16 +258,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None, ech
     query_kind = learned or cfg.estimators[0]
 
     results: list[RunResult] = []
-    summary_rows: list[tuple] = []
-    querytrace_rows: list[tuple] = []
-    with open(out / "trace.csv", "w", newline="") as trace_fh, \
-            open(out / "cdf.csv", "w", newline="") as cdf_fh, \
-            (open(out / "replay_log.csv", "w", newline="") if cfg.replay_log
-             else nullcontext()) as replay_fh:
-        trace_fh.write(TRACE_HEADER)
-        cdf_fh.write(",".join(CDF_HEADER) + "\r\n")
-        if replay_fh is not None:
-            replay_fh.write(",".join(REPLAY_HEADER) + "\r\n")
+    with ExitStack() as files:
+        trace_fh = _open_csv(files, out / "trace.csv", TRACE_HEADER)
+        cdf_fh = _open_csv(files, out / "cdf.csv", CDF_HEADER)
+        per_run_fh = _open_csv(files, out / "per_run.csv", PER_RUN_HEADER)
+        summary_fh = _open_csv(files, out / "summary.csv", SUMMARY_HEADER)
+        replay_fh = _open_csv(files, out / "replay_log.csv", REPLAY_HEADER, cfg.replay_log)
+        query_fh = _open_csv(files, out / "querytrace.csv", QUERYTRACE_HEADER,
+                             cfg.trace_query != "none")
         for wi, w in enumerate(cfg.write_fractions):
             cell_best: tuple[float, float] | None = None
             for ei, est_kind in enumerate(cfg.estimators):
@@ -276,6 +279,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None, ech
                     res, sim = run_single(cfg, w, est_kind, seed, trace_writer, log_tr)
                     results.append(res)
                     cell.append(res)
+                    per_run_fh.write(PER_RUN_ROW % astuple(res))
                     echo(
                         f"  w={w:g} {est_kind} run {rep} seed {seed}: "
                         f"rmse={res.truncated_rmse:.3f} hit={res.hit_rate:.3f} "
@@ -293,8 +297,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None, ech
                             for label in cdf_series.get(est_kind, ()):
                                 _write_cdf_series(cdf_fh, label, true_ttls if label == "optimal"
                                                   else oracle.actions)
-                            if est_kind == query_kind and cfg.trace_query != "none":
-                                querytrace_rows = _query_trace_rows(sim, cfg.trace_query)
+                            if est_kind == query_kind and query_fh is not None:
+                                query_fh.writelines(QUERYTRACE_ROW % row for row
+                                                    in _query_trace_rows(sim, cfg.trace_query))
                         del oracle, true_ttls
                     del sim  # the run is freed here, before the next one is built
 
@@ -306,7 +311,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None, ech
                 ir = np.array([r.invalidation_rate for r in cell])
                 best_ttl, best_rmse = cell_best if cell_best else (float("nan"), float("nan"))
                 ref_hit, ref_inval = PAPER_REFERENCE.get((w, est_kind), ("", ""))
-                summary_rows.append((
+                summary_fh.write(SUMMARY_ROW % (
                     w, est_kind, cfg.runs,
                     rs_mean, rs_std,
                     float(hr.mean()), float(hr.std()),
@@ -323,10 +328,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None, ech
                     f"(best default ttl {best_ttl:g} at rmse {best_rmse:.3f})"
                 )
 
-    _write_csv(out / "per_run.csv", PER_RUN_HEADER, PER_RUN_ROW, map(astuple, results))
-    _write_csv(out / "summary.csv", SUMMARY_HEADER, SUMMARY_ROW, summary_rows)
-    if cfg.trace_query != "none":
-        _write_csv(out / "querytrace.csv", QUERYTRACE_HEADER, QUERYTRACE_ROW, querytrace_rows)
     echo(f"wrote {out / 'summary.csv'}")
     return results
 

@@ -142,10 +142,10 @@ class ExperimentConfig:
         for est in self.estimators:
             if est not in ESTIMATOR_KINDS:
                 raise ValueError(f"unknown estimator {est!r}; choose from {ESTIMATOR_KINDS}")
-        # an option is checked only when its estimator is in the grid
-        if "fixed" in self.estimators and not 0.0 < self.fixed_ttl < math.inf:
+        # checked whatever kinds the grid lists, as naf.* and reward.* are: any kind can run
+        if not 0.0 < self.fixed_ttl < math.inf:
             raise ValueError(f"fixed ttl must be positive and finite, got {self.fixed_ttl}")
-        if "poisson" in self.estimators and not 0.0 < self.poisson_max_ttl < math.inf:
+        if not 0.0 < self.poisson_max_ttl < math.inf:
             raise ValueError(f"max_ttl must be positive and finite, got {self.poisson_max_ttl}")
         if self.runs < 1:
             raise ValueError("bench.runs must be >= 1")

@@ -2,7 +2,8 @@
 
 make_estimator builds one from its options in the config and the parts it
 reads, as values and callables. A new kind is one entry of _BUILDERS, whose
-keys are ESTIMATOR_KINDS; its options are checked once, by ExperimentConfig.
+keys are ESTIMATOR_KINDS; its options are checked once, by ExperimentConfig,
+whatever kinds the grid lists.
 The Poisson baseline treats result-key writes as independent Poisson
 processes and bets on the minimum expected gap; the NAF estimators learn the
 TTL online, differing only in when unfinished transitions are completed.
@@ -184,8 +185,14 @@ _BUILDERS = {
     "fixed": lambda cfg, log, parts: FixedEstimator(cfg.fixed_ttl),
 }
 ESTIMATOR_KINDS = tuple(_BUILDERS)
+# the kinds that learn, in the order a grid's learned series prefers them
+LEARNED_KINDS = ("naf-dei", "naf-naive")
 
 
 def make_estimator(kind: str, cfg, log_transitions: bool = False, **parts) -> TtlEstimator:
-    """The estimator of one kind from `cfg` and the `parts` it reads (see _NafEstimator)."""
+    """The estimator of one kind from `cfg` and the `parts` it reads (see
+    _NafEstimator). Any kind of ESTIMATOR_KINDS can be built from any checked
+    config, whatever `cfg.estimators` lists; another kind raises ValueError."""
+    if kind not in _BUILDERS:
+        raise ValueError(f"unknown estimator {kind!r}; choose from {ESTIMATOR_KINDS}")
     return _BUILDERS[kind](cfg, log_transitions, parts)

@@ -361,9 +361,11 @@ def test_estimator_options_checked_at_build_time():
         build_config(overrides={"estimator.kind": "poisson,fixed", "estimator.fixed_ttl": "0"})
     with pytest.raises(ValueError, match="max_ttl must be positive"):
         build_config(overrides={"estimator.kind": "poisson", "estimator.max_ttl": "-1"})
-    # an option of an estimator outside the grid is never used
-    build_config(overrides={"estimator.kind": "naf-dei", "estimator.fixed_ttl": "0",
-                            "estimator.max_ttl": "0"})
+    # an option whose kind is outside the grid is checked too: any kind can run
+    with pytest.raises(ValueError, match="fixed ttl must be positive"):
+        build_config(overrides={"estimator.kind": "naf-dei", "estimator.fixed_ttl": "0"})
+    with pytest.raises(ValueError, match="max_ttl must be positive"):
+        build_config(overrides={"estimator.kind": "naf-dei", "estimator.max_ttl": "0"})
 
 
 FLOAT_KEYS = [k for k, (_, parse) in SCHEMA.items() if parse is _parse_float]
@@ -372,9 +374,8 @@ FLOAT_KEYS = [k for k, (_, parse) in SCHEMA.items() if parse is _parse_float]
 @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("key", [*FLOAT_KEYS, "workload.write_fraction"])
 def test_non_finite_settings_fail_where_they_enter(key, raw):
-    # fixed and poisson in the grid, so their options are used
     with pytest.raises(ValueError, match=f"bad value for {re.escape(key)}: expected a finite number"):
-        build_config(overrides={"estimator.kind": "fixed,poisson", key: raw})
+        build_config(overrides={key: raw})
 
 
 def test_float_keys_cover_every_float_setting():
@@ -542,7 +543,6 @@ def _csv_writer_bytes(rows):
 
 
 def test_trace_row_format_equals_csv_writer(tiny_cfg):
-    assert TRACE_HEADER == _csv_writer_bytes([["time", "kind", "unit", "outcome", "latency_s"]])
     rows = [
         (0.0, "read", 0, "miss", 0.154),
         (1e-05, "query", 17, "hit", 0.004),
@@ -580,7 +580,8 @@ def test_csv_row_formats_equal_csv_writer():
             assert SUMMARY_ROW % built == _csv_writer_bytes([summary])
             trace = (i, 10**12 + i, x, x, ref)
             assert QUERYTRACE_ROW % (*trace[:-1], _fmt(ref)) == _csv_writer_bytes([trace])
-    for header in (PER_RUN_HEADER, SUMMARY_HEADER, CDF_HEADER, QUERYTRACE_HEADER, REPLAY_HEADER):
+    for header in (PER_RUN_HEADER, SUMMARY_HEADER, TRACE_HEADER, CDF_HEADER, QUERYTRACE_HEADER,
+                   REPLAY_HEADER):
         assert ",".join(header) + "\r\n" == _csv_writer_bytes([header])
 
 
@@ -688,6 +689,49 @@ def test_cli_trace_query_none(tmp_path):
     })
     run_experiment(cfg, out_dir=tmp_path, echo=lambda *a: None)
     assert not (tmp_path / "querytrace.csv").exists()
+
+
+ALWAYS_WRITTEN = ["cdf.csv", "per_run.csv", "summary.csv", "trace.csv"]
+
+
+def test_a_grid_deletes_the_optional_files_it_does_not_write(tiny_cfg, tmp_path):
+    # An older grid's replay_log.csv and querytrace.csv, left beside this
+    # grid's files, would read as this grid's.
+    cfg = dataclasses.replace(tiny_cfg, estimators=("fixed",), replay_log=True)
+    run_experiment(cfg, out_dir=tmp_path, echo=lambda *a: None)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [*ALWAYS_WRITTEN, "querytrace.csv", "replay_log.csv"])
+    off = dataclasses.replace(cfg, replay_log=False, trace_query="none")
+    run_experiment(off, out_dir=tmp_path, echo=lambda *a: None)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ALWAYS_WRITTEN
+
+
+def test_a_grid_that_raises_leaves_only_its_own_rows(tiny_cfg, tmp_path, monkeypatch):
+    # An older grid's rows in the directory, then a grid whose second run
+    # raises: every file holds the new grid's header and finished rows alone.
+    older = dataclasses.replace(tiny_cfg, estimators=("fixed", "poisson"), runs=2, base_seed=5)
+    run_experiment(older, out_dir=tmp_path, echo=lambda *a: None)
+    assert len(_read_csv(tmp_path / "per_run.csv")[1]) == 4
+
+    calls = []
+
+    def second_call_raises(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("the second run failed")
+        return run_single(*args)
+
+    monkeypatch.setattr(benchcli, "run_single", second_call_raises)
+    cfg = dataclasses.replace(tiny_cfg, estimators=("fixed", "poisson"), runs=2)
+    with pytest.raises(RuntimeError, match="the second run failed"):
+        run_experiment(cfg, out_dir=tmp_path, echo=lambda *a: None)
+    header, rows = _read_csv(tmp_path / "per_run.csv")
+    assert header == PER_RUN_HEADER
+    assert [(r[1], r[2], r[3]) for r in rows] == [("fixed", "0", "1")]
+    assert _read_csv(tmp_path / "summary.csv") == (SUMMARY_HEADER, [])  # no cell finished
+    trace = _read_csv(tmp_path / "trace.csv")[1]
+    assert len(trace) == round(float(rows[0][PER_RUN_HEADER.index("achieved_throughput")])
+                               * cfg.workload.duration)
 
 
 def test_cli_rerun_is_byte_identical(tmp_path):

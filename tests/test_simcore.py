@@ -279,12 +279,8 @@ def test_latency_model_rejects_negative():
 
 
 def _build_sim(cfg, seed=5, trace=None):
-    cfg = dataclasses.replace(cfg, estimators=("fixed",), fixed_ttl=5.0)
+    cfg = dataclasses.replace(cfg, fixed_ttl=5.0)
     return Simulation(cfg, 0.1, "fixed", seed, trace_writer=trace)
-
-
-def _with_kinds(cfg, *kinds):
-    return dataclasses.replace(cfg, estimators=kinds)
 
 
 def test_unit_namespace_mapping(tiny_cfg):
@@ -318,7 +314,7 @@ def test_simulation_trace_and_latencies(tiny_cfg):
 
 
 def test_simulation_throughput_and_latency_bounds(tiny_cfg):
-    res, sim = run_single(_with_kinds(tiny_cfg, "fixed"), 0.1, "fixed", seed=3)
+    res, sim = run_single(tiny_cfg, 0.1, "fixed", seed=3)
     # 30 s x 120 ops/s -> Poisson(3600); 4 sigma is ~6.7%
     assert res.achieved_throughput == pytest.approx(120.0, rel=0.1)
     assert res.achieved_throughput == sim.op_arrivals / 30.0
@@ -327,7 +323,7 @@ def test_simulation_throughput_and_latency_bounds(tiny_cfg):
 
 def test_simulation_accounting_identities(tiny_cfg):
     rows = []
-    res, sim = run_single(_with_kinds(tiny_cfg, "fixed"), 0.1, "fixed", seed=11, trace_writer=rows.append)
+    res, sim = run_single(tiny_cfg, 0.1, "fixed", seed=11, trace_writer=rows.append)
     stats = sim.cache.stats
     assert len(rows) == sim.op_arrivals
     assert stats.requests == sum(kind != "update" for _, kind, *_ in rows)
@@ -371,9 +367,8 @@ def test_estimator_rng_does_not_perturb_workload(tiny_cfg):
     # kind and unit of every arrival) and the world's mutation history are
     # identical across estimators.
     rows_a, rows_b = [], []
-    cfg = _with_kinds(tiny_cfg, "fixed", "naf-dei")
-    res_a, sim_a = run_single(cfg, 0.1, "fixed", seed=7, trace_writer=rows_a.append)
-    res_b, sim_b = run_single(cfg, 0.1, "naf-dei", seed=7, trace_writer=rows_b.append)
+    res_a, sim_a = run_single(tiny_cfg, 0.1, "fixed", seed=7, trace_writer=rows_a.append)
+    res_b, sim_b = run_single(tiny_cfg, 0.1, "naf-dei", seed=7, trace_writer=rows_b.append)
     assert [r[:3] for r in rows_a] == [r[:3] for r in rows_b]
     assert sim_a.op_arrivals == sim_b.op_arrivals == len(rows_a)
     assert np.array_equal(sim_a.world.values, sim_b.world.values)
@@ -411,12 +406,11 @@ def test_stale_reads_happen_under_writes(tiny_cfg):
     # A lookup that lands between a write and its purge, 2 ms later by
     # default, serves the doomed entry as a stale read; with no delay there
     # is no such window.
-    cfg = _with_kinds(tiny_cfg, "fixed")
     instant = dataclasses.replace(
-        cfg, latency=dataclasses.replace(cfg.latency, invalidation_delay_ms=0.0))
+        tiny_cfg, latency=dataclasses.replace(tiny_cfg.latency, invalidation_delay_ms=0.0))
     for seed in (2, 3):
         trace = []
-        res, _ = run_single(cfg, 0.1, "fixed", seed, trace_writer=trace.append)
+        res, _ = run_single(tiny_cfg, 0.1, "fixed", seed, trace_writer=trace.append)
         assert 0 < res.invalidations <= res.inserts
         assert res.stale_reads > 0
         assert res.stale_reads == sum(row[3] == "stale_hit" for row in trace)
@@ -527,7 +521,7 @@ def test_pending_naf_decision_keeps_its_result_keys(tiny_cfg):
     # A NAF-DEI decision rebuilds its next state from the result keys it was
     # decided on, so writes that move keys into and out of the query's result
     # before the decision comes due must not change them.
-    sim = Simulation(_with_kinds(tiny_cfg, "naf-dei"), 0.1, "naf-dei", seed=5)
+    sim = Simulation(tiny_cfg, 0.1, "naf-dei", seed=5)
     index, values = sim.world.index, sim.world.values
     q = max(range(len(index.results)), key=lambda i: len(index.results[i]))
     _, lo, hi = sim.world.queries[q]
@@ -577,8 +571,7 @@ def test_write_onto_a_read_value_resolves_the_read(tiny_cfg):
 def test_learner_window_counts_every_request_and_miss(tiny_cfg):
     # The learner's window is longer than the run, so no request has left it:
     # its requests and misses, summed over units, are the cache's.
-    cfg = dataclasses.replace(_with_kinds(tiny_cfg, "naf-dei"),
-                              telemetry_window=2 * tiny_cfg.workload.duration)
+    cfg = dataclasses.replace(tiny_cfg, telemetry_window=2 * tiny_cfg.workload.duration)
     sim = Simulation(cfg, 0.1, "naf-dei", seed=5).run()
     spec, stats, window = sim.spec, sim.cache.stats, sim.estimator.miss_rates
     units = range(spec.query_count + spec.record_count)
@@ -588,19 +581,11 @@ def test_learner_window_counts_every_request_and_miss(tiny_cfg):
 
 
 def test_poisson_estimator_holds_no_request_window(tiny_cfg):
-    sim = Simulation(_with_kinds(tiny_cfg, "poisson"), 0.1, "poisson", seed=5)
+    sim = Simulation(tiny_cfg, 0.1, "poisson", seed=5)
     assert type(sim.estimator).on_request is TtlEstimator.on_request  # the no-op
     held = [*vars(sim.estimator).values(), *vars(sim.telemetry).values()]
     assert not any(isinstance(v, MissRateWindow) for v in held)
     assert [v for v in held if isinstance(v, WindowCounter)] == [sim.telemetry.writes]
-
-
-def test_simulation_rejects_a_kind_outside_the_grid():
-    # ExperimentConfig checks an estimator's option only when its kind is in
-    # cfg.estimators, so a simulation of any other kind would run unchecked.
-    cfg = dataclasses.replace(build_config(overrides={"estimator.kind": "poisson"}), fixed_ttl=0.0)
-    with pytest.raises(ValueError, match=r"estimator 'fixed' is not in cfg.estimators \('poisson',\)"):
-        Simulation(cfg, 0.1, "fixed", 1)
 
 
 # ---------------------------------------------------------------------------
