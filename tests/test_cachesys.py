@@ -11,6 +11,36 @@ from ttl_lab.cachesys import CacheEntry, CacheStats, CacheSystem, Lookup
 from ttl_lab.telemetry import TrueTtlOracle
 from ttl_lab.workload import QueryDef, QueryIndex, evaluate_query
 
+NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+
+
+def test_rangeset_add_discard_contains():
+    # The oracle's pending serves, keyed by unit, took over the range set's
+    # job: a serve is added by on_serve, counted while pending, and discarded
+    # exactly once by the first write that touches its unit.
+    oracle = TrueTtlOracle()
+    oracle.on_serve(0, unit=1, now=0.0, action=5.0)
+    oracle.on_serve(1, unit=2, now=0.0, action=5.0)
+    oracle.on_serve(2, unit=3, now=0.0, action=5.0)
+    assert oracle.pending_count == 3
+    oracle.on_write([4], 1.0)  # touches none of them
+    assert oracle.pending_count == 3 and np.isnan(oracle.true_ttl).all()
+    oracle.on_write([1, 2, 3], 1.0)
+    assert oracle.pending_count == 0
+    oracle.on_write([1, 2, 3], 2.0)  # already resolved
+    assert oracle.true_ttl.tolist() == [1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+@pytest.mark.parametrize("side", ["lo", "hi"])
+def test_rangeset_rejects_non_finite_bounds(side, bad):
+    # The set of ranges that writes are matched against is the world's fixed
+    # queries, indexed once by QueryIndex, which refuses a non-finite bound.
+    bounds = {"lo": 1.0, "hi": 3.0, side: bad}
+    queries = [QueryDef(0, 0.0, 1.0), QueryDef(1, bounds["lo"], bounds["hi"])]
+    with pytest.raises(ValueError, match=f"query 1: range bound {side} .* is not finite"):
+        QueryIndex(queries, [[], []])
+
 
 # ---------------------------------------------------------------------------
 # cache basics
@@ -176,6 +206,23 @@ def test_purge_of_a_dead_entry_leaves_its_units_new_entry(gone):
     assert cache.stats.invalidations == 0
     assert [(e.unit, e.serve_id, e.pending) for e in cache.live_entries()] == [(1, 2, False)]
     assert cache.lookup(1, 1.3) is Lookup.HIT
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+@pytest.mark.parametrize("side", ["lo", "hi"])
+def test_insert_rejects_non_finite_bounds_and_changes_nothing(side, bad):
+    # A range query's bounds are checked once, when its world's index is
+    # built, so no serve of a bad range reaches the oracle or the cache; a
+    # point read's serve carries only its unit.
+    bounds = {"lo": 1.0, "hi": 3.0, side: bad}
+    oracle, cache = TrueTtlOracle(), CacheSystem(1)
+    _serve(oracle, cache, 0, 0, ttl=10.0, now=0.0)
+    with pytest.raises(ValueError, match=f"range bound {side} .* is not finite"):
+        QueryIndex([QueryDef(0, bounds["lo"], bounds["hi"])], [[]])
+    cache.check_invariants()
+    assert len(cache.live_entries()) == 1 and cache.stats.evictions == 0
+    assert len(oracle.actions) == 1 and oracle.pending_count == 1
+    assert cache.lookup(0, 2.0) is Lookup.HIT
 
 
 def test_stats_rates():

@@ -352,7 +352,6 @@ def test_oracle_resolves_the_units_a_write_touches():
     oracle = TrueTtlOracle()
     for sid, unit in enumerate((1, 2, 3)):
         oracle.on_serve(sid, unit=unit, now=0.0, action=5.0)
-    assert _resolve(oracle, [4], 0.5) == [] and oracle.pending_count == 3  # touches none
     assert _resolve(oracle, [2, 1, 9], 1.0) == [0, 1]  # unit 9 has no serve
     assert _resolve(oracle, [3, 3], 2.0) == [2]  # a unit given twice: once
     assert oracle.true_ttl.tolist() == [1.0, 1.0, 2.0] and oracle.pending_count == 0

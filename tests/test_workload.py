@@ -257,17 +257,6 @@ def test_query_index_rejects_empty_ranges_and_results_it_cannot_index():
         QueryIndex([QueryDef(0, 0.0, 1.0), QueryDef(2, 2.0, 3.0)], [[], []])
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
-@pytest.mark.parametrize("side", ["lo", "hi"])
-def test_query_index_rejects_non_finite_bounds(side, bad):
-    # A range's bounds are checked once, when its world's index is built, so
-    # no serve of a bad range reaches the oracle or the cache.
-    bounds = {"lo": 1.0, "hi": 3.0, side: bad}
-    queries = [QueryDef(0, 0.0, 1.0), QueryDef(1, bounds["lo"], bounds["hi"])]
-    with pytest.raises(ValueError, match=f"query 1: range bound {side} .* is not finite"):
-        QueryIndex(queries, [[], []])
-
-
 def test_query_index_move_is_half_open():
     values = np.array([1.5, 7.0])
     index = _index([(1.0, 2.0)], values)
