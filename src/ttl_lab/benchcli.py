@@ -108,11 +108,12 @@ def run_single(
     estimator_kind: str,
     seed: int,
     trace_writer=None,
-    log_transitions: bool = False,
+    replay_writer=None,
 ):
     """One seeded simulation; returns (RunResult, Simulation), the estimator
-    being `Simulation.estimator`."""
-    sim = Simulation(cfg, write_fraction, estimator_kind, seed, trace_writer, log_transitions).run()
+    being `Simulation.estimator`. `trace_writer` and `replay_writer` take the
+    run's trace and replay rows as they happen (see Simulation)."""
+    sim = Simulation(cfg, write_fraction, estimator_kind, seed, trace_writer, replay_writer).run()
 
     oracle = sim.telemetry.oracle
     errors = oracle.resolved_errors()
@@ -233,10 +234,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None, ech
     file of that name, and writes each header; replay_log.csv (off without
     `bench.replay_log`) and querytrace.csv (off with `bench.trace_query =
     none`) are deleted when the grid does not write them. Rows are written as
-    soon as they are known: a per_run.csv row, and a run's querytrace.csv and
-    replay_log.csv rows, when the run ends; a summary.csv row when its cell
-    ends. So every file in the directory is this grid's, and a grid that
-    raises leaves the rows of what it finished.
+    soon as they are known: trace.csv and replay_log.csv rows as the run
+    makes them, a per_run.csv row and a run's querytrace.csv rows when the
+    run ends, a summary.csv row when its cell ends. So every file in the
+    directory is this grid's, and a grid that raises leaves the rows of what
+    it finished, and the trace and replay rows of the run that raised.
 
     Every single-run artifact comes from run 0 of cells chosen up front:
     trace.csv from the first cell; cdf.csv and querytrace.csv from the first
@@ -272,11 +274,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None, ech
                 cell: list[RunResult] = []
                 for rep in range(cfg.runs):
                     seed = cfg.base_seed + rep
-                    trace_writer = None
+                    trace_writer = replay_writer = None
                     if wi == ei == rep == 0:
                         trace_writer = lambda row: trace_fh.write(TRACE_ROW % row)  # noqa: E731
-                    log_tr = cfg.replay_log and rep == 0 and est_kind in LEARNED_KINDS
-                    res, sim = run_single(cfg, w, est_kind, seed, trace_writer, log_tr)
+                    if replay_fh is not None and rep == 0 and est_kind in LEARNED_KINDS:
+                        replay_writer = lambda row: replay_fh.write(  # noqa: E731
+                            REPLAY_ROW % (w, est_kind, *row))
+                    res, sim = run_single(cfg, w, est_kind, seed, trace_writer, replay_writer)
                     results.append(res)
                     cell.append(res)
                     per_run_fh.write(PER_RUN_ROW % astuple(res))
@@ -290,9 +294,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None, ech
                         true_ttls = oracle.true_ttls()
                         if cell_best is None and len(true_ttls):
                             cell_best = best_default_ttl(true_ttls)
-                        if log_tr:
-                            replay_fh.writelines(REPLAY_ROW % (w, est_kind, *row)
-                                                 for row in sim.estimator.injection_log)
                         if wi == 0:
                             for label in cdf_series.get(est_kind, ()):
                                 _write_cdf_series(cdf_fh, label, true_ttls if label == "optimal"
@@ -544,7 +545,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--estimator", help="single estimator kind (overrides estimator.kind)")
     p_run.add_argument("--seed", type=int, help="base seed (run i uses seed+i)")
     p_run.add_argument("--runs", type=int, help="repetitions per cell")
-    p_run.add_argument("--out-dir", type=Path, help="artifact directory")
+    p_run.add_argument("--out-dir", help="artifact directory")
     p_run.add_argument("--trace-query", help="'auto' or a query id; writes querytrace.csv")
 
     sub.add_parser("check", help="run fast self-diagnostics")

@@ -151,6 +151,8 @@ class ExperimentConfig:
             raise ValueError("bench.runs must be >= 1")
         if self.base_seed < 0:
             raise ValueError("bench.base_seed must be >= 0")
+        if not self.out_dir.strip():  # a blank one would write the grid into the working directory
+            raise ValueError("bench.out_dir must name a directory")
         if self.trace_query not in ("auto", "none"):
             try:
                 qid = int(self.trace_query)

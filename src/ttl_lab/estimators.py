@@ -11,8 +11,6 @@ TTL online, differing only in when unfinished transitions are completed.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .dei import DeiQueue, IncompleteTransition, RewardConfig, transition_reward
@@ -78,32 +76,26 @@ class PoissonEstimator(TtlEstimator):
         return poisson_ttl(rates, len(result_keys), self.max_ttl)
 
 
-class InjectionRow(NamedTuple):
-    serve_id: int
-    unit: int
-    decided_at: float
-    due_at: float
-    action: float
-    reward: float
-
-
 class _NafEstimator(TtlEstimator):
     """Shared plumbing for the learning estimators: the agent, drawing from
     `rng`, each unit's requests and misses over `window` (the state's miss-rate
     delta), and the queue of decisions waiting for their reward. It reads
     `write_rates(keys, now)` and `current_load(now)`, and books each due event
     with `schedule(time, "dei", serve_id)` for on_due. A simulation sets the
-    flat reward's `load_threshold` to 1 - w, its cell's write fraction."""
+    flat reward's `load_threshold` to 1 - w, its cell's write fraction.
+    Each injected transition goes to `on_inject`, unless it is None, as one
+    row tuple (serve_id, unit, decided_at, due_at, action, reward), due_at
+    being the injection's time."""
 
-    def __init__(self, naf_cfg: NafConfig, reward_cfg: RewardConfig, log_transitions: bool, *,
-                 rng, window, load_threshold, write_rates, current_load, schedule):
+    def __init__(self, naf_cfg: NafConfig, reward_cfg: RewardConfig, *,
+                 rng, window, load_threshold, write_rates, current_load, schedule, on_inject):
         self.agent = NafAgent(naf_cfg, rng)
         self.reward_cfg = reward_cfg
         self.load_threshold = load_threshold
         self.write_rates = write_rates
         self.current_load = current_load
         self.schedule = schedule
-        self.injection_log: list[InjectionRow] | None = [] if log_transitions else None
+        self.on_inject = on_inject
         self.queue = DeiQueue()
         self.miss_rates = MissRateWindow(window)
 
@@ -127,10 +119,8 @@ class _NafEstimator(TtlEstimator):
 
     def _inject(self, it: IncompleteTransition, reward: float, s_next: np.ndarray, now: float) -> None:
         self.agent.replay.push(it.s, it.a, reward, s_next)
-        if self.injection_log is not None:
-            self.injection_log.append(
-                InjectionRow(it.serve_id, it.unit, it.decided_at, now, it.a, reward)
-            )
+        if self.on_inject is not None:
+            self.on_inject((it.serve_id, it.unit, it.decided_at, now, it.a, reward))
         self.agent.train_step()
 
 
@@ -160,8 +150,8 @@ class NafNaiveEstimator(_NafEstimator):
     (s, a) is injected immediately with that stale reward and s_next = s; the
     misattribution is the point."""
 
-    def __init__(self, naf_cfg, reward_cfg, log_transitions, **parts):
-        super().__init__(naf_cfg, reward_cfg, log_transitions, **parts)
+    def __init__(self, naf_cfg, reward_cfg, **parts):
+        super().__init__(naf_cfg, reward_cfg, **parts)
         self._last_serve: dict[int, int] = {}  # unit -> serve id of its queued episode
 
     def decide(self, serve_id, unit, result_keys, now):
@@ -177,22 +167,23 @@ class NafNaiveEstimator(_NafEstimator):
         return a
 
 
-# kind -> builder(cfg, log_transitions, parts), reading its options from cfg
+# kind -> builder(cfg, parts), reading its options from cfg
 _BUILDERS = {
-    "poisson": lambda cfg, log, parts: PoissonEstimator(parts["write_rates"], cfg.poisson_max_ttl),
-    "naf-dei": lambda cfg, log, parts: NafDeiEstimator(cfg.naf, cfg.reward, log, **parts),
-    "naf-naive": lambda cfg, log, parts: NafNaiveEstimator(cfg.naf, cfg.reward, log, **parts),
-    "fixed": lambda cfg, log, parts: FixedEstimator(cfg.fixed_ttl),
+    "poisson": lambda cfg, parts: PoissonEstimator(parts["write_rates"], cfg.poisson_max_ttl),
+    "naf-dei": lambda cfg, parts: NafDeiEstimator(cfg.naf, cfg.reward, **parts),
+    "naf-naive": lambda cfg, parts: NafNaiveEstimator(cfg.naf, cfg.reward, **parts),
+    "fixed": lambda cfg, parts: FixedEstimator(cfg.fixed_ttl),
 }
 ESTIMATOR_KINDS = tuple(_BUILDERS)
 # the kinds that learn, in the order a grid's learned series prefers them
 LEARNED_KINDS = ("naf-dei", "naf-naive")
 
 
-def make_estimator(kind: str, cfg, log_transitions: bool = False, **parts) -> TtlEstimator:
+def make_estimator(kind: str, cfg, **parts) -> TtlEstimator:
     """The estimator of one kind from `cfg` and the `parts` it reads (see
-    _NafEstimator). Any kind of ESTIMATOR_KINDS can be built from any checked
-    config, whatever `cfg.estimators` lists; another kind raises ValueError."""
+    _NafEstimator), `on_inject` among them; the factory sets no part itself.
+    Any kind of ESTIMATOR_KINDS can be built from any checked config,
+    whatever `cfg.estimators` lists; another kind raises ValueError."""
     if kind not in _BUILDERS:
         raise ValueError(f"unknown estimator {kind!r}; choose from {ESTIMATOR_KINDS}")
-    return _BUILDERS[kind](cfg, log_transitions, parts)
+    return _BUILDERS[kind](cfg, parts)

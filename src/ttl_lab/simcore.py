@@ -164,6 +164,12 @@ class Simulation:
     the simulation is built. `estimator_kind` may be any kind that
     `make_estimator` builds, listed in `cfg.estimators` or not: the config
     checked every estimator option when it was built.
+
+    Two optional callbacks take a run's per-event rows as they happen:
+    `trace_writer` each request's (time, kind, unit, outcome, latency), and
+    `replay_writer`, a learner's `on_inject`, each injected transition's
+    (serve_id, unit, decided_at, due_at, action, reward). The run keeps no
+    row of either.
     """
 
     def __init__(
@@ -173,7 +179,7 @@ class Simulation:
         estimator_kind: str,
         seed: int,
         trace_writer: Callable[[tuple], None] | None = None,
-        log_transitions: bool = False,
+        replay_writer: Callable[[tuple], None] | None = None,
     ):
         self.spec = spec = cfg.workload_spec(write_fraction)
         self.trace_writer = trace_writer
@@ -195,10 +201,10 @@ class Simulation:
         self.latency_sum = 0.0
         self._serve_seq = 0
         self.estimator = make_estimator(
-            estimator_kind, cfg, log_transitions, rng=run_stream(seed, AGENT),
+            estimator_kind, cfg, rng=run_stream(seed, AGENT),
             window=cfg.telemetry_window, load_threshold=1.0 - spec.write_fraction,
             write_rates=self.telemetry.write_rates, current_load=self.cache.current_load,
-            schedule=self.engine.schedule)
+            schedule=self.engine.schedule, on_inject=replay_writer)
 
     def run(self) -> "Simulation":
         """Run to the end of the workload, once. When this returns or raises,

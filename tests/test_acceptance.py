@@ -266,7 +266,8 @@ def test_criterion_05_origin_update_brute_force():
 
 
 def test_criterion_06_dei_timing(tiny_cfg):
-    sim = Simulation(tiny_cfg, 0.1, "naf-dei", seed=7, log_transitions=True)
+    rows: list[tuple] = []
+    sim = Simulation(tiny_cfg, 0.1, "naf-dei", seed=7, replay_writer=rows.append)
     est = sim.estimator
 
     enqueued: dict[int, tuple[float, float, float]] = {}
@@ -304,7 +305,8 @@ def test_criterion_06_dei_timing(tiny_cfg):
             early += 1
         if at == due_at == decided_at + action and a == action:
             exact += 1
-    log_ok = all(r.due_at == r.decided_at + r.action for r in est.injection_log)
+    log_ok = len(rows) == len(injections) and all(
+        due_at == decided_at + action for _, _, decided_at, due_at, action, _ in rows)
     ok = (len(injections) > 50 and early == 0
           and exact == len(injections) and log_ok)
     _verdict(6, "dei injection timing", ok,

@@ -166,7 +166,7 @@ def test_naf_and_reward_defaults_have_one_source():
     assert cfg.reward == RewardConfig()
     # the factory keeps no defaults of its own: it reads every setting from cfg
     params = inspect.signature(make_estimator).parameters.values()
-    assert [p.name for p in params if p.default is not p.empty] == ["log_transitions"]
+    assert [p.name for p in params if p.default is not p.empty] == []
     # the workload and latency sections too: a default cell is WorkloadSpec()
     assert cfg.workload_spec(WorkloadSpec.write_fraction) == WorkloadSpec()
     assert cfg.latency == LatencyModel()
@@ -257,6 +257,9 @@ def test_config_validation_errors():
     with pytest.raises(ValueError, match="trace_query"):
         build_config(overrides={"bench.trace_query": "100000"})
     build_config(overrides={"bench.trace_query": "5"})  # a real query id is fine
+    for blank in ("", "  "):
+        with pytest.raises(ValueError, match="bench.out_dir must name a directory"):
+            build_config(overrides={"bench.out_dir": blank})
 
 
 def test_config_rejects_a_repeated_cell():
@@ -753,7 +756,7 @@ def test_cli_rerun_is_byte_identical(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
-def test_cli_error_exit_codes(tmp_path, capsys):
+def test_cli_error_exit_codes(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.cfg"
     bad.write_text("cache.capcity = 7\n")
     assert main(["run", "--config", str(bad)]) == 2
@@ -767,6 +770,15 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["run", "--estimator", "", "--out-dir", str(tmp_path / "out")]) == 2
     assert "bad value for estimator.kind: expected at least one name" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+    # a blank out_dir, from a file or the flag, is rejected, not read as the working directory
+    monkeypatch.chdir(tmp_path)
+    blank = tmp_path / "blank.cfg"
+    blank.write_text("bench.out_dir =\n")
+    for argv in (["--config", str(blank)], ["--out-dir", ""]):
+        assert main(["run", *argv]) == 2
+        assert "bench.out_dir must name a directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", "blank.cfg"]
 
 
 def test_package_exports_only_build_config():
@@ -802,8 +814,35 @@ print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma
     assert (tmp_path / "cdf.csv").exists()
 
 
-def test_cli_check_passes():
+def test_check_arrivals_passes():
+    # the one check of `ttl-lab check` that no acceptance criterion or other test runs
+    ok, detail = benchcli._check_arrivals()
+    assert ok, detail
+
+
+def test_cmd_check_reports_every_check(monkeypatch, capsys):
+    def passes():
+        return True, "fine"
+
+    def fails():
+        return False, "off by one"
+
+    def crashes():
+        raise ValueError("no rows")
+
+    monkeypatch.setattr(benchcli, "CHECKS", [("a", passes), ("b", passes)])
     assert main(["check"]) == 0
+    assert capsys.readouterr().out == "PASS  a: fine\nPASS  b: fine\n"
+
+    monkeypatch.setattr(benchcli, "CHECKS", [("a", passes), ("b", fails)])
+    assert main(["check"]) == 1
+    assert capsys.readouterr().out.splitlines()[1] == "FAIL  b: off by one"
+
+    # a check that raises fails, and the checks after it still run
+    monkeypatch.setattr(benchcli, "CHECKS", [("a", crashes), ("b", passes)])
+    assert main(["check"]) == 1
+    assert capsys.readouterr().out.splitlines() == ["FAIL  a: raised ValueError: no rows",
+                                                    "PASS  b: fine"]
 
 
 def test_cli_estimator_flag_overrides(tmp_path):

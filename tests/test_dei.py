@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -165,41 +166,43 @@ def test_queue_pop_unknown_raises():
 # scripted estimator flows
 
 
-def _scripted_sim(cfg, kind, log_transitions=False):
+def _scripted_sim(cfg, kind):
     """A learner of `kind` driven by hand, with no Simulation: a bare engine,
     with no op timeline, hands its due events back, and an empty cache and
-    telemetry give its load and rates. The load threshold is w 0.1's."""
+    telemetry give its load and rates. The load threshold is w 0.1's. Its
+    `on_inject` appends each injected row to `rows`."""
     engine = Engine(lambda ev: est.on_due(ev.arg, ev.time))  # "dei" is all it schedules
     cache = CacheSystem(cfg.capacity)
     telemetry = Telemetry(cfg.telemetry_window)
-    est = make_estimator(kind, cfg, log_transitions, rng=np.random.default_rng(1),
+    rows = []
+    est = make_estimator(kind, cfg, rng=np.random.default_rng(1),
                          window=cfg.telemetry_window, load_threshold=0.9,
                          write_rates=telemetry.write_rates, current_load=cache.current_load,
-                         schedule=engine.schedule)
-    return SimpleNamespace(engine=engine, cache=cache, estimator=est)
+                         schedule=engine.schedule, on_inject=rows.append)
+    return SimpleNamespace(engine=engine, cache=cache, estimator=est, rows=rows)
 
 
 def test_dei_completes_exactly_at_due_time(tiny_cfg):
-    sim = _scripted_sim(tiny_cfg, "naf-dei", log_transitions=True)
+    sim = _scripted_sim(tiny_cfg, "naf-dei")
     est = sim.estimator
     keys = np.array([0, 1])
 
     a = est.decide(serve_id=0, unit=4, result_keys=keys, now=5.0)
     assert len(est.queue) == 1 and len(sim.engine) == 1
-    assert len(est.agent.replay) == 0  # nothing injected yet
+    assert len(est.agent.replay) == 0 and sim.rows == []  # nothing injected yet
 
     sim.engine.run_until(np.nextafter(5.0 + a, 0.0))
     assert len(est.queue) == 1  # not a moment early
     sim.engine.run_until(5.0 + a)
     assert len(est.queue) == 0
     assert len(est.agent.replay) == 1
-    row = est.injection_log[0]
-    assert row.serve_id == 0
-    assert row.due_at == row.decided_at + row.action  # bit-exact due timestamp
+    [(serve_id, unit, decided_at, due_at, action, reward)] = sim.rows
+    assert (serve_id, unit, decided_at, action) == (0, 4, 5.0, a)
+    assert due_at == decided_at + action  # bit-exact due timestamp
     replay = est.agent.replay
-    assert replay.a[0] == a
+    assert replay.a[0] == a and replay.r[0] == reward
     # no invalidation: survival reward with an empty cache (load 0)
-    assert replay.r[0] == pytest.approx(tiny_cfg.reward.r0)
+    assert reward == pytest.approx(tiny_cfg.reward.r0)
 
 
 def test_dei_invalidation_stamp_flows_into_reward(tiny_cfg):
@@ -215,25 +218,26 @@ def test_dei_invalidation_stamp_flows_into_reward(tiny_cfg):
     r = est.agent.replay.r[0]
     assert r == pytest.approx(t_inv - (1.0 + a))
     assert r < 0.0
+    assert sim.rows == [(0, 4, 1.0, 1.0 + a, a, r)]
 
 
 def test_injection_trains_before_the_call_returns(tiny_cfg):
     cfg = dataclasses.replace(tiny_cfg, naf=dataclasses.replace(tiny_cfg.naf, batch_size=1))
-    dei = _scripted_sim(cfg, "naf-dei").estimator
-    a = dei.decide(serve_id=0, unit=4, result_keys=np.array([0]), now=1.0)
-    dei.on_due(0, 1.0 + a)
-    assert dei.agent.train_count == 1
+    dei = _scripted_sim(cfg, "naf-dei")
+    a = dei.estimator.decide(serve_id=0, unit=4, result_keys=np.array([0]), now=1.0)
+    dei.estimator.on_due(0, 1.0 + a)
+    assert dei.estimator.agent.train_count == 1 and len(dei.rows) == 1
 
-    naive = _scripted_sim(cfg, "naf-naive").estimator
-    naive.decide(serve_id=0, unit=7, result_keys=np.array([0]), now=1.0)
-    naive.decide(serve_id=1, unit=7, result_keys=np.array([0]), now=2.0)
-    assert naive.agent.train_count == 1
+    naive = _scripted_sim(cfg, "naf-naive")
+    naive.estimator.decide(serve_id=0, unit=7, result_keys=np.array([0]), now=1.0)
+    naive.estimator.decide(serve_id=1, unit=7, result_keys=np.array([0]), now=2.0)
+    assert naive.estimator.agent.train_count == 1 and len(naive.rows) == 1
 
 
 def test_naive_first_decision_injects_nothing(tiny_cfg):
-    est = _scripted_sim(tiny_cfg, "naf-naive").estimator
-    est.decide(serve_id=0, unit=7, result_keys=np.array([0]), now=1.0)
-    assert len(est.agent.replay) == 0
+    sim = _scripted_sim(tiny_cfg, "naf-naive")
+    sim.estimator.decide(serve_id=0, unit=7, result_keys=np.array([0]), now=1.0)
+    assert len(sim.estimator.agent.replay) == 0 and sim.rows == []
 
 
 def test_naive_injects_instantly_with_previous_episode_reward(tiny_cfg):
@@ -252,6 +256,8 @@ def test_naive_injects_instantly_with_previous_episode_reward(tiny_cfg):
     # successor state is the current state: a self-loop
     assert np.array_equal(replay.s[0], replay.s_next[0])
     assert len(sim.engine) == 0  # no dei event scheduled
+    # the row is the new decision's, due when it was decided
+    assert sim.rows == [(1, 7, 9.0, 9.0, a1, replay.r[0])]
 
 
 def test_naive_survival_reward_uses_current_load(tiny_cfg):
@@ -265,31 +271,36 @@ def test_naive_survival_reward_uses_current_load(tiny_cfg):
 
     load = 1.0 / tiny_cfg.capacity
     assert est.agent.replay.r[0] == pytest.approx(2.0 * (1.0 + load))
+    assert [row[5] for row in sim.rows] == [est.agent.replay.r[0]]
 
 
 def test_naive_tracks_units_independently(tiny_cfg):
-    est = _scripted_sim(tiny_cfg, "naf-naive").estimator
+    sim = _scripted_sim(tiny_cfg, "naf-naive")
+    est = sim.estimator
     est.decide(serve_id=0, unit=1, result_keys=np.array([0]), now=1.0)
     est.decide(serve_id=1, unit=2, result_keys=np.array([0]), now=2.0)
     assert len(est.agent.replay) == 0  # each unit's first decision is silent
     est.decide(serve_id=2, unit=1, result_keys=np.array([0]), now=3.0)
     assert len(est.agent.replay) == 1
+    assert [row[:2] for row in sim.rows] == [(2, 1)]
     est.on_invalidation_issued(0, 4.0)  # finished episode: stamp is a no-op
 
 
 # ---------------------------------------------------------------------------
 # a bandit drives the real learner
 
+BANDIT_MU = (0.02, 0.05, 0.2)
 
-def test_a_bandit_drives_the_dei_learner_with_no_simulation():
-    """Three states whose invalidations come at T ~ Exp(mu): the learner sees
-    each state's rate as its one result key's write rate, and a bare engine
-    hands back its due events and the bandit's invalidations. Every decision
-    is injected once, scored as transition_reward scores its draw."""
+
+def _bandit_learner(on_inject):
+    """Three states whose invalidations come at T ~ Exp(mu): the learner, on
+    paper `naf.*` and `reward.*`, sees each state's rate as its one result
+    key's write rate, and a bare engine hands back its due events and the
+    bandit's invalidations. Returns the learner, its engine and step(serve_id),
+    which decides that serve at time serve_id, in state serve_id % 3, and
+    returns the invalidation its decision sees, or None."""
     paper = build_config(preset="paper")
-    mu = [0.02, 0.05, 0.2]
     draws = np.random.default_rng(7)
-    t_inv: dict[int, float | None] = {}
 
     def handler(ev):
         if ev.kind == "dei":
@@ -298,26 +309,64 @@ def test_a_bandit_drives_the_dei_learner_with_no_simulation():
             est.on_invalidation_issued(ev.arg, ev.time)
 
     engine = Engine(handler)
-    est = NafDeiEstimator(paper.naf, paper.reward, True, rng=np.random.default_rng(1),
+    est = NafDeiEstimator(paper.naf, paper.reward, rng=np.random.default_rng(1),
                           window=paper.telemetry_window, load_threshold=1.0,
-                          write_rates=lambda keys, now: [mu[k] for k in keys],
-                          current_load=lambda now: 0.0, schedule=engine.schedule)
-    steps = 3000
-    for serve_id in range(steps):
+                          write_rates=lambda keys, now: [BANDIT_MU[k] for k in keys],
+                          current_load=lambda now: 0.0, schedule=engine.schedule,
+                          on_inject=on_inject)
+
+    def step(serve_id):
         now = float(serve_id)
         engine.run_until(now)
-        k = serve_id % len(mu)
+        k = serve_id % len(BANDIT_MU)
         a = est.decide(serve_id, k, [k], now)
-        t = now + draws.exponential(1.0 / mu[k])
-        t_inv[serve_id] = t if t < now + a else None
-        if t_inv[serve_id] is not None:
-            engine.schedule(t, "inval", serve_id)
+        t = now + draws.exponential(1.0 / BANDIT_MU[k])
+        if t >= now + a:
+            return None
+        engine.schedule(t, "inval", serve_id)
+        return t
+
+    return est, engine, step
+
+
+def test_a_bandit_drives_the_dei_learner_with_no_simulation():
+    """Every decision is injected once, scored as transition_reward scores
+    its draw."""
+    paper = build_config(preset="paper")
+    rows = []
+    est, engine, step = _bandit_learner(rows.append)
+    steps = 3000
+    t_inv = {serve_id: step(serve_id) for serve_id in range(steps)}
     engine.run_until(steps + paper.naf.ttl_max)
 
-    log = est.injection_log
-    assert sorted(row.serve_id for row in log) == list(range(steps))
+    assert sorted(row[0] for row in rows) == list(range(steps))
     assert len(est.queue) == 0 and len(engine) == 0
-    for row in log:
-        expected = transition_reward(t_inv[row.serve_id], row.due_at, 0.0, 1.0,
-                                     paper.reward, row.decided_at)
-        assert row.reward == expected, row
+    for serve_id, _, decided_at, due_at, _, reward in rows:
+        expected = transition_reward(t_inv[serve_id], due_at, 0.0, 1.0,
+                                     paper.reward, decided_at)
+        assert reward == expected, serve_id
+
+
+def test_a_learner_holds_no_row_of_what_it_injects():
+    # Each row goes to on_inject and nowhere else. Over 3,000 bandit steps
+    # after 1,000 of warm-up, the memory allocated and still held grew by 6 KB
+    # with a counting on_inject, and by 698 KB when the learner kept a list
+    # of its rows.
+    injected = 0
+
+    def count(row):
+        nonlocal injected
+        injected += 1
+
+    _, _, step = _bandit_learner(count)
+    for serve_id in range(1000):
+        step(serve_id)
+    tracemalloc.start()
+    try:
+        for serve_id in range(1000, 4000):
+            step(serve_id)
+        grown = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert injected > 3000
+    assert grown < 128 * 1024

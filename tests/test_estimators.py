@@ -195,10 +195,26 @@ def test_make_estimator_errors(tiny_cfg):
         build_config(overrides={"estimator.kind": "lru"})
 
 
-def test_injection_log_opt_in(tiny_cfg):
-    assert Simulation(tiny_cfg, 0.1, "naf-dei", seed=0).estimator.injection_log is None
-    sim = Simulation(tiny_cfg, 0.1, "naf-dei", seed=0, log_transitions=True)
-    assert sim.estimator.injection_log == []
+@pytest.mark.parametrize("kind", ["naf-dei", "naf-naive"])
+def test_replay_writer_gets_each_injection_in_order(tiny_cfg, kind):
+    # naf-dei injects a decision when it comes due, at decided_at + action;
+    # naf-naive injects it at once, with the reward of the unit's previous decision
+    assert Simulation(tiny_cfg, 0.1, kind, seed=0).estimator.on_inject is None
+    rows = []
+    sim = Simulation(tiny_cfg, 0.1, kind, seed=0, replay_writer=rows.append)
+    pushed = []
+    push = sim.estimator.agent.replay.push
+
+    def spy_push(s, a, r, s_next):
+        pushed.append((sim.engine.now, a, r))
+        push(s, a, r, s_next)
+
+    sim.estimator.agent.replay.push = spy_push
+    sim.run()
+    assert len(rows) > 50
+    assert [row[3:] for row in rows] == pushed  # (due_at, action, reward), one per push
+    for _, _, decided_at, due_at, action, _ in rows:
+        assert due_at == (decided_at + action if kind == "naf-dei" else decided_at)
 
 
 @pytest.mark.parametrize("kind", ["naf-dei", "naf-naive"])

